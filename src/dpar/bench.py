@@ -125,7 +125,7 @@ def run_hitting(inst: BipartiteInstance, params: ParamSet, threads: int = 1) -> 
     t0 = time.perf_counter()
     res = hitting_set(inst, params, work=work, threads=threads)
     ok, d = verify.check_hitting_window(
-        inst.imp, inst.levels, inst.edge_u, inst.edge_v, res.selected
+        inst.imp, inst.levels, inst.edge_u, inst.edge_v, res.selected, floor=params.high_floor_hitting
     )
     rep["oracles"]["window"] = {"ok": ok, **d}
     threshold = 0.9 if params.mode == "paper" else 0.75
@@ -134,7 +134,13 @@ def run_hitting(inst: BipartiteInstance, params: ParamSet, threads: int = 1) -> 
               d["window_importance_fraction"] >= threshold, ">=")
     )
     rep["certificates"].append(
-        _cert("hit_constant", d["hit_constant"], 1e3, d["hit_constant"] <= 1e3, "<=")
+        _cert(
+            "hit_constant",
+            d["hit_constant"],
+            d["hit_constant_bound"],
+            d["hit_constant"] <= d["hit_constant_bound"],
+            "<=",
+        )
     )
     rep["rounds"] = res.rounds
     rep["selected"] = int(res.selected.sum())

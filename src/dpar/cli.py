@@ -8,8 +8,10 @@ only when all of them pass; --report writes the full JSON report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 
 import numpy as np
 
@@ -18,15 +20,34 @@ from .graph import Graph, read_csr, read_edgelist, sort_edges_to_csr
 from .hitting import ParamSet, read_hset
 
 
+def _coerce_param(name: str, kind, value):
+    """value as the type the ParamSet field declares (None where allowed)."""
+    kinds = typing.get_args(kind) or (kind,)
+    if value is None and type(None) in kinds:
+        return None
+    base = next(k for k in kinds if k is not type(None))
+    try:
+        out = base(value)
+    except (TypeError, ValueError):
+        out = None
+    # bool would pass as an int, and int() would silently truncate 6.5
+    if out is None or isinstance(value, bool) or (base is int and out != value):
+        raise SystemExit(f"parameter {name}: expected {base.__name__}, got {value!r}")
+    return out
+
+
 def _load_params(args) -> ParamSet:
     params = ParamSet.paper() if args.mode == "paper" else ParamSet.desk()
     if getattr(args, "params", None):
         with open(args.params) as f:
             overrides = json.load(f)
-        for key, value in overrides.items():
-            if not hasattr(params, key):
+        kinds = typing.get_type_hints(ParamSet)
+        for key in overrides:
+            if key not in kinds:
                 raise SystemExit(f"unknown parameter: {key}")
-            setattr(params, key, value)
+        params = dataclasses.replace(
+            params, **{key: _coerce_param(key, kinds[key], v) for key, v in overrides.items()}
+        )
     return params
 
 

@@ -13,6 +13,15 @@ if no conflicting neighbor hits it) and weight-budgeted recoloring for
 defective coloring (a point is admissible when the weight of neighbors
 hitting it stays below a per-node budget; such edges may go monochromatic
 and are "lost").
+
+Defective coloring ends with a greedy sweep over the classes of its
+phase-1 coloring, in ascending order, where each node reads only the final
+colors of its heads in lower classes. class_sweep cuts such sweeps into
+batches of consecutive classes none of whose lower-class heads lie in the
+same batch, so phase 2 runs one batch of dependency-free classes at a
+time, in a fixed number of array operations per batch, with the result of
+the class-by-class order. The rounding sweeps in rounding.py use the same
+batches.
 """
 
 from __future__ import annotations
@@ -95,45 +104,53 @@ def _conflict_roots(
     return r1, ok1, r2, ok2
 
 
+def _first_of_runs(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
 def _smallest_admissible(
     groups: np.ndarray,
     items: np.ndarray,
     admissible: np.ndarray,
-    n_groups: int,
     domain: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per group, the smallest item in [0, domain[g]) that is absent from the
     given (group, item) pairs or present with admissible=True.
 
-    Pairs must be unique; groups with no pairs get 0. Raises if some group
-    has no valid item (cannot happen for in-contract callers).
+    Pairs must be unique, sorted by (group, item), with every item below its
+    group's domain. Returns (group ids, answers) for the groups that have
+    pairs; any other group's answer is 0, since its whole domain is free.
+    Raises if some group has no valid item (cannot happen for in-contract
+    callers).
     """
-    out = np.zeros(n_groups, dtype=np.int64)
-    if len(groups) == 0:
-        return out
+    m = len(groups)
+    if m == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     big = np.int64(1) << 60
-    order = np.lexsort((items, groups))
-    g = groups[order]
-    it = items[order]
-    adm = admissible[order]
-    starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-    ranks = np.arange(len(g), dtype=np.int64) - np.repeat(starts, np.diff(np.r_[starts, len(g)]))
-    # smallest absent item: first rank where the rank-th present item exceeds it
-    cand_absent = np.where(it > ranks, ranks, big)
-    seg_absent = np.minimum.reduceat(cand_absent, starts)
-    counts = np.diff(np.r_[starts, len(g)])
-    seg_absent = np.where(seg_absent == big, counts, seg_absent)
-    # smallest present admissible item
-    cand_adm = np.where(adm, it, big)
-    seg_adm = np.minimum.reduceat(cand_adm, starts)
-    gids = g[starts]
-    seg_absent = np.where(seg_absent < domain[gids], seg_absent, big)
-    best = np.minimum(seg_absent, seg_adm)
-    if np.any(best >= big):
+    first = _first_of_runs(groups)
+    starts = first.nonzero()[0]
+    idx = np.arange(m, dtype=np.int64)
+    ranks = idx - np.maximum.accumulate(idx * first)
+    # items are sorted and distinct, so item >= rank; the first rank with
+    # item > rank is the smallest absent item, and it lies below that item
+    # and hence inside the domain. Admissible items past that rank are
+    # larger than it, so one minimum covers both candidates.
+    cand = np.where(items > ranks, ranks, np.where(admissible, items, big))
+    best = np.minimum.reduceat(cand, starts)
+    # a group without a gap holds items 0..count-1; count is free if in domain
+    gids = groups[starts]
+    counts = np.empty_like(starts)
+    counts[:-1] = starts[1:]
+    counts[-1] = m
+    counts -= starts
+    best = np.minimum(best, np.where(counts < domain[gids], counts, big))
+    if np.maximum.reduce(best) >= big:
         raise RuntimeError("no admissible point for some node; invariant broken")
-    out[gids] = best
-    # groups without pairs keep 0, valid since their whole domain is free
-    return out
+    return gids, best
 
 
 def _compact_colors(colors: np.ndarray) -> tuple[np.ndarray, int]:
@@ -198,21 +215,22 @@ def _kernel_round(
     key = vv * p + rr
     order = stable_order_u64(key, work)
     key_s = key[order]
-    uniq_mask = np.r_[True, key_s[1:] != key_s[:-1]] if len(key_s) else np.empty(0, dtype=bool)
+    uniq_mask = _first_of_runs(key_s)
     ukey = key_s[uniq_mask]
     uv, ur = ukey // p, ukey % p
     if weights is None:
         adm = np.zeros(len(ukey), dtype=bool)
     else:
         groups = np.cumsum(uniq_mask) - 1
-        score = np.zeros(len(ukey), dtype=np.float64)
-        np.add.at(score, groups, ws[order])
+        score = np.bincount(groups, weights=ws[order], minlength=len(ukey))
         # zero hit weight is always harmless, whatever the budget
         adm = (score < budget[uv]) | (score <= 0.0)
         if zero_budget_nodes is not None:
             strict = zero_budget_nodes[uv]
             adm[strict] = score[strict] <= 0.0
-    x_star = _smallest_admissible(uv, ur, adm, n, domain)
+    x_star = np.zeros(n, dtype=np.int64)
+    gids, best = _smallest_admissible(uv, ur, adm, domain)
+    x_star[gids] = best
     new_colors = x_star * p + _eval_poly(a_all, b_all, c_all, x_star, p)
     return new_colors
 
@@ -291,46 +309,104 @@ def color_delta_squared(
         cur = nxt
 
 
+@dataclass
+class ClassSweep:
+    """A sweep over the classes 0..k-1 of a node coloring, cut into batches.
+
+    slot_order sorts the swept slots by (owner class, owner) and node_order
+    sorts the nodes by class, both stably; lower marks the sorted slots whose
+    head lies in a lower class than their owner. A batch is a maximal run of
+    consecutive classes in which no slot's head lies in a lower class of the
+    same run. A sweep whose decisions read only lower-class heads can
+    therefore decide a whole batch at once and reach the same result as
+    deciding one class at a time. batches has one row (slot_lo, slot_hi,
+    node_lo, node_hi) per batch with members, as slices of the two sorted
+    orders.
+    """
+
+    slot_order: np.ndarray
+    node_order: np.ndarray
+    lower: np.ndarray
+    batches: np.ndarray  # int64, shape (number of batches, 4)
+
+
+def class_sweep(
+    colors: np.ndarray, num_classes: int, owners: np.ndarray, heads: np.ndarray
+) -> ClassSweep:
+    """Batches of dependency-free classes for sweeping the slots owners -> heads."""
+    n = len(colors)
+    head_class = colors[heads]
+    key = colors[owners]
+    lower = head_class < key
+    head_class[~lower] = -1  # now the class of each lower-class head, else -1
+    slot_bounds = np.zeros(num_classes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=num_classes), out=slot_bounds[1:])
+    key *= n
+    key += owners  # (owner class, owner)
+    slot_order = stable_order_u64(key)
+    node_order = stable_order_u64(colors)
+    node_bounds = np.zeros(num_classes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(colors, minlength=num_classes), out=node_bounds[1:])
+    # per class, the highest class among its lower-class heads (-1 if none)
+    top = np.full(num_classes, -1, dtype=np.int64)
+    filled = np.flatnonzero(slot_bounds[:-1] < slot_bounds[1:])
+    if len(filled):
+        top[filled] = np.maximum.reduceat(head_class[slot_order], slot_bounds[filled])
+    # cut greedily: a class opens a new batch when one of its lower-class
+    # heads lies in the current batch. The cuts stay in numpy arrays, since
+    # a Python object per class or batch, all live at once, fragments the
+    # interpreter's small-object arenas and raises peak memory.
+    cuts = np.empty(num_classes + 1, dtype=np.int64)
+    cuts[0] = start = 0
+    n_cuts = 1
+    for c in range(num_classes):
+        if top[c] >= start:
+            cuts[n_cuts] = start = c
+            n_cuts += 1
+    cuts[n_cuts] = num_classes
+    slot_cuts = slot_bounds[cuts[: n_cuts + 1]]
+    node_cuts = node_bounds[cuts[: n_cuts + 1]]
+    has_members = node_cuts[:-1] < node_cuts[1:]
+    batches = np.stack(
+        [slot_cuts[:-1], slot_cuts[1:], node_cuts[:-1], node_cuts[1:]], axis=1
+    )[has_members]
+    return ClassSweep(
+        slot_order=slot_order, node_order=node_order, lower=lower[slot_order], batches=batches
+    )
+
+
 def _phase1_iterations(n: int) -> int:
     return max(1, math.ceil(math.log(max(math.log2(max(n, 2)), 2.0), 1.5)))
 
 
-def defective_coloring(
+def _defective_phase1(
     g: Graph,
     eps: float,
-    tables: NumberTheoryTables | None = None,
-    work: WorkCounter | None = None,
-    threads: int = 1,
-) -> Coloring:
-    """Color with at most 3*ceil(1/eps) colors, monochromatic weight <= eps
-    times the total edge weight.
+    owners: np.ndarray,
+    weights: np.ndarray,
+    tables: NumberTheoryTables | None,
+    work: WorkCounter | None,
+    threads: int,
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Budgeted polynomial rounds of defective_coloring (owners: the slot
+    owners of g).
 
-    Phase 1 runs budgeted polynomial rounds, each losing at most an
-    eps/(2I) fraction of edge weight to monochromatic edges; phase 2
-    orients edges from high to low phase-1 color and greedily recolors one
-    phase-1 class at a time into the final palette, losing at most eps/2.
+    Returns (colors in [0, k), k, alive slot mask): slots turned
+    monochromatic by some round are dead and their weight is lost.
     """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
     n = g.n
-    weights = g.weights if g.weights is not None else np.ones(len(g.nbrs), dtype=np.float64)
-    total_w = float(np.sum(weights)) / 2.0
     iters = _phase1_iterations(n)
     eps1 = eps / (2.0 * iters)
     inv_eps1 = math.floor(1.0 / eps1)
-    palette2 = 3 * math.ceil(1.0 / eps)
     if tables is None:
         tables = precompute_tables(tables_limit_for(n, 0, max(math.ceil(1.0 / eps1), 1)))
-
-    owners = g.slot_owners()
     alive = np.ones(len(g.nbrs), dtype=bool)
     colors = np.arange(n, dtype=np.int64)
     k = max(n, 1)
     for _ in range(iters):
         src, dst, w = owners[alive], g.nbrs[alive], weights[alive]
         deg = np.bincount(src, minlength=n).astype(np.int64)
-        incident = np.zeros(n, dtype=np.float64)
-        np.add.at(incident, src, w)
+        incident = np.bincount(src, weights=w, minlength=n)
         kprime = max(math.ceil(k ** (1.0 / 3.0)), 3 * math.ceil(1.0 / eps1), 3)
         p = prime_in_range(tables, kprime)
         low = deg <= inv_eps1
@@ -347,50 +423,68 @@ def defective_coloring(
         alive[alive_idx[lost]] = False
         colors, k_new = _compact_colors(new_colors)
         charge(work, "defective_phase1", len(src))
-        if k_new >= k:
+        shrank = k_new < k
+        k = k_new  # even a round that did not shrink has recolored every node
+        if not shrank:
             break
-        k = k_new
+    return colors, k, alive
 
-    # phase 2: orient high -> low phase-1 color, recolor classes in order
+
+def defective_coloring(
+    g: Graph,
+    eps: float,
+    tables: NumberTheoryTables | None = None,
+    work: WorkCounter | None = None,
+    threads: int = 1,
+) -> Coloring:
+    """Color with at most 3*ceil(1/eps) colors, monochromatic weight <= eps
+    times the total edge weight.
+
+    Phase 1 runs budgeted polynomial rounds, each losing at most an
+    eps/(2I) fraction of edge weight to monochromatic edges; phase 2
+    orients edges from high to low phase-1 color and greedily recolors the
+    phase-1 classes into the final palette in ascending order, one batch of
+    dependency-free classes at a time (see class_sweep), losing at most
+    eps/2.
+    """
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
+    n = g.n
+    weights = g.weights if g.weights is not None else np.ones(len(g.nbrs), dtype=np.float64)
+    total_w = float(np.sum(weights)) / 2.0
+    palette2 = 3 * math.ceil(1.0 / eps)
+    owners = g.slot_owners()
+    colors, k, alive = _defective_phase1(g, eps, owners, weights, tables, work, threads)
+
+    # phase 2: orient high -> low phase-1 color; a node picks the smallest
+    # final color whose weight among its out-heads stays under its budget
     src, dst, w = owners[alive], g.nbrs[alive], weights[alive]
     out_mask = colors[src] > colors[dst]
     osrc, odst, ow = src[out_mask], dst[out_mask], w[out_mask]
-    outdeg = np.bincount(osrc, minlength=n).astype(np.int64)
-    outw = np.zeros(n, dtype=np.float64)
-    np.add.at(outw, osrc, ow)
-    final = np.zeros(n, dtype=np.int64)
-    slot_class = colors[osrc]
-    order = stable_order_u64(slot_class * np.int64(n) + osrc)
-    osrc, odst, ow = osrc[order], odst[order], ow[order]
-    slot_class = slot_class[order]
-    class_bounds = np.searchsorted(slot_class, np.arange(k + 1))
-    node_order = stable_order_u64(colors)
-    node_bounds = np.searchsorted(colors[node_order], np.arange(k + 1))
-    low_out = outdeg < math.ceil(1.0 / eps)
+    # a node may take a color whose out-head weight is 0 or below its budget;
+    # strict nodes (few out-edges) have budget 0, so only weight 0 will do
+    strict = np.bincount(osrc, minlength=n) < math.ceil(1.0 / eps)
+    budget = np.where(strict, 0.0, 0.5 * eps * np.bincount(osrc, weights=ow, minlength=n))
+    sweep = class_sweep(colors, k, osrc, odst)
+    pal = np.int64(palette2)
+    okey = osrc[sweep.slot_order] * pal
+    odst, ow = odst[sweep.slot_order], ow[sweep.slot_order]
     dom2 = np.full(n, palette2, dtype=np.int64)
-    for c in range(k):
-        lo, hi = int(class_bounds[c]), int(class_bounds[c + 1])
-        members = node_order[node_bounds[c] : node_bounds[c + 1]]
-        if len(members) == 0:
-            continue
-        s, d, wv = osrc[lo:hi], odst[lo:hi], ow[lo:hi]
-        head_color = final[d]
-        key = s * np.int64(palette2) + head_color
-        korder = stable_order_u64(key)
+    final = np.zeros(n, dtype=np.int64)
+    for lo, hi, m0, m1 in sweep.batches:
+        charge(work, "defective_phase2", hi - lo + m1 - m0)
+        if lo == hi:
+            continue  # members without out-edges keep color 0
+        # heads lie in classes before the batch, so their final colors are set
+        key = okey[lo:hi] + final[odst[lo:hi]]
+        korder = key.argsort(kind="stable")
         key_s = key[korder]
-        uniq = np.r_[True, key_s[1:] != key_s[:-1]] if len(key_s) else np.empty(0, dtype=bool)
-        ukey = key_s[uniq]
-        grp = np.cumsum(uniq) - 1
-        wsum = np.zeros(len(ukey), dtype=np.float64)
-        np.add.at(wsum, grp, wv[korder])
-        uv, uc = ukey // palette2, ukey % palette2
-        thr = 0.5 * eps * outw[uv]
-        adm = (wsum < thr) | (wsum <= 0.0)
-        strict = low_out[uv]
-        adm[strict] = wsum[strict] <= 0.0
-        chosen = _smallest_admissible(uv, uc, adm, n, dom2)
-        final[members] = chosen[members]
-        charge(work, "defective_phase2", hi - lo + len(members))
+        first = _first_of_runs(key_s)
+        wsum = np.bincount(first.cumsum() - 1, weights=ow[lo:hi][korder])
+        uv, uc = np.divmod(key_s[first], pal)
+        adm = (wsum <= 0.0) | (wsum < budget[uv])
+        gids, best = _smallest_admissible(uv, uc, adm, dom2)
+        final[gids] = best
     mono = float(np.sum(weights[final[owners] == final[g.nbrs]])) / 2.0
     if mono > eps * total_w + 1e-9 * max(total_w, 1.0):
         raise RuntimeError("defective coloring exceeded its monochromatic budget")

@@ -19,7 +19,12 @@ level K first (low regime, with extra potentials that also control the
 instance size and a global shrinkage invariant), then everything at level
 <= K is halved down to a floor level (high regime). Levels below the floor
 are never sampled at all, so hit counts come out inflated by roughly
-2^floor; the reported hit constant absorbs that factor.
+2^floor. The hit window is therefore declared as
+
+    E/2 - 1/2 <= hits <= HIT_UPPER_C * 2^floor * (E + 1),
+
+with E = sum 2^-k over a left node's neighbors; the measured constant
+max hits/(E + 1) is reported next to it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .workcount import WorkCounter, charge
 EPS_DENOM_LOW = 128  # low-regime rounding eps = 1/(128(b-1)): three potentials fit under 3.1
 EPS_DENOM_HIGH = 4  # high-regime rounding eps = 1/(4(b-1)): one potential fits under imp/2
 LOW_POTENTIAL_BOUND = 3.1
+HIT_UPPER_C = 4.0  # upper hit window: hits <= HIT_UPPER_C * 2^floor * (E + 1)
 
 
 @dataclass(frozen=True)
@@ -717,7 +723,7 @@ class HittingResult:
     expected: np.ndarray  # float per left node: sum 2^-k over neighbors
     hit_constant: float  # measured C: max hits/(expected+1)
     good_importance_fraction: float  # importance mass inside the hit window
-    window_ok: np.ndarray  # per left node
+    window_ok: np.ndarray  # per left node: inside the declared window
     rounds: list[dict]
     work: WorkCounter
 
@@ -744,6 +750,7 @@ def hitting_set(
     """
     params = params or ParamSet.desk()
     work = work if work is not None else WorkCounter()
+    floor = params.high_floor_hitting if floor is None else floor
     k_cap = params.level_cap(inst.size_param)
     low_mask = inst.levels > k_cap
 
@@ -791,7 +798,7 @@ def hitting_set(
     sel_high, high_good, high_reports = high_prob_regime(
         high_inst,
         params,
-        floor=floor if floor is not None else params.high_floor_hitting,
+        floor=floor,
         k_cap=k_cap,
         work=work,
         threads=threads,
@@ -810,7 +817,8 @@ def hitting_set(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = hits / (expected + 1.0)
     hit_constant = float(ratios.max()) if inst.n_left else 0.0
-    window_ok = (hits >= 0.5 * expected - 0.5) & (hits <= hit_constant * expected + hit_constant)
+    upper = HIT_UPPER_C * 2.0**floor * (expected + 1.0)
+    window_ok = (hits >= 0.5 * expected - 0.5) & (hits <= upper)
     tot_imp = float(np.sum(inst.imp))
     good_frac = float(np.sum(inst.imp[window_ok])) / tot_imp if tot_imp > 0 else 1.0
     charge(work, "hitting_finalize", inst.n_left + len(inst.edge_u))

@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coloring import defective_coloring
+from .coloring import ClassSweep, class_sweep, defective_coloring
 from .graph import Graph, graph_from_directed_slots
 from .ntheory import NumberTheoryTables
 from .parallel import tiled_sum
-from .sorting import stable_order_u64
 from .workcount import WorkCounter, charge
 
 
@@ -84,6 +83,14 @@ class RoundingResult:
     work: WorkCounter | None = field(default=None, repr=False)
 
 
+def _member_positions(sweep: ClassSweep, owners: np.ndarray) -> np.ndarray:
+    """Per sorted slot of the sweep over owners, its owner's position in
+    sweep.node_order. Both orders go by (class, node), so the slots come in
+    runs, one per node in node order."""
+    per_node = np.bincount(owners, minlength=len(sweep.node_order))
+    return np.repeat(np.arange(len(sweep.node_order), dtype=np.int64), per_node[sweep.node_order])
+
+
 def evaluate_objective(inst: RoundingInstance, in_set: np.ndarray, threads: int = 1) -> float:
     util_part = tiled_sum(np.where(in_set, inst.utils, 0.0), threads)
     both = in_set[inst.cost_i] & in_set[inst.cost_j]
@@ -120,30 +127,23 @@ def local_round(
 
     in_set = np.zeros(n, dtype=bool)
     scores = np.zeros(n, dtype=np.float64)
-    slot_class = np.where(alive, colors[owners], col.num_colors)
-    order = stable_order_u64(slot_class * np.int64(n + 1) + owners)
-    s_owner = owners[order]
-    s_head = heads[order]
-    s_cost = costs[order]
-    s_class = slot_class[order]
-    class_bounds = np.searchsorted(s_class, np.arange(col.num_colors + 1))
-    node_order = stable_order_u64(colors)
-    node_bounds = np.searchsorted(colors[node_order], np.arange(col.num_colors + 1))
-
-    for c in range(col.num_colors):
-        members = node_order[node_bounds[c] : node_bounds[c + 1]]
-        if len(members) == 0:
-            continue
-        lo, hi = int(class_bounds[c]), int(class_bounds[c + 1])
-        ow, hd, cc = s_owner[lo:hi], s_head[lo:hi], s_cost[lo:hi]
-        decided = colors[hd] < c
-        burden = np.where(decided & in_set[hd], cc, np.where(decided, 0.0, 0.5 * cc))
-        acc = np.zeros(n, dtype=np.float64)
-        np.add.at(acc, ow, burden)
-        sc = inst.utils[members] - acc[members]
+    sweep = class_sweep(colors, col.num_colors, owners[alive], heads[alive])
+    slots = np.flatnonzero(alive)[sweep.slot_order]
+    s_head, s_cost = heads[slots], costs[slots]
+    s_member = _member_positions(sweep, owners[alive])
+    # a head in a lower class is decided and charges its full cost if it
+    # joined; a head in a higher class is undecided and charges half
+    undecided = 0.5 * s_cost
+    undecided[sweep.lower] = 0.0
+    for lo, hi, m0, m1 in sweep.batches:
+        members = sweep.node_order[m0:m1]
+        hd = s_head[lo:hi]
+        burden = np.where(sweep.lower[lo:hi] & in_set[hd], s_cost[lo:hi], undecided[lo:hi])
+        acc = np.bincount(s_member[lo:hi] - m0, weights=burden, minlength=m1 - m0)
+        sc = inst.utils[members] - acc
         scores[members] = sc
         in_set[members] = sc >= 0.0
-        charge(work, "local_round", (hi - lo) + len(members))
+        charge(work, "local_round", (hi - lo) + (m1 - m0))
 
     lost = tiled_sum(np.where(~alive, costs, 0.0), threads) / 2.0
     objective = evaluate_objective(inst, in_set, threads)
@@ -175,8 +175,9 @@ def max_cut_half(
 ) -> CutResult:
     """Cut of weight >= (1/2 - eps) of the total, found deterministically.
 
-    Nodes are decided one defective class at a time; each joins the side
-    opposite the heavier decided part of its neighborhood (ties go to S).
+    Nodes are decided in ascending defective class order, a batch of
+    dependency-free classes at a time; each joins the side opposite the
+    heavier decided part of its neighborhood (ties go to S).
     Monochromatic edges are counted as uncut by the certificate.
     """
     n = g.n
@@ -189,30 +190,21 @@ def max_cut_half(
     owners = g.slot_owners()
     heads = g.nbrs
     alive = colors[owners] != colors[heads]
-    slot_class = np.where(alive, colors[owners], col.num_colors)
-    order = stable_order_u64(slot_class * np.int64(n + 1) + owners)
-    s_owner, s_head, s_w = owners[order], heads[order], weights[order]
-    s_class = slot_class[order]
-    class_bounds = np.searchsorted(s_class, np.arange(col.num_colors + 1))
-    node_order = stable_order_u64(colors)
-    node_bounds = np.searchsorted(colors[node_order], np.arange(col.num_colors + 1))
+    sweep = class_sweep(colors, col.num_colors, owners[alive], heads[alive])
+    slots = np.flatnonzero(alive)[sweep.slot_order]
+    s_head, s_w = heads[slots], weights[slots]
+    s_member = _member_positions(sweep, owners[alive])
 
     side = np.zeros(n, dtype=bool)
-    decided_mask = np.zeros(n, dtype=bool)
-    for c in range(col.num_colors):
-        members = node_order[node_bounds[c] : node_bounds[c + 1]]
-        if len(members) == 0:
-            continue
-        lo, hi = int(class_bounds[c]), int(class_bounds[c + 1])
-        ow, hd, wv = s_owner[lo:hi], s_head[lo:hi], s_w[lo:hi]
-        dec = decided_mask[hd]
-        to_s = np.zeros(n, dtype=np.float64)
-        to_t = np.zeros(n, dtype=np.float64)
-        np.add.at(to_s, ow, np.where(dec & side[hd], wv, 0.0))
-        np.add.at(to_t, ow, np.where(dec & ~side[hd], wv, 0.0))
-        side[members] = to_s[members] <= to_t[members]
-        decided_mask[members] = True
-        charge(work, "max_cut", (hi - lo) + len(members))
+    for lo, hi, m0, m1 in sweep.batches:
+        members = sweep.node_order[m0:m1]
+        # heads in lower classes are decided
+        hd, wv, dec = s_head[lo:hi], s_w[lo:hi], sweep.lower[lo:hi]
+        loc = s_member[lo:hi] - m0
+        to_s = np.bincount(loc, weights=np.where(dec & side[hd], wv, 0.0), minlength=m1 - m0)
+        to_t = np.bincount(loc, weights=np.where(dec & ~side[hd], wv, 0.0), minlength=m1 - m0)
+        side[members] = to_s <= to_t
+        charge(work, "max_cut", (hi - lo) + (m1 - m0))
     cut = tiled_sum(np.where(side[owners] != side[heads], weights, 0.0), threads) / 2.0
     if cut < bound:
         raise RuntimeError("cut certificate violated")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
+from .hitting import HIT_UPPER_C, ParamSet
 
 
 def check_independent(g: Graph, in_set: np.ndarray) -> tuple[bool, dict]:
@@ -114,9 +115,15 @@ def check_hitting_window(
     edge_u: np.ndarray,
     edge_v: np.ndarray,
     selected: np.ndarray,
+    floor: int = ParamSet.desk().high_floor_hitting,
 ) -> tuple[bool, dict]:
-    """Recompute hit counts and the window [0.5 E - 0.5, C (E + 1)] with the
-    measured constant C = max hits / (E + 1)."""
+    """Recompute hit counts and check the declared window
+    [0.5 E - 0.5, HIT_UPPER_C 2^floor (E + 1)] for every left node.
+
+    floor is the level below which the selection never sampled. The
+    measured constant C = max hits / (E + 1) is reported next to its
+    declared bound HIT_UPPER_C 2^floor.
+    """
     n_u = len(imp)
     hits = np.zeros(n_u, dtype=np.int64)
     np.add.at(hits, edge_u, selected[edge_v].astype(np.int64))
@@ -125,13 +132,15 @@ def check_hitting_window(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = hits / (expected + 1.0)
     c_meas = float(ratios.max()) if n_u else 0.0
+    c_bound = HIT_UPPER_C * 2.0**floor
     lower_ok = hits >= 0.5 * expected - 0.5
-    upper_ok = hits <= c_meas * (expected + 1.0) + 1e-9
+    upper_ok = hits <= c_bound * (expected + 1.0)
     ok = lower_ok & upper_ok
     tot = float(np.sum(imp))
     frac = float(np.sum(imp[ok])) / tot if tot > 0 else 1.0
     return bool(np.all(ok)), {
         "hit_constant": c_meas,
+        "hit_constant_bound": c_bound,
         "window_importance_fraction": frac,
         "in_window": int(np.sum(ok)),
         "left_nodes": int(n_u),

@@ -1,10 +1,12 @@
+import argparse
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpar.bench import REPORT_VERSION, run_algorithm, run_bench, scaling_series
-from dpar.cli import main
+from dpar.bench import REPORT_VERSION, run_algorithm, run_bench, run_hitting, scaling_series
+from dpar.cli import _load_params, main
 from dpar.generate import (
     complete_graph,
     generate_graph,
@@ -14,7 +16,7 @@ from dpar.generate import (
     star_graph,
 )
 from dpar.graph import write_csr
-from dpar.hitting import ParamSet
+from dpar.hitting import BipartiteInstance, ParamSet
 from dpar.verify import (
     check_defect_bound,
     check_hitting_window,
@@ -88,6 +90,33 @@ def test_hitting_window_oracle():
     assert ok and d["window_importance_fraction"] == 1.0
     ok, d = check_hitting_window(imp, levels, eu, ev, np.zeros(6, dtype=bool))
     assert not ok and d["window_importance_fraction"] == 0.0
+
+
+def test_hitting_window_upper_side_uses_the_declared_constant():
+    # one watcher, 1000 selected level-10 candidates: E = 1000/1024, 1000 hits
+    levels = np.full(1000, 10, dtype=np.int64)
+    eu, ev = np.zeros(1000, dtype=np.int64), np.arange(1000)
+    selected = np.ones(1000, dtype=bool)
+    ok, d = check_hitting_window(np.ones(1), levels, eu, ev, selected)
+    assert not ok and d["window_importance_fraction"] == 0.0
+    assert d["hit_constant_bound"] == 4.0 * 2**4
+    assert d["hit_constant"] == pytest.approx(1000 / (1000 / 1024 + 1))
+    # sampling that stops at level 10 may keep every candidate
+    assert check_hitting_window(np.ones(1), levels, eu, ev, selected, floor=10)[0]
+
+
+def test_hitting_report_certifies_the_declared_hit_bound():
+    inst = BipartiteInstance(
+        imp=np.ones(2),
+        levels=np.full(400, 6, dtype=np.int64),
+        edge_u=np.repeat(np.arange(2), 200),
+        edge_v=np.arange(400),
+        size_param=1 << 16,
+    )
+    rep = run_hitting(inst, ParamSet.desk())
+    cert = {c["name"]: c for c in rep["certificates"]}["hit_constant"]
+    assert rep["ok"] and cert["ok"]
+    assert cert["bound"] == rep["oracles"]["window"]["hit_constant_bound"] == 4.0 * 2**4
 
 
 # --- report schema -----------------------------------------------------------------
@@ -181,6 +210,22 @@ def test_cli_rejects_unknown_param_override(tmp_path):
     path = edgelist_file(tmp_path, complete_graph(6))
     pfile = tmp_path / "p.json"
     pfile.write_text(json.dumps({"nonsense_knob": 3}))
+    with pytest.raises(SystemExit):
+        main(["mis", "--input", path, "--params", str(pfile)])
+
+
+def test_cli_applies_param_overrides(tmp_path):
+    path = edgelist_file(tmp_path, complete_graph(6))
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"outdeg_cap": 8}))
+    assert main(["mis", "--input", path, "--params", str(pfile)]) == 0
+
+    pfile.write_text(json.dumps({"outdeg_cap": 6.0, "gamma_high": 1, "k_factor": 2}))
+    params = _load_params(argparse.Namespace(mode="desk", params=str(pfile)))
+    assert params == replace(ParamSet.desk(), outdeg_cap=6, gamma_high=1.0, k_factor=2.0)
+    assert type(params.outdeg_cap) is int and type(params.gamma_high) is float
+
+    pfile.write_text(json.dumps({"outdeg_cap": 6.5}))
     with pytest.raises(SystemExit):
         main(["mis", "--input", path, "--params", str(pfile)])
 

@@ -43,16 +43,17 @@ def test_smallest_admissible_frozen():
     groups = np.array([0, 0, 2], dtype=np.int64)
     items = np.array([0, 1, 1], dtype=np.int64)
     adm = np.zeros(3, dtype=bool)
-    out = _smallest_admissible(groups, items, adm, 3, np.full(3, 3, dtype=np.int64))
-    assert out.tolist() == [2, 0, 0]
+    gids, best = _smallest_admissible(groups, items, adm, np.full(3, 3, dtype=np.int64))
+    assert gids.tolist() == [0, 2]  # group 1 has no pairs: its answer is 0
+    assert best.tolist() == [2, 0]
 
 
 def test_smallest_admissible_prefers_present_admissible():
     groups = np.array([0, 0], dtype=np.int64)
     items = np.array([0, 1], dtype=np.int64)
     adm = np.array([True, False])
-    out = _smallest_admissible(groups, items, adm, 1, np.full(1, 8, dtype=np.int64))
-    assert out.tolist() == [0]
+    gids, best = _smallest_admissible(groups, items, adm, np.full(1, 8, dtype=np.int64))
+    assert gids.tolist() == [0] and best.tolist() == [0]
 
 
 # --- single recoloring round ---------------------------------------------
