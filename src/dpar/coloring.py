@@ -379,6 +379,12 @@ def _phase1_iterations(n: int) -> int:
     return max(1, math.ceil(math.log(max(math.log2(max(n, 2)), 2.0), 1.5)))
 
 
+def defective_tables_limit(n: int, eps: float) -> int:
+    """Sieve limit that defective_coloring needs on n nodes at this eps."""
+    eps1 = eps / (2.0 * _phase1_iterations(n))
+    return tables_limit_for(n, 0, max(math.ceil(1.0 / eps1), 1))
+
+
 def _defective_phase1(
     g: Graph,
     eps: float,
@@ -399,7 +405,7 @@ def _defective_phase1(
     eps1 = eps / (2.0 * iters)
     inv_eps1 = math.floor(1.0 / eps1)
     if tables is None:
-        tables = precompute_tables(tables_limit_for(n, 0, max(math.ceil(1.0 / eps1), 1)))
+        tables = precompute_tables(defective_tables_limit(n, eps))
     alive = np.ones(len(g.nbrs), dtype=bool)
     colors = np.arange(n, dtype=np.int64)
     k = max(n, 1)

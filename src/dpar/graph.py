@@ -8,6 +8,7 @@ from the block owner to the neighbor as an out-edge.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -196,19 +197,27 @@ def write_csr(path: str, g: Graph) -> None:
 
 
 def read_csr(path: str) -> Graph:
+    """Read write_csr's format. A file cut short raises ValueError naming
+    the section it ends in (header, offsets, nbrs or weights)."""
     with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != CSR_MAGIC:
+        if fh.read(5) != CSR_MAGIC:
             raise ValueError("bad magic; not a CSR graph file")
-        n, m = struct.unpack("<QQ", fh.read(16))
-        offsets = np.frombuffer(fh.read(8 * (n + 1)), dtype="<u8").astype(np.int64)
-        nbrs = np.frombuffer(fh.read(8 * 2 * m), dtype="<u8").astype(np.int64)
-        rest = fh.read()
-    weights = None
-    if rest:
-        if len(rest) != 8 * 2 * m:
-            raise ValueError("trailing bytes are not a weights block")
-        weights = np.frombuffer(rest, dtype="<f8").astype(np.float64)
+        size = os.fstat(fh.fileno()).st_size
+
+        def section(name: str, nbytes: int) -> bytes:
+            left = size - fh.tell()
+            if left < nbytes:
+                raise ValueError(f"truncated CSR file: {name} section has {left} of {nbytes} bytes")
+            return fh.read(nbytes)
+
+        n, m = struct.unpack("<QQ", section("header", 16))
+        offsets = np.frombuffer(section("offsets", 8 * (n + 1)), dtype="<u8").astype(np.int64)
+        nbrs = np.frombuffer(section("nbrs", 8 * 2 * m), dtype="<u8").astype(np.int64)
+        weights = None
+        if size > fh.tell():
+            if size - fh.tell() > 8 * 2 * m:
+                raise ValueError("trailing bytes are not a weights block")
+            weights = np.frombuffer(section("weights", 8 * 2 * m), dtype="<f8").astype(np.float64)
     g = Graph(n=int(n), offsets=offsets, nbrs=nbrs, weights=weights)
     g.validate()
     return g

@@ -25,17 +25,28 @@ are never sampled at all, so hit counts come out inflated by roughly
 
 with E = sum 2^-k over a left node's neighbors; the measured constant
 max hits/(E + 1) is reported next to it.
+
+RegimeDriver runs this pipeline for hitting_set and, through its subclass
+MisRegimeDriver in mis.py, for the MIS core. Its three pieces are shared:
+the entry split, the low loop (halve to K, freeze the survivors, certify
+the shrinkage) and the high loop (halve from K to the floor, charge a skip
+for an empty round). Each round asks the caller's potential stack for its
+potentials, eps, bound, bad-node rule, report fields and work label, and
+lets it run its own certificates. Sub-problems are index masks of the
+input, which is validated once, at the public entry.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from .coloring import defective_tables_limit
 from .ntheory import NumberTheoryTables, precompute_tables
-from .parallel import tiled_sum
 from .rounding import RoundingInstance, RoundingResult, local_round
 from .workcount import WorkCounter, charge
 
@@ -188,10 +199,18 @@ class BipartiteInstance:
     def n_right(self) -> int:
         return len(self.levels)
 
-    def expected_hits(self) -> np.ndarray:
-        """Per left node: sum of 2^-k over its neighbors."""
+    def expected_hits(
+        self, v_mask: np.ndarray | None = None, levels: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per left node: sum of 2^-k over its neighbors (only those in
+        v_mask, and at the given levels, when these are passed)."""
+        levels = self.levels if levels is None else levels
+        eu, ev = self.edge_u, self.edge_v
+        if v_mask is not None:
+            keep = v_mask[ev]
+            eu, ev = eu[keep], ev[keep]
         out = np.zeros(self.n_left, dtype=np.float64)
-        np.add.at(out, self.edge_u, np.exp2(-self.levels[self.edge_v].astype(np.float64)))
+        np.add.at(out, eu, np.exp2(-levels[ev].astype(np.float64)))
         return out
 
 
@@ -337,8 +356,6 @@ class HalfResult:
     phi_total: float
     phi_bound: float
     rounding: RoundingResult = field(repr=False)
-    per_left_drift: np.ndarray | None = None  # realized per-left potential share
-    bad_left: np.ndarray | None = None
 
 
 def run_half(
@@ -383,7 +400,7 @@ def run_half(
     )
 
 
-# --- low-probability regime --------------------------------------------------
+# --- low-regime potentials -----------------------------------------------------
 
 
 @dataclass
@@ -441,8 +458,8 @@ def build_low_potentials(
 
 def low_drift_rule(
     lp: LowPotentialSet, selected: np.ndarray, b: int, params: ParamSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Realized per-left potential share q and the bad-node flag.
+) -> np.ndarray:
+    """Bad-node flag from the realized per-left potential share q.
 
     q_u > 4 b^bad_exp can hold for at most a phi_weighted/(4 b^bad_exp)
     importance mass, by Markov over the realized weighted potential.
@@ -454,263 +471,309 @@ def low_drift_rule(
         np.add.at(q, lp.tag_u, 4.0 * np.exp2(-lp.tag_lev.astype(np.float64)) * sq)
     with np.errstate(invalid="ignore", divide="ignore"):
         q = np.where(lp.den > 0, q / lp.den, 0.0)
-    bad = q > 4.0 * b**params.bad_node_exp
-    return q, bad
+    return q > 4.0 * b**params.bad_node_exp
 
 
-def low_prob_half(
-    imp: np.ndarray,
-    u_ids: np.ndarray,
-    cand_levels: np.ndarray,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    b: int,
-    params: ParamSet,
-    tables: NumberTheoryTables | None = None,
-    work: WorkCounter | None = None,
-    threads: int = 1,
-) -> tuple[HalfResult, dict]:
-    """One low-regime halving.
+# --- the regime driver ---------------------------------------------------------
 
-    u_ids: tracked left nodes (indices into imp). cand_levels: current
-    level per candidate (candidate-local ids 0..n-1). edge_u indexes u_ids,
-    edge_v indexes candidates.
+
+def _renumber(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions set in mask, and the map from position to rank there
+    (-1 off the mask)."""
+    ids = np.flatnonzero(mask)
+    local = np.full(len(mask), -1, dtype=np.int64)
+    local[ids] = np.arange(len(ids))
+    return ids, local
+
+
+def sub_problem(
+    inst: BipartiteInstance, v_mask: np.ndarray, u_mask: np.ndarray, levels: np.ndarray
+) -> tuple[BipartiteInstance, np.ndarray]:
+    """The sub-problem on the right nodes in v_mask (at the given levels)
+    and the watch edges of the left nodes in u_mask, with the input ids of
+    its right nodes.
+
+    It is cut from a validated instance by index masks, so it is not
+    validated again: copy.copy skips __post_init__.
     """
-    n_cand = len(cand_levels)
-    imp_u = imp[u_ids]
-    lp = build_low_potentials(imp, u_ids, cand_levels, edge_u, edge_v, b, n_cand)
-    n_buckets = lp.pots[0].n_buckets
-
-    eps = 1.0 / (EPS_DENOM_LOW * (b - 1))
-    half = run_half(
-        n_cand, lp.pots, eps, LOW_POTENTIAL_BOUND, tables=tables, work=work, threads=threads
-    )
-
-    q, bad = low_drift_rule(lp, half.selected, b, params)
-    half.per_left_drift = q
-    half.bad_left = bad
-
-    counts = lp.pots[0].counts(half.selected).astype(np.float64)
-    drift_thr = b**params.drift_exp
-    report = {
-        "b": b,
-        "eps": eps,
-        "candidates": int(n_cand),
-        "selected": int(half.selected.sum()),
-        "buckets": int(n_buckets),
-        "phi": dict(half.phi_values),
-        "phi_total": half.phi_total,
-        "phi_bound": half.phi_bound,
-        "bad_left": int(bad.sum()),
-        "bad_importance": float(np.sum(imp_u[bad])),
-        "tracked_importance": lp.tot_imp,
-        "good_importance_bound": 1.0 - 1.0 / float(b) ** params.bad_node_exp,
-        "drifted_buckets": int(np.sum(np.abs(counts - b / 2.0) >= drift_thr)),
-    }
-    return half, report
+    ids, local = _renumber(v_mask)
+    keep_e = v_mask[inst.edge_v] & u_mask[inst.edge_u]
+    sub = copy.copy(inst)
+    sub.imp = inst.imp * u_mask
+    sub.levels = levels[ids]
+    sub.edge_u = inst.edge_u[keep_e]
+    sub.edge_v = local[inst.edge_v[keep_e]]
+    return sub, ids
 
 
-def low_prob_regime(
-    inst: BipartiteInstance,
-    params: ParamSet,
-    k_cap: int | None = None,
-    tables: NumberTheoryTables | None = None,
-    work: WorkCounter | None = None,
-    threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """Halve every right node from its own level down to level K.
+@dataclass
+class Halving:
+    """One round of a regime as the driver hands it to the potential stack.
 
-    All right nodes must start above K. Returns (frozen right-node mask,
-    still-good left mask, round reports). Dead right nodes are neither
-    frozen nor alive; left nodes that went bad stop being protected.
+    Right ids are those of the regime's sub-problem; edge_v and levels are
+    indexed by candidate (0..len(cand)-1).
     """
-    k_cap = params.level_cap(inst.size_param) if k_cap is None else k_cap
-    if len(inst.levels) and inst.levels.min() <= k_cap:
-        raise ValueError("low regime requires every right level above K")
-    log_n = math.ceil(math.log2(max(inst.size_param, 2)))
-    max_rounds = int(inst.levels.max() - k_cap) if len(inst.levels) else 0
 
-    u_good = np.ones(inst.n_left, dtype=bool)
-    v_alive = np.ones(inst.n_right, dtype=bool)
-    v_frozen = np.zeros(inst.n_right, dtype=bool)
-    reports: list[dict] = []
-    table_cache: dict[int, NumberTheoryTables] = {}
+    regime: str  # "low" or "high"
+    round: int
+    level: int  # high regime: the level being halved; low regime: K
+    gamma: float
+    b: int
+    cand: np.ndarray  # sub-problem ids of the candidates
+    local: np.ndarray  # sub-problem id -> candidate id, -1 off the candidates
+    levels: np.ndarray  # current level per candidate
+    edge_u: np.ndarray  # watch edges of good left nodes into the candidates
+    edge_v: np.ndarray
 
-    for i in range(max_rounds):
-        cand = np.flatnonzero(v_alive)
-        if len(cand) == 0:
-            break
-        gamma = params.gamma_low(i, inst.size_param)
-        b = params.bucket_low(gamma, inst.size_param)
-        if tables is None and b not in table_cache:
-            table_cache[b] = precompute_tables(_tables_limit_for_eps(EPS_DENOM_LOW, b))
-        round_tables = tables if tables is not None else table_cache[b]
-        local = np.full(inst.n_right, -1, dtype=np.int64)
-        local[cand] = np.arange(len(cand))
-        keep_e = v_alive[inst.edge_v] & u_good[inst.edge_u]
-        eu, ev = inst.edge_u[keep_e], local[inst.edge_v[keep_e]]
-        cur_levels = inst.levels[cand] - i
-        edges_before = len(eu)
-        half, report = low_prob_half(
-            inst.imp,
-            np.arange(inst.n_left, dtype=np.int64),
-            cur_levels,
-            eu,
-            ev,
-            b,
-            params,
-            tables=round_tables,
-            work=work,
-            threads=threads,
+
+@dataclass
+class RoundPlan:
+    """A potential stack's contribution to one halving."""
+
+    pots: list
+    eps: float
+    bound: float  # certified cap on the realized potential total
+    # selection -> (bad left nodes, report fields); raises when a
+    # certificate of the caller's own fails
+    judge: Callable[[HalfResult], tuple[np.ndarray, dict]]
+    units: int = 0  # work of the round beyond its candidates and watch edges
+
+
+class RegimeDriver:
+    """The low/high regime pipeline around run_half, with hitting_set's
+    potential stack.
+
+    run() splits the input: right nodes above level K form the low regime,
+    which protects only left nodes with at least degree_floor low
+    neighbors. low() halves its candidates down to K, freezes the
+    survivors and certifies the shrinkage. The survivors rejoin the rest
+    at level K, and high() halves from K down to the floor, charging a skip
+    for each round without candidates.
+
+    Every round asks the potential stack (the methods from restrict() on)
+    for its potentials, eps, bound, bad-node rule and report fields.
+    MisRegimeDriver in mis.py swaps in the MIS stack. Number-theory tables
+    live for one driver, that is one public call; a round sieves again
+    only when it needs a larger limit than it has.
+    """
+
+    tags = {"low": "low", "high": "high"}  # the rounds' "regime" field
+    labels = {"low": "low_regime_round", "high": "high_regime_round", "skip": "high_regime_skip"}
+
+    def __init__(
+        self, params: ParamSet, floor: int, work: WorkCounter | None = None, threads: int = 1
+    ):
+        self.params = params
+        self.floor = floor
+        self.work = work
+        self.threads = threads
+        self.tables: NumberTheoryTables | None = None
+
+    def run(self, inst: BipartiteInstance) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+        """Both regimes on a validated instance: (selected right mask, good
+        left mask, round reports)."""
+        k_cap = self.params.level_cap(inst.size_param)
+        low_mask = inst.levels > k_cap
+        u_good = np.ones(inst.n_left, dtype=bool)
+        frozen = np.zeros(inst.n_right, dtype=bool)
+        rounds: list[dict] = []
+        if low_mask.any():
+            deg_low = np.bincount(inst.edge_u[low_mask[inst.edge_v]], minlength=inst.n_left)
+            u_low = deg_low >= max(self.params.degree_floor_for(inst.size_param), 1)
+            sub, ids = self.restrict(inst, "low", low_mask, u_low, inst.levels)
+            # left nodes outside u_low track no edges there, so they stay good
+            survivors, u_good, rounds = self.low(sub)
+            frozen[ids[survivors]] = True
+        levels = np.minimum(inst.levels, k_cap)
+        sub, ids = self.restrict(inst, "high", ~low_mask | frozen, u_good, levels)
+        survivors, high_good, high_rounds = self.high(sub)
+        selected = np.zeros(inst.n_right, dtype=bool)
+        selected[ids[survivors]] = True
+        return selected, u_good & high_good, rounds + high_rounds
+
+    def low(self, sub: BipartiteInstance) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+        """Halve every right node from its own level (all above K) down to
+        K: (frozen right mask, good left mask, round reports). Dead right
+        nodes are neither frozen nor alive."""
+        k_cap = self.params.level_cap(sub.size_param)
+        if len(sub.levels) and sub.levels.min() <= k_cap:
+            raise ValueError("low regime requires every right level above K")
+        log_n = math.ceil(math.log2(max(sub.size_param, 2)))
+        self._begin("low", sub)
+        reports: list[dict] = []
+        for i in range(int(sub.levels.max() - k_cap) if len(sub.levels) else 0):
+            if not self.v_alive.any():
+                break
+            gamma = self.params.gamma_low(i, sub.size_param)
+            b = self.params.bucket_low(gamma, sub.size_param)
+            h = self._prepare(sub, "low", i, k_cap, gamma, b, self.v_alive)
+            plan = self.plan_low(sub, h)
+            selected, report = self._halve(sub, h, plan)
+            self.v_alive[h.cand[~selected]] = False
+            freeze = selected & (h.levels <= k_cap + 1)
+            self.v_frozen[h.cand[freeze]] = True
+            self.v_alive[h.cand[freeze]] = False
+            kept = self.v_alive[sub.edge_v] & self.u_good[sub.edge_u]
+            lhs = int(np.sum(kept)) + int(selected.sum())
+            rhs = (2.0 / 3.0) * (len(h.edge_u) + len(h.cand)) + self.params.additive_cap * log_n**2
+            report["shrink_lhs"] = lhs
+            report["shrink_rhs"] = rhs
+            if lhs > rhs:
+                raise RuntimeError("low-regime shrinkage invariant violated")
+            self._close(sub, h, plan, report, reports)
+        if self.v_alive.any():
+            raise RuntimeError("low regime left candidates above K after all rounds")
+        self.finish(sub, "low", self.v_frozen)
+        return self.v_frozen, self.u_good, reports
+
+    def high(self, sub: BipartiteInstance) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+        """Halve from level K down to the floor: a right node at level k
+        joins the candidates in round K-k; nodes below the floor are never
+        candidates and survive outright. (surviving right mask, good left
+        mask, round reports)."""
+        k_cap = self.params.level_cap(sub.size_param)
+        if len(sub.levels) and sub.levels.max() > k_cap:
+            raise ValueError("high regime requires every right level at most K")
+        self._begin("high", sub)
+        reports: list[dict] = []
+        for i in range(max(k_cap - self.floor, 0)):
+            level = k_cap - i
+            in_pool = self.v_alive & (sub.levels >= level)
+            if not in_pool.any():
+                charge(self.work, self.labels["skip"], 1)
+                continue
+            gamma = self.params.gamma_high_for(level)
+            b = self.params.bucket_high(gamma)
+            h = self._prepare(sub, "high", i, level, gamma, b, in_pool)
+            plan = self.plan_high(sub, h)
+            selected, report = self._halve(sub, h, plan)
+            report["level"] = level
+            self.v_alive[h.cand[~selected]] = False
+            self._close(sub, h, plan, report, reports)
+        self.finish(sub, "high", self.v_alive)
+        return self.v_alive, self.u_good, reports
+
+    def _begin(self, regime: str, sub: BipartiteInstance) -> None:
+        self.v_alive = np.ones(sub.n_right, dtype=bool)
+        self.v_frozen = np.zeros(sub.n_right, dtype=bool)
+        self.u_good = np.ones(sub.n_left, dtype=bool)
+        self.start(sub, regime)
+
+    def _prepare(self, sub, regime, i, level, gamma, b, pool) -> Halving:
+        cand, local = _renumber(pool)
+        keep_e = self.u_good[sub.edge_u] & pool[sub.edge_v]
+        # a low-regime node has been halved i times; the high pool sits at level
+        levels = sub.levels[cand] - i if regime == "low" else np.full(len(cand), level)
+        return Halving(
+            regime=regime,
+            round=i,
+            level=level,
+            gamma=gamma,
+            b=b,
+            cand=cand,
+            local=local,
+            levels=levels,
+            edge_u=sub.edge_u[keep_e],
+            edge_v=local[sub.edge_v[keep_e]],
         )
-        report["round"] = i
-        report["gamma"] = gamma
-        dead = cand[~half.selected]
-        v_alive[dead] = False
-        new_levels = inst.levels[cand] - (i + 1)
-        freeze = half.selected & (new_levels <= k_cap)
-        v_frozen[cand[freeze]] = True
-        v_alive[cand[freeze]] = False
-        u_good &= ~half.bad_left
 
-        keep_next = v_alive[inst.edge_v] & u_good[inst.edge_u]
-        lhs = int(np.sum(keep_next)) + int(half.selected.sum())
-        rhs = (2.0 / 3.0) * (edges_before + len(cand)) + params.additive_cap * log_n**2
-        report["shrink_lhs"] = lhs
-        report["shrink_rhs"] = rhs
-        if lhs > rhs:
-            raise RuntimeError("low-regime shrinkage invariant violated")
-        reports.append(report)
-        charge(work, "low_regime_round", len(cand) + edges_before)
-    if v_alive.any():
-        raise RuntimeError("low regime left candidates above K after all rounds")
-    return v_frozen, u_good, reports
-
-
-# --- high-probability regime --------------------------------------------------
-
-
-def high_prob_half(
-    imp: np.ndarray,
-    u_ids: np.ndarray,
-    n_cand: int,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    left_degree: np.ndarray,
-    b: int,
-    params: ParamSet,
-    tables: NumberTheoryTables | None = None,
-    work: WorkCounter | None = None,
-    threads: int = 1,
-) -> tuple[HalfResult, dict]:
-    """One high-regime halving of n_cand candidates.
-
-    left_degree: per tracked left node, the size of its whole alive
-    neighborhood (candidates at this level plus nodes waiting at lower
-    levels); it normalizes the potential so its mean is at most imp/4.
-    """
-    imp_u = imp[u_ids]
-    members, tag_u, _ = _group_full_buckets(
-        edge_u, np.zeros(len(edge_u), dtype=np.int64), edge_v, b
-    )
-    n_buckets = len(members) // b if b else 0
-    with np.errstate(divide="ignore"):
-        coef = np.where(left_degree[tag_u] > 0, imp_u[tag_u] / left_degree[tag_u], 0.0)
-    pot = QuadPotential(members=members, coefs=coef, b=b, name="phi_high", bucket_tag=tag_u)
-    sum_imp = float(np.sum(imp_u[left_degree > 0]))
-    bound = sum_imp / 2.0 if n_buckets else 0.0
-    eps = 1.0 / (EPS_DENOM_HIGH * (b - 1))
-    half = run_half(n_cand, [pot], eps, bound, tables=tables, work=work, threads=threads)
-
-    counts = pot.counts(half.selected).astype(np.float64)
-    sq = (counts - b / 2.0) ** 2
-    q = np.zeros(len(u_ids), dtype=np.float64)
-    if n_buckets:
-        np.add.at(q, tag_u, sq)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = np.where(left_degree > 0, q / left_degree, 0.0)
-    bad = q > float(b) ** params.bad_node_exp
-    half.per_left_drift = q
-    half.bad_left = bad
-    report = {
-        "b": b,
-        "eps": eps,
-        "candidates": int(n_cand),
-        "selected": int(half.selected.sum()),
-        "buckets": int(n_buckets),
-        "phi": dict(half.phi_values),
-        "phi_total": half.phi_total,
-        "phi_bound": half.phi_bound,
-        "bad_left": int(bad.sum()),
-        "bad_importance": float(np.sum(imp_u[bad])),
-        "good_importance_bound": 1.0 - 0.5 / float(b) ** params.bad_node_exp,
-    }
-    return half, report
-
-
-def high_prob_regime(
-    inst: BipartiteInstance,
-    params: ParamSet,
-    floor: int | None = None,
-    k_cap: int | None = None,
-    tables: NumberTheoryTables | None = None,
-    work: WorkCounter | None = None,
-    threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """Halve all right nodes from level K down to the floor level.
-
-    Right levels must be <= K. A node at level k joins the candidate pool
-    in round K-k and is halved until the pool closes at the floor; nodes
-    below the floor are never candidates and survive outright. Returns
-    (selected right mask, good left mask, round reports).
-    """
-    k_cap = params.level_cap(inst.size_param) if k_cap is None else k_cap
-    floor = params.high_floor_hitting if floor is None else floor
-    if len(inst.levels) and inst.levels.max() > k_cap:
-        raise ValueError("high regime requires every right level at most K")
-    v_alive = np.ones(inst.n_right, dtype=bool)
-    u_good = np.ones(inst.n_left, dtype=bool)
-    reports: list[dict] = []
-    table_cache: dict[int, NumberTheoryTables] = {}
-    for i in range(max(k_cap - floor, 0)):
-        level = k_cap - i
-        cand = np.flatnonzero(v_alive & (inst.levels >= level))
-        if len(cand) == 0:
-            charge(work, "high_regime_skip", 1)
-            continue
-        gamma = params.gamma_high_for(level)
-        b = params.bucket_high(gamma)
-        if tables is None and b not in table_cache:
-            table_cache[b] = precompute_tables(_tables_limit_for_eps(EPS_DENOM_HIGH, b))
-        round_tables = tables if tables is not None else table_cache[b]
-        local = np.full(inst.n_right, -1, dtype=np.int64)
-        local[cand] = np.arange(len(cand))
-        keep_e = u_good[inst.edge_u] & v_alive[inst.edge_v] & (inst.levels[inst.edge_v] >= level)
-        eu, ev = inst.edge_u[keep_e], local[inst.edge_v[keep_e]]
-        alive_deg = np.zeros(inst.n_left, dtype=np.float64)
-        keep_any = u_good[inst.edge_u] & v_alive[inst.edge_v]
-        np.add.at(alive_deg, inst.edge_u[keep_any], 1.0)
-        half, report = high_prob_half(
-            inst.imp,
-            np.arange(inst.n_left, dtype=np.int64),
-            len(cand),
-            eu,
-            ev,
-            alive_deg,
-            b,
-            params,
-            tables=round_tables,
-            work=work,
-            threads=threads,
+    def _halve(self, sub, h: Halving, plan: RoundPlan) -> tuple[np.ndarray, dict]:
+        n_cand = len(h.cand)
+        need = defective_tables_limit(n_cand, plan.eps)
+        if self.tables is None or self.tables.limit < need:
+            self.tables = precompute_tables(need)
+        half = run_half(
+            n_cand,
+            plan.pots,
+            plan.eps,
+            plan.bound,
+            tables=self.tables,
+            work=self.work,
+            threads=self.threads,
         )
-        report["round"] = i
-        report["level"] = level
-        report["gamma"] = gamma
-        v_alive[cand[~half.selected]] = False
-        u_good &= ~half.bad_left
+        bad, fields = plan.judge(half)
+        self.u_good &= ~bad
+        report = {
+            "b": h.b,
+            "gamma": h.gamma,
+            "eps": plan.eps,
+            "candidates": int(n_cand),
+            "selected": int(half.selected.sum()),
+            "phi": dict(half.phi_values),
+            "phi_total": half.phi_total,
+            "phi_bound": half.phi_bound,
+            "bad_left": int(bad.sum()),
+            "bad_importance": float(np.sum(sub.imp[bad])),
+            **fields,
+            "round": h.round,
+            "regime": self.tags[h.regime],
+        }
+        return half.selected, report
+
+    def _close(self, sub, h: Halving, plan: RoundPlan, report: dict, reports: list[dict]) -> None:
+        self.after(sub, h, report)
         reports.append(report)
-        charge(work, "high_regime_round", len(cand) + len(eu))
-    return v_alive, u_good, reports
+        charge(self.work, self.labels[h.regime], len(h.cand) + len(h.edge_u) + plan.units)
+
+    # --- the potential stack: hitting_set's; MisRegimeDriver overrides it
+
+    def restrict(self, inst, regime: str, v_mask, u_mask, levels):
+        """The regime's sub-problem of the input (see sub_problem())."""
+        return sub_problem(inst, v_mask, u_mask, levels)
+
+    def start(self, sub, regime: str) -> None:
+        """Called before a regime's first round."""
+
+    def after(self, sub, h: Halving, report: dict) -> None:
+        """Certificates on the state after a round."""
+
+    def finish(self, sub, regime: str, survivors: np.ndarray) -> None:
+        """Certificates on a regime's outcome."""
+
+    def plan_low(self, sub, h: Halving) -> RoundPlan:
+        """The three low potentials, each with mean at most 1, under 3.1."""
+        b, p = h.b, self.params
+        u_ids = np.arange(sub.n_left, dtype=np.int64)
+        lp = build_low_potentials(sub.imp, u_ids, h.levels, h.edge_u, h.edge_v, b, len(h.cand))
+
+        def judge(half: HalfResult) -> tuple[np.ndarray, dict]:
+            counts = lp.pots[0].counts(half.selected).astype(np.float64)
+            return low_drift_rule(lp, half.selected, b, p), {
+                "buckets": int(lp.pots[0].n_buckets),
+                "tracked_importance": lp.tot_imp,
+                "good_importance_bound": 1.0 - 1.0 / float(b) ** p.bad_node_exp,
+                "drifted_buckets": int(np.sum(np.abs(counts - b / 2.0) >= b**p.drift_exp)),
+            }
+
+        return RoundPlan(lp.pots, 1.0 / (EPS_DENOM_LOW * (b - 1)), LOW_POTENTIAL_BOUND, judge)
+
+    def plan_high(self, sub, h: Halving) -> RoundPlan:
+        """One bucket potential per left node, normalized by its whole alive
+        neighborhood (candidates plus nodes waiting at lower levels) so its
+        mean is at most imp/4; certified under half the importance."""
+        b, p = h.b, self.params
+        members, tag_u, _ = _group_full_buckets(
+            h.edge_u, np.zeros(len(h.edge_u), dtype=np.int64), h.edge_v, b
+        )
+        alive = self.u_good[sub.edge_u] & self.v_alive[sub.edge_v]
+        deg = np.bincount(sub.edge_u[alive], minlength=sub.n_left).astype(np.float64)
+        with np.errstate(divide="ignore"):
+            coef = np.where(deg[tag_u] > 0, sub.imp[tag_u] / deg[tag_u], 0.0)
+        pot = QuadPotential(members=members, coefs=coef, b=b, name="phi_high", bucket_tag=tag_u)
+        bound = float(np.sum(sub.imp[deg > 0])) / 2.0 if pot.n_buckets else 0.0
+
+        def judge(half: HalfResult) -> tuple[np.ndarray, dict]:
+            sq = (pot.counts(half.selected).astype(np.float64) - b / 2.0) ** 2
+            q = np.zeros(sub.n_left, dtype=np.float64)
+            np.add.at(q, tag_u, sq)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                q = np.where(deg > 0, q / deg, 0.0)
+            return q > float(b) ** p.bad_node_exp, {
+                "buckets": int(pot.n_buckets),
+                "good_importance_bound": 1.0 - 0.5 / float(b) ** p.bad_node_exp,
+            }
+
+        return RoundPlan([pot], 1.0 / (EPS_DENOM_HIGH * (b - 1)), bound, judge)
 
 
 # --- full pipeline -------------------------------------------------------------
@@ -726,12 +789,6 @@ class HittingResult:
     window_ok: np.ndarray  # per left node: inside the declared window
     rounds: list[dict]
     work: WorkCounter
-
-
-def _tables_limit_for_eps(denom: int, b: int) -> int:
-    inv_eps = denom * max(b - 1, 1)
-    iters = 8  # phase-1 round count is logarithmic; 8 covers any feasible size
-    return 8 * math.ceil(inv_eps * 2 * iters) + 64
 
 
 def hitting_set(
@@ -751,65 +808,7 @@ def hitting_set(
     params = params or ParamSet.desk()
     work = work if work is not None else WorkCounter()
     floor = params.high_floor_hitting if floor is None else floor
-    k_cap = params.level_cap(inst.size_param)
-    low_mask = inst.levels > k_cap
-
-    u_good = np.ones(inst.n_left, dtype=bool)
-    rounds: list[dict] = []
-    v_selected_low = np.zeros(inst.n_right, dtype=np.int64)
-
-    if low_mask.any():
-        deg_low = np.zeros(inst.n_left, dtype=np.int64)
-        np.add.at(deg_low, inst.edge_u[low_mask[inst.edge_v]], 1)
-        u_low = deg_low >= max(params.degree_floor_for(inst.size_param), 1)
-        v_low_ids = np.flatnonzero(low_mask)
-        v_local = np.full(inst.n_right, -1, dtype=np.int64)
-        v_local[v_low_ids] = np.arange(len(v_low_ids))
-        keep_e = low_mask[inst.edge_v] & u_low[inst.edge_u]
-        low_inst = BipartiteInstance(
-            imp=inst.imp * u_low,
-            levels=inst.levels[v_low_ids],
-            edge_u=inst.edge_u[keep_e],
-            edge_v=v_local[inst.edge_v[keep_e]],
-            size_param=inst.size_param,
-        )
-        frozen, low_good, low_reports = low_prob_regime(
-            low_inst, params, k_cap=k_cap, work=work, threads=threads
-        )
-        for r in low_reports:
-            r["regime"] = "low"
-        rounds.extend(low_reports)
-        u_good &= low_good | ~u_low
-        v_selected_low[v_low_ids[frozen]] = 1
-
-    # high side: surviving low nodes enter at level K, everything else keeps its level
-    v_high = ~low_mask | (v_selected_low > 0)
-    v_high_ids = np.flatnonzero(v_high)
-    v_local = np.full(inst.n_right, -1, dtype=np.int64)
-    v_local[v_high_ids] = np.arange(len(v_high_ids))
-    keep_e = v_high[inst.edge_v] & u_good[inst.edge_u]
-    high_inst = BipartiteInstance(
-        imp=inst.imp * u_good,
-        levels=np.minimum(inst.levels[v_high_ids], k_cap),
-        edge_u=inst.edge_u[keep_e],
-        edge_v=v_local[inst.edge_v[keep_e]],
-        size_param=inst.size_param,
-    )
-    sel_high, high_good, high_reports = high_prob_regime(
-        high_inst,
-        params,
-        floor=floor,
-        k_cap=k_cap,
-        work=work,
-        threads=threads,
-    )
-    for r in high_reports:
-        r["regime"] = "high"
-    rounds.extend(high_reports)
-    u_good &= high_good
-
-    selected = np.zeros(inst.n_right, dtype=bool)
-    selected[v_high_ids[sel_high]] = True
+    selected, _, rounds = RegimeDriver(params, floor, work, threads).run(inst)
 
     hits = np.zeros(inst.n_left, dtype=np.int64)
     np.add.at(hits, inst.edge_u, selected[inst.edge_v].astype(np.int64))

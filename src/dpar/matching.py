@@ -19,6 +19,7 @@ import numpy as np
 from .coloring import color_delta_squared
 from .graph import Graph, sort_edges_to_csr
 from .hitting import BipartiteInstance, ParamSet, hitting_set
+from .verify import check_maximal_matching, require
 from .workcount import WorkCounter, charge
 
 
@@ -28,22 +29,6 @@ class MatchingResult:
     matched_edges: np.ndarray  # (k, 2) node pairs
     iterations: list[dict]
     work: WorkCounter
-
-
-def _assert_maximal_matching(g: Graph, match_with: np.ndarray) -> None:
-    mw = match_with
-    matched = mw >= 0
-    if np.any(mw[mw >= 0] < 0) or (matched.any() and np.any(mw[mw[matched]] != np.flatnonzero(matched))):
-        raise RuntimeError("matching is not symmetric")
-    owners = g.slot_owners()
-    partner_edge = mw[owners] == g.nbrs
-    is_partner = np.zeros(g.n, dtype=bool)
-    is_partner[owners[partner_edge]] = True
-    if not np.all(is_partner == matched):
-        raise RuntimeError("matched partner is not a neighbor")
-    free_edge = ~matched[owners] & ~matched[g.nbrs]
-    if np.any(free_edge):
-        raise RuntimeError("maximality violated: an edge joins two unmatched nodes")
 
 
 def _pairs_within_groups(vals: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -71,7 +56,6 @@ def _extract_matching(
     e_u: np.ndarray,
     e_v: np.ndarray,
     n: int,
-    params: ParamSet,
     work: WorkCounter | None,
     threads: int,
 ) -> np.ndarray:
@@ -162,9 +146,7 @@ def maximal_matching(
         if len(cand_edges) == 0:
             # certified selection came back empty; advance by one edge
             cand_edges = edge_ids[:1]
-        taken = _extract_matching(
-            e_u[cand_edges], e_v[cand_edges], g.n, params, work, threads
-        )
+        taken = _extract_matching(e_u[cand_edges], e_v[cand_edges], g.n, work, threads)
         mu, mv = e_u[cand_edges[taken]], e_v[cand_edges[taken]]
         match_with[mu] = mv
         match_with[mv] = mu
@@ -196,7 +178,7 @@ def maximal_matching(
 
     matched_pairs = np.flatnonzero((match_with >= 0) & (np.arange(g.n) < match_with))
     matched_edges = np.stack([matched_pairs, match_with[matched_pairs]], axis=1)
-    _assert_maximal_matching(g, match_with)
+    require(check_maximal_matching(g, match_with), "maximal matching")
     return MatchingResult(
         match_with=match_with,
         matched_edges=matched_edges,

@@ -1,9 +1,9 @@
 """Deterministic maximal independent set via certified half-sampling.
 
 Every node derives a sampling level from its degree (marking probability
-2^-level); the marking is derandomized level by level with the same
-conditional-expectation rounding as the hitting machinery, but against a
-richer potential stack:
+2^-level); the marking is derandomized level by level by the regime driver
+of the hitting machinery (MisRegimeDriver subclasses hitting.RegimeDriver),
+but against a richer potential stack:
 
   * the three low-regime bucket potentials shared with the hitting module,
   * a bucket potential over the "special" endpoints of an explicit edge
@@ -26,7 +26,8 @@ All certified inequalities are asserted at runtime; violations raise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,14 +36,20 @@ from .graph import Graph, compact_subgraph
 from .hitting import (
     EPS_DENOM_HIGH,
     EPS_DENOM_LOW,
+    BipartiteInstance,
     ParamSet,
     QuadPotential,
+    RegimeDriver,
+    RoundPlan,
     _group_full_buckets,
+    _renumber,
     build_low_potentials,
     low_drift_rule,
-    run_half,
+    run_half,  # noqa: F401  (still importable from here, for tools that trace halvings)
+    sub_problem,
 )
 from .parallel import tiled_sum
+from .verify import check_maximal_independent, require
 from .workcount import WorkCounter, charge
 
 AUX_FACTOR_LOW = 100.0  # linear aux potential scale in the low regime
@@ -57,51 +64,33 @@ ROUND_MASS_CAP = 45.0  # per-watcher mass after any single high-regime round
 
 
 @dataclass
-class MisAuxInstance:
+class MisAuxInstance(BipartiteInstance):
     """Bipartite watcher/candidate structure plus a weighted candidate graph.
 
     Watchers (left) carry importances; candidates (right) carry sampling
     levels. edge_u/edge_v is the watch relation. aux_i/aux_j/aux_w is an
     undirected weighted graph over the candidates whose selected weight the
     pipeline keeps certified-light; vert_w are per-candidate weights folded
-    into the same certificates.
+    into the same certificates. A hitting instance is the case without aux
+    edges or vertex weights.
     """
 
-    imp: np.ndarray
-    levels: np.ndarray
-    edge_u: np.ndarray
-    edge_v: np.ndarray
     aux_i: np.ndarray
     aux_j: np.ndarray
     aux_w: np.ndarray
     vert_w: np.ndarray
-    size_param: int
 
     def __post_init__(self):
-        self.imp = np.asarray(self.imp, dtype=np.float64)
-        self.levels = np.asarray(self.levels, dtype=np.int64)
-        self.edge_u = np.asarray(self.edge_u, dtype=np.int64)
-        self.edge_v = np.asarray(self.edge_v, dtype=np.int64)
+        super().__post_init__()
         self.aux_i = np.asarray(self.aux_i, dtype=np.int64)
         self.aux_j = np.asarray(self.aux_j, dtype=np.int64)
         self.aux_w = np.asarray(self.aux_w, dtype=np.float64)
         self.vert_w = np.asarray(self.vert_w, dtype=np.float64)
-        n_u, n_v = len(self.imp), len(self.levels)
-        if len(self.edge_u) != len(self.edge_v):
-            raise ValueError("watch edge arrays must have equal length")
+        n_v = self.n_right
         if not (len(self.aux_i) == len(self.aux_j) == len(self.aux_w)):
             raise ValueError("aux edge arrays must have equal length")
         if len(self.vert_w) != n_v:
             raise ValueError("vert_w must have one entry per candidate")
-        if len(self.imp) and self.imp.min() < 0:
-            raise ValueError("negative importance")
-        if len(self.levels) and self.levels.min() < 0:
-            raise ValueError("negative level")
-        if len(self.edge_u):
-            if self.edge_u.min() < 0 or self.edge_u.max() >= n_u:
-                raise ValueError("watch edge endpoint out of range on the left")
-            if self.edge_v.min() < 0 or self.edge_v.max() >= n_v:
-                raise ValueError("watch edge endpoint out of range on the right")
         if len(self.aux_i):
             lo = min(self.aux_i.min(), self.aux_j.min())
             hi = max(self.aux_i.max(), self.aux_j.max())
@@ -119,22 +108,9 @@ class MisAuxInstance:
             raise ValueError("negative aux weight")
         if len(self.vert_w) and self.vert_w.min() < 0:
             raise ValueError("negative vertex weight")
-        if self.size_param < 2:
-            raise ValueError("size parameter must be at least 2")
 
-    @property
-    def n_left(self) -> int:
-        return len(self.imp)
-
-    @property
-    def n_right(self) -> int:
-        return len(self.levels)
-
-    def watch_mass(self) -> np.ndarray:
-        """Per watcher: sum of 2^-level over watched candidates."""
-        out = np.zeros(self.n_left, dtype=np.float64)
-        np.add.at(out, self.edge_u, np.exp2(-self.levels[self.edge_v].astype(np.float64)))
-        return out
+    # per watcher: sum of 2^-level over the watched candidates
+    watch_mass = BipartiteInstance.expected_hits
 
 
 # --- edge bucketing -------------------------------------------------------------
@@ -359,430 +335,217 @@ def _adaptive_eps(potentials: list, denom: int, b: int) -> tuple[float, float]:
     return eps, c_tot
 
 
-# --- low regime -------------------------------------------------------------------
-
-
-def mis_low_prob_half(
-    imp: np.ndarray,
-    cand_levels: np.ndarray,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    aux_i: np.ndarray,
-    aux_j: np.ndarray,
-    aux_w: np.ndarray,
-    vert_w: np.ndarray,
-    b: int,
-    gamma: float,
-    params: ParamSet,
-    work: WorkCounter | None = None,
-    threads: int = 1,
-) -> tuple:
-    """One low-regime halving with the full five-potential stack.
-
-    The three hitting potentials watch the bipartite structure; the edge
-    bucketing potential watches the candidate graph; the linear potential
-    watches the auxiliary weights. The assembled total is certified at most
-    5 + 100/gamma.
-    """
-    n_cand = len(cand_levels)
-    u_ids = np.arange(len(imp), dtype=np.int64)
-    lp = build_low_potentials(imp, u_ids, cand_levels, edge_u, edge_v, b, n_cand)
-    pots = list(lp.pots)
-
-    eb = edge_buckets(n_cand, aux_i, aux_j, b, work=work)
-    if eb.n_buckets:
-        pots.append(eb.potential())
-
-    lin = LinearEdgePotential.build(
-        "phi_aux", AUX_FACTOR_LOW / gamma, aux_i, aux_j, aux_w, vert_w, n_cand
-    )
-    if lin is not None:
-        pots.append(lin)
-
-    eps, c_tot = _adaptive_eps(pots, EPS_DENOM_LOW, b)
-    bound = LOW_BOUND_BASE + AUX_FACTOR_LOW / gamma
-    half = run_half(n_cand, pots, eps, bound, work=work, threads=threads)
-
-    q, bad = low_drift_rule(lp, half.selected, b, params)
-    half.per_left_drift = q
-    half.bad_left = bad
-
-    # per watcher: edges the bucket trim left out (count mod b per level)
-    tracked = np.bincount(edge_u, minlength=len(imp))
-    bucketed = np.zeros(len(imp), dtype=np.int64)
-    if len(lp.tag_u):
-        np.add.at(bucketed, lp.tag_u, b)
-    trim_dropped_max = int((tracked - bucketed).max()) if len(imp) else 0
-
-    phi_weighted = half.phi_values.get("phi_weighted", 0.0)
-    markov_thr = 4.0 * float(b) ** params.bad_node_exp
-    report = {
-        "b": b,
-        "gamma": gamma,
-        "eps": eps,
-        "cost_total": c_tot,
-        "candidates": int(n_cand),
-        "selected": int(half.selected.sum()),
-        "phi": dict(half.phi_values),
-        "phi_total": half.phi_total,
-        "phi_bound": half.phi_bound,
-        "aux_buckets": int(eb.n_buckets),
-        "aux_leftover": int(eb.leftover),
-        "bad_left": int(bad.sum()),
-        "bad_importance": float(np.sum(imp[bad])),
-        "tracked_importance": lp.tot_imp,
-        "good_importance_bound": max(0.0, 1.0 - phi_weighted / markov_thr),
-        "trim_dropped_max": trim_dropped_max,
-    }
-    return half, report
-
-
-@dataclass
-class LowMisResult:
-    fixed: np.ndarray  # bool per candidate: survived down to level K
-    u_good: np.ndarray
-    rounds: list[dict]
-    mixed_start: float  # aux mixed sum before the first halving
-    drift_product: float  # product of (1 + gamma_i) over the rounds run
-
-
 def _mixed_sum(
-    inst: MisAuxInstance, node_mask: np.ndarray, lev_eff: np.ndarray, threads: int = 1
+    sub: MisAuxInstance, node_mask: np.ndarray, lev_eff: np.ndarray, threads: int = 1
 ) -> float:
     """sum of aux edge weight at 2^-(k+k') plus vertex weight at 2^-k over
     the masked candidates (edges need both endpoints masked)."""
-    both = node_mask[inst.aux_i] & node_mask[inst.aux_j]
-    exps = lev_eff[inst.aux_i] + lev_eff[inst.aux_j]
+    both = node_mask[sub.aux_i] & node_mask[sub.aux_j]
+    exps = lev_eff[sub.aux_i] + lev_eff[sub.aux_j]
     e_term = tiled_sum(
-        np.where(both, inst.aux_w * np.exp2(-exps.astype(np.float64)), 0.0), threads
+        np.where(both, sub.aux_w * np.exp2(-exps.astype(np.float64)), 0.0), threads
     )
     v_term = tiled_sum(
-        np.where(node_mask, inst.vert_w * np.exp2(-lev_eff.astype(np.float64)), 0.0), threads
+        np.where(node_mask, sub.vert_w * np.exp2(-lev_eff.astype(np.float64)), 0.0), threads
     )
     return float(e_term + v_term)
 
 
-def mis_low_prob_regime(
-    inst: MisAuxInstance,
-    params: ParamSet,
-    k_cap: int | None = None,
-    work: WorkCounter | None = None,
-    threads: int = 1,
-) -> LowMisResult:
-    """Halve every candidate from its own level down to level K.
-
-    All candidate levels must start above K. Candidates that survive all
-    their halvings freeze at K ("fixed"); the rest die. Three families of
-    certificates are asserted per round: the five-potential bound, the
-    bipartite shrinkage bound, and the aux mixed-sum drift
-    M_next <= (1+gamma) M; at the end the frozen aux weight is certified
-    against twice the starting mixed sum.
-    """
-    k_cap = params.level_cap(inst.size_param) if k_cap is None else k_cap
-    if len(inst.levels) and inst.levels.min() <= k_cap:
-        raise ValueError("low regime requires every candidate level above K")
-    log_n = math.ceil(math.log2(max(inst.size_param, 2)))
-    max_rounds = int(inst.levels.max() - k_cap) if len(inst.levels) else 0
-
-    u_good = np.ones(inst.n_left, dtype=bool)
-    v_alive = np.ones(inst.n_right, dtype=bool)
-    v_fixed = np.zeros(inst.n_right, dtype=bool)
-    reports: list[dict] = []
-
-    lev0 = np.maximum(inst.levels, k_cap)
-    mixed_start = _mixed_sum(inst, v_alive, lev0, threads)
-    mixed_cur = mixed_start
-    drift = 1.0
-
-    for i in range(max_rounds):
-        cand = np.flatnonzero(v_alive)
-        if len(cand) == 0:
-            break
-        gamma = params.gamma_low(i, inst.size_param)
-        b = params.bucket_low(gamma, inst.size_param)
-        if drift * (1.0 + gamma) > 2.0:
-            raise RuntimeError("aux drift budget exhausted; too many low rounds")
-
-        local = np.full(inst.n_right, -1, dtype=np.int64)
-        local[cand] = np.arange(len(cand))
-        keep_e = v_alive[inst.edge_v] & u_good[inst.edge_u]
-        eu, ev = inst.edge_u[keep_e], local[inst.edge_v[keep_e]]
-        cur_levels = inst.levels[cand] - i
-        edges_before = len(eu)
-
-        keep_a = v_alive[inst.aux_i] & v_alive[inst.aux_j]
-        ai, aj = local[inst.aux_i[keep_a]], local[inst.aux_j[keep_a]]
-        aw = inst.aux_w[keep_a] * np.exp2(
-            -(cur_levels[ai] + cur_levels[aj]).astype(np.float64)
-        )
-        # per-candidate weight: own vertex weight plus edges into the frozen set
-        vw = inst.vert_w[cand] * np.exp2(-cur_levels.astype(np.float64))
-        for s, t in ((inst.aux_i, inst.aux_j), (inst.aux_j, inst.aux_i)):
-            cross = v_alive[s] & v_fixed[t]
-            if cross.any():
-                contrib = inst.aux_w[cross] * np.exp2(
-                    -(cur_levels[local[s[cross]]] + k_cap).astype(np.float64)
-                )
-                np.add.at(vw, local[s[cross]], contrib)
-
-        half, report = mis_low_prob_half(
-            inst.imp, cur_levels, eu, ev, ai, aj, aw, vw, b, gamma, params,
-            work=work, threads=threads,
-        )
-        report["round"] = i
-        report["regime"] = "mis_low"
-        # the bucket trim may hide at most gamma 2^K edges of any watcher
-        if report["trim_dropped_max"] > gamma * 2.0 ** k_cap:
-            raise RuntimeError("bucket trim dropped too many edges of one watcher")
-
-        dead = cand[~half.selected]
-        v_alive[dead] = False
-        new_levels = inst.levels[cand] - (i + 1)
-        freeze = half.selected & (new_levels <= k_cap)
-        v_fixed[cand[freeze]] = True
-        v_alive[cand[freeze]] = False
-        u_good &= ~half.bad_left
-
-        keep_next = v_alive[inst.edge_v] & u_good[inst.edge_u]
-        lhs = int(np.sum(keep_next)) + int(half.selected.sum())
-        rhs = (2.0 / 3.0) * (edges_before + len(cand)) + params.additive_cap * log_n**2
-        report["shrink_lhs"] = lhs
-        report["shrink_rhs"] = rhs
-        if lhs > rhs:
-            raise RuntimeError("low-regime shrinkage invariant violated")
-
-        lev_next = np.maximum(inst.levels - (i + 1), k_cap)
-        mixed_next = _mixed_sum(inst, v_alive | v_fixed, lev_next, threads)
-        report["mixed_sum"] = mixed_next
-        if mixed_next > (1.0 + gamma) * mixed_cur + 1e-9 * max(mixed_cur, 1.0):
-            raise RuntimeError("aux mixed-sum drift certificate violated")
-        mixed_cur = mixed_next
-        drift *= 1.0 + gamma
-        reports.append(report)
-        charge(work, "mis_low_round", len(cand) + edges_before + len(ai))
-
-    if v_alive.any():
-        raise RuntimeError("low regime left candidates above K after all rounds")
-
-    lev_k = np.full(inst.n_right, k_cap, dtype=np.int64)
-    frozen_weight = _mixed_sum(inst, v_fixed, lev_k, threads)
-    if frozen_weight > 2.0 * mixed_start + 1e-9 * max(mixed_start, 1.0):
-        raise RuntimeError("frozen aux weight exceeds twice the starting mixed sum")
-    return LowMisResult(
-        fixed=v_fixed,
-        u_good=u_good,
-        rounds=reports,
-        mixed_start=mixed_start,
-        drift_product=drift,
-    )
+def _fold_cross(out, local, inst, src, dst, exponent: Callable) -> None:
+    """Add w 2^-exponent(s, t) to out[local[s]] for every aux edge {s, t}
+    of inst with s in src and t in dst, in both orientations."""
+    for s, t in ((inst.aux_i, inst.aux_j), (inst.aux_j, inst.aux_i)):
+        cross = src[s] & dst[t]
+        if cross.any():
+            s_c, t_c = s[cross], t[cross]
+            weight = inst.aux_w[cross] * np.exp2(-exponent(s_c, t_c).astype(np.float64))
+            np.add.at(out, local[s_c], weight)
 
 
-# --- high regime -------------------------------------------------------------------
+def _candidate_aux(sub, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The aux edges of sub between candidates of the halving h, as
+    candidate-id pairs, and their mask."""
+    is_cand = h.local >= 0
+    keep_a = is_cand[sub.aux_i] & is_cand[sub.aux_j]
+    return h.local[sub.aux_i[keep_a]], h.local[sub.aux_j[keep_a]], keep_a
 
 
-def mis_high_prob_half(
-    imp: np.ndarray,
-    n_cand: int,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    left_degree: np.ndarray,
-    aux_i: np.ndarray,
-    aux_j: np.ndarray,
-    aux_w: np.ndarray,
-    vert_w: np.ndarray,
-    b: int,
-    gamma: float,
-    params: ParamSet,
-    work: WorkCounter | None = None,
-    threads: int = 1,
-) -> tuple:
-    """One high-regime halving: normalized per-watcher hit potential plus
-    the linear aux potential, certified at most 3 + 10/gamma."""
-    members, tag_u, _ = _group_full_buckets(
-        edge_u, np.zeros(len(edge_u), dtype=np.int64), edge_v, b
-    )
-    n_buckets = len(members) // b if b else 0
-    tot_imp = float(np.sum(imp[left_degree > 0]))
-    pots: list = []
-    if n_buckets and tot_imp > 0:
-        with np.errstate(divide="ignore"):
-            coef = np.where(
-                left_degree[tag_u] > 0,
-                4.0 * imp[tag_u] / (tot_imp * left_degree[tag_u]),
-                0.0,
-            )
-        pots.append(QuadPotential(members=members, coefs=coef, b=b, name="phi_hits", bucket_tag=tag_u))
-
-    lin = LinearEdgePotential.build(
-        "phi_aux", AUX_FACTOR_HIGH / gamma, aux_i, aux_j, aux_w, vert_w, n_cand
-    )
+def _add_aux_potential(pots, h, ai, aj, aw, vw, factor, denom) -> tuple[float, float]:
+    """Append the linear aux potential (unless it vanishes); return the
+    adaptive eps and the total pairwise cost of the stack."""
+    lin = LinearEdgePotential.build("phi_aux", factor / h.gamma, ai, aj, aw, vw, len(h.cand))
     if lin is not None:
         pots.append(lin)
-
-    eps, c_tot = _adaptive_eps(pots, EPS_DENOM_HIGH, b)
-    bound = HIGH_BOUND_BASE + AUX_FACTOR_HIGH / gamma
-    half = run_half(n_cand, pots, eps, bound, work=work, threads=threads)
-
-    q = np.zeros(len(imp), dtype=np.float64)
-    if pots and isinstance(pots[0], QuadPotential) and n_buckets:
-        counts = pots[0].counts(half.selected).astype(np.float64)
-        sq = (counts - b / 2.0) ** 2
-        np.add.at(q, tag_u, 4.0 * sq)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q = np.where(left_degree > 0, q / left_degree, 0.0)
-    bad = q > float(b) ** params.bad_node_exp
-    half.per_left_drift = q
-    half.bad_left = bad
-
-    phi_hits = half.phi_values.get("phi_hits", 0.0)
-    markov_thr = float(b) ** params.bad_node_exp
-    report = {
-        "b": b,
-        "gamma": gamma,
-        "eps": eps,
-        "cost_total": c_tot,
-        "candidates": int(n_cand),
-        "selected": int(half.selected.sum()),
-        "buckets": int(n_buckets),
-        "phi": dict(half.phi_values),
-        "phi_total": half.phi_total,
-        "phi_bound": half.phi_bound,
-        "bad_left": int(bad.sum()),
-        "bad_importance": float(np.sum(imp[bad])),
-        "tracked_importance": tot_imp,
-        "good_importance_bound": max(0.0, 1.0 - phi_hits / markov_thr),
-    }
-    return half, report
-
-
-@dataclass
-class HighMisResult:
-    selected: np.ndarray  # bool per candidate: still alive at the floor
-    u_good: np.ndarray
-    rounds: list[dict]
-    mixed_start: float
-    drift_product: float
-    aux_selected_weight: float  # raw aux weight inside the selected set
-    mass_violations: int  # watcher rounds that measured over the per-round cap
-
-
-def mis_high_prob_regime(
-    inst: MisAuxInstance,
-    params: ParamSet,
-    floor: int | None = None,
-    k_cap: int | None = None,
-    entry_mass_cap: float | None = ENTRY_MASS_CAP,
-    work: WorkCounter | None = None,
-    threads: int = 1,
-) -> HighMisResult:
-    """Halve all candidates from level K down to the floor level.
-
-    Candidate levels must be at most K; a node at level k joins the pool in
-    round K-k (its level clamped to the round level) and is halved until
-    the floor. Nodes below the floor are never candidates and survive
-    outright. The per-round mixed-sum drift and the final selected aux
-    weight (at most 2^(2 floor) * drift * starting mixed sum) are asserted.
-    """
-    k_cap = params.level_cap(inst.size_param) if k_cap is None else k_cap
-    floor = params.high_floor_mis if floor is None else floor
-    if len(inst.levels) and inst.levels.max() > k_cap:
-        raise ValueError("high regime requires every candidate level at most K")
-    if entry_mass_cap is not None and inst.n_left:
-        mass = inst.watch_mass()
-        if np.any(mass > entry_mass_cap + 1e-9):
-            raise ValueError(f"watcher probability mass above {entry_mass_cap} at entry")
-
-    v_alive = np.ones(inst.n_right, dtype=bool)
-    u_good = np.ones(inst.n_left, dtype=bool)
-    reports: list[dict] = []
-    lev0 = np.minimum(inst.levels, k_cap)
-    mixed_start = _mixed_sum(inst, v_alive, lev0, threads)
-    mixed_cur = mixed_start
-    drift = 1.0
-    mass_violations = 0
-
-    for i in range(max(k_cap - floor, 0)):
-        level = k_cap - i
-        cand = np.flatnonzero(v_alive & (inst.levels >= level))
-        if len(cand) == 0:
-            charge(work, "mis_high_skip", 1)
-            continue
-        gamma = params.gamma_high_for(level)
-        b = params.bucket_high(gamma)
-        local = np.full(inst.n_right, -1, dtype=np.int64)
-        local[cand] = np.arange(len(cand))
-        is_cand = local >= 0
-
-        keep_e = u_good[inst.edge_u] & v_alive[inst.edge_v] & is_cand[inst.edge_v]
-        eu, ev = inst.edge_u[keep_e], local[inst.edge_v[keep_e]]
-        cand_deg = np.zeros(inst.n_left, dtype=np.float64)
-        np.add.at(cand_deg, eu, 1.0)
-
-        lev_cur = np.minimum(inst.levels, level)
-        keep_a = v_alive[inst.aux_i] & v_alive[inst.aux_j] & is_cand[inst.aux_i] & is_cand[inst.aux_j]
-        ai, aj = local[inst.aux_i[keep_a]], local[inst.aux_j[keep_a]]
-        aw = inst.aux_w[keep_a] * 2.0 ** (-2.0 * level)
-        vw = inst.vert_w[cand] * 2.0 ** (-float(level))
-        for s, t in ((inst.aux_i, inst.aux_j), (inst.aux_j, inst.aux_i)):
-            cross = v_alive[s] & is_cand[s] & v_alive[t] & ~is_cand[t]
-            if cross.any():
-                contrib = inst.aux_w[cross] * np.exp2(
-                    -(level + lev_cur[t[cross]]).astype(np.float64)
-                )
-                np.add.at(vw, local[s[cross]], contrib)
-
-        half, report = mis_high_prob_half(
-            inst.imp * u_good, len(cand), eu, ev, cand_deg, ai, aj, aw, vw,
-            b, gamma, params, work=work, threads=threads,
-        )
-        report["round"] = i
-        report["level"] = level
-        report["regime"] = "mis_high"
-
-        v_alive[cand[~half.selected]] = False
-        u_good &= ~half.bad_left
-
-        lev_next = np.minimum(inst.levels, level - 1)
-        if inst.n_left:
-            watch_next = np.zeros(inst.n_left, dtype=np.float64)
-            keep_w = v_alive[inst.edge_v]
-            np.add.at(
-                watch_next,
-                inst.edge_u[keep_w],
-                np.exp2(-lev_next[inst.edge_v[keep_w]].astype(np.float64)),
-            )
-            over = int(np.sum((watch_next > ROUND_MASS_CAP + 1e-9) & u_good))
-            report["mass_violations"] = over
-            if over and params.mode == "paper":
-                raise RuntimeError("watcher probability mass exceeded the per-round cap")
-            mass_violations += over
-
-        mixed_next = _mixed_sum(inst, v_alive, lev_next, threads)
-        report["mixed_sum"] = mixed_next
-        if mixed_next > (1.0 + gamma) * mixed_cur + 1e-9 * max(mixed_cur, 1.0):
-            raise RuntimeError("aux mixed-sum drift certificate violated")
-        mixed_cur = mixed_next
-        drift *= 1.0 + gamma
-        reports.append(report)
-        charge(work, "mis_high_round", len(cand) + len(eu) + len(ai))
-
-    both = v_alive[inst.aux_i] & v_alive[inst.aux_j]
-    aux_sel = float(np.sum(inst.aux_w[both]))
-    cap = 2.0 ** (2.0 * floor) * drift * mixed_start
-    if aux_sel > cap + 1e-9 * max(cap, 1.0):
-        raise RuntimeError("selected aux weight exceeds its certified cap")
-    return HighMisResult(
-        selected=v_alive,
-        u_good=u_good,
-        rounds=reports,
-        mixed_start=mixed_start,
-        drift_product=drift,
-        aux_selected_weight=aux_sel,
-        mass_violations=mass_violations,
-    )
+    return _adaptive_eps(pots, denom, h.b)
 
 
 # --- the core selection lemma ---------------------------------------------------
+
+
+class MisRegimeDriver(RegimeDriver):
+    """The regime driver with core_mis_hitting's potential stack.
+
+    Low rounds add two potentials to the three of the hitting low regime:
+    a bucket potential over an edge bucketing of the candidates' aux graph
+    and the linear aux potential, certified under 5 + 100/gamma. High
+    rounds use one hit potential per watcher, normalized by its candidate
+    neighbors, plus the linear aux potential, under 3 + 10/gamma. Both take
+    the adaptive eps. Per round, the aux mixed sum may grow by at most a
+    factor 1 + gamma within a total drift budget of 2; at the end the
+    frozen aux weight is certified against twice the starting mixed sum
+    and the selected aux weight against 2^(2 floor) times the drift times
+    it. Watcher mass is capped at ENTRY_MASS_CAP into the high regime and
+    measured against ROUND_MASS_CAP after each high round.
+    """
+
+    tags = {"low": "mis_low", "high": "mis_high"}
+    labels = {"low": "mis_low_round", "high": "mis_high_round", "skip": "mis_high_skip"}
+
+    def restrict(self, inst, regime, v_mask, u_mask, levels):
+        """Aux edges inside v_mask stay; in the low regime, aux edges into
+        the rest of the input fold into vertex weights at the far end's
+        level. Entry into the high regime checks the watcher mass cap."""
+        if regime == "high" and np.any(inst.watch_mass(v_mask, levels) > ENTRY_MASS_CAP + 1e-9):
+            raise RuntimeError(
+                "watcher probability mass exceeds the entry cap after the low regime"
+            )
+        sub, ids = sub_problem(inst, v_mask, u_mask, levels)
+        _, local = _renumber(v_mask)
+        keep_a = v_mask[inst.aux_i] & v_mask[inst.aux_j]
+        sub.aux_i = local[inst.aux_i[keep_a]]
+        sub.aux_j = local[inst.aux_j[keep_a]]
+        sub.aux_w = inst.aux_w[keep_a]
+        sub.vert_w = inst.vert_w[ids]
+        if regime == "low":
+            _fold_cross(sub.vert_w, local, inst, v_mask, ~v_mask, lambda s, t: inst.levels[t])
+        return sub, ids
+
+    def start(self, sub, regime):
+        k_cap = self.params.level_cap(sub.size_param)
+        lev = np.maximum(sub.levels, k_cap) if regime == "low" else np.minimum(sub.levels, k_cap)
+        self.mixed_start = self.mixed = _mixed_sum(sub, self.v_alive, lev, self.threads)
+        self.drift = 1.0  # product of (1 + gamma) over the rounds run
+
+    def plan_low(self, sub, h):
+        if self.drift * (1.0 + h.gamma) > 2.0:
+            raise RuntimeError("aux drift budget exhausted; too many low rounds")
+        b, p, lev, n_cand = h.b, self.params, h.levels, len(h.cand)
+        # per candidate: own vertex weight plus edges into the frozen set
+        vw = sub.vert_w[h.cand] * np.exp2(-lev.astype(np.float64))
+        _fold_cross(
+            vw, h.local, sub, self.v_alive, self.v_frozen, lambda s, t: lev[h.local[s]] + h.level
+        )
+        u_ids = np.arange(sub.n_left, dtype=np.int64)
+        lp = build_low_potentials(sub.imp, u_ids, lev, h.edge_u, h.edge_v, b, n_cand)
+        pots = list(lp.pots)
+        ai, aj, keep_a = _candidate_aux(sub, h)
+        eb = edge_buckets(n_cand, ai, aj, b, work=self.work)
+        if eb.n_buckets:
+            pots.append(eb.potential())
+        aw = sub.aux_w[keep_a] * np.exp2(-(lev[ai] + lev[aj]).astype(np.float64))
+        eps, c_tot = _add_aux_potential(pots, h, ai, aj, aw, vw, AUX_FACTOR_LOW, EPS_DENOM_LOW)
+
+        def judge(half):
+            # per watcher: edges the bucket trim left out (count mod b per level)
+            tracked = np.bincount(h.edge_u, minlength=sub.n_left)
+            trim = tracked - b * np.bincount(lp.tag_u, minlength=sub.n_left)
+            trim_max = int(trim.max()) if sub.n_left else 0
+            # the bucket trim may hide at most gamma 2^K edges of any watcher
+            if trim_max > h.gamma * 2.0**h.level:
+                raise RuntimeError("bucket trim dropped too many edges of one watcher")
+            phi_weighted = half.phi_values.get("phi_weighted", 0.0)
+            return low_drift_rule(lp, half.selected, b, p), {
+                "cost_total": c_tot,
+                "aux_buckets": int(eb.n_buckets),
+                "aux_leftover": int(eb.leftover),
+                "tracked_importance": lp.tot_imp,
+                "good_importance_bound": max(
+                    0.0, 1.0 - phi_weighted / (4.0 * float(b) ** p.bad_node_exp)
+                ),
+                "trim_dropped_max": trim_max,
+            }
+
+        return RoundPlan(pots, eps, LOW_BOUND_BASE + AUX_FACTOR_LOW / h.gamma, judge, len(ai))
+
+    def plan_high(self, sub, h):
+        b, p, level = h.b, self.params, h.level
+        is_cand = h.local >= 0
+        # per candidate: own vertex weight plus edges into alive nodes that
+        # wait below the level, at their own level
+        vw = sub.vert_w[h.cand] * 2.0 ** (-float(level))
+        lev_cur = np.minimum(sub.levels, level)
+        _fold_cross(
+            vw, h.local, sub, is_cand, self.v_alive & ~is_cand, lambda s, t: level + lev_cur[t]
+        )
+        members, tag_u, _ = _group_full_buckets(
+            h.edge_u, np.zeros(len(h.edge_u), dtype=np.int64), h.edge_v, b
+        )
+        n_buckets = len(members) // b
+        cand_deg = np.bincount(h.edge_u, minlength=sub.n_left).astype(np.float64)
+        tot_imp = float(np.sum(sub.imp[cand_deg > 0]))
+        pots: list = []
+        if n_buckets and tot_imp > 0:
+            with np.errstate(divide="ignore"):
+                coef = np.where(
+                    cand_deg[tag_u] > 0, 4.0 * sub.imp[tag_u] / (tot_imp * cand_deg[tag_u]), 0.0
+                )
+            pots.append(
+                QuadPotential(members=members, coefs=coef, b=b, name="phi_hits", bucket_tag=tag_u)
+            )
+        hit_pot = pots[0] if pots else None
+        ai, aj, keep_a = _candidate_aux(sub, h)
+        aw = sub.aux_w[keep_a] * 2.0 ** (-2.0 * level)
+        eps, c_tot = _add_aux_potential(pots, h, ai, aj, aw, vw, AUX_FACTOR_HIGH, EPS_DENOM_HIGH)
+
+        def judge(half):
+            q = np.zeros(sub.n_left, dtype=np.float64)
+            if hit_pot is not None:
+                sq = (hit_pot.counts(half.selected).astype(np.float64) - b / 2.0) ** 2
+                np.add.at(q, tag_u, 4.0 * sq)
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    q = np.where(cand_deg > 0, q / cand_deg, 0.0)
+            markov_thr = float(b) ** p.bad_node_exp
+            phi_hits = half.phi_values.get("phi_hits", 0.0)
+            return q > markov_thr, {
+                "cost_total": c_tot,
+                "buckets": int(n_buckets),
+                "tracked_importance": tot_imp,
+                "good_importance_bound": max(0.0, 1.0 - phi_hits / markov_thr),
+            }
+
+        return RoundPlan(pots, eps, HIGH_BOUND_BASE + AUX_FACTOR_HIGH / h.gamma, judge, len(ai))
+
+    def after(self, sub, h, report):
+        if h.regime == "low":
+            mask = self.v_alive | self.v_frozen
+            lev = np.maximum(sub.levels - (h.round + 1), h.level)
+        else:
+            mask, lev = self.v_alive, np.minimum(sub.levels, h.level - 1)
+            if sub.n_left:
+                watch = sub.watch_mass(self.v_alive, lev)
+                over = int(np.sum((watch > ROUND_MASS_CAP + 1e-9) & self.u_good))
+                report["mass_violations"] = over
+                if over and self.params.mode == "paper":
+                    raise RuntimeError("watcher probability mass exceeded the per-round cap")
+        mixed = _mixed_sum(sub, mask, lev, self.threads)
+        report["mixed_sum"] = mixed
+        if mixed > (1.0 + h.gamma) * self.mixed + 1e-9 * max(self.mixed, 1.0):
+            raise RuntimeError("aux mixed-sum drift certificate violated")
+        self.mixed = mixed
+        self.drift *= 1.0 + h.gamma
+
+    def finish(self, sub, regime, survivors):
+        start = self.mixed_start
+        if regime == "low":
+            lev_k = np.full(sub.n_right, self.params.level_cap(sub.size_param), dtype=np.int64)
+            frozen_weight = _mixed_sum(sub, survivors, lev_k, self.threads)
+            if frozen_weight > 2.0 * start + 1e-9 * max(start, 1.0):
+                raise RuntimeError("frozen aux weight exceeds twice the starting mixed sum")
+            return
+        both = survivors[sub.aux_i] & survivors[sub.aux_j]
+        cap = 2.0 ** (2.0 * self.floor) * self.drift * start
+        if float(np.sum(sub.aux_w[both])) > cap + 1e-9 * max(cap, 1.0):
+            raise RuntimeError("selected aux weight exceeds its certified cap")
 
 
 @dataclass
@@ -812,7 +575,7 @@ def core_mis_hitting(
     Requires per-watcher probability mass sum 2^-k in [5, 10] and no input
     vertex weights (the regimes derive their own). Candidates above level K
     go through the low regime first; survivors join the rest at level K and
-    are halved down to the floor.
+    are halved down to the floor (MisRegimeDriver).
     """
     params = params or ParamSet.desk()
     work = work if work is not None else WorkCounter()
@@ -823,92 +586,8 @@ def core_mis_hitting(
         mass = inst.watch_mass()
         if np.any((mass < 5.0 - 1e-9) | (mass > 10.0 + 1e-9)):
             raise ValueError("watcher probability mass outside [5, 10]")
-
-    low_mask = inst.levels > k_cap
-    u_good = np.ones(inst.n_left, dtype=bool)
-    rounds: list[dict] = []
-    s_low = np.zeros(inst.n_right, dtype=bool)
-
-    if low_mask.any():
-        deg_low = np.zeros(inst.n_left, dtype=np.int64)
-        np.add.at(deg_low, inst.edge_u[low_mask[inst.edge_v]], 1)
-        u_low = deg_low >= max(params.degree_floor_for(inst.size_param), 1)
-        v_low_ids = np.flatnonzero(low_mask)
-        v_local = np.full(inst.n_right, -1, dtype=np.int64)
-        v_local[v_low_ids] = np.arange(len(v_low_ids))
-        keep_e = low_mask[inst.edge_v] & u_low[inst.edge_u]
-        keep_a = low_mask[inst.aux_i] & low_mask[inst.aux_j]
-        # cross edges into the rest of the graph fold into vertex weights
-        vert_low = np.zeros(len(v_low_ids), dtype=np.float64)
-        for s, t in ((inst.aux_i, inst.aux_j), (inst.aux_j, inst.aux_i)):
-            cross = low_mask[s] & ~low_mask[t]
-            if cross.any():
-                np.add.at(
-                    vert_low,
-                    v_local[s[cross]],
-                    inst.aux_w[cross] * np.exp2(-inst.levels[t[cross]].astype(np.float64)),
-                )
-        low_inst = MisAuxInstance(
-            imp=inst.imp * u_low,
-            levels=inst.levels[v_low_ids],
-            edge_u=inst.edge_u[keep_e],
-            edge_v=v_local[inst.edge_v[keep_e]],
-            aux_i=v_local[inst.aux_i[keep_a]],
-            aux_j=v_local[inst.aux_j[keep_a]],
-            aux_w=inst.aux_w[keep_a],
-            vert_w=vert_low,
-            size_param=inst.size_param,
-        )
-        low_res = mis_low_prob_regime(low_inst, params, k_cap=k_cap, work=work, threads=threads)
-        rounds.extend(low_res.rounds)
-        u_good &= low_res.u_good | ~u_low
-        s_low[v_low_ids[low_res.fixed]] = True
-
-    v_high = ~low_mask | s_low
-    lev_high_all = np.minimum(inst.levels, k_cap)
-    if inst.n_left:
-        mass_high = np.zeros(inst.n_left, dtype=np.float64)
-        keep_m = v_high[inst.edge_v]
-        np.add.at(
-            mass_high,
-            inst.edge_u[keep_m],
-            np.exp2(-lev_high_all[inst.edge_v[keep_m]].astype(np.float64)),
-        )
-        if np.any(mass_high > ENTRY_MASS_CAP + 1e-9):
-            raise RuntimeError(
-                "watcher probability mass exceeds the entry cap after the low regime"
-            )
-
-    v_high_ids = np.flatnonzero(v_high)
-    v_local = np.full(inst.n_right, -1, dtype=np.int64)
-    v_local[v_high_ids] = np.arange(len(v_high_ids))
-    keep_e = v_high[inst.edge_v] & u_good[inst.edge_u]
-    keep_a = v_high[inst.aux_i] & v_high[inst.aux_j]
-    high_inst = MisAuxInstance(
-        imp=inst.imp * u_good,
-        levels=lev_high_all[v_high_ids],
-        edge_u=inst.edge_u[keep_e],
-        edge_v=v_local[inst.edge_v[keep_e]],
-        aux_i=v_local[inst.aux_i[keep_a]],
-        aux_j=v_local[inst.aux_j[keep_a]],
-        aux_w=inst.aux_w[keep_a],
-        vert_w=np.zeros(len(v_high_ids), dtype=np.float64),
-        size_param=inst.size_param,
-    )
-    high_res = mis_high_prob_regime(
-        high_inst,
-        params,
-        floor=params.high_floor_mis,
-        k_cap=k_cap,
-        entry_mass_cap=None,  # already verified against the full watcher set
-        work=work,
-        threads=threads,
-    )
-    rounds.extend(high_res.rounds)
-    u_good &= high_res.u_good
-
-    selected = np.zeros(inst.n_right, dtype=bool)
-    selected[v_high_ids[high_res.selected]] = True
+    driver = MisRegimeDriver(params, params.high_floor_mis, work, threads)
+    selected, u_good, rounds = driver.run(inst)
 
     hits = np.zeros(inst.n_left, dtype=np.int64)
     np.add.at(hits, inst.edge_u, selected[inst.edge_v].astype(np.int64))
@@ -918,13 +597,11 @@ def core_mis_hitting(
     tot_imp = float(np.sum(inst.imp))
     good_frac = float(np.sum(inst.imp[u_good])) / tot_imp if tot_imp > 0 else 1.0
 
+    lev_k = np.minimum(inst.levels, k_cap)
     both = selected[inst.aux_i] & selected[inst.aux_j]
     aux_sel = float(np.sum(inst.aux_w[both]))
     base = float(
-        np.sum(
-            inst.aux_w
-            * np.exp2(-(lev_high_all[inst.aux_i] + lev_high_all[inst.aux_j]).astype(np.float64))
-        )
+        np.sum(inst.aux_w * np.exp2(-(lev_k[inst.aux_i] + lev_k[inst.aux_j]).astype(np.float64)))
     )
     aux_ratio = aux_sel / base if base > 0 else 0.0
     charge(work, "core_mis_finalize", inst.n_left + len(inst.edge_u) + len(inst.aux_i))
@@ -1087,16 +764,6 @@ class MisResult:
     work: WorkCounter
 
 
-def _assert_maximal_independent(g: Graph, in_set: np.ndarray) -> None:
-    owners = g.slot_owners()
-    if np.any(in_set[owners] & in_set[g.nbrs]):
-        raise RuntimeError("independence violated")
-    covered = in_set.copy()
-    covered[owners[in_set[g.nbrs]]] = True
-    if not np.all(covered):
-        raise RuntimeError("maximality violated")
-
-
 def _greedy_class_union(sub: Graph, colors: np.ndarray, num_colors: int,
                         work: WorkCounter | None) -> np.ndarray:
     """Maximal independent subset: sweep color classes in ascending order,
@@ -1195,7 +862,7 @@ def maximal_independent_set(
         cur, _, sub_ids = compact_subgraph(cur, keep, keep_edge, work)
         to_orig = to_orig[sub_ids]
 
-    _assert_maximal_independent(g, in_set)
+    require(check_maximal_independent(g, in_set), "maximal independent set")
     return MisResult(in_set=in_set, iterations=iterations, work=work)
 
 
@@ -1247,5 +914,5 @@ def luby_mis_baseline(g: Graph, seed: int, work: WorkCounter | None = None) -> M
         cur, _, sub_ids = compact_subgraph(cur, keep, keep_edge, work)
         to_orig = to_orig[sub_ids]
 
-    _assert_maximal_independent(g, in_set)
+    require(check_maximal_independent(g, in_set), "maximal independent set")
     return MisResult(in_set=in_set, iterations=iterations, work=work)

@@ -14,6 +14,14 @@ from .graph import Graph
 from .hitting import HIT_UPPER_C, ParamSet
 
 
+def require(check: tuple[bool, dict], what: str) -> None:
+    """Raise RuntimeError with the oracle's details when a check failed;
+    the algorithms certify their own outputs this way."""
+    ok, details = check
+    if not ok:
+        raise RuntimeError(f"output is not a {what}: {details}")
+
+
 def check_independent(g: Graph, in_set: np.ndarray) -> tuple[bool, dict]:
     owners = g.slot_owners()
     bad = int(np.sum(in_set[owners] & in_set[g.nbrs])) // 2

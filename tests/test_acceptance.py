@@ -395,14 +395,14 @@ def test_c08_hitting_contract(hitting_battery):
     bad, worst_frac, worst_c = 0, 1.0, 0.0
     for inst, res in hitting_battery:
         _, d = check_hitting_window(inst.imp, inst.levels, inst.edge_u, inst.edge_v, res.selected)
-        frac, c = d["window_importance_fraction"], d["hit_constant"]
+        frac, c, c_bound = d["window_importance_fraction"], d["hit_constant"], d["hit_constant_bound"]
         worst_frac, worst_c = min(worst_frac, frac), max(worst_c, c)
-        bad += not (frac >= 0.75 and c <= 1e3)
+        bad += not (frac >= 0.75 and c <= c_bound)
     _line(
         "criterion-08 hitting-contract",
         bad == 0,
         f"{200 - bad}/200 instances; worst importance fraction {worst_frac:.3f} >= 0.75, "
-        f"max hit constant {worst_c:.1f} <= 1e3",
+        f"max hit constant {worst_c:.1f} <= HIT_UPPER_C 2^floor = {c_bound:.0f}",
     )
 
 

@@ -208,6 +208,21 @@ def test_csr_file_roundtrip(tmp_path):
     assert np.allclose(h.weights, g.weights)
 
 
+@pytest.mark.parametrize("section", ["header", "offsets", "nbrs", "weights"])
+def test_csr_file_cut_inside_a_section_names_it(tmp_path, section):
+    g = sort_edges_to_csr([(0, 1), (1, 2), (0, 3)], 4, weights=[1.0, 2.0, 3.0])
+    p = tmp_path / "g.dpar"
+    write_csr(str(p), g)
+    data = p.read_bytes()
+    # magic, then header, offsets, nbrs and weights
+    bounds = np.cumsum([5, 16, 8 * (g.n + 1), 16 * g.m, 16 * g.m])
+    assert bounds[-1] == len(data)
+    i = ["header", "offsets", "nbrs", "weights"].index(section)
+    p.write_bytes(data[: (bounds[i] + bounds[i + 1]) // 2])  # cut mid-section
+    with pytest.raises(ValueError, match=f"truncated CSR file: {section} section"):
+        read_csr(str(p))
+
+
 def test_edgelist_roundtrip(tmp_path):
     p = tmp_path / "e.txt"
     p.write_text("0 1\n1 2 2.5\n# comment\n")

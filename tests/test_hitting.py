@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpar.hitting import (
+    HIT_UPPER_C,
     LOW_POTENTIAL_BOUND,
     BipartiteInstance,
     ParamSet,
     QuadPotential,
+    RegimeDriver,
     _group_full_buckets,
-    high_prob_regime,
     hitting_set,
-    low_prob_regime,
     read_hset,
     run_half,
     write_hset,
@@ -21,6 +21,8 @@ from dpar.hitting import (
 from dpar.workcount import WorkCounter
 
 BIG_N = 1 << 64  # size parameter that opens the low regime at desk scale
+DESK = ParamSet.desk()
+DRIVER = RegimeDriver(DESK, DESK.high_floor_hitting)
 
 
 def crafted_instance(rng, n_u, n_v, deg, levels, size_param=BIG_N, imp=None):
@@ -151,7 +153,7 @@ def test_run_half_keeps_potential_under_bound():
 def test_low_regime_freezes_everyone_or_kills():
     rng = np.random.default_rng(1)
     inst = crafted_instance(rng, 8, 1200, 300, np.full(1200, 20))
-    frozen, good, reports = low_prob_regime(inst, ParamSet.desk())
+    frozen, good, reports = DRIVER.low(inst)
     assert frozen.sum() > 0
     assert len(reports) == 2  # levels 20 -> 18
     for r in reports:
@@ -166,7 +168,7 @@ def test_low_regime_rejects_low_levels():
     rng = np.random.default_rng(3)
     inst = crafted_instance(rng, 2, 50, 10, np.full(50, 5))
     with pytest.raises(ValueError):
-        low_prob_regime(inst, ParamSet.desk())
+        DRIVER.low(inst)
 
 
 # --- high regime ----------------------------------------------------------------
@@ -175,7 +177,7 @@ def test_high_regime_respects_floor():
     # level-2 nodes sit below the floor: never sampled, all selected
     rng = np.random.default_rng(4)
     inst = crafted_instance(rng, 3, 60, 20, np.full(60, 2), size_param=1 << 16)
-    selected, good, reports = high_prob_regime(inst, ParamSet.desk())
+    selected, good, reports = DRIVER.high(inst)
     assert selected.all()
     assert reports == []
     assert good.all()
@@ -184,7 +186,7 @@ def test_high_regime_respects_floor():
 def test_high_regime_halves_level_six():
     rng = np.random.default_rng(5)
     inst = crafted_instance(rng, 10, 1000, 250, np.full(1000, 6), size_param=1 << 16)
-    selected, good, reports = high_prob_regime(inst, ParamSet.desk())
+    selected, good, reports = DRIVER.high(inst)
     assert len(reports) == 2  # 6 -> 5 -> 4
     # roughly a quarter survives two halvings
     assert 150 <= selected.sum() <= 350
@@ -199,7 +201,7 @@ def test_high_regime_rejects_high_levels():
     rng = np.random.default_rng(6)
     inst = crafted_instance(rng, 2, 50, 10, np.full(50, 40), size_param=1 << 16)
     with pytest.raises(ValueError):
-        high_prob_regime(inst, ParamSet.desk())
+        DRIVER.high(inst)
 
 
 # --- full pipeline ----------------------------------------------------------------
@@ -212,7 +214,7 @@ def test_hitting_set_mixed_levels():
     work = WorkCounter()
     res = hitting_set(inst, ParamSet.desk(), work=work)
     assert res.selected.any()
-    assert res.hit_constant <= 1000.0
+    assert res.hit_constant <= HIT_UPPER_C * 2.0**DESK.high_floor_hitting
     assert res.good_importance_fraction >= 0.75
     assert np.all(res.hits[res.window_ok] >= 0.5 * res.expected[res.window_ok] - 0.5)
     assert work.total > 0

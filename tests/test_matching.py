@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpar.generate import complete_graph, gnm_graph
+from dpar.generate import complete_graph, gnm_graph, star_graph
 from dpar.graph import Graph, sort_edges_to_csr
 from dpar.matching import _pairs_within_groups, maximal_matching
 from dpar.verify import check_maximal_matching
@@ -111,3 +111,13 @@ def test_matching_reports_stages():
     stages = [it["stage"] for it in res.iterations]
     assert all(s >= 1 for s in stages)
     assert res.work.total > 0
+
+
+def test_output_certificate_raises_with_the_oracle_details(monkeypatch):
+    # taking every selected edge of a star matches all leaves to the center
+    monkeypatch.setattr(
+        "dpar.matching._extract_matching",
+        lambda e_u, e_v, n, work, threads: np.ones(len(e_u), dtype=bool),
+    )
+    with pytest.raises(RuntimeError, match="not a maximal matching.*'symmetric': False"):
+        maximal_matching(star_graph(4))

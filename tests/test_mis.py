@@ -11,19 +11,22 @@ from dpar.mis import (
     LOW_BOUND_BASE,
     LinearEdgePotential,
     MisAuxInstance,
+    MisRegimeDriver,
     core_mis_hitting,
     edge_buckets,
     independentish_set,
     luby_mis_baseline,
     maximal_independent_set,
-    mis_high_prob_regime,
-    mis_low_prob_half,
-    mis_low_prob_regime,
 )
 from dpar.verify import check_independent, check_maximal_independent
 from dpar.workcount import WorkCounter
 
 BIG_N = 1 << 64
+
+
+def driver(p=None):
+    p = p or ParamSet.desk()
+    return MisRegimeDriver(p, p.high_floor_mis)
 
 
 def ring_graph(n):
@@ -223,43 +226,31 @@ def test_low_half_certificate_and_report():
     inst = low_instance(rng)
     p = ParamSet.desk()
     gamma = p.gamma_low(0, BIG_N)
-    b = p.bucket_low(gamma, BIG_N)
-    half, report = mis_low_prob_half(
-        inst.imp,
-        inst.levels,
-        inst.edge_u,
-        inst.edge_v,
-        inst.aux_i,
-        inst.aux_j,
-        inst.aux_w,
-        inst.vert_w,
-        b,
-        gamma,
-        p,
-    )
-    assert half.phi_total <= half.phi_bound
+    report = driver(p).low(inst)[2][0]  # the first halving
+    assert report["phi_total"] <= report["phi_bound"]
     assert report["phi_bound"] == pytest.approx(LOW_BOUND_BASE + AUX_FACTOR_LOW / gamma)
     assert 0 <= report["selected"] <= report["candidates"]
     assert report["trim_dropped_max"] >= 0
-    assert set(half.phi_values) >= {"phi_pair", "phi_weighted", "phi_size"}
+    assert set(report["phi"]) >= {"phi_pair", "phi_weighted", "phi_size"}
 
 
 def test_low_regime_decides_everyone():
     rng = np.random.default_rng(7)
     inst = low_instance(rng)
     p = ParamSet.desk()
-    res = mis_low_prob_regime(inst, p)
-    assert res.rounds  # levels above K forced at least one halving
-    assert res.drift_product <= 2.0
-    assert res.fixed.dtype == bool and len(res.fixed) == inst.n_right
-    assert len(res.u_good) == inst.n_left
+    drv = driver(p)
+    fixed, u_good, rounds = drv.low(inst)
+    assert rounds  # levels above K forced at least one halving
+    assert drv.drift <= 2.0
+    assert fixed.dtype == bool and len(fixed) == inst.n_right
+    assert len(u_good) == inst.n_left
 
 
 def test_low_regime_rejects_levels_at_or_below_cap():
     rng = np.random.default_rng(8)
     inst = low_instance(rng, lev_lo=5, lev_hi=10)
     with pytest.raises(ValueError):
-        mis_low_prob_regime(inst, ParamSet.desk())
+        driver().low(inst)
 
 
 # --- high regime -----------------------------------------------------------------
@@ -269,32 +260,36 @@ def test_high_regime_reaches_floor():
     rng = np.random.default_rng(11)
     inst = core_instance(rng, n_u=25, n_v=600, deg=160, level=5)
     p = ParamSet.desk()
-    res = mis_high_prob_regime(inst, p)
-    assert len(res.rounds) == 1  # one halving from level 5 to the floor 4
-    assert res.selected.sum() > 0
-    assert res.drift_product <= (1 + p.gamma_high_for(5)) ** 1 + 1e-12
+    drv = driver(p)
+    selected, _, rounds = drv.high(inst)
+    assert len(rounds) == 1  # one halving from level 5 to the floor 4
+    assert selected.sum() > 0
+    assert drv.drift <= (1 + p.gamma_high_for(5)) ** 1 + 1e-12
 
 
 def test_high_regime_rejects_levels_above_cap():
     rng = np.random.default_rng(12)
     inst = core_instance(rng, n_u=5, n_v=100, deg=32, level=30)
     with pytest.raises(ValueError):
-        mis_high_prob_regime(inst, ParamSet.desk())
+        driver().high(inst)
 
 
 def test_high_regime_rejects_heavy_watchers():
     rng = np.random.default_rng(13)
     inst = core_instance(rng, n_u=5, n_v=100, deg=90, level=1)  # mass 45 > 40
     with pytest.raises(ValueError):
-        mis_high_prob_regime(inst, ParamSet.desk())
+        core_mis_hitting(inst)  # rejected at the public entry
+    # past the entry, the same mass trips the high regime's entry cap
+    with pytest.raises(RuntimeError, match="entry cap"):
+        driver().run(inst)
 
 
 def test_high_regime_below_floor_survives_outright():
     rng = np.random.default_rng(14)
     inst = core_instance(rng, n_u=4, n_v=50, deg=30, level=3)  # floor is 4
-    res = mis_high_prob_regime(inst, ParamSet.desk())
-    assert res.selected.all()
-    assert all(r.get("skipped", False) or r["candidates"] == 0 for r in res.rounds) or not res.rounds
+    selected, _, rounds = driver().high(inst)
+    assert selected.all()
+    assert all(r.get("skipped", False) or r["candidates"] == 0 for r in rounds) or not rounds
 
 
 # --- core selection ---------------------------------------------------------------
@@ -437,3 +432,12 @@ def test_luby_baseline_maximal_and_seeded():
     assert check_maximal_independent(g, a.in_set)[0]
     assert check_maximal_independent(g, c.in_set)[0]
     assert a.work.total > 0
+
+
+def test_output_certificate_raises_with_the_oracle_details(monkeypatch):
+    # choosing every selected node of a clique breaks independence
+    monkeypatch.setattr(
+        "dpar.mis._greedy_class_union", lambda sub, colors, k, work: np.ones(sub.n, dtype=bool)
+    )
+    with pytest.raises(RuntimeError, match="not a maximal independent set.*'conflict_edges': 10"):
+        maximal_independent_set(complete_graph(5))
