@@ -217,18 +217,17 @@ def scaling_series(
     deg_factor: int = 8,
     params: ParamSet | None = None,
     threads: int = 1,
-    seed: int = 1,
-    luby_seed: int = 2,
 ) -> list[dict]:
     """Work-per-size rows for the deterministic MIS and the Luby baseline
-    on a doubling gnm family with m = deg_factor * n."""
+    on a doubling gnm family with m = deg_factor * n (graph seed 1 + e and
+    Luby seed 2 + e at n = 2^e)."""
     params = params or ParamSet.desk()
     rows = []
     for e in exponents:
         n = 1 << e
-        g = generate_graph("gnm", n=n, m=deg_factor * n, seed=seed + e)
+        g = generate_graph("gnm", n=n, m=deg_factor * n, seed=1 + e)
         det = run_mis(g, params, threads)
-        lub = run_luby(g, params, seed=luby_seed + e, threads=threads)
+        lub = run_luby(g, params, seed=2 + e, threads=threads)
         rows.append(
             {
                 "n": n,

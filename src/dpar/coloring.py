@@ -285,7 +285,6 @@ def tables_limit_for(n: int, delta: int, inv_eps: int = 1) -> int:
 def color_delta_squared(
     g: Graph,
     orientation: np.ndarray | None = None,
-    tables: NumberTheoryTables | None = None,
     work: WorkCounter | None = None,
     threads: int = 1,
 ) -> Coloring:
@@ -297,8 +296,7 @@ def color_delta_squared(
     """
     src, _dst = _conflict_slots(g, orientation)
     delta = int(np.bincount(src, minlength=g.n).max()) if g.n and len(src) else 0
-    if tables is None:
-        tables = precompute_tables(tables_limit_for(g.n, delta))
+    tables = precompute_tables(tables_limit_for(g.n, delta))
     cur = Coloring(colors=np.arange(g.n, dtype=np.int64), num_colors=max(g.n, 1))
     while True:
         nxt = reduce_colors_once(

@@ -2,8 +2,7 @@
 
 A graph stores both directed copies of every undirected edge: node u's
 block is nbrs[offsets[u]:offsets[u+1]]. Optional per-slot weights are
-symmetric; an optional per-slot orientation flag marks the copy that runs
-from the block owner to the neighbor as an out-edge.
+symmetric.
 """
 
 from __future__ import annotations
@@ -26,20 +25,13 @@ class Graph:
     offsets: np.ndarray  # int64, length n+1
     nbrs: np.ndarray  # int64, length 2m
     weights: np.ndarray | None = None  # float64 aligned with nbrs
-    orientation: np.ndarray | None = None  # bool aligned with nbrs; True = out-edge
 
     @property
     def m(self) -> int:
         return len(self.nbrs) // 2
 
-    def degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def block(self, v: int) -> np.ndarray:
-        return self.nbrs[self.offsets[v] : self.offsets[v + 1]]
 
     def slot_owners(self) -> np.ndarray:
         """Owner node id for every directed slot."""
@@ -65,9 +57,8 @@ class Graph:
         rev = self.nbrs * self.n + owners
         if not np.array_equal(np.sort(fwd), np.sort(rev)):
             raise ValueError("adjacency not symmetric")
-        for aligned in (self.weights, self.orientation):
-            if aligned is not None and len(aligned) != len(self.nbrs):
-                raise ValueError("aligned array length mismatch")
+        if self.weights is not None and len(self.weights) != len(self.nbrs):
+            raise ValueError("aligned array length mismatch")
 
 
 def sort_edges_to_csr(
@@ -153,9 +144,8 @@ def compact_subgraph(
         offsets[1:] = prefix_sum(counts, work)
     nbrs = old_to_new[g.nbrs[ke]]
     weights = g.weights[ke] if g.weights is not None else None
-    orientation = g.orientation[ke] if g.orientation is not None else None
     charge(work, "compact", len(g.nbrs))
-    out = Graph(n=n2, offsets=offsets, nbrs=nbrs, weights=weights, orientation=orientation)
+    out = Graph(n=n2, offsets=offsets, nbrs=nbrs, weights=weights)
     return out, old_to_new, new_to_old
 
 

@@ -40,20 +40,24 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .coloring import defective_tables_limit
 from .ntheory import NumberTheoryTables, precompute_tables
-from .rounding import RoundingInstance, RoundingResult, local_round
+from .rounding import RoundingInstance, local_round
 from .workcount import WorkCounter, charge
 
 EPS_DENOM_LOW = 128  # low-regime rounding eps = 1/(128(b-1)): three potentials fit under 3.1
 EPS_DENOM_HIGH = 4  # high-regime rounding eps = 1/(4(b-1)): one potential fits under imp/2
 LOW_POTENTIAL_BOUND = 3.1
 HIT_UPPER_C = 4.0  # upper hit window: hits <= HIT_UPPER_C * 2^floor * (E + 1)
+GAMMA_LOW_DECAY = 0.99  # low-regime gamma shrinks by this factor per round
+ADDITIVE_CAP = 16  # shrinkage slack = ADDITIVE_CAP * ceil(log2 N)^2
+DRIFT_EXP = 0.8  # a bucket counts as drifted beyond b^DRIFT_EXP
+BAD_NODE_EXP = 0.3  # Markov threshold exponent of the bad-node rules
 
 
 @dataclass(frozen=True)
@@ -63,24 +67,20 @@ class ParamSet:
     paper(): the values the guarantees are proved for; astronomically
     conservative, only usable on toy sizes. desk(): small values with the
     same shapes, sized so the certified inequalities still hold on
-    instances that fit in memory.
+    instances that fit in memory. Values both sets share are module
+    constants (GAMMA_LOW_DECAY, ADDITIVE_CAP, DRIFT_EXP, BAD_NODE_EXP here,
+    MATCHING_FLOOR in matching.py).
     """
 
     mode: str
     k_factor: float  # K = ceil(k_factor * log2 log2 N)
     beta: float  # bucket size b ~ (1/gamma)^beta
     gamma0_low: float
-    gamma_low_decay: float
     gamma_high: float | None  # None: round-dependent 1/(100 (K-i)^2)
     high_floor_hitting: int  # levels below this are never sampled
     high_floor_mis: int
-    matching_floor: int
     degree_floor: int  # left nodes need this many low neighbors to join the low regime
     outdeg_cap: int
-    additive_cap: int  # shrinkage slack = additive_cap * ceil(log2 N)^2
-    drift_exp: float  # bucket counts as drifted beyond b^drift_exp
-    bad_node_exp: float
-    bad_node_exp_aux: float
 
     @staticmethod
     def paper() -> "ParamSet":
@@ -89,17 +89,11 @@ class ParamSet:
             k_factor=100.0,
             beta=6.0,
             gamma0_low=1e-7,
-            gamma_low_decay=0.99,
             gamma_high=None,
             high_floor_hitting=50,
             high_floor_mis=20,
-            matching_floor=1,
             degree_floor=0,  # stands for ceil(10 log^25 N), resolved per instance
             outdeg_cap=10000,
-            additive_cap=16,
-            drift_exp=0.8,
-            bad_node_exp=0.3,
-            bad_node_exp_aux=0.2,
         )
 
     @staticmethod
@@ -109,17 +103,11 @@ class ParamSet:
             k_factor=3.0,
             beta=2.0,
             gamma0_low=0.0099,
-            gamma_low_decay=0.99,
             gamma_high=0.15,
             high_floor_hitting=4,
             high_floor_mis=4,
-            matching_floor=1,
             degree_floor=8,
             outdeg_cap=8,
-            additive_cap=16,
-            drift_exp=0.8,
-            bad_node_exp=0.3,
-            bad_node_exp_aux=0.2,
         )
 
     def level_cap(self, size_param: int) -> int:
@@ -134,7 +122,7 @@ class ParamSet:
 
     def gamma_low(self, round_idx: int, size_param: int) -> float:
         log_n = max(math.ceil(math.log2(max(size_param, 2))), 2)
-        return max(self.gamma0_low * self.gamma_low_decay**round_idx, self.gamma0_low / log_n)
+        return max(self.gamma0_low * GAMMA_LOW_DECAY**round_idx, self.gamma0_low / log_n)
 
     def gamma_high_for(self, level: int) -> float:
         if self.gamma_high is not None:
@@ -148,12 +136,6 @@ class ParamSet:
         if b < 2:
             raise ValueError("invalid parameters: low-regime bucket size below 2")
         return b
-
-    def bucket_low_cap(self, size_param: int) -> int:
-        """Upper bound on bucket_low over all rounds (gamma only decays)."""
-        log_n = max(math.ceil(math.log2(max(size_param, 2))), 1)
-        k_cap = self.level_cap(size_param)
-        return max(2, int(self.gamma0_low * 2.0 ** (k_cap - 1) / log_n))
 
     def bucket_high(self, gamma: float) -> int:
         b = math.ceil((1.0 / gamma) ** self.beta)
@@ -230,29 +212,42 @@ def write_hset(path, inst: BipartiteInstance) -> None:
 
 
 def read_hset(path) -> BipartiteInstance:
+    """Read write_hset's format. A file cut inside the header, the left
+    section or the right section, or an edge line with fewer than two
+    fields, raises ValueError naming the section. The format stores no
+    edge count, so a file cut between two edge lines loads fewer edges."""
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != HSET_MAGIC:
+        rows = [ln.split() for ln in f if ln.strip()]
+    if not rows or rows[0] != [HSET_MAGIC]:
         raise ValueError("not an HSET1 file")
-    n_u, n_v, size_param = (int(x) for x in lines[1].split())
+
+    def section(name: str, start: int, count: int, width: int = 2) -> list[list[str]]:
+        got = rows[start : start + count]
+        if len(got) < count:
+            short = f"{len(got)} of {count} lines"
+        elif any(len(tok) < width for tok in got):
+            short = f"a line of fewer than {width} fields"
+        else:
+            return got
+        raise ValueError(f"truncated HSET file: {name} section has {short}")
+
+    n_u, n_v, size_param = (int(x) for x in section("header", 1, 1, 3)[0])
     imp = np.zeros(n_u, dtype=np.float64)
     levels = np.zeros(n_v, dtype=np.int64)
     pos = 2
-    for i in range(n_u):
-        tok = lines[pos + i].split()
+    for i, tok in enumerate(section("left", pos, n_u)):
         u = int(tok[0])
         if u != i:
             raise ValueError("left ids must be 0..nU-1 in order")
         imp[u] = float(tok[1])
     pos += n_u
-    for i in range(n_v):
-        tok = lines[pos + i].split()
+    for i, tok in enumerate(section("right", pos, n_v)):
         v = int(tok[0])
         if v != i:
             raise ValueError("right ids must be 0..nV-1 in order")
         levels[v] = int(tok[1])
     pos += n_v
-    rest = [ln.split() for ln in lines[pos:]]
+    rest = section("edge", pos, len(rows) - pos)
     eu = np.array([int(t[0]) for t in rest], dtype=np.int64)
     ev = np.array([int(t[1]) for t in rest], dtype=np.int64)
     return BipartiteInstance(imp=imp, levels=levels, edge_u=eu, edge_v=ev, size_param=size_param)
@@ -269,7 +264,6 @@ class QuadPotential:
     coefs: np.ndarray  # float64 per bucket
     b: int
     name: str
-    bucket_tag: np.ndarray | None = None  # optional owner tag per bucket (left node id)
 
     @property
     def n_buckets(self) -> int:
@@ -344,9 +338,7 @@ def _interval_buckets(ids: np.ndarray, b: int, coef: float, name: str) -> QuadPo
     ids = np.sort(ids)
     n_buckets = len(ids) // b
     members = ids[: n_buckets * b]
-    return QuadPotential(
-        members=members, coefs=np.full(n_buckets, coef), b=b, name=name, bucket_tag=None
-    )
+    return QuadPotential(members=members, coefs=np.full(n_buckets, coef), b=b, name=name)
 
 
 @dataclass
@@ -355,7 +347,6 @@ class HalfResult:
     phi_values: dict[str, float]
     phi_total: float
     phi_bound: float
-    rounding: RoundingResult = field(repr=False)
 
 
 def run_half(
@@ -363,7 +354,6 @@ def run_half(
     potentials: list,
     eps: float,
     phi_bound: float,
-    extra_utils: np.ndarray | None = None,
     tables: NumberTheoryTables | None = None,
     work: WorkCounter | None = None,
     threads: int = 1,
@@ -376,8 +366,6 @@ def run_half(
     utils = np.zeros(n_cand, dtype=np.float64)
     for pot in potentials:
         utils += pot.utils(n_cand)
-    if extra_utils is not None:
-        utils = utils + extra_utils
     pair_parts = [pot.pairs() for pot in potentials]
     ci = np.concatenate([p[0] for p in pair_parts]) if pair_parts else np.empty(0, dtype=np.int64)
     cj = np.concatenate([p[1] for p in pair_parts]) if pair_parts else np.empty(0, dtype=np.int64)
@@ -396,7 +384,6 @@ def run_half(
         phi_values=values,
         phi_total=total,
         phi_bound=phi_bound,
-        rounding=res,
     )
 
 
@@ -435,7 +422,7 @@ def build_low_potentials(
     d_total = len(edge_u)
     pots: list[QuadPotential] = []
     coef1 = np.full(n_buckets, 4.0 / d_total if d_total else 0.0)
-    pots.append(QuadPotential(members=members, coefs=coef1, b=b, name="phi_pair", bucket_tag=tag_u))
+    pots.append(QuadPotential(members=members, coefs=coef1, b=b, name="phi_pair"))
 
     den = np.zeros(len(u_ids), dtype=np.float64)
     np.add.at(den, edge_u, np.exp2(-lev_e.astype(np.float64)))
@@ -444,9 +431,7 @@ def build_low_potentials(
         coef2 = 4.0 * imp_u[tag_u] * np.exp2(-tag_lev.astype(np.float64)) / (tot_imp * den[tag_u])
     else:
         coef2 = np.zeros(n_buckets)
-    pots.append(
-        QuadPotential(members=members, coefs=coef2, b=b, name="phi_weighted", bucket_tag=tag_u)
-    )
+    pots.append(QuadPotential(members=members, coefs=coef2, b=b, name="phi_weighted"))
 
     pots.append(
         _interval_buckets(np.arange(n_cand, dtype=np.int64), b, 4.0 / (b * (n_cand // b)), "phi_size")
@@ -456,12 +441,10 @@ def build_low_potentials(
     return LowPotentialSet(pots=pots, den=den, tot_imp=tot_imp, tag_u=tag_u, tag_lev=tag_lev)
 
 
-def low_drift_rule(
-    lp: LowPotentialSet, selected: np.ndarray, b: int, params: ParamSet
-) -> np.ndarray:
+def low_drift_rule(lp: LowPotentialSet, selected: np.ndarray, b: int) -> np.ndarray:
     """Bad-node flag from the realized per-left potential share q.
 
-    q_u > 4 b^bad_exp can hold for at most a phi_weighted/(4 b^bad_exp)
+    q_u > 4 b^BAD_NODE_EXP can hold for at most a phi_weighted/(4 b^BAD_NODE_EXP)
     importance mass, by Markov over the realized weighted potential.
     """
     counts = lp.pots[0].counts(selected).astype(np.float64)
@@ -471,7 +454,7 @@ def low_drift_rule(
         np.add.at(q, lp.tag_u, 4.0 * np.exp2(-lp.tag_lev.astype(np.float64)) * sq)
     with np.errstate(invalid="ignore", divide="ignore"):
         q = np.where(lp.den > 0, q / lp.den, 0.0)
-    return q > 4.0 * b**params.bad_node_exp
+    return q > 4.0 * b**BAD_NODE_EXP
 
 
 # --- the regime driver ---------------------------------------------------------
@@ -615,7 +598,7 @@ class RegimeDriver:
             self.v_alive[h.cand[freeze]] = False
             kept = self.v_alive[sub.edge_v] & self.u_good[sub.edge_u]
             lhs = int(np.sum(kept)) + int(selected.sum())
-            rhs = (2.0 / 3.0) * (len(h.edge_u) + len(h.cand)) + self.params.additive_cap * log_n**2
+            rhs = (2.0 / 3.0) * (len(h.edge_u) + len(h.cand)) + ADDITIVE_CAP * log_n**2
             report["shrink_lhs"] = lhs
             report["shrink_rhs"] = rhs
             if lhs > rhs:
@@ -732,17 +715,17 @@ class RegimeDriver:
 
     def plan_low(self, sub, h: Halving) -> RoundPlan:
         """The three low potentials, each with mean at most 1, under 3.1."""
-        b, p = h.b, self.params
+        b = h.b
         u_ids = np.arange(sub.n_left, dtype=np.int64)
         lp = build_low_potentials(sub.imp, u_ids, h.levels, h.edge_u, h.edge_v, b, len(h.cand))
 
         def judge(half: HalfResult) -> tuple[np.ndarray, dict]:
             counts = lp.pots[0].counts(half.selected).astype(np.float64)
-            return low_drift_rule(lp, half.selected, b, p), {
+            return low_drift_rule(lp, half.selected, b), {
                 "buckets": int(lp.pots[0].n_buckets),
                 "tracked_importance": lp.tot_imp,
-                "good_importance_bound": 1.0 - 1.0 / float(b) ** p.bad_node_exp,
-                "drifted_buckets": int(np.sum(np.abs(counts - b / 2.0) >= b**p.drift_exp)),
+                "good_importance_bound": 1.0 - 1.0 / float(b) ** BAD_NODE_EXP,
+                "drifted_buckets": int(np.sum(np.abs(counts - b / 2.0) >= b**DRIFT_EXP)),
             }
 
         return RoundPlan(lp.pots, 1.0 / (EPS_DENOM_LOW * (b - 1)), LOW_POTENTIAL_BOUND, judge)
@@ -751,7 +734,7 @@ class RegimeDriver:
         """One bucket potential per left node, normalized by its whole alive
         neighborhood (candidates plus nodes waiting at lower levels) so its
         mean is at most imp/4; certified under half the importance."""
-        b, p = h.b, self.params
+        b = h.b
         members, tag_u, _ = _group_full_buckets(
             h.edge_u, np.zeros(len(h.edge_u), dtype=np.int64), h.edge_v, b
         )
@@ -759,7 +742,7 @@ class RegimeDriver:
         deg = np.bincount(sub.edge_u[alive], minlength=sub.n_left).astype(np.float64)
         with np.errstate(divide="ignore"):
             coef = np.where(deg[tag_u] > 0, sub.imp[tag_u] / deg[tag_u], 0.0)
-        pot = QuadPotential(members=members, coefs=coef, b=b, name="phi_high", bucket_tag=tag_u)
+        pot = QuadPotential(members=members, coefs=coef, b=b, name="phi_high")
         bound = float(np.sum(sub.imp[deg > 0])) / 2.0 if pot.n_buckets else 0.0
 
         def judge(half: HalfResult) -> tuple[np.ndarray, dict]:
@@ -768,9 +751,9 @@ class RegimeDriver:
             np.add.at(q, tag_u, sq)
             with np.errstate(invalid="ignore", divide="ignore"):
                 q = np.where(deg > 0, q / deg, 0.0)
-            return q > float(b) ** p.bad_node_exp, {
+            return q > float(b) ** BAD_NODE_EXP, {
                 "buckets": int(pot.n_buckets),
-                "good_importance_bound": 1.0 - 0.5 / float(b) ** p.bad_node_exp,
+                "good_importance_bound": 1.0 - 0.5 / float(b) ** BAD_NODE_EXP,
             }
 
         return RoundPlan([pot], 1.0 / (EPS_DENOM_HIGH * (b - 1)), bound, judge)

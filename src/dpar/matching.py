@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import color_delta_squared
-from .graph import Graph, sort_edges_to_csr
+from .graph import Graph, sort_edges_to_csr  # noqa: F401  (importable here for tools that trace it)
 from .hitting import BipartiteInstance, ParamSet, hitting_set
 from .verify import check_maximal_matching, require
 from .workcount import WorkCounter, charge
+
+MATCHING_FLOOR = 1  # the level the matching's hitting call halves down to
 
 
 @dataclass
@@ -31,25 +33,30 @@ class MatchingResult:
     work: WorkCounter
 
 
-def _pairs_within_groups(vals: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """All unordered id pairs sharing a value, as a (P, 2) array."""
-    order = np.lexsort((ids, vals))
-    sv, sid = vals[order], ids[order]
-    first = np.r_[True, sv[1:] != sv[:-1]] if len(sv) else np.empty(0, dtype=bool)
-    starts = np.flatnonzero(first)
-    grp = np.cumsum(first) - 1
-    pos = np.arange(len(sv), dtype=np.int64) - starts[grp]
-    total = int(pos.sum())
-    if total == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    # element at local pos p pairs with each of the p earlier group members
-    cum = np.cumsum(pos) - pos
-    idx = np.arange(len(sv), dtype=np.int64)
-    base = np.repeat(idx - pos, pos)
-    within = np.arange(total, dtype=np.int64) - np.repeat(cum, pos)
-    a = sid[base + within]
-    b = np.repeat(sid, pos)
-    return np.stack([a, b], axis=1)
+def _line_graph(e_u: np.ndarray, e_v: np.ndarray, n: int) -> Graph:
+    """The line graph of k distinct edges on nodes 0..n-1, in CSR form:
+    edge i conflicts with every other edge at e_u[i] or at e_v[i].
+
+    Two distinct edges of a simple graph share at most one endpoint, so
+    edge i's block is the incidence list of e_u[i], then that of e_v[i],
+    each without i itself; one argsort of the 2k endpoints gives both."""
+    k = len(e_u)
+    ends = np.concatenate([e_u, e_v])  # endpoint slot s belongs to edge s mod k
+    order = np.argsort(ends, kind="stable")  # slots grouped by endpoint
+    rank = np.empty(2 * k, dtype=np.int64)
+    rank[order] = np.arange(2 * k, dtype=np.int64)
+    deg = np.bincount(ends, minlength=n)
+    start = np.cumsum(deg) - deg
+    # per edge, its u-side slot and then its v-side slot, in CSR order
+    slot = np.stack([np.arange(k), np.arange(k, 2 * k)], axis=1).ravel()
+    seg = deg[ends[slot]] - 1
+    src = np.repeat(slot, seg)
+    pos = np.arange(len(src), dtype=np.int64) - np.repeat(np.cumsum(seg) - seg, seg)
+    pos += start[ends[src]]
+    pos += pos >= rank[src]  # skip the slot of the edge itself
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(seg[0::2] + seg[1::2], out=offsets[1:])
+    return Graph(n=k, offsets=offsets, nbrs=order[pos] % k)
 
 
 def _extract_matching(
@@ -68,13 +75,10 @@ def _extract_matching(
     k = len(e_u)
     if k == 0:
         return np.zeros(0, dtype=bool)
-    ends = np.concatenate([e_u, e_v])
-    eid = np.concatenate([np.arange(k, dtype=np.int64)] * 2)
-    conf = _pairs_within_groups(ends, eid)
-    if len(conf) == 0:
+    cg = _line_graph(e_u, e_v, n)
+    if cg.m == 0:
         return np.ones(k, dtype=bool)
-    charge(work, "match_conflicts", len(conf))
-    cg = sort_edges_to_csr(conf, k)
+    charge(work, "match_conflicts", cg.m)
     col = color_delta_squared(cg, work=work, threads=threads)
 
     chosen = np.zeros(k, dtype=bool)
@@ -141,7 +145,7 @@ def maximal_matching(
             edge_v=np.concatenate(h_v),
             size_param=max(g.n, 4),
         )
-        sel = hitting_set(inst, params, floor=params.matching_floor, work=work, threads=threads)
+        sel = hitting_set(inst, params, floor=MATCHING_FLOOR, work=work, threads=threads)
         cand_edges = edge_ids[sel.selected]
         if len(cand_edges) == 0:
             # certified selection came back empty; advance by one edge

@@ -34,6 +34,7 @@ import numpy as np
 from .coloring import color_delta_squared
 from .graph import Graph, compact_subgraph
 from .hitting import (
+    BAD_NODE_EXP,
     EPS_DENOM_HIGH,
     EPS_DENOM_LOW,
     BipartiteInstance,
@@ -98,11 +99,13 @@ class MisAuxInstance(BipartiteInstance):
                 raise ValueError("aux edge endpoint out of range")
             if np.any(self.aux_i == self.aux_j):
                 raise ValueError("aux self-loop")
-            code = (
+            code = np.sort(
                 np.minimum(self.aux_i, self.aux_j) * np.int64(n_v)
                 + np.maximum(self.aux_i, self.aux_j)
             )
-            if len(np.unique(code)) != len(code):
+            # sorting and comparing neighbors is far cheaper than the
+            # hash-based np.unique on large int64 arrays
+            if np.any(code[1:] == code[:-1]):
                 raise ValueError("duplicate aux edge")
         if len(self.aux_w) and self.aux_w.min() < 0:
             raise ValueError("negative aux weight")
@@ -135,11 +138,11 @@ class EdgeBucketing:
     def n_buckets(self) -> int:
         return len(self.specials) // self.b if self.b else 0
 
-    def potential(self, name: str = "phi_special") -> QuadPotential:
+    def potential(self) -> QuadPotential:
         """Bucket potential over the special endpoints with mean exactly 1."""
         k = self.n_buckets
         coef = np.full(k, 4.0 / (self.b * k) if k else 0.0)
-        return QuadPotential(members=self.specials, coefs=coef, b=self.b, name=name)
+        return QuadPotential(members=self.specials, coefs=coef, b=self.b, name="phi_special")
 
 
 def edge_buckets(
@@ -176,8 +179,8 @@ def edge_buckets(
         raise ValueError("edge endpoint out of range")
     if np.any(src == dst):
         raise ValueError("self-loop")
-    code = np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst)
-    if len(np.unique(code)) != m:
+    code = np.sort(np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst))
+    if np.any(code[1:] == code[:-1]):
         raise ValueError("duplicate edge")
 
     deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
@@ -429,7 +432,7 @@ class MisRegimeDriver(RegimeDriver):
     def plan_low(self, sub, h):
         if self.drift * (1.0 + h.gamma) > 2.0:
             raise RuntimeError("aux drift budget exhausted; too many low rounds")
-        b, p, lev, n_cand = h.b, self.params, h.levels, len(h.cand)
+        b, lev, n_cand = h.b, h.levels, len(h.cand)
         # per candidate: own vertex weight plus edges into the frozen set
         vw = sub.vert_w[h.cand] * np.exp2(-lev.astype(np.float64))
         _fold_cross(
@@ -454,13 +457,13 @@ class MisRegimeDriver(RegimeDriver):
             if trim_max > h.gamma * 2.0**h.level:
                 raise RuntimeError("bucket trim dropped too many edges of one watcher")
             phi_weighted = half.phi_values.get("phi_weighted", 0.0)
-            return low_drift_rule(lp, half.selected, b, p), {
+            return low_drift_rule(lp, half.selected, b), {
                 "cost_total": c_tot,
                 "aux_buckets": int(eb.n_buckets),
                 "aux_leftover": int(eb.leftover),
                 "tracked_importance": lp.tot_imp,
                 "good_importance_bound": max(
-                    0.0, 1.0 - phi_weighted / (4.0 * float(b) ** p.bad_node_exp)
+                    0.0, 1.0 - phi_weighted / (4.0 * float(b) ** BAD_NODE_EXP)
                 ),
                 "trim_dropped_max": trim_max,
             }
@@ -468,7 +471,7 @@ class MisRegimeDriver(RegimeDriver):
         return RoundPlan(pots, eps, LOW_BOUND_BASE + AUX_FACTOR_LOW / h.gamma, judge, len(ai))
 
     def plan_high(self, sub, h):
-        b, p, level = h.b, self.params, h.level
+        b, level = h.b, h.level
         is_cand = h.local >= 0
         # per candidate: own vertex weight plus edges into alive nodes that
         # wait below the level, at their own level
@@ -489,9 +492,7 @@ class MisRegimeDriver(RegimeDriver):
                 coef = np.where(
                     cand_deg[tag_u] > 0, 4.0 * sub.imp[tag_u] / (tot_imp * cand_deg[tag_u]), 0.0
                 )
-            pots.append(
-                QuadPotential(members=members, coefs=coef, b=b, name="phi_hits", bucket_tag=tag_u)
-            )
+            pots.append(QuadPotential(members=members, coefs=coef, b=b, name="phi_hits"))
         hit_pot = pots[0] if pots else None
         ai, aj, keep_a = _candidate_aux(sub, h)
         aw = sub.aux_w[keep_a] * 2.0 ** (-2.0 * level)
@@ -504,7 +505,7 @@ class MisRegimeDriver(RegimeDriver):
                 np.add.at(q, tag_u, 4.0 * sq)
                 with np.errstate(invalid="ignore", divide="ignore"):
                     q = np.where(cand_deg > 0, q / cand_deg, 0.0)
-            markov_thr = float(b) ** p.bad_node_exp
+            markov_thr = float(b) ** BAD_NODE_EXP
             phi_hits = half.phi_values.get("phi_hits", 0.0)
             return q > markov_thr, {
                 "cost_total": c_tot,
@@ -630,7 +631,6 @@ class IndependentishResult:
     keys: np.ndarray  # per node: (degree, id) orientation key
     watchers: np.ndarray  # bool: audited nodes
     dropped_watchers: int  # audited nodes whose in-neighborhood mass fell short
-    overshoot_drops: int  # audited nodes that shed their last in-neighbor
     removed_degree_fraction: float  # deg(s_star + neighbors) / |E|
     fallback: bool  # the defensive single-node selection fired
     core: CoreMisResult
@@ -681,16 +681,8 @@ def independentish_set(
 
     mass = np.zeros(n, dtype=np.float64)
     np.add.at(mass, owners[take], contrib[take])
-    # per-step mass is at most 1, so the first crossing of 5 lands in [5, 6];
-    # the overshoot branch (mass > 7: shed the last taken in-neighbor) stays
-    # for symmetry with the stated rule but cannot fire
-    overshoot = np.flatnonzero(mass > 7.0)
-    for u in overshoot:
-        lo, hi = g.offsets[u], g.offsets[u + 1]
-        idx = np.flatnonzero(take[lo:hi])
-        if len(idx):
-            take[lo + idx[-1]] = False
-            mass[u] -= contrib[lo + idx[-1]]
+    # per-step mass is at most 2^0 = 1, so the first crossing of 5 lands in
+    # [5, 6]; the certificate below holds the prefix rule to mass <= 7
     valid = mass >= 5.0
     dropped = int(np.sum(watchers & ~valid))
     watchers &= valid
@@ -747,7 +739,6 @@ def independentish_set(
         keys=key,
         watchers=watchers,
         dropped_watchers=dropped,
-        overshoot_drops=len(overshoot),
         removed_degree_fraction=frac,
         fallback=fallback,
         core=core,
@@ -854,7 +845,6 @@ def maximal_independent_set(
                 "palette": int(col.num_colors),
                 "fallback": ind.fallback,
                 "dropped_watchers": ind.dropped_watchers,
-                "overshoot_drops": ind.overshoot_drops,
             }
         )
         keep = ~removed

@@ -63,8 +63,3 @@ def prime_in_range(tables: NumberTheoryTables, x: int) -> int:
     if idx < len(tables.primes) and int(tables.primes[idx]) <= 2 * x:
         return int(tables.primes[idx])
     raise ValueError(f"no prime in [{x}, {2*x}]")
-
-
-def tables_for(limit_hint: int, work: WorkCounter | None = None) -> NumberTheoryTables:
-    """Tables sized for a requested bound, never below the sieve minimum."""
-    return precompute_tables(max(4, int(limit_hint)), work)

@@ -19,17 +19,9 @@ TILE = 1 << 14
 T = TypeVar("T")
 
 
-def tile_ranges(n: int, tile: int = TILE) -> list[tuple[int, int]]:
-    if n <= 0:
-        return []
-    return [(lo, min(lo + tile, n)) for lo in range(0, n, tile)]
-
-
-def map_tiles(
-    fn: Callable[[int, int], T], n: int, threads: int = 1, tile: int = TILE
-) -> list[T]:
+def map_tiles(fn: Callable[[int, int], T], n: int, threads: int = 1) -> list[T]:
     """Apply fn(lo, hi) to each tile of range(n); results in tile order."""
-    ranges = tile_ranges(n, tile)
+    ranges = [(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
     if threads <= 1 or len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -41,13 +33,3 @@ def tiled_sum(values: Sequence[float] | np.ndarray, threads: int = 1) -> float:
     arr = np.asarray(values, dtype=np.float64)
     partials = map_tiles(lambda lo, hi: float(np.sum(arr[lo:hi])), len(arr), threads)
     return math.fsum(partials)
-
-
-def tiled_concat(
-    fn: Callable[[int, int], np.ndarray], n: int, threads: int = 1
-) -> np.ndarray:
-    """Concatenate per-tile arrays of fn over range(n), in tile order."""
-    parts = map_tiles(fn, n, threads)
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)

@@ -24,7 +24,7 @@ count as uncut, and the cut is certified >= (1/2 - eps) * total weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class RoundingResult:
     lost_cost: float  # cost written off to monochromatic pairs
     scores: np.ndarray  # conditional score each node was decided on
     num_classes: int = 0
-    work: WorkCounter | None = field(default=None, repr=False)
 
 
 def _member_positions(sweep: ClassSweep, owners: np.ndarray) -> np.ndarray:

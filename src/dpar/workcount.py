@@ -26,10 +26,6 @@ class WorkCounter:
     def total(self) -> int:
         return sum(self.per_phase.values())
 
-    def merge(self, other: "WorkCounter") -> None:
-        for phase, units in other.per_phase.items():
-            self.per_phase[phase] = self.per_phase.get(phase, 0) + units
-
     def snapshot(self) -> dict[str, int]:
         return dict(sorted(self.per_phase.items()))
 

@@ -15,12 +15,13 @@ from dpar.generate import (
     powerlaw_graph,
     star_graph,
 )
-from dpar.graph import write_csr
+from dpar.graph import sort_edges_to_csr, write_csr
 from dpar.hitting import BipartiteInstance, ParamSet
 from dpar.verify import (
     check_defect_bound,
     check_hitting_window,
     check_maximal_independent,
+    check_matching,
     check_maximal_matching,
     cut_weight,
 )
@@ -73,6 +74,9 @@ def test_oracles_catch_bad_outputs():
     assert not ok and d["free_edges"] > 0
     asym = np.array([1, 2, 1, -1])
     assert not check_maximal_matching(g, asym)[0]
+    path = sort_edges_to_csr([(0, 1), (1, 2), (2, 3)], 4)
+    ok, d = check_matching(path, np.array([3, -1, -1, 0]))  # symmetric, but 0-3 is no edge
+    assert not ok and d["pairs_are_edges"] is False
 
     colors = np.zeros(4, dtype=np.int64)  # K4 all one color: every edge is bad
     ok, d = check_defect_bound(g, colors, eps=0.1, palette_cap=30)
@@ -209,9 +213,11 @@ def test_cli_defective_and_maxcut(tmp_path):
 def test_cli_rejects_unknown_param_override(tmp_path):
     path = edgelist_file(tmp_path, complete_graph(6))
     pfile = tmp_path / "p.json"
-    pfile.write_text(json.dumps({"nonsense_knob": 3}))
-    with pytest.raises(SystemExit):
-        main(["mis", "--input", path, "--params", str(pfile)])
+    # drift_exp is a module constant, not a ParamSet field
+    for key, value in (("nonsense_knob", 3), ("drift_exp", 0.5)):
+        pfile.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit, match=f"unknown parameter: {key}"):
+            main(["mis", "--input", path, "--params", str(pfile)])
 
 
 def test_cli_applies_param_overrides(tmp_path):

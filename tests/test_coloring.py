@@ -101,7 +101,6 @@ def test_isolated_nodes_collapse_to_residues():
         offsets=np.zeros(6, dtype=np.int64),
         nbrs=np.empty(0, dtype=np.int64),
         weights=None,
-        orientation=None,
     )
     col = color_delta_squared(g)
     assert col.colors.tolist() == [0, 1, 2, 0, 1]

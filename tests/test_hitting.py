@@ -92,6 +92,24 @@ def test_hset_round_trip(tmp_path):
     assert back.size_param == inst.size_param
 
 
+@pytest.mark.parametrize("section", ["header", "left", "right", "edge"])
+def test_hset_cut_inside_a_section_names_it(tmp_path, section):
+    rng = np.random.default_rng(2)
+    inst = crafted_instance(rng, 3, 40, 10, rng.integers(0, 9, size=40), size_param=1 << 20)
+    path = tmp_path / "inst.hset"
+    write_hset(path, inst)
+    lines = path.read_text().splitlines(keepends=True)
+    # magic, header, left, right and edge lines; keep one character of the
+    # section's last line
+    last = {"header": 1, "left": 1 + 3, "right": 1 + 3 + 40, "edge": len(lines) - 1}[section]
+    path.write_text("".join(lines[:last]) + lines[last][:1])
+    with pytest.raises(ValueError, match=f"truncated HSET file: {section} section"):
+        read_hset(path)
+    # the format has no edge count: a cut between edge lines loses edges
+    path.write_text("".join(lines[:-5]))
+    assert len(read_hset(path).edge_u) == len(inst.edge_u) - 5
+
+
 def test_hset_rejects_garbage(tmp_path):
     p = tmp_path / "bad.hset"
     p.write_text("NOPE\n1 1 4\n0 1.0\n0 2\n")

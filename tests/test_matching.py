@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dpar.generate import complete_graph, gnm_graph, star_graph
 from dpar.graph import Graph, sort_edges_to_csr
-from dpar.matching import _pairs_within_groups, maximal_matching
+from dpar.matching import _line_graph, maximal_matching
 from dpar.verify import check_maximal_matching
 
 
@@ -14,38 +14,44 @@ def path_graph(n):
     return sort_edges_to_csr(e, n)
 
 
-# --- conflict pair construction -----------------------------------------------
+# --- conflict (line) graph --------------------------------------------------------
 
 
-def test_pairs_within_groups_frozen():
-    vals = np.array([0, 0, 0, 1, 1, 2])
-    ids = np.array([10, 11, 12, 20, 21, 30])
-    pairs = _pairs_within_groups(vals, ids)
-    got = {frozenset(p) for p in pairs.tolist()}
-    assert got == {
-        frozenset({10, 11}),
-        frozenset({10, 12}),
-        frozenset({11, 12}),
-        frozenset({20, 21}),
-    }
+def _blocks(lg):
+    return [sorted(lg.nbrs[lg.offsets[i] : lg.offsets[i + 1]].tolist()) for i in range(lg.n)]
 
 
-def test_pairs_within_groups_empty_and_singletons():
-    assert _pairs_within_groups(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)).shape == (0, 2)
-    assert _pairs_within_groups(np.array([3, 4, 5]), np.array([0, 1, 2])).shape == (0, 2)
+def test_line_graph_frozen():
+    # edges 0-2 form a star at node 0; edge 3 = (3, 4) meets edge 2 at node 3
+    lg = _line_graph(np.array([0, 0, 0, 3]), np.array([1, 2, 3, 4]), 5)
+    assert _blocks(lg) == [[1, 2], [0, 2], [0, 1, 3], [2]]
+    lg.validate()
 
 
-@settings(deadline=None, max_examples=25)
-@given(seed=st.integers(0, 5000))
-def test_pairs_within_groups_counts(seed):
+def test_line_graph_without_conflicts():
+    lg = _line_graph(np.array([0, 2, 4]), np.array([1, 3, 5]), 6)
+    assert lg.n == 3 and lg.offsets.tolist() == [0, 0, 0, 0] and len(lg.nbrs) == 0
+    empty = np.empty(0, dtype=np.int64)
+    assert _line_graph(empty, empty, 3).offsets.tolist() == [0]
+
+
+@settings(deadline=None, max_examples=50)
+@given(seed=st.integers(0, 5000), n=st.integers(2, 24))
+def test_line_graph_matches_naive_reference(seed, n):
     rng = np.random.default_rng(seed)
-    vals = rng.integers(0, 8, size=40)
-    ids = np.arange(40)
-    pairs = _pairs_within_groups(vals, ids)
-    sizes = np.bincount(vals)
-    assert len(pairs) == int(np.sum(sizes * (sizes - 1) // 2))
-    assert np.all(vals[pairs[:, 0]] == vals[pairs[:, 1]])
-    assert np.all(pairs[:, 0] != pairs[:, 1])
+    iu, ju = np.triu_indices(n, k=1)
+    pick = rng.permutation(len(iu))[: rng.integers(0, len(iu) + 1)]
+    flip = rng.random(len(pick)) < 0.5  # either endpoint may come first
+    e_u = np.where(flip, ju[pick], iu[pick])
+    e_v = np.where(flip, iu[pick], ju[pick])
+    k = len(pick)
+    ref = [
+        [j for j in range(k) if j != i and {e_u[i], e_v[i]} & {e_u[j], e_v[j]}] for i in range(k)
+    ]
+    lg = _line_graph(e_u, e_v, n)
+    assert lg.offsets.tolist() == np.cumsum([0] + [len(r) for r in ref]).tolist()
+    assert _blocks(lg) == ref
+    lg.validate()
 
 
 # --- maximal matching -----------------------------------------------------------
