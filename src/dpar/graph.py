@@ -216,7 +216,9 @@ def read_csr(path: str) -> Graph:
 def graph_from_directed_slots(
     n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None = None
 ) -> Graph:
-    """CSR from already-symmetric directed slot lists (parallel slots kept)."""
+    """CSR from already-symmetric directed slot lists, sorted by (owner,
+    neighbor). Parallel slots are kept; rounding.local_round merges its
+    cost multiset first, so the cost graphs it builds here are simple."""
     order = stable_order_u64(src * n + dst)
     src, dst = src[order], dst[order]
     w = weights[order] if weights is not None else None

@@ -347,6 +347,8 @@ class HalfResult:
     phi_values: dict[str, float]
     phi_total: float
     phi_bound: float
+    cost_terms: int  # pair terms the potentials emitted
+    cost_pairs: int  # distinct candidate pairs among them
 
 
 def run_half(
@@ -384,6 +386,8 @@ def run_half(
         phi_values=values,
         phi_total=total,
         phi_bound=phi_bound,
+        cost_terms=len(cc),
+        cost_pairs=res.cost_pairs,
     )
 
 
@@ -685,6 +689,8 @@ class RegimeDriver:
             "phi": dict(half.phi_values),
             "phi_total": half.phi_total,
             "phi_bound": half.phi_bound,
+            "cost_terms": half.cost_terms,
+            "cost_pairs": half.cost_pairs,
             "bad_left": int(bad.sum()),
             "bad_importance": float(np.sum(sub.imp[bad])),
             **fields,

@@ -6,6 +6,12 @@ allowed):
 
     F(S) = sum_{v in S} util(v) - sum_{(i,j,c): i in S, j in S} c
 
+F depends on the cost terms only through the summed cost per node pair,
+so local_round first merges the cost multiset into a simple weighted
+graph, one slot pair per distinct node pair (bucket potentials emit the
+same pair many times over). The coloring and the sweep run on that graph;
+the certificate still evaluates F on the input terms.
+
 Including every node independently with probability 1/2 gives
 E[F] = util_total/2 - cost_total/4, so some S achieves that much. To find
 one deterministically, the cost pairs are defectively colored: pairs that
@@ -28,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import ClassSweep, class_sweep, defective_coloring
+from .coloring import ClassSweep, _first_of_runs, class_sweep, defective_coloring
 from .graph import Graph, graph_from_directed_slots
 from .ntheory import NumberTheoryTables
 from .parallel import tiled_sum
+from .sorting import stable_order_u64
 from .workcount import WorkCounter, charge
 
 
@@ -80,6 +87,7 @@ class RoundingResult:
     lost_cost: float  # cost written off to monochromatic pairs
     scores: np.ndarray  # conditional score each node was decided on
     num_classes: int = 0
+    cost_pairs: int = 0  # distinct node pairs among the cost terms
 
 
 def _member_positions(sweep: ClassSweep, owners: np.ndarray) -> np.ndarray:
@@ -88,6 +96,20 @@ def _member_positions(sweep: ClassSweep, owners: np.ndarray) -> np.ndarray:
     runs, one per node in node order."""
     per_node = np.bincount(owners, minlength=len(sweep.node_order))
     return np.repeat(np.arange(len(sweep.node_order), dtype=np.int64), per_node[sweep.node_order])
+
+
+def _merged_cost_pairs(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, cost) with one entry per distinct node pair lo < hi, in
+    ascending (lo, hi) order, its cost the sum of the pair's terms taken
+    in input order. The sort is not charged: local_round charges a unit
+    per input term."""
+    code = np.minimum(inst.cost_i, inst.cost_j) * inst.n + np.maximum(inst.cost_i, inst.cost_j)
+    order = stable_order_u64(code)
+    code = code[order]
+    first = _first_of_runs(code)
+    costs = np.bincount(np.cumsum(first) - 1, weights=inst.cost_c[order])
+    uniq = code[first]
+    return uniq // inst.n, uniq % inst.n, costs
 
 
 def evaluate_objective(inst: RoundingInstance, in_set: np.ndarray, threads: int = 1) -> float:
@@ -110,11 +132,9 @@ def local_round(
     bound = 0.5 * util_total - (0.25 + inst.eps) * cost_total
     charge(work, "local_round", n + len(inst.cost_c))
 
+    lo, hi, pair_c = _merged_cost_pairs(inst)
     cost_graph = graph_from_directed_slots(
-        n,
-        np.concatenate([inst.cost_i, inst.cost_j]),
-        np.concatenate([inst.cost_j, inst.cost_i]),
-        np.concatenate([inst.cost_c, inst.cost_c]),
+        n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([pair_c, pair_c])
     )
     col = defective_coloring(cost_graph, inst.eps, tables=tables, work=work, threads=threads)
     colors = col.colors
@@ -155,6 +175,7 @@ def local_round(
         lost_cost=lost,
         scores=scores,
         num_classes=col.num_colors,
+        cost_pairs=len(pair_c),
     )
 
 

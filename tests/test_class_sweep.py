@@ -4,6 +4,7 @@ defective_coloring (phase 2), local_round and max_cut_half decide a whole
 batch of color classes per step. The references below decide one class
 at a time, one node at a time, summing weights in slot order, so the
 batched code must match them exactly: colors, scores, sides and work.
+The rounding reference merges parallel cost terms with a plain dict.
 """
 
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpar.coloring import _defective_phase1, defective_coloring
-from dpar.graph import Graph, graph_from_directed_slots, sort_edges_to_csr
+from dpar.graph import Graph, sort_edges_to_csr
 from dpar.rounding import RoundingInstance, local_round, max_cut_half
 from dpar.workcount import WorkCounter, charge
 from test_coloring import random_graph
@@ -58,15 +59,27 @@ def reference_defective(g: Graph, eps: float) -> tuple[np.ndarray, float, int]:
 
 
 def reference_local_round(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarray, int]:
-    """(in_set, scores, work total) deciding one class at a time."""
+    """(in_set, scores, work total) deciding one class at a time, on a cost
+    graph with one slot pair per distinct node pair, its cost the sum of
+    the pair's terms in input order."""
     n = inst.n
     work = WorkCounter()
     charge(work, "local_round", n + len(inst.cost_c))
-    cost_graph = graph_from_directed_slots(
-        n,
-        np.concatenate([inst.cost_i, inst.cost_j]),
-        np.concatenate([inst.cost_j, inst.cost_i]),
-        np.concatenate([inst.cost_c, inst.cost_c]),
+    merged: dict[tuple[int, int], float] = {}
+    for i, j, c in zip(inst.cost_i.tolist(), inst.cost_j.tolist(), inst.cost_c.tolist()):
+        key = (min(i, j), max(i, j))
+        merged[key] = merged.get(key, 0.0) + c
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (i, j), c in merged.items():
+        adj[i].append((j, c))
+        adj[j].append((i, c))
+    for row in adj:
+        row.sort()
+    cost_graph = Graph(
+        n=n,
+        offsets=np.cumsum([0] + [len(row) for row in adj]).astype(np.int64),
+        nbrs=np.array([j for row in adj for j, _ in row], dtype=np.int64),
+        weights=np.array([c for row in adj for _, c in row], dtype=np.float64),
     )
     col = defective_coloring(cost_graph, inst.eps, work=work)
     colors = col.colors

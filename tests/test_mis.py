@@ -359,6 +359,16 @@ def test_independentish_complete_graph():
     assert res.core.selected.shape == (50,)
 
 
+def test_dense_halving_reports_merged_cost_pairs():
+    # watchers take the lowest-id prefix of their in-neighbors, so their
+    # clique buckets repeat pairs; the rounding colors each pair once
+    res = independentish_set(gnm_graph(540, 140_000, seed=1))
+    halvings = [r for r in res.core.rounds if "cost_terms" in r]
+    assert halvings
+    for r in halvings:
+        assert 0 < r["cost_pairs"] < r["cost_terms"]
+
+
 def test_independentish_small_degrees_take_everyone():
     g = ring_graph(12)  # degree 2 everywhere: level 0, no watchers
     res = independentish_set(g)

@@ -1,10 +1,14 @@
 """Guards for the shared low/high regime driver.
 
-The pinned digests and WorkCounter snapshots were recorded before
-hitting_set and core_mis_hitting moved onto one driver; they must keep
-matching. sqrt_tables is left out of the comparison: the driver shares
-its number-theory tables across the rounds of a call, so it may only
-charge fewer square-root tables than the pinned count.
+The pinned digests and WorkCounter snapshots must keep matching. The
+matching pin was recorded before hitting_set and core_mis_hitting moved
+onto one driver; no matching halving emits cost pairs, so it has not
+moved since. The other pins were recorded when local_round began merging
+parallel cost terms into one weighted pair per node pair, and when the
+round reports gained cost_terms and cost_pairs. sqrt_tables is left out
+of the comparison: the driver shares its number-theory tables across the
+rounds of a call, so it may only charge fewer square-root tables than
+the pinned count.
 """
 
 import dataclasses
@@ -146,12 +150,12 @@ RUNS = {
 }
 
 PINS = {
-    "hitting_high": ("965a67df1903f954", {'defective_phase1': 71280, 'defective_phase2': 37122, 'half_sample': 37122, 'high_regime_round': 3339, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 109884, 'recolor_slots': 72762, 'sqrt_tables': 6337, 'word_sort': 0}),
-    "hitting_both": ("a1b861b4a7c8eac0", {'defective_phase1': 188320, 'defective_phase2': 98231, 'half_sample': 98231, 'high_regime_round': 9134, 'hitting_finalize': 2408, 'local_round': 290622, 'low_regime_round': 2712, 'recolor_slots': 192391, 'sqrt_tables': 99171, 'word_sort': 0}),
-    "core_aux": ("a69dc41a5714688e", {'core_mis_finalize': 3640, 'defective_phase1': 82784, 'defective_phase2': 42592, 'half_sample': 42592, 'local_round': 126576, 'mis_high_round': 4832, 'mis_high_skip': 13, 'recolor_slots': 83984, 'sqrt_tables': 15803, 'word_sort': 0}),
-    "core_no_aux": ("d60268e9e7e76ce6", {'core_mis_finalize': 1416, 'defective_phase1': 47520, 'defective_phase2': 24960, 'half_sample': 24960, 'local_round': 73680, 'mis_high_round': 2608, 'mis_high_skip': 13, 'recolor_slots': 48720, 'sqrt_tables': 6337, 'word_sort': 0}),
-    "core_tall": ("8a4b3789301bbc2c", {'core_mis_finalize': 4495, 'defective_phase1': 48816, 'defective_phase2': 26668, 'edge_buckets': 1000, 'half_sample': 26668, 'local_round': 77744, 'mis_high_round': 3204, 'mis_low_round': 1388, 'recolor_slots': 51076, 'sqrt_tables': 1453927, 'word_sort': 0}),
-    "mis": ("ac7faf094c58d62a", {'class_union': 79, 'compact': 680004, 'core_mis_finalize': 234240, 'defective_phase1': 2611832, 'defective_phase2': 1306516, 'half_sample': 1306516, 'independentish': 340604, 'local_round': 3918636, 'mis_high_round': 234440, 'mis_high_skip': 5, 'prefix_sum': 13, 'recolor_slots': 2612477, 'sqrt_tables': 14977, 'word_sort': 0}),
+    "hitting_high": ("584de5c68733a97e", {'defective_phase1': 65232, 'defective_phase2': 34096, 'half_sample': 37120, 'high_regime_round': 3332, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 103832, 'recolor_slots': 66712, 'sqrt_tables': 6337, 'word_sort': 0}),
+    "hitting_both": ("f0c1354388f92ea6", {'defective_phase1': 129852, 'defective_phase2': 69005, 'half_sample': 98049, 'high_regime_round': 9350, 'hitting_finalize': 2408, 'local_round': 231980, 'low_regime_round': 2706, 'recolor_slots': 133931, 'sqrt_tables': 99171, 'word_sort': 0}),
+    "core_aux": ("2179040887914244", {'core_mis_finalize': 3640, 'defective_phase1': 74944, 'defective_phase2': 38672, 'half_sample': 42592, 'local_round': 118736, 'mis_high_round': 4832, 'mis_high_skip': 13, 'recolor_slots': 76144, 'sqrt_tables': 15803, 'word_sort': 0}),
+    "core_no_aux": ("ed123cbfd0e4b85e", {'core_mis_finalize': 1416, 'defective_phase1': 44356, 'defective_phase2': 23378, 'half_sample': 24960, 'local_round': 70516, 'mis_high_round': 2608, 'mis_high_skip': 13, 'recolor_slots': 45556, 'sqrt_tables': 6337, 'word_sort': 0}),
+    "core_tall": ("1b73e1caf0b24916", {'core_mis_finalize': 4495, 'defective_phase1': 40478, 'defective_phase2': 22483, 'edge_buckets': 999, 'half_sample': 26652, 'local_round': 69374, 'mis_high_round': 3190, 'mis_low_round': 1386, 'recolor_slots': 42722, 'sqrt_tables': 1403189, 'word_sort': 0}),
+    "mis": ("9303c521e4a0ca95", {'class_union': 160, 'compact': 681640, 'core_mis_finalize': 234649, 'defective_phase1': 243592, 'defective_phase2': 122396, 'half_sample': 1306516, 'independentish': 341450, 'local_round': 1550640, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 48, 'recolor_slots': 244281, 'sqrt_tables': 15009, 'word_sort': 0}),
     "matching": ("8bb61274daad00bc", {'high_regime_skip': 40, 'hitting_finalize': 21742, 'match_compact': 15977, 'match_conflicts': 211827, 'match_extract': 14028, 'match_sweep': 22051, 'recolor_slots': 4370309, 'sqrt_tables': 215, 'word_sort': 931032}),
 }
 

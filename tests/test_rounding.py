@@ -1,8 +1,11 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpar.rounding
 from dpar.graph import sort_edges_to_csr
 from dpar.rounding import (
     CutResult,
@@ -77,6 +80,57 @@ def test_parallel_cost_terms_accumulate():
     assert res.in_set.all()
     assert res.objective == pytest.approx(7.0)
     assert evaluate_objective(inst, res.in_set) == pytest.approx(7.0)
+
+
+@contextmanager
+def cost_graphs():
+    """Collect the cost graphs local_round builds inside the block."""
+    built = []
+    build = dpar.rounding.graph_from_directed_slots
+
+    def keep(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    dpar.rounding.graph_from_directed_slots = keep
+    try:
+        yield built
+    finally:
+        dpar.rounding.graph_from_directed_slots = build
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), eps_idx=st.integers(0, 2))
+def test_split_parallel_terms_round_like_the_merged_instance(seed, eps_idx):
+    # costs are multiples of 1/8 below 8, so halves and every sum are exact
+    eps = [0.5, 0.25, 0.1][eps_idx]
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+    pairs = pairs[rng.random(len(pairs)) < rng.random()]
+    pairs = pairs[rng.permutation(len(pairs))]
+    ci, cj = pairs[:, 0], pairs[:, 1]
+    cc = rng.integers(0, 64, size=len(pairs)) / 8.0
+    utils = rng.normal(0.0, 2.0, size=n)
+    whole = RoundingInstance(utils=utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=eps)
+    order = rng.permutation(2 * len(pairs))
+    split = RoundingInstance(
+        utils=utils,
+        cost_i=np.concatenate([ci, cj])[order],
+        cost_j=np.concatenate([cj, ci])[order],
+        cost_c=np.concatenate([cc, cc])[order] / 2.0,
+        eps=eps,
+    )
+    a = local_round(whole)
+    with cost_graphs() as built:
+        b = local_round(split)
+    assert np.array_equal(a.in_set, b.in_set)
+    assert np.array_equal(a.scores, b.scores)
+    assert a.bound == b.bound
+    assert a.cost_pairs == b.cost_pairs == len(pairs)
+    (g,) = built
+    codes = g.slot_owners() * n + g.nbrs
+    assert len(np.unique(codes)) == len(codes)
 
 
 def test_validation_errors():
