@@ -22,6 +22,16 @@ same batch, so phase 2 runs one batch of dependency-free classes at a
 time, in a fixed number of array operations per batch, with the result of
 the class-by-class order. The rounding sweeps in rounding.py use the same
 batches.
+
+Phase 2 needs no sort per batch. A node with d out-heads sees at most d
+head colors, so one of the colors 0..d is free and its answer lies there.
+Each node gets a row of cells for the colors 0..min(d, palette - 1) plus a
+spill cell for heads of a color past the row, laid out once per call in
+the sweep's node order; a batch's rows are then one contiguous range, and
+the batch is a bincount of head weights into its cells and a
+minimum.reduceat over the admissible ones. The polynomial rounds keep
+sorting their (node, point) pairs: their rows would span a node's whole
+point domain, which costs more memory and time than the sort.
 """
 
 from __future__ import annotations
@@ -450,6 +460,13 @@ def defective_coloring(
     phase-1 classes into the final palette in ascending order, one batch of
     dependency-free classes at a time (see class_sweep), losing at most
     eps/2.
+
+    Phase 2 lays out a row table once: per node, in the sweep's node order,
+    one cell per color 0..min(outdeg, palette2 - 1) plus a spill cell, so a
+    batch's rows are one contiguous range of cells. A batch gathers its
+    heads' final colors, sums the head weights into the cells with one
+    bincount (in slot order), compares every cell with its owner's budget
+    and takes each row's first admissible cell with one minimum.reduceat.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -467,28 +484,48 @@ def defective_coloring(
     osrc, odst, ow = src[out_mask], dst[out_mask], w[out_mask]
     # a node may take a color whose out-head weight is 0 or below its budget;
     # strict nodes (few out-edges) have budget 0, so only weight 0 will do
-    strict = np.bincount(osrc, minlength=n) < math.ceil(1.0 / eps)
+    outdeg = np.bincount(osrc, minlength=n)
+    strict = outdeg < math.ceil(1.0 / eps)
     budget = np.where(strict, 0.0, 0.5 * eps * np.bincount(osrc, weights=ow, minlength=n))
     sweep = class_sweep(colors, k, osrc, odst)
-    pal = np.int64(palette2)
-    okey = osrc[sweep.slot_order] * pal
+    batches = sweep.batches
     odst, ow = odst[sweep.slot_order], ow[sweep.slot_order]
-    dom2 = np.full(n, palette2, dtype=np.int64)
+    # the row table: per node, in node order, cells for the colors
+    # 0..min(outdeg, palette2 - 1) and one spill cell. At most outdeg colors
+    # carry head weight, so the row holds the answer; heads of a color past
+    # the row go to the spill cell, which is never admissible
+    row_deg = outdeg[sweep.node_order]
+    row_len = np.minimum(row_deg, palette2 - 1) + 2
+    row_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_len, out=row_start[1:])
+    col = np.arange(row_start[-1], dtype=np.int64) - np.repeat(row_start[:-1], row_len)
+    # a cell's weight w is admissible when w <= 0 or w < budget, which is
+    # w < fmax(budget, smallest positive float); never in a spill cell
+    limit = np.repeat(np.fmax(budget, np.nextafter(0.0, 1.0))[sweep.node_order], row_len)
+    limit[row_start[1:] - 1] = -np.inf
+    # rows and slots relative to the first cell of their batch
+    batch_cells = row_start[batches[:, 2:]]
+    row_rel = row_start[:-1] - np.repeat(batch_cells[:, 0], batches[:, 3] - batches[:, 2])
+    slot_row = np.repeat(np.arange(n, dtype=np.int64), row_deg)
+    slot_rel, slot_spill = row_rel[slot_row], row_len[slot_row] - 1
+    if len(batches):
+        charge(work, "defective_phase2", len(odst) + n)
+    big = np.int64(1) << 60
     final = np.zeros(n, dtype=np.int64)
-    for lo, hi, m0, m1 in sweep.batches:
-        charge(work, "defective_phase2", hi - lo + m1 - m0)
+    # one row at a time: Python ints for every batch, all live at once,
+    # would fragment the interpreter's small-object arenas (see class_sweep)
+    for batch in np.hstack([batches, batch_cells]):
+        lo, hi, m0, m1, c0, c1 = batch.tolist()
         if lo == hi:
             continue  # members without out-edges keep color 0
         # heads lie in classes before the batch, so their final colors are set
-        key = okey[lo:hi] + final[odst[lo:hi]]
-        korder = key.argsort(kind="stable")
-        key_s = key[korder]
-        first = _first_of_runs(key_s)
-        wsum = np.bincount(first.cumsum() - 1, weights=ow[lo:hi][korder])
-        uv, uc = np.divmod(key_s[first], pal)
-        adm = (wsum <= 0.0) | (wsum < budget[uv])
-        gids, best = _smallest_admissible(uv, uc, adm, dom2)
-        final[gids] = best
+        cell = np.minimum(final[odst[lo:hi]], slot_spill[lo:hi])
+        cell += slot_rel[lo:hi]
+        wsum = np.bincount(cell, weights=ow[lo:hi], minlength=c1 - c0)
+        cand = np.where(wsum < limit[c0:c1], col[c0:c1], big)
+        final[sweep.node_order[m0:m1]] = np.minimum.reduceat(cand, row_rel[m0:m1])
+    if n and final.max() >= big:
+        raise RuntimeError("no admissible point for some node; invariant broken")
     mono = float(np.sum(weights[final[owners] == final[g.nbrs]])) / 2.0
     if mono > eps * total_w + 1e-9 * max(total_w, 1.0):
         raise RuntimeError("defective coloring exceeded its monochromatic budget")

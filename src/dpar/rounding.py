@@ -102,13 +102,19 @@ def _merged_cost_pairs(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarray, 
     """(lo, hi, cost) with one entry per distinct node pair lo < hi, in
     ascending (lo, hi) order, its cost the sum of the pair's terms taken
     in input order. The sort is not charged: local_round charges a unit
-    per input term."""
-    code = np.minimum(inst.cost_i, inst.cost_j) * inst.n + np.maximum(inst.cost_i, inst.cost_j)
+    per input term. Temporaries are built in place and dropped early, since
+    the merge sets peak memory on dense instances."""
+    code = np.minimum(inst.cost_i, inst.cost_j)
+    code *= inst.n
+    code += np.maximum(inst.cost_i, inst.cost_j)
     order = stable_order_u64(code)
     code = code[order]
     first = _first_of_runs(code)
-    costs = np.bincount(np.cumsum(first) - 1, weights=inst.cost_c[order])
     uniq = code[first]
+    del code
+    groups = np.cumsum(first)
+    groups -= 1
+    costs = np.bincount(groups, weights=inst.cost_c[order])
     return uniq // inst.n, uniq % inst.n, costs
 
 

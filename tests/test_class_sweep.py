@@ -188,6 +188,53 @@ def test_batched_sweeps_match_class_by_class(seed, n, eps_idx):
         assert work.total == units
 
 
+def _phase2_rows(g: Graph, eps: float, final: np.ndarray) -> tuple[bool, bool]:
+    """(some node's row is capped at the palette, some head's final color
+    lies past its owner's row) for phase 2 of defective_coloring, whose row
+    for node v covers the colors 0..min(outdeg(v), palette2 - 1)."""
+    colors, _k, alive = _defective_phase1(g, eps, g.slot_owners(), g.weights, None, None, 1)
+    owners = g.slot_owners()
+    out = alive & (colors[owners] > colors[g.nbrs])
+    outdeg = np.bincount(owners[out], minlength=g.n)
+    last = np.minimum(outdeg, 3 * math.ceil(1.0 / eps) - 1)
+    capped = bool(np.any(outdeg > last))
+    past = bool(np.any(final[g.nbrs[out]] > last[owners[out]]))
+    return capped, past
+
+
+@pytest.mark.parametrize(
+    "edges, eps, capped, past, colors",
+    [
+        # a star centred on node 4 whose heads already hold colors 0 and 1
+        # with weight at its budget: 4 out-heads, palette 3, color 2 is left
+        ([(4, 0), (4, 1), (4, 2), (4, 3), (2, 0), (3, 1)], 1.0, True, False, [0, 0, 1, 1, 2]),
+        # a triangle colored 0, 1, 2 plus a pendant node 3 with one out-head,
+        # of color 2, past the pendant's row of colors 0..1
+        ([(0, 1), (0, 2), (1, 2), (2, 3)], 1.0, False, True, [0, 1, 2, 0]),
+        # at eps 0.25 a K4 colors 0..3 (its nodes have fewer than 4 out-edges,
+        # so only a color free of out-heads will do) and the pendant node 4
+        # has a head of color 3, two past its row
+        (
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)],
+            0.25,
+            False,
+            True,
+            [0, 1, 2, 3, 0],
+        ),
+    ],
+)
+def test_phase2_rows_capped_and_passed(edges, eps, capped, past, colors):
+    n = max(max(e) for e in edges) + 1
+    g = sort_edges_to_csr(np.array(edges, dtype=np.int64), n, weights=np.ones(len(edges)))
+    expected, mono, units = reference_defective(g, eps)
+    assert expected.tolist() == colors
+    assert _phase2_rows(g, eps, expected) == (capped, past)
+    work = WorkCounter()
+    col = defective_coloring(g, eps, work=work)
+    assert np.array_equal(col.colors, expected)
+    assert col.mono_weight == mono and work.total == units
+
+
 @pytest.mark.parametrize("seed", [7, 130])
 def test_phase2_recolors_classes_of_a_growing_phase1_round(seed):
     # seeds of test_coloring's property generator at eps 1.0 where the last
