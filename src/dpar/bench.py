@@ -1,5 +1,7 @@
-"""Benchmark harness: run algorithms over a config grid, re-verify every
-contract with the scanning oracles, and emit versioned JSON/CSV reports.
+"""Run reports: one per CLI subcommand, plus the MIS scaling series.
+
+Each run re-verifies every contract with the scanning oracles and
+returns a versioned report, which write_json saves.
 
 Every certificate in a report is recomputed from the raw outputs by the
 verify module; internal per-round diagnostics are carried separately
@@ -8,7 +10,6 @@ under "rounds"/"iterations" and never stand in for a certificate.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -29,13 +30,12 @@ from .workcount import WorkCounter
 REPORT_VERSION = "v1"
 
 
-def _report_shell(algorithm: str, g: Graph, params: ParamSet, threads: int) -> dict:
+def _report_shell(algorithm: str, g: Graph, params: ParamSet) -> dict:
     return {
         "version": REPORT_VERSION,
         "algorithm": algorithm,
         "input": {"nodes": int(g.n), "edges": int(g.m), "weighted": g.weights is not None},
         "mode": params.mode,
-        "threads": threads,
         "certificates": [],
         "oracles": {},
         "work": {},
@@ -66,11 +66,11 @@ def _finish(report: dict, work: WorkCounter, t0: float) -> dict:
     return report
 
 
-def run_color(g: Graph, params: ParamSet, threads: int = 1) -> dict:
-    rep = _report_shell("color", g, params, threads)
+def run_color(g: Graph, params: ParamSet) -> dict:
+    rep = _report_shell("color", g, params)
     work = WorkCounter()
     t0 = time.perf_counter()
-    col = color_delta_squared(g, work=work, threads=threads)
+    col = color_delta_squared(g, work=work)
     ok, d = verify.check_proper_coloring(g, col.colors)
     rep["oracles"]["proper"] = {"ok": ok, **d}
     rep["certificates"].append(_cert("monochromatic_edges", d["monochromatic_edges"], 0, ok, "<="))
@@ -79,12 +79,12 @@ def run_color(g: Graph, params: ParamSet, threads: int = 1) -> dict:
     return _finish(rep, work, t0)
 
 
-def run_defective(g: Graph, eps: float, params: ParamSet, threads: int = 1) -> dict:
-    rep = _report_shell("defective", g, params, threads)
+def run_defective(g: Graph, eps: float, params: ParamSet) -> dict:
+    rep = _report_shell("defective", g, params)
     rep["eps"] = eps
     work = WorkCounter()
     t0 = time.perf_counter()
-    col = defective_coloring(g, eps, work=work, threads=threads)
+    col = defective_coloring(g, eps, work=work)
     cap = 3 * math.ceil(1.0 / eps)
     ok, d = verify.check_defect_bound(g, col.colors, eps, palette_cap=cap)
     rep["oracles"]["defect"] = {"ok": ok, **d}
@@ -95,19 +95,19 @@ def run_defective(g: Graph, eps: float, params: ParamSet, threads: int = 1) -> d
     return _finish(rep, work, t0)
 
 
-def run_maxcut(g: Graph, eps: float, params: ParamSet, threads: int = 1) -> dict:
-    rep = _report_shell("maxcut", g, params, threads)
+def run_maxcut(g: Graph, eps: float, params: ParamSet) -> dict:
+    rep = _report_shell("maxcut", g, params)
     rep["eps"] = eps
     work = WorkCounter()
     t0 = time.perf_counter()
-    cut = max_cut_half(g, eps, work=work, threads=threads)
+    cut = max_cut_half(g, eps, work=work)
     ok, d = verify.check_cut_bound(g, cut.side, eps)
     rep["oracles"]["cut"] = {"ok": ok, **d}
     rep["certificates"].append(_cert("cut_weight", d["cut_weight"], d["bound"], ok, ">="))
     return _finish(rep, work, t0)
 
 
-def run_hitting(inst: BipartiteInstance, params: ParamSet, threads: int = 1) -> dict:
+def run_hitting(inst: BipartiteInstance, params: ParamSet) -> dict:
     rep = {
         "version": REPORT_VERSION,
         "algorithm": "hitting-set",
@@ -117,13 +117,12 @@ def run_hitting(inst: BipartiteInstance, params: ParamSet, threads: int = 1) -> 
             "edges": int(len(inst.edge_u)),
         },
         "mode": params.mode,
-        "threads": threads,
         "certificates": [],
         "oracles": {},
     }
     work = WorkCounter()
     t0 = time.perf_counter()
-    res = hitting_set(inst, params, work=work, threads=threads)
+    res = hitting_set(inst, params, work=work)
     ok, d = verify.check_hitting_window(
         inst.imp, inst.levels, inst.edge_u, inst.edge_v, res.selected, floor=params.high_floor_hitting
     )
@@ -147,11 +146,11 @@ def run_hitting(inst: BipartiteInstance, params: ParamSet, threads: int = 1) -> 
     return _finish(rep, work, t0)
 
 
-def run_matching(g: Graph, params: ParamSet, threads: int = 1) -> dict:
-    rep = _report_shell("matching", g, params, threads)
+def run_matching(g: Graph, params: ParamSet) -> dict:
+    rep = _report_shell("matching", g, params)
     work = WorkCounter()
     t0 = time.perf_counter()
-    res = maximal_matching(g, params, work=work, threads=threads)
+    res = maximal_matching(g, params, work=work)
     ok, d = verify.check_maximal_matching(g, res.match_with)
     rep["oracles"]["maximal_matching"] = {"ok": ok, **d}
     rep["certificates"].append(_cert("free_edges", d.get("free_edges", 0), 0, ok, "<="))
@@ -160,11 +159,11 @@ def run_matching(g: Graph, params: ParamSet, threads: int = 1) -> dict:
     return _finish(rep, work, t0)
 
 
-def run_mis(g: Graph, params: ParamSet, threads: int = 1) -> dict:
-    rep = _report_shell("mis", g, params, threads)
+def run_mis(g: Graph, params: ParamSet) -> dict:
+    rep = _report_shell("mis", g, params)
     work = WorkCounter()
     t0 = time.perf_counter()
-    res = maximal_independent_set(g, params, work=work, threads=threads)
+    res = maximal_independent_set(g, params, work=work)
     ok, d = verify.check_maximal_independent(g, res.in_set)
     rep["oracles"]["maximal_independent"] = {"ok": ok, **d}
     rep["certificates"].append(_cert("conflict_edges", d["conflict_edges"], 0, d["conflict_edges"] == 0, "<="))
@@ -174,8 +173,8 @@ def run_mis(g: Graph, params: ParamSet, threads: int = 1) -> dict:
     return _finish(rep, work, t0)
 
 
-def run_luby(g: Graph, params: ParamSet, seed: int = 0, threads: int = 1) -> dict:
-    rep = _report_shell("luby", g, params, threads)
+def run_luby(g: Graph, params: ParamSet, seed: int = 0) -> dict:
+    rep = _report_shell("luby", g, params)
     rep["seed"] = seed
     work = WorkCounter()
     t0 = time.perf_counter()
@@ -189,34 +188,8 @@ def run_luby(g: Graph, params: ParamSet, seed: int = 0, threads: int = 1) -> dic
     return _finish(rep, work, t0)
 
 
-def run_algorithm(
-    algorithm: str,
-    g: Graph,
-    params: ParamSet,
-    threads: int = 1,
-    seed: int = 0,
-    eps: float = 0.25,
-) -> dict:
-    if algorithm == "color":
-        return run_color(g, params, threads)
-    if algorithm == "defective":
-        return run_defective(g, eps, params, threads)
-    if algorithm == "maxcut":
-        return run_maxcut(g, eps, params, threads)
-    if algorithm == "matching":
-        return run_matching(g, params, threads)
-    if algorithm == "mis":
-        return run_mis(g, params, threads)
-    if algorithm == "luby":
-        return run_luby(g, params, seed, threads)
-    raise ValueError(f"unknown algorithm: {algorithm}")
-
-
 def scaling_series(
-    exponents: list[int],
-    deg_factor: int = 8,
-    params: ParamSet | None = None,
-    threads: int = 1,
+    exponents: list[int], deg_factor: int = 8, params: ParamSet | None = None
 ) -> list[dict]:
     """Work-per-size rows for the deterministic MIS and the Luby baseline
     on a doubling gnm family with m = deg_factor * n (graph seed 1 + e and
@@ -226,8 +199,8 @@ def scaling_series(
     for e in exponents:
         n = 1 << e
         g = generate_graph("gnm", n=n, m=deg_factor * n, seed=1 + e)
-        det = run_mis(g, params, threads)
-        lub = run_luby(g, params, seed=2 + e, threads=threads)
+        det = run_mis(g, params)
+        lub = run_luby(g, params, seed=2 + e)
         rows.append(
             {
                 "n": n,
@@ -245,52 +218,6 @@ def scaling_series(
     return rows
 
 
-def run_bench(config: dict, out_json: str | None = None, out_csv: str | None = None) -> list[dict]:
-    """Execute a config grid: {"cells": [{algorithm, graph, mode, threads,
-    seed, eps}, ...], "scaling": {exponents, deg_factor, ...}?}."""
-    reports: list[dict] = []
-    for cell in config.get("cells", []):
-        gspec = dict(cell.get("graph", {}))
-        kind = gspec.pop("kind", "gnm")
-        g = generate_graph(kind, **gspec)
-        mode = cell.get("mode", "desk")
-        params = ParamSet.paper() if mode == "paper" else ParamSet.desk()
-        rep = run_algorithm(
-            cell.get("algorithm", "mis"),
-            g,
-            params,
-            threads=int(cell.get("threads", 1)),
-            seed=int(cell.get("seed", 0)),
-            eps=float(cell.get("eps", 0.25)),
-        )
-        rep["cell"] = cell
-        reports.append(rep)
-    if "scaling" in config:
-        sc = config["scaling"]
-        rows = scaling_series(
-            list(sc.get("exponents", [12, 13, 14])),
-            deg_factor=int(sc.get("deg_factor", 8)),
-            params=ParamSet.paper() if sc.get("mode") == "paper" else ParamSet.desk(),
-            threads=int(sc.get("threads", 1)),
-        )
-        reports.append({"version": REPORT_VERSION, "algorithm": "scaling", "rows": rows,
-                        "ok": all(r["det_ok"] and r["luby_ok"] for r in rows)})
-    if out_json:
-        write_json(out_json, reports)
-    if out_csv:
-        flat = [r for rep in reports for r in rep.get("rows", [])] or [
-            {
-                "algorithm": r["algorithm"],
-                "ok": r["ok"],
-                "work_total": r.get("work_total", 0),
-                "wall_time": r.get("wall_time", 0.0),
-            }
-            for r in reports
-        ]
-        write_csv(out_csv, flat)
-    return reports
-
-
 def _jsonable(obj: Any) -> Any:
     if isinstance(obj, np.integer):
         return int(obj)
@@ -304,16 +231,3 @@ def _jsonable(obj: Any) -> Any:
 def write_json(path: str, obj: Any) -> None:
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, default=_jsonable)
-
-
-def write_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        with open(path, "w") as f:
-            f.write("")
-        return
-    keys = list(rows[0].keys())
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=keys)
-        w.writeheader()
-        for r in rows:
-            w.writerow({k: r.get(k) for k in keys})

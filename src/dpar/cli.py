@@ -1,6 +1,6 @@
 """Command-line harness.
 
-Subcommands: color, defective, maxcut, hitting-set, matching, mis, bench.
+Subcommands: color, defective, maxcut, hitting-set, matching, mis.
 Every run re-verifies its output with the scanning oracles and exits 0
 only when all of them pass; --report writes the full JSON report.
 """
@@ -12,8 +12,6 @@ import dataclasses
 import json
 import sys
 import typing
-
-import numpy as np
 
 from . import bench
 from .graph import Graph, read_csr, read_edgelist, sort_edges_to_csr
@@ -75,8 +73,8 @@ def _emit(report: dict, args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sp, graph_input: bool = True):
-    sp.add_argument("--input", required=graph_input, help="input file")
+def _add_common(sp):
+    sp.add_argument("--input", required=True, help="input file")
     sp.add_argument(
         "--format",
         default="edgelist",
@@ -85,7 +83,6 @@ def _add_common(sp, graph_input: bool = True):
     )
     sp.add_argument("--params", help="JSON file with parameter overrides")
     sp.add_argument("--mode", default="desk", choices=["paper", "desk"])
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0, help="baseline RNG seed")
     sp.add_argument("--report", help="write the JSON report here")
 
@@ -108,29 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     sp = sub.add_parser("hitting-set")
     _add_common(sp)
 
-    sp = sub.add_parser("bench")
-    sp.add_argument("--config", help="JSON grid config; omit for the default smoke grid")
-    sp.add_argument("--report", help="write the JSON reports here")
-    sp.add_argument("--csv", help="write the CSV summary here")
-
     args = ap.parse_args(argv)
-
-    if args.command == "bench":
-        if args.config:
-            with open(args.config) as f:
-                config = json.load(f)
-        else:
-            config = {
-                "cells": [
-                    {"algorithm": "mis", "graph": {"kind": "gnm", "n": 512, "m": 2048, "seed": 1}},
-                    {"algorithm": "matching", "graph": {"kind": "gnm", "n": 512, "m": 2048, "seed": 2}},
-                ]
-            }
-        reports = bench.run_bench(config, out_json=args.report, out_csv=args.csv)
-        ok = all(r.get("ok") for r in reports) if reports else True
-        for r in reports:
-            print(f"{r['algorithm']}: {'ok' if r.get('ok') else 'FAIL'}")
-        return 0 if ok else 1
 
     params = _load_params(args)
 
@@ -138,23 +113,23 @@ def main(argv: list[str] | None = None) -> int:
         if args.format != "hset":
             raise SystemExit("hitting-set expects --format hset")
         inst = read_hset(args.input)
-        report = bench.run_hitting(inst, params, threads=args.threads)
+        report = bench.run_hitting(inst, params)
         return _emit(report, args)
 
     g = _load_graph(args)
     if args.command == "color":
-        report = bench.run_color(g, params, threads=args.threads)
+        report = bench.run_color(g, params)
     elif args.command == "defective":
-        report = bench.run_defective(g, args.eps, params, threads=args.threads)
+        report = bench.run_defective(g, args.eps, params)
     elif args.command == "maxcut":
-        report = bench.run_maxcut(g, args.eps, params, threads=args.threads)
+        report = bench.run_maxcut(g, args.eps, params)
     elif args.command == "matching":
-        report = bench.run_matching(g, params, threads=args.threads)
+        report = bench.run_matching(g, params)
     elif args.command == "mis":
         if args.baseline:
-            report = bench.run_luby(g, params, seed=args.seed, threads=args.threads)
+            report = bench.run_luby(g, params, seed=args.seed)
         else:
-            report = bench.run_mis(g, params, threads=args.threads)
+            report = bench.run_mis(g, params)
     else:  # pragma: no cover
         raise SystemExit(f"unknown command {args.command}")
     return _emit(report, args)

@@ -43,11 +43,11 @@ import numpy as np
 
 from .graph import Graph
 from .ntheory import NumberTheoryTables, precompute_tables, prime_in_range
-from .parallel import map_tiles
 from .sorting import stable_order_u64
 from .workcount import WorkCounter, charge
 
 MAX_FIELD = 1 << 23  # int64 stays exact for all modular products below this
+TILE = 1 << 14  # conflict slots per slice of a recoloring round's root search
 
 
 @dataclass
@@ -181,7 +181,6 @@ def _kernel_round(
     budget: np.ndarray | None,
     zero_budget_nodes: np.ndarray | None,
     work: WorkCounter | None,
-    threads: int = 1,
 ) -> np.ndarray:
     """One recoloring round over conflict slots (src -> dst).
 
@@ -199,19 +198,16 @@ def _kernel_round(
     a_all, b_all, c_all = _poly_coeffs(colors, p)
     charge(work, "recolor_slots", len(src) + n)
 
-    def per_tile(lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        s, d = src[lo:hi], dst[lo:hi]
+    # one slice of TILE slots at a time keeps the root search's temporaries small
+    parts = []
+    for lo in range(0, len(src), TILE):
+        s, d = src[lo : lo + TILE], dst[lo : lo + TILE]
         da = a_all[d] - a_all[s]
         db = b_all[d] - b_all[s]
         dc = c_all[d] - c_all[s]
-        return _conflict_roots(da, db, dc, p, sqrt_tab)
-
-    parts = map_tiles(per_tile, len(src), threads)
+        parts.append(_conflict_roots(da, db, dc, p, sqrt_tab))
     if parts:
-        r1 = np.concatenate([t[0] for t in parts])
-        ok1 = np.concatenate([t[1] for t in parts])
-        r2 = np.concatenate([t[2] for t in parts])
-        ok2 = np.concatenate([t[3] for t in parts])
+        r1, ok1, r2, ok2 = (np.concatenate(cols) for cols in zip(*parts))
     else:
         r1 = r2 = np.empty(0, dtype=np.int64)
         ok1 = ok2 = np.empty(0, dtype=bool)
@@ -260,7 +256,6 @@ def reduce_colors_once(
     delta: int | None = None,
     orientation: np.ndarray | None = None,
     work: WorkCounter | None = None,
-    threads: int = 1,
 ) -> Coloring:
     """One proper polynomial recoloring round; palette stays proper.
 
@@ -279,7 +274,7 @@ def reduce_colors_once(
     p = prime_in_range(tables, kprime)
     domain = np.minimum(np.maximum(3 * cdeg, 1), p)
     new_colors = _kernel_round(
-        g.n, current.colors, k, kprime, tables, src, dst, None, domain, None, None, work, threads
+        g.n, current.colors, k, kprime, tables, src, dst, None, domain, None, None, work
     )
     if len(src) and np.any(new_colors[src] == new_colors[dst]):
         raise RuntimeError("recoloring produced a monochromatic conflict edge")
@@ -296,7 +291,6 @@ def color_delta_squared(
     g: Graph,
     orientation: np.ndarray | None = None,
     work: WorkCounter | None = None,
-    threads: int = 1,
 ) -> Coloring:
     """Proper coloring with a palette polynomial in the max conflict degree.
 
@@ -309,9 +303,7 @@ def color_delta_squared(
     tables = precompute_tables(tables_limit_for(g.n, delta))
     cur = Coloring(colors=np.arange(g.n, dtype=np.int64), num_colors=max(g.n, 1))
     while True:
-        nxt = reduce_colors_once(
-            g, cur, tables, delta=delta, orientation=orientation, work=work, threads=threads
-        )
+        nxt = reduce_colors_once(g, cur, tables, delta=delta, orientation=orientation, work=work)
         if nxt.num_colors >= cur.num_colors:
             return cur
         cur = nxt
@@ -400,7 +392,6 @@ def _defective_phase1(
     weights: np.ndarray,
     tables: NumberTheoryTables | None,
     work: WorkCounter | None,
-    threads: int,
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """Budgeted polynomial rounds of defective_coloring (owners: the slot
     owners of g).
@@ -428,7 +419,7 @@ def _defective_phase1(
         domain = np.maximum(domain, 1).astype(np.int64)
         budget = eps1 * incident
         new_colors = _kernel_round(
-            n, colors, k, kprime, tables, src, dst, w, domain, budget, low, work, threads
+            n, colors, k, kprime, tables, src, dst, w, domain, budget, low, work
         )
         lost = new_colors[src] == new_colors[dst]
         if np.any(lost & low[src] & (w > 0)):
@@ -449,7 +440,6 @@ def defective_coloring(
     eps: float,
     tables: NumberTheoryTables | None = None,
     work: WorkCounter | None = None,
-    threads: int = 1,
 ) -> Coloring:
     """Color with at most 3*ceil(1/eps) colors, monochromatic weight <= eps
     times the total edge weight.
@@ -475,7 +465,7 @@ def defective_coloring(
     total_w = float(np.sum(weights)) / 2.0
     palette2 = 3 * math.ceil(1.0 / eps)
     owners = g.slot_owners()
-    colors, k, alive = _defective_phase1(g, eps, owners, weights, tables, work, threads)
+    colors, k, alive = _defective_phase1(g, eps, owners, weights, tables, work)
 
     # phase 2: orient high -> low phase-1 color; a node picks the smallest
     # final color whose weight among its out-heads stays under its budget

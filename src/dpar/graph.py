@@ -19,6 +19,11 @@ from .workcount import WorkCounter, charge
 CSR_MAGIC = b"DPAR1"
 
 
+def _check_weights(w: np.ndarray) -> None:
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("edge weights must be finite and nonnegative")
+
+
 @dataclass
 class Graph:
     n: int
@@ -57,8 +62,10 @@ class Graph:
         rev = self.nbrs * self.n + owners
         if not np.array_equal(np.sort(fwd), np.sort(rev)):
             raise ValueError("adjacency not symmetric")
-        if self.weights is not None and len(self.weights) != len(self.nbrs):
-            raise ValueError("aligned array length mismatch")
+        if self.weights is not None:
+            if len(self.weights) != len(self.nbrs):
+                raise ValueError("aligned array length mismatch")
+            _check_weights(self.weights)
 
 
 def sort_edges_to_csr(
@@ -66,8 +73,9 @@ def sort_edges_to_csr(
 ) -> Graph:
     """Build a CSR graph from an undirected edge list.
 
-    Self-loops and out-of-range endpoints raise; duplicate edges are merged
-    (weights of duplicates are summed).
+    Self-loops, out-of-range endpoints and weights that are negative, NaN
+    or infinite raise; duplicate edges are merged (weights of duplicates
+    are summed).
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if n < 1:
@@ -82,6 +90,7 @@ def sort_edges_to_csr(
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (len(e),):
             raise ValueError("weights length mismatch")
+        _check_weights(w)
     # canonicalize, dedupe undirected pairs
     lo = np.minimum(e[:, 0], e[:, 1])
     hi = np.maximum(e[:, 0], e[:, 1])
@@ -188,7 +197,8 @@ def write_csr(path: str, g: Graph) -> None:
 
 def read_csr(path: str) -> Graph:
     """Read write_csr's format. A file cut short raises ValueError naming
-    the section it ends in (header, offsets, nbrs or weights)."""
+    the section it ends in (header, offsets, nbrs or weights); so does a
+    graph that fails Graph.validate, bad weights included."""
     with open(path, "rb") as fh:
         if fh.read(5) != CSR_MAGIC:
             raise ValueError("bad magic; not a CSR graph file")

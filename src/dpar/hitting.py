@@ -358,7 +358,6 @@ def run_half(
     phi_bound: float,
     tables: NumberTheoryTables | None = None,
     work: WorkCounter | None = None,
-    threads: int = 1,
 ) -> HalfResult:
     """One derandomized halving of n_cand candidates against the potentials.
 
@@ -374,7 +373,7 @@ def run_half(
     cc = np.concatenate([p[2] for p in pair_parts]) if pair_parts else np.empty(0, dtype=np.float64)
     charge(work, "half_sample", n_cand + len(ci))
     inst = RoundingInstance(utils=utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=eps)
-    res = local_round(inst, tables=tables, work=work, threads=threads)
+    res = local_round(inst, tables=tables, work=work)
     values = {pot.name: pot.value(res.in_set) for pot in potentials}
     total = math.fsum(values.values())
     if total > phi_bound:
@@ -547,13 +546,10 @@ class RegimeDriver:
     tags = {"low": "low", "high": "high"}  # the rounds' "regime" field
     labels = {"low": "low_regime_round", "high": "high_regime_round", "skip": "high_regime_skip"}
 
-    def __init__(
-        self, params: ParamSet, floor: int, work: WorkCounter | None = None, threads: int = 1
-    ):
+    def __init__(self, params: ParamSet, floor: int, work: WorkCounter | None = None):
         self.params = params
         self.floor = floor
         self.work = work
-        self.threads = threads
         self.tables: NumberTheoryTables | None = None
 
     def run(self, inst: BipartiteInstance) -> tuple[np.ndarray, np.ndarray, list[dict]]:
@@ -669,15 +665,7 @@ class RegimeDriver:
         need = defective_tables_limit(n_cand, plan.eps)
         if self.tables is None or self.tables.limit < need:
             self.tables = precompute_tables(need)
-        half = run_half(
-            n_cand,
-            plan.pots,
-            plan.eps,
-            plan.bound,
-            tables=self.tables,
-            work=self.work,
-            threads=self.threads,
-        )
+        half = run_half(n_cand, plan.pots, plan.eps, plan.bound, tables=self.tables, work=self.work)
         bad, fields = plan.judge(half)
         self.u_good &= ~bad
         report = {
@@ -785,7 +773,7 @@ def hitting_set(
     params: ParamSet | None = None,
     floor: int | None = None,
     work: WorkCounter | None = None,
-    threads: int = 1,
+    threads: int = 1,  # accepted for benchmark/workloads.py, which passes threads=1
 ) -> HittingResult:
     """Select right nodes so each left node's hit count tracks its
     expectation sum 2^-k (up to the measured constant and the floor).
@@ -794,10 +782,12 @@ def hitting_set(
     regime (only left nodes with at least degree_floor such neighbors are
     protected there), then everything is halved to the floor level.
     """
+    if threads != 1:
+        raise ValueError("dpar runs sequentially; threads must be 1")
     params = params or ParamSet.desk()
     work = work if work is not None else WorkCounter()
     floor = params.high_floor_hitting if floor is None else floor
-    selected, _, rounds = RegimeDriver(params, floor, work, threads).run(inst)
+    selected, _, rounds = RegimeDriver(params, floor, work).run(inst)
 
     hits = np.zeros(inst.n_left, dtype=np.int64)
     np.add.at(hits, inst.edge_u, selected[inst.edge_v].astype(np.int64))

@@ -64,7 +64,6 @@ def _extract_matching(
     e_v: np.ndarray,
     n: int,
     work: WorkCounter | None,
-    threads: int,
 ) -> np.ndarray:
     """Maximal (greedy) sub-matching of the given edge set, as a bool mask.
 
@@ -79,7 +78,7 @@ def _extract_matching(
     if cg.m == 0:
         return np.ones(k, dtype=bool)
     charge(work, "match_conflicts", cg.m)
-    col = color_delta_squared(cg, work=work, threads=threads)
+    col = color_delta_squared(cg, work=work)
 
     chosen = np.zeros(k, dtype=bool)
     used = np.zeros(n, dtype=bool)
@@ -101,9 +100,11 @@ def maximal_matching(
     g: Graph,
     params: ParamSet | None = None,
     work: WorkCounter | None = None,
-    threads: int = 1,
+    threads: int = 1,  # accepted for benchmark/workloads.py, which passes threads=1
 ) -> MatchingResult:
     """Deterministic maximal matching of an undirected graph."""
+    if threads != 1:
+        raise ValueError("dpar runs sequentially; threads must be 1")
     params = params or ParamSet.desk()
     work = work if work is not None else WorkCounter()
     owners = g.slot_owners()
@@ -145,12 +146,12 @@ def maximal_matching(
             edge_v=np.concatenate(h_v),
             size_param=max(g.n, 4),
         )
-        sel = hitting_set(inst, params, floor=MATCHING_FLOOR, work=work, threads=threads)
+        sel = hitting_set(inst, params, floor=MATCHING_FLOOR, work=work)
         cand_edges = edge_ids[sel.selected]
         if len(cand_edges) == 0:
             # certified selection came back empty; advance by one edge
             cand_edges = edge_ids[:1]
-        taken = _extract_matching(e_u[cand_edges], e_v[cand_edges], g.n, work, threads)
+        taken = _extract_matching(e_u[cand_edges], e_v[cand_edges], g.n, work)
         mu, mv = e_u[cand_edges[taken]], e_v[cand_edges[taken]]
         match_with[mu] = mv
         match_with[mv] = mu

@@ -49,7 +49,7 @@ from .hitting import (
     run_half,  # noqa: F401  (still importable from here, for tools that trace halvings)
     sub_problem,
 )
-from .parallel import tiled_sum
+from .rounding import tiled_sum
 from .verify import check_maximal_independent, require
 from .workcount import WorkCounter, charge
 
@@ -338,19 +338,13 @@ def _adaptive_eps(potentials: list, denom: int, b: int) -> tuple[float, float]:
     return eps, c_tot
 
 
-def _mixed_sum(
-    sub: MisAuxInstance, node_mask: np.ndarray, lev_eff: np.ndarray, threads: int = 1
-) -> float:
+def _mixed_sum(sub: MisAuxInstance, node_mask: np.ndarray, lev_eff: np.ndarray) -> float:
     """sum of aux edge weight at 2^-(k+k') plus vertex weight at 2^-k over
     the masked candidates (edges need both endpoints masked)."""
     both = node_mask[sub.aux_i] & node_mask[sub.aux_j]
     exps = lev_eff[sub.aux_i] + lev_eff[sub.aux_j]
-    e_term = tiled_sum(
-        np.where(both, sub.aux_w * np.exp2(-exps.astype(np.float64)), 0.0), threads
-    )
-    v_term = tiled_sum(
-        np.where(node_mask, sub.vert_w * np.exp2(-lev_eff.astype(np.float64)), 0.0), threads
-    )
+    e_term = tiled_sum(np.where(both, sub.aux_w * np.exp2(-exps.astype(np.float64)), 0.0))
+    v_term = tiled_sum(np.where(node_mask, sub.vert_w * np.exp2(-lev_eff.astype(np.float64)), 0.0))
     return float(e_term + v_term)
 
 
@@ -426,7 +420,7 @@ class MisRegimeDriver(RegimeDriver):
     def start(self, sub, regime):
         k_cap = self.params.level_cap(sub.size_param)
         lev = np.maximum(sub.levels, k_cap) if regime == "low" else np.minimum(sub.levels, k_cap)
-        self.mixed_start = self.mixed = _mixed_sum(sub, self.v_alive, lev, self.threads)
+        self.mixed_start = self.mixed = _mixed_sum(sub, self.v_alive, lev)
         self.drift = 1.0  # product of (1 + gamma) over the rounds run
 
     def plan_low(self, sub, h):
@@ -528,7 +522,7 @@ class MisRegimeDriver(RegimeDriver):
                 report["mass_violations"] = over
                 if over and self.params.mode == "paper":
                     raise RuntimeError("watcher probability mass exceeded the per-round cap")
-        mixed = _mixed_sum(sub, mask, lev, self.threads)
+        mixed = _mixed_sum(sub, mask, lev)
         report["mixed_sum"] = mixed
         if mixed > (1.0 + h.gamma) * self.mixed + 1e-9 * max(self.mixed, 1.0):
             raise RuntimeError("aux mixed-sum drift certificate violated")
@@ -539,7 +533,7 @@ class MisRegimeDriver(RegimeDriver):
         start = self.mixed_start
         if regime == "low":
             lev_k = np.full(sub.n_right, self.params.level_cap(sub.size_param), dtype=np.int64)
-            frozen_weight = _mixed_sum(sub, survivors, lev_k, self.threads)
+            frozen_weight = _mixed_sum(sub, survivors, lev_k)
             if frozen_weight > 2.0 * start + 1e-9 * max(start, 1.0):
                 raise RuntimeError("frozen aux weight exceeds twice the starting mixed sum")
             return
@@ -568,7 +562,7 @@ def core_mis_hitting(
     inst: MisAuxInstance,
     params: ParamSet | None = None,
     work: WorkCounter | None = None,
-    threads: int = 1,
+    threads: int = 1,  # accepted for benchmark/workloads.py, which passes threads=1
 ) -> CoreMisResult:
     """Select candidates so every watcher keeps some selected watched node
     while the selected aux weight stays near its expectation.
@@ -578,6 +572,8 @@ def core_mis_hitting(
     go through the low regime first; survivors join the rest at level K and
     are halved down to the floor (MisRegimeDriver).
     """
+    if threads != 1:
+        raise ValueError("dpar runs sequentially; threads must be 1")
     params = params or ParamSet.desk()
     work = work if work is not None else WorkCounter()
     k_cap = params.level_cap(inst.size_param)
@@ -587,7 +583,7 @@ def core_mis_hitting(
         mass = inst.watch_mass()
         if np.any((mass < 5.0 - 1e-9) | (mass > 10.0 + 1e-9)):
             raise ValueError("watcher probability mass outside [5, 10]")
-    driver = MisRegimeDriver(params, params.high_floor_mis, work, threads)
+    driver = MisRegimeDriver(params, params.high_floor_mis, work)
     selected, u_good, rounds = driver.run(inst)
 
     hits = np.zeros(inst.n_left, dtype=np.int64)
@@ -640,7 +636,6 @@ def independentish_set(
     g: Graph,
     params: ParamSet | None = None,
     work: WorkCounter | None = None,
-    threads: int = 1,
 ) -> IndependentishResult:
     """One derandomized marking sweep of the graph.
 
@@ -715,7 +710,7 @@ def independentish_set(
         vert_w=np.zeros(n, dtype=np.float64),
         size_param=max(n, 4),
     )
-    core = core_mis_hitting(inst, params, work=work, threads=threads)
+    core = core_mis_hitting(inst, params, work=work)
     s_raw = core.selected.copy()
     fallback = False
     if not s_raw.any() and n:
@@ -786,7 +781,7 @@ def maximal_independent_set(
     g: Graph,
     params: ParamSet | None = None,
     work: WorkCounter | None = None,
-    threads: int = 1,
+    threads: int = 1,  # accepted for benchmark/workloads.py, which passes threads=1
 ) -> MisResult:
     """Deterministic maximal independent set.
 
@@ -795,6 +790,8 @@ def maximal_independent_set(
     sweep the classes into a maximal independent subset, keep it, and drop
     it with its neighborhood. The result is asserted maximal independent.
     """
+    if threads != 1:
+        raise ValueError("dpar runs sequentially; threads must be 1")
     params = params or ParamSet.desk()
     work = work if work is not None else WorkCounter()
     in_set = np.zeros(g.n, dtype=bool)
@@ -814,14 +811,14 @@ def maximal_independent_set(
             to_orig = to_orig[sub_ids]
             deg = cur.degrees()
 
-        ind = independentish_set(cur, params, work=work, threads=threads)
+        ind = independentish_set(cur, params, work=work)
         s_star = ind.s_star
         owners = cur.slot_owners()
         keep_edge = s_star[owners] & s_star[cur.nbrs]
         sub, _, sub_ids = compact_subgraph(cur, s_star, keep_edge, work)
         sub_key = ind.keys[sub_ids]
         out_slots = sub_key[sub.nbrs] > sub_key[sub.slot_owners()]
-        col = color_delta_squared(sub, orientation=out_slots, work=work, threads=threads)
+        col = color_delta_squared(sub, orientation=out_slots, work=work)
         chosen_sub = _greedy_class_union(sub, col.colors, col.num_colors, work)
 
         chosen = np.zeros(cur.n, dtype=bool)

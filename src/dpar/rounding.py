@@ -30,6 +30,7 @@ count as uncut, and the cut is certified >= (1/2 - eps) * total weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,17 @@ import numpy as np
 from .coloring import ClassSweep, _first_of_runs, class_sweep, defective_coloring
 from .graph import Graph, graph_from_directed_slots
 from .ntheory import NumberTheoryTables
-from .parallel import tiled_sum
 from .sorting import stable_order_u64
 from .workcount import WorkCounter, charge
+
+SUM_TILE = 1 << 14  # tiled_sum's tile; it fixes the rounding of every sum below
+
+
+def tiled_sum(values: np.ndarray) -> float:
+    """Sum of float values in a fixed order: np.sum over each tile of
+    SUM_TILE values, the partial sums added exactly by math.fsum."""
+    arr = np.asarray(values, dtype=np.float64)
+    return math.fsum(float(np.sum(arr[lo : lo + SUM_TILE])) for lo in range(0, len(arr), SUM_TILE))
 
 
 @dataclass
@@ -118,10 +127,10 @@ def _merged_cost_pairs(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarray, 
     return uniq // inst.n, uniq % inst.n, costs
 
 
-def evaluate_objective(inst: RoundingInstance, in_set: np.ndarray, threads: int = 1) -> float:
-    util_part = tiled_sum(np.where(in_set, inst.utils, 0.0), threads)
+def evaluate_objective(inst: RoundingInstance, in_set: np.ndarray) -> float:
+    util_part = tiled_sum(np.where(in_set, inst.utils, 0.0))
     both = in_set[inst.cost_i] & in_set[inst.cost_j]
-    cost_part = tiled_sum(np.where(both, inst.cost_c, 0.0), threads)
+    cost_part = tiled_sum(np.where(both, inst.cost_c, 0.0))
     return util_part - cost_part
 
 
@@ -129,12 +138,11 @@ def local_round(
     inst: RoundingInstance,
     tables: NumberTheoryTables | None = None,
     work: WorkCounter | None = None,
-    threads: int = 1,
 ) -> RoundingResult:
     """Pick S with F(S) >= util_total/2 - (1/4 + eps) * cost_total."""
     n = inst.n
-    util_total = tiled_sum(inst.utils, threads)
-    cost_total = tiled_sum(inst.cost_c, threads)
+    util_total = tiled_sum(inst.utils)
+    cost_total = tiled_sum(inst.cost_c)
     bound = 0.5 * util_total - (0.25 + inst.eps) * cost_total
     charge(work, "local_round", n + len(inst.cost_c))
 
@@ -142,7 +150,7 @@ def local_round(
     cost_graph = graph_from_directed_slots(
         n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([pair_c, pair_c])
     )
-    col = defective_coloring(cost_graph, inst.eps, tables=tables, work=work, threads=threads)
+    col = defective_coloring(cost_graph, inst.eps, tables=tables, work=work)
     colors = col.colors
 
     owners = cost_graph.slot_owners()
@@ -170,8 +178,8 @@ def local_round(
         in_set[members] = sc >= 0.0
         charge(work, "local_round", (hi - lo) + (m1 - m0))
 
-    lost = tiled_sum(np.where(~alive, costs, 0.0), threads) / 2.0
-    objective = evaluate_objective(inst, in_set, threads)
+    lost = tiled_sum(np.where(~alive, costs, 0.0)) / 2.0
+    objective = evaluate_objective(inst, in_set)
     if objective < bound:
         raise RuntimeError("rounding certificate violated")
     return RoundingResult(
@@ -197,7 +205,6 @@ def max_cut_half(
     eps: float,
     tables: NumberTheoryTables | None = None,
     work: WorkCounter | None = None,
-    threads: int = 1,
 ) -> CutResult:
     """Cut of weight >= (1/2 - eps) of the total, found deterministically.
 
@@ -208,9 +215,9 @@ def max_cut_half(
     """
     n = g.n
     weights = g.weights if g.weights is not None else np.ones(len(g.nbrs), dtype=np.float64)
-    total = tiled_sum(weights, threads) / 2.0
+    total = tiled_sum(weights) / 2.0
     bound = (0.5 - eps) * total
-    col = defective_coloring(g, eps, tables=tables, work=work, threads=threads)
+    col = defective_coloring(g, eps, tables=tables, work=work)
     colors = col.colors
 
     owners = g.slot_owners()
@@ -231,7 +238,7 @@ def max_cut_half(
         to_t = np.bincount(loc, weights=np.where(dec & ~side[hd], wv, 0.0), minlength=m1 - m0)
         side[members] = to_s <= to_t
         charge(work, "max_cut", (hi - lo) + (m1 - m0))
-    cut = tiled_sum(np.where(side[owners] != side[heads], weights, 0.0), threads) / 2.0
+    cut = tiled_sum(np.where(side[owners] != side[heads], weights, 0.0)) / 2.0
     if cut < bound:
         raise RuntimeError("cut certificate violated")
     return CutResult(side=side, cut_weight=cut, bound=bound)

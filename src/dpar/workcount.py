@@ -1,7 +1,7 @@
 """Work accounting for the algorithm stack.
 
-Counts are integers derived only from input sizes, so totals are invariant
-under thread count. Unit charging convention: one unit per neighbor entry
+Counts are integers derived only from input sizes, so totals repeat
+exactly from run to run. Unit charging convention: one unit per neighbor entry
 touched, one unit per element per sort pass, one unit per element of each
 prefix sum.
 """

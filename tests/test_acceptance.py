@@ -5,11 +5,18 @@ it was judged on, then asserts. Run with -v (and -s to see the lines on
 success); the whole gate finishes in a couple of minutes.
 """
 
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpar
 from dpar.bench import scaling_series
 from dpar.coloring import color_delta_squared, defective_coloring
 from dpar.generate import (
@@ -48,6 +55,7 @@ from dpar.verify import (
     check_maximal_matching,
     cut_weight,
 )
+from dpar.workcount import WorkCounter
 
 BIG_N = 1 << 64
 DESK = ParamSet.desk()
@@ -461,7 +469,7 @@ def test_c11_work_efficiency():
     )
 
 
-def test_c12_determinism():
+def _c12_inputs() -> list:
     inputs = []
     for i in range(8):
         inputs.append(("mis", gnm_graph(200 + 150 * i, 900 + 600 * i, seed=50 + i)))
@@ -471,21 +479,51 @@ def test_c12_determinism():
         inputs.append(("color", gnm_graph(300 + 200 * i, 1500 + 900 * i, seed=90 + i)))
     for i in range(3):
         inputs.append(("maxcut", attach_random_weights(gnm_graph(250, 1200, seed=95 + i), seed=i)))
-    bad = 0
-    for algo, g in inputs:
-        outs = []
-        for t in (1, 2, 8):
-            if algo == "mis":
-                outs.append(maximal_independent_set(g, DESK, threads=t).in_set.tobytes())
-            elif algo == "matching":
-                outs.append(maximal_matching(g, DESK, threads=t).match_with.tobytes())
-            elif algo == "color":
-                outs.append(color_delta_squared(g, threads=t).colors.tobytes())
-            else:
-                outs.append(max_cut_half(g, eps=0.1, threads=t).side.tobytes())
-        bad += not (outs[0] == outs[1] == outs[2])
+    return inputs
+
+
+def _c12_run(algo: str, g) -> tuple[bytes, dict]:
+    """Output bytes and WorkCounter snapshot of one determinism input."""
+    work = WorkCounter()
+    if algo == "mis":
+        out = maximal_independent_set(g, DESK, work=work).in_set
+    elif algo == "matching":
+        out = maximal_matching(g, DESK, work=work).match_with
+    elif algo == "color":
+        out = color_delta_squared(g, work=work).colors
+    else:
+        out = max_cut_half(g, eps=0.1, work=work).side
+    return out.tobytes(), work.snapshot()
+
+
+# run in a fresh interpreter: the sha256 of every c12 output, and its str hash
+_C12_CHILD = """
+import hashlib, json
+from test_acceptance import _c12_inputs, _c12_run
+digests = [hashlib.sha256(_c12_run(algo, g)[0]).hexdigest() for algo, g in _c12_inputs()]
+print(json.dumps({"str_hash": hash("dpar"), "digests": digests}))
+"""
+
+
+def test_c12_determinism():
+    inputs = _c12_inputs()
+    runs = [(_c12_run(algo, g), _c12_run(algo, g)) for algo, g in inputs]
+    # a hash seed unlike this interpreter's, so set and dict orders differ
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = [str(Path(__file__).resolve().parent), str(Path(dpar.__file__).resolve().parents[1])]
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
+    child = subprocess.run(
+        [sys.executable, "-c", _C12_CHILD], env=env, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    other = json.loads(child.stdout)
+    good = sum(
+        first == second and hashlib.sha256(first[0]).hexdigest() == digest
+        for (first, second), digest in zip(runs, other["digests"])
+    )
     _line(
         "criterion-12 determinism",
-        bad == 0,
-        f"{len(inputs) - bad}/{len(inputs)} inputs byte-identical at 1, 2, and 8 threads",
+        good == len(inputs) and other["str_hash"] != hash("dpar"),
+        f"{good}/{len(inputs)} inputs give equal bytes and work twice in-process "
+        f"and the same sha256 under PYTHONHASHSEED={seed}",
     )

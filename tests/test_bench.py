@@ -5,7 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpar.bench import REPORT_VERSION, run_algorithm, run_bench, run_hitting, scaling_series
+from dpar.bench import (
+    REPORT_VERSION,
+    run_color,
+    run_defective,
+    run_hitting,
+    run_luby,
+    run_matching,
+    run_maxcut,
+    run_mis,
+    scaling_series,
+)
 from dpar.cli import _load_params, main
 from dpar.generate import (
     complete_graph,
@@ -16,7 +26,9 @@ from dpar.generate import (
     star_graph,
 )
 from dpar.graph import sort_edges_to_csr, write_csr
-from dpar.hitting import BipartiteInstance, ParamSet
+from dpar.hitting import BipartiteInstance, ParamSet, hitting_set
+from dpar.matching import maximal_matching
+from dpar.mis import MisAuxInstance, core_mis_hitting, maximal_independent_set
 from dpar.verify import (
     check_defect_bound,
     check_hitting_window,
@@ -126,10 +138,20 @@ def test_hitting_report_certifies_the_declared_hit_bound():
 # --- report schema -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("algorithm", ["color", "defective", "maxcut", "matching", "mis", "luby"])
+REPORT_BUILDERS = {
+    "color": run_color,
+    "defective": lambda g, params: run_defective(g, 0.25, params),
+    "maxcut": lambda g, params: run_maxcut(g, 0.25, params),
+    "matching": run_matching,
+    "mis": run_mis,
+    "luby": lambda g, params: run_luby(g, params, seed=3),
+}
+
+
+@pytest.mark.parametrize("algorithm", list(REPORT_BUILDERS))
 def test_report_schema(algorithm):
     g = gnm_graph(200, 900, seed=6)
-    rep = run_algorithm(algorithm, g, ParamSet.desk(), eps=0.25, seed=3)
+    rep = REPORT_BUILDERS[algorithm](g, ParamSet.desk())
     assert rep["version"] == REPORT_VERSION
     assert rep["algorithm"] == algorithm
     assert rep["input"] == {"nodes": 200, "edges": 900, "weighted": False}
@@ -140,30 +162,6 @@ def test_report_schema(algorithm):
         assert cert["ok"]
     assert all(rep["oracles"].values())
     json.dumps(rep, default=str)  # report must be serializable
-
-
-def test_run_bench_grid_and_outputs(tmp_path):
-    cfg = {
-        "cells": [
-            {"algorithm": "mis", "graph": {"kind": "gnm", "n": 128, "m": 512, "seed": 1}},
-            {"algorithm": "matching", "graph": {"kind": "complete", "n": 12}, "threads": 2},
-        ]
-    }
-    out_json = tmp_path / "rep.json"
-    out_csv = tmp_path / "rep.csv"
-    reports = run_bench(cfg, str(out_json), str(out_csv))
-    assert [r["algorithm"] for r in reports] == ["mis", "matching"]
-    assert all(r["ok"] for r in reports)
-    loaded = json.loads(out_json.read_text())
-    assert loaded[0]["cell"]["algorithm"] == "mis"
-    assert out_csv.read_text().startswith("algorithm,")
-
-
-def test_run_bench_empty_grid(tmp_path):
-    out = tmp_path / "empty.json"
-    reports = run_bench({"cells": []}, str(out))
-    assert reports == []
-    assert json.loads(out.read_text()) == []
 
 
 def test_scaling_series_shape():
@@ -187,7 +185,7 @@ def edgelist_file(tmp_path, g, name="g.txt"):
     return str(path)
 
 
-@pytest.mark.parametrize("argv_tail", [[], ["--threads", "2"]])
+@pytest.mark.parametrize("argv_tail", [[], ["--mode", "paper"]])
 def test_cli_mis_runs(tmp_path, argv_tail):
     path = edgelist_file(tmp_path, gnm_graph(120, 480, seed=8))
     rep = tmp_path / "out.json"
@@ -236,10 +234,28 @@ def test_cli_applies_param_overrides(tmp_path):
         main(["mis", "--input", path, "--params", str(pfile)])
 
 
-def test_cli_bench_default_grid(tmp_path):
-    rep = tmp_path / "bench.json"
-    csvp = tmp_path / "bench.csv"
-    assert main(["bench", "--report", str(rep), "--csv", str(csvp)]) == 0
-    data = json.loads(rep.read_text())
-    assert {d["algorithm"] for d in data} == {"mis", "matching"}
-    assert csvp.read_text().count("\n") >= 2
+@pytest.mark.parametrize("weight", ["nan", "-1", "inf"])
+def test_cli_rejects_bad_edge_weights(tmp_path, weight):
+    # a NaN weight used to print a cut of nan, a negative one to certify a negative bound
+    path = tmp_path / "w.txt"
+    path.write_text(f"0 1 {weight}\n")
+    with pytest.raises(ValueError, match="edge weights must be finite and nonnegative"):
+        main(["maxcut", "--input", str(path)])
+
+
+def test_entry_points_reject_threads_other_than_one(tmp_path):
+    g = complete_graph(4)
+    hit = dict(imp=np.ones(1), levels=np.zeros(1, dtype=np.int64), edge_u=[0], edge_v=[0], size_param=4)
+    calls = [
+        lambda t: maximal_independent_set(g, threads=t),
+        lambda t: maximal_matching(g, threads=t),
+        lambda t: hitting_set(BipartiteInstance(**hit), threads=t),
+        lambda t: core_mis_hitting(
+            MisAuxInstance(**hit, aux_i=[], aux_j=[], aux_w=[], vert_w=[0.0]), threads=t
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="dpar runs sequentially; threads must be 1"):
+            call(2)
+    with pytest.raises(SystemExit):
+        main(["mis", "--input", edgelist_file(tmp_path, g), "--threads", "2"])

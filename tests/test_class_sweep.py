@@ -31,7 +31,7 @@ def reference_defective(g: Graph, eps: float) -> tuple[np.ndarray, float, int]:
     """(colors, mono_weight, work total) with phase 2 run class by class."""
     work = WorkCounter()
     weights = g.weights if g.weights is not None else np.ones(len(g.nbrs))
-    colors, _k, alive = _defective_phase1(g, eps, g.slot_owners(), weights, None, work, 1)
+    colors, _k, alive = _defective_phase1(g, eps, g.slot_owners(), weights, None, work)
     palette2 = 3 * math.ceil(1.0 / eps)
     out_slots = [
         [s for s in slots if alive[s] and colors[v] > colors[g.nbrs[s]]]
@@ -165,34 +165,31 @@ def test_batched_sweeps_match_class_by_class(seed, n, eps_idx):
     g = weighted_graph(rng, n, int(rng.integers(1, 4 * n)))
 
     colors, mono, units = reference_defective(g, eps)
-    for threads in (1, 2):
-        work = WorkCounter()
-        col = defective_coloring(g, eps, work=work, threads=threads)
-        assert np.array_equal(col.colors, colors)
-        assert col.mono_weight == mono
-        assert work.total == units
+    work = WorkCounter()
+    col = defective_coloring(g, eps, work=work)
+    assert np.array_equal(col.colors, colors)
+    assert col.mono_weight == mono
+    assert work.total == units
 
     side, units = reference_max_cut(g, eps)
-    for threads in (1, 2):
-        work = WorkCounter()
-        assert np.array_equal(max_cut_half(g, eps, work=work, threads=threads).side, side)
-        assert work.total == units
+    work = WorkCounter()
+    assert np.array_equal(max_cut_half(g, eps, work=work).side, side)
+    assert work.total == units
 
     inst = rounding_instance(rng, n, eps)
     in_set, scores, units = reference_local_round(inst)
-    for threads in (1, 2):
-        work = WorkCounter()
-        res = local_round(inst, work=work, threads=threads)
-        assert np.array_equal(res.in_set, in_set)
-        assert np.array_equal(res.scores, scores)
-        assert work.total == units
+    work = WorkCounter()
+    res = local_round(inst, work=work)
+    assert np.array_equal(res.in_set, in_set)
+    assert np.array_equal(res.scores, scores)
+    assert work.total == units
 
 
 def _phase2_rows(g: Graph, eps: float, final: np.ndarray) -> tuple[bool, bool]:
     """(some node's row is capped at the palette, some head's final color
     lies past its owner's row) for phase 2 of defective_coloring, whose row
     for node v covers the colors 0..min(outdeg(v), palette2 - 1)."""
-    colors, _k, alive = _defective_phase1(g, eps, g.slot_owners(), g.weights, None, None, 1)
+    colors, _k, alive = _defective_phase1(g, eps, g.slot_owners(), g.weights, None, None)
     owners = g.slot_owners()
     out = alive & (colors[owners] > colors[g.nbrs])
     outdeg = np.bincount(owners[out], minlength=g.n)
@@ -244,7 +241,7 @@ def test_phase2_recolors_classes_of_a_growing_phase1_round(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 60))
     g = random_graph(rng, n, int(rng.integers(1, 3 * n)), weighted=True)
-    colors, _k, _alive = _defective_phase1(g, 1.0, g.slot_owners(), g.weights, None, None, 1)
+    colors, _k, _alive = _defective_phase1(g, 1.0, g.slot_owners(), g.weights, None, None)
     assert int(colors.max()) == 32
     expected, mono, units = reference_defective(g, 1.0)
     work = WorkCounter()

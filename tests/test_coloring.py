@@ -118,15 +118,6 @@ def test_random_graph_palette_bound():
     assert work.total > 0
 
 
-def test_proper_coloring_deterministic_across_threads():
-    rng = np.random.default_rng(11)
-    g = random_graph(rng, 300, 900)
-    a = color_delta_squared(g, threads=1)
-    b = color_delta_squared(g, threads=4)
-    assert np.array_equal(a.colors, b.colors)
-    assert a.num_colors == b.num_colors
-
-
 # --- defective coloring ----------------------------------------------------
 
 def test_path_low_degree_loses_nothing():
@@ -176,15 +167,6 @@ def test_defective_budget_random_graphs(eps):
         recomputed = mono_weight_of(g, col.colors)
         assert recomputed <= eps * total + 1e-12 * max(total, 1.0)
         assert abs(recomputed - col.mono_weight) <= 1e-9
-
-
-def test_defective_deterministic_across_threads():
-    rng = np.random.default_rng(23)
-    g = random_graph(rng, 200, 700, weighted=True)
-    a = defective_coloring(g, eps=0.25, threads=1)
-    b = defective_coloring(g, eps=0.25, threads=8)
-    assert np.array_equal(a.colors, b.colors)
-    assert a.mono_weight == b.mono_weight
 
 
 @settings(max_examples=40, deadline=None)

@@ -223,6 +223,18 @@ def test_csr_file_cut_inside_a_section_names_it(tmp_path, section):
         read_csr(str(p))
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_bad_edge_weights_are_rejected(tmp_path, bad):
+    with pytest.raises(ValueError, match="edge weights must be finite and nonnegative"):
+        sort_edges_to_csr([(0, 1), (1, 2)], 3, weights=[1.0, bad])
+    g = sort_edges_to_csr([(0, 1), (1, 2)], 3, weights=[1.0, 2.0])
+    g.weights[:] = bad
+    p = str(tmp_path / "g.dpar")
+    write_csr(p, g)
+    with pytest.raises(ValueError, match="edge weights must be finite and nonnegative"):
+        read_csr(p)
+
+
 def test_edgelist_roundtrip(tmp_path):
     p = tmp_path / "e.txt"
     p.write_text("0 1\n1 2 2.5\n# comment\n")

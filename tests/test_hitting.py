@@ -239,15 +239,6 @@ def test_hitting_set_mixed_levels():
     assert len(res.rounds) > 0
 
 
-def test_hitting_set_deterministic_across_threads():
-    rng = np.random.default_rng(9)
-    inst = crafted_instance(rng, 6, 900, 200, np.full(900, 6), size_param=1 << 16)
-    a = hitting_set(inst, ParamSet.desk(), threads=1)
-    b = hitting_set(inst, ParamSet.desk(), threads=8)
-    assert np.array_equal(a.selected, b.selected)
-    assert a.hit_constant == b.hit_constant
-
-
 def test_hitting_set_zero_level_always_selected():
     inst = BipartiteInstance(
         imp=np.ones(2),

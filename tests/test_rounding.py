@@ -144,16 +144,6 @@ def test_validation_errors():
         make_instance([1.0], [(0, 1, 1.0)], eps=0.5)
 
 
-def test_rounding_deterministic_across_threads():
-    rng = np.random.default_rng(17)
-    inst = random_instance(rng, n=120, eps=0.1)
-    a = local_round(inst, threads=1)
-    b = local_round(inst, threads=8)
-    assert np.array_equal(a.in_set, b.in_set)
-    assert a.objective == b.objective
-    assert a.bound == b.bound
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000), eps_idx=st.integers(0, 2))
 def test_property_certificate_holds(seed, eps_idx):
@@ -236,17 +226,3 @@ def test_property_cut_bound(seed, eps_idx):
     g = sort_edges_to_csr(np.array(edges), n, weights=w)
     res = max_cut_half(g, eps=eps)
     assert res.cut_weight >= res.bound
-
-
-def test_cut_deterministic_across_threads():
-    rng = np.random.default_rng(31)
-    edges = []
-    while len(edges) < 300:
-        u, v = rng.integers(0, 80, size=2)
-        if u != v:
-            edges.append((int(u), int(v)))
-    g = sort_edges_to_csr(np.array(edges), 80)
-    a = max_cut_half(g, eps=0.1, threads=1)
-    b = max_cut_half(g, eps=0.1, threads=8)
-    assert np.array_equal(a.side, b.side)
-    assert a.cut_weight == b.cut_weight
