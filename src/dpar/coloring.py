@@ -43,7 +43,7 @@ import numpy as np
 
 from .graph import Graph
 from .ntheory import NumberTheoryTables, precompute_tables, prime_in_range
-from .sorting import stable_order_u64
+from .sorting import first_of_runs, stable_order_u64
 from .workcount import WorkCounter, charge
 
 MAX_FIELD = 1 << 23  # int64 stays exact for all modular products below this
@@ -114,14 +114,6 @@ def _conflict_roots(
     return r1, ok1, r2, ok2
 
 
-def _first_of_runs(a: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from the one before."""
-    first = np.empty(len(a), dtype=bool)
-    first[:1] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return first
-
-
 def _smallest_admissible(
     groups: np.ndarray,
     items: np.ndarray,
@@ -141,7 +133,7 @@ def _smallest_admissible(
     if m == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     big = np.int64(1) << 60
-    first = _first_of_runs(groups)
+    first = first_of_runs(groups)
     starts = first.nonzero()[0]
     idx = np.arange(m, dtype=np.int64)
     ranks = idx - np.maximum.accumulate(idx * first)
@@ -221,7 +213,7 @@ def _kernel_round(
     key = vv * p + rr
     order = stable_order_u64(key, work)
     key_s = key[order]
-    uniq_mask = _first_of_runs(key_s)
+    uniq_mask = first_of_runs(key_s)
     ukey = key_s[uniq_mask]
     uv, ur = ukey // p, ukey % p
     if weights is None:

@@ -3,6 +3,13 @@
 A graph stores both directed copies of every undirected edge: node u's
 block is nbrs[offsets[u]:offsets[u+1]]. Optional per-slot weights are
 symmetric.
+
+Graphs are built from pair lists on one path: merged_pairs canonicalizes,
+stably sorts and dedupes the pairs, summing each pair's weights in input
+order, and graph_from_directed_slots sorts the two directed copies into
+CSR. sort_edges_to_csr validates an input edge list and takes that path;
+rounding.local_round takes it for its cost graphs. compact_subgraph
+restricts a graph to a node set.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sorting import prefix_sum, stable_order_u64
+from .sorting import first_of_runs, prefix_sum, stable_order_u64
 from .workcount import WorkCounter, charge
 
 CSR_MAGIC = b"DPAR1"
@@ -68,14 +75,55 @@ class Graph:
             _check_weights(self.weights)
 
 
-def sort_edges_to_csr(
-    edges, n: int, weights=None, work: WorkCounter | None = None
+def merged_pairs(
+    i: np.ndarray, j: np.ndarray, n: int, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The distinct undirected pairs among (i[k], j[k]), endpoints in [0, n).
+
+    Returns (lo, hi, w): one entry per distinct pair lo < hi, in ascending
+    (lo, hi) order, and w the sum of each pair's weights taken in input
+    order (None without weights). The sort is not charged. Temporaries are
+    built in place and dropped early, since this merge sets peak memory on
+    dense rounding instances.
+    """
+    code = np.minimum(i, j)
+    code *= n
+    code += np.maximum(i, j)
+    order = stable_order_u64(code)
+    code = code[order]
+    first = first_of_runs(code)
+    uniq = code[first]
+    del code
+    w = None
+    if weights is not None:
+        groups = np.cumsum(first)
+        groups -= 1
+        # astype: bincount of no entries comes back int64
+        w = np.bincount(groups, weights=weights[order]).astype(np.float64, copy=False)
+    return uniq // n, uniq % n, w
+
+
+def graph_from_directed_slots(
+    n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None = None
 ) -> Graph:
+    """CSR from already-symmetric directed slot lists, sorted by (owner,
+    neighbor). Parallel slots are kept; both callers pass the two directed
+    copies of merged_pairs' output, so the graphs they build are simple."""
+    order = stable_order_u64(src * n + dst)
+    src, dst = src[order], dst[order]
+    w = weights[order] if weights is not None else None
+    counts = np.bincount(src, minlength=n).astype(np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(counts)
+    return Graph(n=n, offsets=offsets, nbrs=dst, weights=w)
+
+
+def sort_edges_to_csr(edges, n: int, weights=None) -> Graph:
     """Build a CSR graph from an undirected edge list.
 
     Self-loops, out-of-range endpoints and weights that are negative, NaN
     or infinite raise; duplicate edges are merged (weights of duplicates
-    are summed).
+    are summed in input order).
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if n < 1:
@@ -91,58 +139,22 @@ def sort_edges_to_csr(
         if w.shape != (len(e),):
             raise ValueError("weights length mismatch")
         _check_weights(w)
-    # canonicalize, dedupe undirected pairs
-    lo = np.minimum(e[:, 0], e[:, 1])
-    hi = np.maximum(e[:, 0], e[:, 1])
-    code = lo * n + hi
-    order = stable_order_u64(code, work)
-    code = code[order]
-    keep = np.ones(len(code), dtype=bool)
-    keep[1:] = code[1:] != code[:-1]
-    uniq = code[keep]
-    if w is not None:
-        w_sorted = w[order]
-        group = np.cumsum(keep) - 1
-        wu = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(wu, group, w_sorted)
-    lo_u, hi_u = uniq // n, uniq % n
-    # duplicate into both directed copies and sort by (owner, neighbor)
-    src = np.concatenate([lo_u, hi_u])
-    dst = np.concatenate([hi_u, lo_u])
-    ww = np.concatenate([wu, wu]) if w is not None else None
-    order2 = stable_order_u64(src * n + dst, work)
-    src, dst = src[order2], dst[order2]
-    if ww is not None:
-        ww = ww[order2]
-    counts = np.bincount(src, minlength=n).astype(np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    if counts.size:
-        offsets[1:] = prefix_sum(counts, work)
-    charge(work, "csr_build", 2 * len(uniq))
-    return Graph(n=n, offsets=offsets, nbrs=dst, weights=ww)
+    lo, hi, pair_w = merged_pairs(e[:, 0], e[:, 1], n, w)
+    ww = None if pair_w is None else np.concatenate([pair_w, pair_w])
+    return graph_from_directed_slots(n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), ww)
 
 
 def compact_subgraph(
-    g: Graph, keep_node, keep_edge, work: WorkCounter | None = None
+    g: Graph, keep_node, work: WorkCounter | None = None
 ) -> tuple[Graph, np.ndarray, np.ndarray]:
-    """Restrict to kept nodes/edge-slots and renumber densely.
-
-    keep_node is length n; keep_edge aligns with nbrs (both directed copies
-    of an edge must agree). Returns (graph, old_to_new, new_to_old). A kept
-    edge with a dropped endpoint signals inconsistent masks.
-    """
+    """Restrict to the kept nodes and the edges between them, renumbered
+    densely. keep_node is a length-n mask. Returns (graph, old_to_new,
+    new_to_old)."""
     kn = np.asarray(keep_node, dtype=bool)
-    ke = np.asarray(keep_edge, dtype=bool)
-    if kn.shape != (g.n,) or ke.shape != (len(g.nbrs),):
+    if kn.shape != (g.n,):
         raise ValueError("mask length mismatch")
     owners = g.slot_owners()
-    if np.any(ke & (~kn[owners] | ~kn[g.nbrs])):
-        raise ValueError("inconsistent masks: kept edge with dropped endpoint")
-    # symmetry check via sorted directed codes of kept slots
-    fwd = owners[ke] * g.n + g.nbrs[ke]
-    rev = g.nbrs[ke] * g.n + owners[ke]
-    if not np.array_equal(np.sort(fwd), np.sort(rev)):
-        raise ValueError("inconsistent masks: keep_edge not symmetric")
+    ke = kn[owners] & kn[g.nbrs]
     old_to_new = np.full(g.n, -1, dtype=np.int64)
     new_to_old = np.flatnonzero(kn).astype(np.int64)
     old_to_new[new_to_old] = np.arange(len(new_to_old), dtype=np.int64)
@@ -222,17 +234,3 @@ def read_csr(path: str) -> Graph:
     g.validate()
     return g
 
-
-def graph_from_directed_slots(
-    n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None = None
-) -> Graph:
-    """CSR from already-symmetric directed slot lists, sorted by (owner,
-    neighbor). Parallel slots are kept; rounding.local_round merges its
-    cost multiset first, so the cost graphs it builds here are simple."""
-    order = stable_order_u64(src * n + dst)
-    src, dst = src[order], dst[order]
-    w = weights[order] if weights is not None else None
-    counts = np.bincount(src, minlength=n).astype(np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(counts)
-    return Graph(n=n, offsets=offsets, nbrs=dst, weights=w)

@@ -82,6 +82,17 @@ class ParamSet:
     degree_floor: int  # left nodes need this many low neighbors to join the low regime
     outdeg_cap: int
 
+    def __post_init__(self):
+        for name in ("high_floor_hitting", "high_floor_mis", "degree_floor", "outdeg_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"parameter {name} must be >= 0")
+        for name in ("k_factor", "beta", "gamma0_low", "gamma_high"):
+            value = getattr(self, name)
+            if name == "gamma_high" and value is None:
+                continue
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"parameter {name} must be finite and > 0")
+
     @staticmethod
     def paper() -> "ParamSet":
         return ParamSet(
@@ -161,8 +172,8 @@ class BipartiteInstance:
         self.edge_v = np.asarray(self.edge_v, dtype=np.int64)
         if len(self.edge_u) != len(self.edge_v):
             raise ValueError("edge arrays must have equal length")
-        if len(self.imp) and self.imp.min() < 0:
-            raise ValueError("negative importance")
+        if not np.all(np.isfinite(self.imp) & (self.imp >= 0)):
+            raise ValueError("importances must be finite and nonnegative")
         if len(self.levels) and self.levels.min() < 0:
             raise ValueError("negative level")
         if len(self.edge_u):
@@ -213,9 +224,10 @@ def write_hset(path, inst: BipartiteInstance) -> None:
 
 def read_hset(path) -> BipartiteInstance:
     """Read write_hset's format. A file cut inside the header, the left
-    section or the right section, or an edge line with fewer than two
-    fields, raises ValueError naming the section. The format stores no
-    edge count, so a file cut between two edge lines loads fewer edges."""
+    section or the right section, a header count that is negative or
+    exceeds the lines present, or an edge line with fewer than two fields,
+    raises ValueError naming the section. The format stores no edge count,
+    so a file cut between two edge lines loads fewer edges."""
     with open(path) as f:
         rows = [ln.split() for ln in f if ln.strip()]
     if not rows or rows[0] != [HSET_MAGIC]:
@@ -223,7 +235,9 @@ def read_hset(path) -> BipartiteInstance:
 
     def section(name: str, start: int, count: int, width: int = 2) -> list[list[str]]:
         got = rows[start : start + count]
-        if len(got) < count:
+        if count < 0:
+            short = f"a negative line count ({count})"
+        elif len(got) < count:
             short = f"{len(got)} of {count} lines"
         elif any(len(tok) < width for tok in got):
             short = f"a line of fewer than {width} fields"
@@ -232,21 +246,22 @@ def read_hset(path) -> BipartiteInstance:
         raise ValueError(f"truncated HSET file: {name} section has {short}")
 
     n_u, n_v, size_param = (int(x) for x in section("header", 1, 1, 3)[0])
+    # both counts are checked against the lines present before any allocation
+    left = section("left", 2, n_u)
+    right = section("right", 2 + n_u, n_v)
     imp = np.zeros(n_u, dtype=np.float64)
     levels = np.zeros(n_v, dtype=np.int64)
-    pos = 2
-    for i, tok in enumerate(section("left", pos, n_u)):
+    for i, tok in enumerate(left):
         u = int(tok[0])
         if u != i:
             raise ValueError("left ids must be 0..nU-1 in order")
         imp[u] = float(tok[1])
-    pos += n_u
-    for i, tok in enumerate(section("right", pos, n_v)):
+    for i, tok in enumerate(right):
         v = int(tok[0])
         if v != i:
             raise ValueError("right ids must be 0..nV-1 in order")
         levels[v] = int(tok[1])
-    pos += n_v
+    pos = 2 + n_u + n_v
     rest = section("edge", pos, len(rows) - pos)
     eu = np.array([int(t[0]) for t in rest], dtype=np.int64)
     ev = np.array([int(t[1]) for t in rest], dtype=np.int64)

@@ -107,10 +107,10 @@ class MisAuxInstance(BipartiteInstance):
             # hash-based np.unique on large int64 arrays
             if np.any(code[1:] == code[:-1]):
                 raise ValueError("duplicate aux edge")
-        if len(self.aux_w) and self.aux_w.min() < 0:
-            raise ValueError("negative aux weight")
-        if len(self.vert_w) and self.vert_w.min() < 0:
-            raise ValueError("negative vertex weight")
+        if not np.all(np.isfinite(self.aux_w) & (self.aux_w >= 0)):
+            raise ValueError("aux weights must be finite and nonnegative")
+        if not np.all(np.isfinite(self.vert_w) & (self.vert_w >= 0)):
+            raise ValueError("vertex weights must be finite and nonnegative")
 
     # per watcher: sum of 2^-level over the watched candidates
     watch_mass = BipartiteInstance.expected_hits
@@ -806,16 +806,14 @@ def maximal_independent_set(
             in_set[to_orig[isolated]] = True
             if isolated.all():
                 break
-            keep_edge = np.ones(len(cur.nbrs), dtype=bool)
-            cur, _, sub_ids = compact_subgraph(cur, ~isolated, keep_edge, work)
+            cur, _, sub_ids = compact_subgraph(cur, ~isolated, work)
             to_orig = to_orig[sub_ids]
             deg = cur.degrees()
 
         ind = independentish_set(cur, params, work=work)
         s_star = ind.s_star
         owners = cur.slot_owners()
-        keep_edge = s_star[owners] & s_star[cur.nbrs]
-        sub, _, sub_ids = compact_subgraph(cur, s_star, keep_edge, work)
+        sub, _, sub_ids = compact_subgraph(cur, s_star, work)
         sub_key = ind.keys[sub_ids]
         out_slots = sub_key[sub.nbrs] > sub_key[sub.slot_owners()]
         col = color_delta_squared(sub, orientation=out_slots, work=work)
@@ -844,9 +842,7 @@ def maximal_independent_set(
                 "dropped_watchers": ind.dropped_watchers,
             }
         )
-        keep = ~removed
-        keep_edge = keep[owners] & keep[cur.nbrs]
-        cur, _, sub_ids = compact_subgraph(cur, keep, keep_edge, work)
+        cur, _, sub_ids = compact_subgraph(cur, ~removed, work)
         to_orig = to_orig[sub_ids]
 
     require(check_maximal_independent(g, in_set), "maximal independent set")
@@ -874,8 +870,7 @@ def luby_mis_baseline(g: Graph, seed: int, work: WorkCounter | None = None) -> M
             in_set[to_orig[isolated]] = True
             if isolated.all():
                 break
-            keep_edge = np.ones(len(cur.nbrs), dtype=bool)
-            cur, _, sub_ids = compact_subgraph(cur, ~isolated, keep_edge, work)
+            cur, _, sub_ids = compact_subgraph(cur, ~isolated, work)
             to_orig = to_orig[sub_ids]
             deg = cur.degrees()
 
@@ -896,9 +891,7 @@ def luby_mis_baseline(g: Graph, seed: int, work: WorkCounter | None = None) -> M
         iterations.append(
             {"nodes": int(cur.n), "edges": int(cur.m), "chosen": int(winners.sum())}
         )
-        keep = ~removed
-        keep_edge = keep[owners] & keep[cur.nbrs]
-        cur, _, sub_ids = compact_subgraph(cur, keep, keep_edge, work)
+        cur, _, sub_ids = compact_subgraph(cur, ~removed, work)
         to_orig = to_orig[sub_ids]
 
     require(check_maximal_independent(g, in_set), "maximal independent set")

@@ -9,8 +9,11 @@ allowed):
 F depends on the cost terms only through the summed cost per node pair,
 so local_round first merges the cost multiset into a simple weighted
 graph, one slot pair per distinct node pair (bucket potentials emit the
-same pair many times over). The coloring and the sweep run on that graph;
-the certificate still evaluates F on the input terms.
+same pair many times over). It builds that graph on the graph module's
+one path, graph.merged_pairs then graph_from_directed_slots, without
+sort_edges_to_csr's input checks, which RoundingInstance has already made.
+The coloring and the sweep run on that graph; the certificate still
+evaluates F on the input terms.
 
 Including every node independently with probability 1/2 gives
 E[F] = util_total/2 - cost_total/4, so some S achieves that much. To find
@@ -35,10 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import ClassSweep, _first_of_runs, class_sweep, defective_coloring
-from .graph import Graph, graph_from_directed_slots
+from .coloring import ClassSweep, class_sweep, defective_coloring
+from .graph import Graph, graph_from_directed_slots, merged_pairs
 from .ntheory import NumberTheoryTables
-from .sorting import stable_order_u64
 from .workcount import WorkCounter, charge
 
 SUM_TILE = 1 << 14  # tiled_sum's tile; it fixes the rounding of every sum below
@@ -107,26 +109,6 @@ def _member_positions(sweep: ClassSweep, owners: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(sweep.node_order), dtype=np.int64), per_node[sweep.node_order])
 
 
-def _merged_cost_pairs(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, hi, cost) with one entry per distinct node pair lo < hi, in
-    ascending (lo, hi) order, its cost the sum of the pair's terms taken
-    in input order. The sort is not charged: local_round charges a unit
-    per input term. Temporaries are built in place and dropped early, since
-    the merge sets peak memory on dense instances."""
-    code = np.minimum(inst.cost_i, inst.cost_j)
-    code *= inst.n
-    code += np.maximum(inst.cost_i, inst.cost_j)
-    order = stable_order_u64(code)
-    code = code[order]
-    first = _first_of_runs(code)
-    uniq = code[first]
-    del code
-    groups = np.cumsum(first)
-    groups -= 1
-    costs = np.bincount(groups, weights=inst.cost_c[order])
-    return uniq // inst.n, uniq % inst.n, costs
-
-
 def evaluate_objective(inst: RoundingInstance, in_set: np.ndarray) -> float:
     util_part = tiled_sum(np.where(in_set, inst.utils, 0.0))
     both = in_set[inst.cost_i] & in_set[inst.cost_j]
@@ -146,7 +128,7 @@ def local_round(
     bound = 0.5 * util_total - (0.25 + inst.eps) * cost_total
     charge(work, "local_round", n + len(inst.cost_c))
 
-    lo, hi, pair_c = _merged_cost_pairs(inst)
+    lo, hi, pair_c = merged_pairs(inst.cost_i, inst.cost_j, n, inst.cost_c)
     cost_graph = graph_from_directed_slots(
         n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([pair_c, pair_c])
     )

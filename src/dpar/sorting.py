@@ -3,7 +3,8 @@
 The small-key sort handles keys in [1, ceil(log2 N)] with O(log log N)
 stable binary-digit passes, each pass built from prefix sums. General
 machine-word keys go through a stable integer argsort (an LSD radix sort
-for integer dtypes), used as infrastructure by the CSR builder.
+for integer dtypes), used as infrastructure by the CSR builder;
+first_of_runs marks where the runs of equal keys in its output begin.
 """
 
 from __future__ import annotations
@@ -82,3 +83,11 @@ def stable_order_u64(keys, work: WorkCounter | None = None) -> np.ndarray:
     passes = max(1, (int(arr.dtype.itemsize) * 8) // 16)
     charge(work, "word_sort", passes * arr.size)
     return np.argsort(arr, kind="stable")
+
+
+def first_of_runs(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first

@@ -1,17 +1,21 @@
-"""Fuzz pass over every CLI subcommand.
+"""Fuzz pass over every CLI subcommand, and over the CSR builder.
 
 Inputs are empty, one-edge, star and clique edge lists, as edge-list text,
 as CSR files and (for hitting-set) as HSET files, whole or cut inside one
-of their sections. Every run must either exit 0 with every certificate ok
-or raise a ValueError or SystemExit that carries a message.
+of their sections, plus hand-written garbage files and --params files.
+Every run must either exit 0 with every certificate ok or raise a
+ValueError or SystemExit that carries a message. sort_edges_to_csr is
+compared byte for byte with a plain-Python reference.
 """
 
 import itertools
 import json
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,3 +122,110 @@ def test_cli_certifies_or_rejects_with_a_message(
             return
         certificates = json.loads(report.read_text())["certificates"]
         assert rc == 0 and certificates and all(c["ok"] for c in certificates)
+
+
+HSET_GARBAGE = {
+    "bad magic": ("HSET2\n1 1 4\n0 1.0\n0 2\n0 0\n", "not an HSET1 file"),
+    "left id out of range": ("HSET1\n2 1 4\n0 1.0\n5 1.0\n0 2\n0 0\n", "left ids"),
+    "right id out of range": ("HSET1\n1 1 4\n0 1.0\n3 2\n0 0\n", "right ids"),
+    "edge left id out of range": ("HSET1\n1 1 4\n0 1.0\n0 2\n4 0\n", "out of range on the left"),
+    "edge right id out of range": ("HSET1\n1 1 4\n0 1.0\n0 2\n0 -1\n", "out of range on the right"),
+    # counts are checked before allocating: 10**15 used to fail as a 7 PiB np.zeros
+    "huge left count": ("HSET1\n1000000000000000 1 4\n0 1.0\n0 2\n0 0\n", "left section has 3 of"),
+    "huge right count": ("HSET1\n1 1000000000000000 4\n0 1.0\n0 2\n", "right section has 1 of"),
+    "negative left count": ("HSET1\n-1 1 4\n0 2\n0 0\n", "left section has a negative"),
+    "negative right count": ("HSET1\n1 -1 4\n0 1.0\n0 2\n0 0\n", "right section has a negative"),
+    "nan importance": ("HSET1\n2 1 4\n0 0\n1 nan\n0 2\n0 0\n1 0\n", "importances must be finite"),
+    "inf importance": ("HSET1\n2 1 4\n0 0\n1 inf\n0 2\n0 0\n1 0\n", "importances must be finite"),
+}
+CSR_GARBAGE = {
+    "bad magic": (b"DPAR9" + struct.pack("<QQ", 1, 0) + bytes(16), "bad magic"),
+    "huge count": (b"DPAR1" + struct.pack("<QQ", 10**15, 0) + bytes(16), "offsets section"),
+    "neighbor out of range": (
+        b"DPAR1" + struct.pack("<QQQQQQQ", 2, 1, 0, 1, 2, 1, 9),
+        "neighbor id out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HSET_GARBAGE))
+def test_cli_rejects_hand_written_hset_garbage(tmp_path, case):
+    text, message = HSET_GARBAGE[case]
+    path = tmp_path / "garbage.hset"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        main(["hitting-set", "--input", str(path), "--format", "hset"])
+
+
+@pytest.mark.parametrize("case", sorted(CSR_GARBAGE))
+def test_cli_rejects_hand_written_csr_garbage(tmp_path, case):
+    data, message = CSR_GARBAGE[case]
+    path = tmp_path / "garbage.csr"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=message):
+        main(["mis", "--input", str(path), "--format", "csr"])
+
+
+@pytest.mark.parametrize(
+    "overrides, error, message",
+    [
+        ({"no_such_knob": 1}, SystemExit, "unknown parameter: no_such_knob"),
+        ({"outdeg_cap": "eight"}, SystemExit, "parameter outdeg_cap: expected int"),
+        ({"outdeg_cap": -1}, ValueError, "parameter outdeg_cap must be >= 0"),
+        ({"beta": 0}, ValueError, "parameter beta must be finite and > 0"),
+        ({"outdeg_cap": 4, "gamma_high": None}, None, None),
+    ],
+)
+def test_cli_params_files(tmp_path, overrides, error, message):
+    graph = tmp_path / "path.txt"
+    graph.write_text("0 1\n1 2\n2 3\n")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(overrides))
+    report = tmp_path / "report.json"
+    argv = ["mis", "--input", str(graph), "--params", str(params), "--report", str(report)]
+    if error is not None:
+        with pytest.raises(error, match=message):
+            main(argv)
+        return
+    assert main(argv) == 0
+    assert all(c["ok"] for c in json.loads(report.read_text())["certificates"])
+
+
+def reference_csr(edges, n, weights):
+    """(offsets, nbrs, weights) in plain Python: each pair's weights summed
+    in input order, adjacency sorted by (owner, neighbour)."""
+    pair_w: dict[tuple[int, int], float] = {}
+    for k, (u, v) in enumerate(edges):
+        key = (min(u, v), max(u, v))
+        pair_w[key] = pair_w.get(key, 0.0) + (1.0 if weights is None else weights[k])
+    slots = sorted(s for (u, v), w in pair_w.items() for s in ((u, v, w), (v, u, w)))
+    offsets = [0] * (n + 1)
+    for u, _, _ in slots:
+        offsets[u + 1] += 1
+    for u in range(n):
+        offsets[u + 1] += offsets[u]
+    return offsets, [v for _, v, _ in slots], [w for _, _, w in slots]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    data=st.data(),
+    weighted=st.booleans(),
+)
+def test_sort_edges_to_csr_matches_a_plain_python_reference(n, data, weighted):
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.lists(pairs, max_size=40)) if n > 1 else []
+    # weights of very different size, so the summation order shows in the bytes
+    weight = st.sampled_from([0.0, 0.1, 0.3, 1.0, 1e-17, 1e17, 2.5e-300])
+    weights = None
+    if weighted:
+        weights = data.draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    g = sort_edges_to_csr(np.array(edges, dtype=np.int64).reshape(-1, 2), n, weights=weights)
+    offsets, nbrs, ws = reference_csr(edges, n, weights)
+    assert g.offsets.tobytes() == np.array(offsets, dtype=np.int64).tobytes()
+    assert g.nbrs.tobytes() == np.array(nbrs, dtype=np.int64).tobytes()
+    if weighted:
+        assert g.weights.tobytes() == np.array(ws, dtype=np.float64).tobytes()
+    else:
+        assert g.weights is None

@@ -173,21 +173,16 @@ def test_csr_roundtrip_random_setequal():
 def test_compact_subgraph_roundtrip_and_errors():
     g = sort_edges_to_csr([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
     keep_node = np.array([True, True, True, False])
-    owners = g.slot_owners()
-    keep_edge = keep_node[owners] & keep_node[g.nbrs]
-    sub, old2new, new2old = compact_subgraph(g, keep_node, keep_edge)
+    sub, old2new, new2old = compact_subgraph(g, keep_node)
     sub.validate()
     assert sub.n == 3 and sub.m == 2
     assert new2old.tolist() == [0, 1, 2]
     assert old2new[new2old].tolist() == [0, 1, 2]
-    bad = keep_edge.copy()
-    bad[:] = True
-    with pytest.raises(ValueError):
-        compact_subgraph(g, keep_node, bad)
-    asym = keep_edge.copy()
-    asym[np.flatnonzero(asym)[0]] = False
-    with pytest.raises(ValueError):
-        compact_subgraph(g, keep_node, asym)
+    # exactly the edges with both endpoints kept survive
+    slots = sorted(zip(sub.slot_owners().tolist(), sub.nbrs.tolist()))
+    assert slots == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    with pytest.raises(ValueError, match="mask length"):
+        compact_subgraph(g, keep_node[:3])
 
 
 def test_weighted_dedupe_sums():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,14 +69,35 @@ def test_low_bucket_too_small_raises():
 def test_instance_validation():
     ok = dict(imp=[1.0], levels=[3], edge_u=[0], edge_v=[0], size_param=16)
     BipartiteInstance(**ok)
-    with pytest.raises(ValueError):
-        BipartiteInstance(**{**ok, "imp": [-1.0]})
+    # NaN passed the old imp.min() < 0 check and certified a NaN window as ok
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="importances must be finite and nonnegative"):
+            BipartiteInstance(**{**ok, "imp": [bad]})
     with pytest.raises(ValueError):
         BipartiteInstance(**{**ok, "levels": [-2]})
     with pytest.raises(ValueError):
         BipartiteInstance(**{**ok, "edge_v": [5]})
     with pytest.raises(ValueError):
         BipartiteInstance(**{**ok, "size_param": 1})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("outdeg_cap", -1),
+        ("degree_floor", -1),
+        ("high_floor_hitting", -3),
+        ("high_floor_mis", -1),
+        ("k_factor", 0.0),
+        ("beta", -2.0),
+        ("gamma0_low", math.nan),
+        ("gamma_high", 0.0),
+        ("gamma_high", math.inf),
+    ],
+)
+def test_param_set_rejects_out_of_domain_values(field, value):
+    with pytest.raises(ValueError, match=f"parameter {field} must be"):
+        replace(DESK, **{field: value})
 
 
 def test_hset_round_trip(tmp_path):

@@ -78,8 +78,11 @@ def test_aux_instance_validation():
                 "aux_w": np.ones(2),
             }
         )  # same pair twice
-    with pytest.raises(ValueError):
-        MisAuxInstance(**{**ok, "aux_w": np.array([-1.0])})
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="aux weights must be finite and nonnegative"):
+            MisAuxInstance(**{**ok, "aux_w": np.array([bad])})
+        with pytest.raises(ValueError, match="vertex weights must be finite and nonnegative"):
+            MisAuxInstance(**{**ok, "vert_w": np.array([0.0, bad, 0.0])})
     with pytest.raises(ValueError):
         MisAuxInstance(**{**ok, "edge_v": np.array([0, 3])})
     with pytest.raises(ValueError):
