@@ -34,6 +34,15 @@ for an empty round). Each round asks the caller's potential stack for its
 potentials, eps, bound, bad-node rule, report fields and work label, and
 lets it run its own certificates. Sub-problems are index masks of the
 input, which is validated once, at the public entry.
+
+Bucket potentials are cut by one builder, _group_full_buckets: it chunks
+each run of equal keys into full buckets of b and drops the rest, sorting
+first unless the caller has sorted already. The per-left-node potentials
+here and in mis.py, and both passes of mis.edge_buckets, use it; phi_size
+needs no runs, its buckets are the candidate ids 0..(n // b) b - 1 in
+order. QuadPotential.sq_dev gives the per-bucket (count - b/2)^2 from
+which each potential's value and, through node_share, every bad-node
+rule are computed.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ import numpy as np
 from .coloring import defective_tables_limit
 from .ntheory import NumberTheoryTables, precompute_tables
 from .rounding import RoundingInstance, local_round
+from .sorting import first_of_runs
 from .workcount import WorkCounter, charge
 
 EPS_DENOM_LOW = 128  # low-regime rounding eps = 1/(128(b-1)): three potentials fit under 3.1
@@ -58,6 +68,7 @@ GAMMA_LOW_DECAY = 0.99  # low-regime gamma shrinks by this factor per round
 ADDITIVE_CAP = 16  # shrinkage slack = ADDITIVE_CAP * ceil(log2 N)^2
 DRIFT_EXP = 0.8  # a bucket counts as drifted beyond b^DRIFT_EXP
 BAD_NODE_EXP = 0.3  # Markov threshold exponent of the bad-node rules
+MAX_LEVEL_CAP = 1024  # K above this overflows 2^(K-1) in bucket_low
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,8 @@ class ParamSet:
     outdeg_cap: int
 
     def __post_init__(self):
+        if self.mode not in ("paper", "desk"):
+            raise ValueError(f"parameter mode must be 'paper' or 'desk', not {self.mode!r}")
         for name in ("high_floor_hitting", "high_floor_mis", "degree_floor", "outdeg_cap"):
             if getattr(self, name) < 0:
                 raise ValueError(f"parameter {name} must be >= 0")
@@ -124,7 +137,12 @@ class ParamSet:
     def level_cap(self, size_param: int) -> int:
         """K: levels above it go through the low regime first."""
         loglog = math.log2(max(math.log2(max(size_param, 4)), 2.0))
-        return max(1, math.ceil(self.k_factor * loglog))
+        k = self.k_factor * loglog
+        if not k <= MAX_LEVEL_CAP:
+            raise ValueError(
+                f"parameter k_factor={self.k_factor} puts the level cap K above {MAX_LEVEL_CAP}"
+            )
+        return max(1, math.ceil(k))
 
     def degree_floor_for(self, size_param: int) -> int:
         if self.mode == "paper":
@@ -290,9 +308,12 @@ class QuadPotential:
         picked = in_set[self.members].astype(np.int64)
         return np.add.reduceat(picked, np.arange(0, len(self.members), self.b))
 
+    def sq_dev(self, in_set: np.ndarray) -> np.ndarray:
+        """Per bucket: (|S cap B| - b/2)^2."""
+        return (self.counts(in_set).astype(np.float64) - self.b / 2.0) ** 2
+
     def value(self, in_set: np.ndarray) -> float:
-        x = self.counts(in_set).astype(np.float64)
-        return float(np.dot(self.coefs, (x - self.b / 2.0) ** 2))
+        return float(np.dot(self.coefs, self.sq_dev(in_set)))
 
     def expectation(self) -> float:
         """Exact mean under independent fair coin membership."""
@@ -323,37 +344,38 @@ class QuadPotential:
 
 
 def _group_full_buckets(
-    primary: np.ndarray, secondary: np.ndarray, items: np.ndarray, b: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort items by (primary, secondary, item) and chunk each (primary,
-    secondary) run into floor(len/b) full buckets; leftovers are dropped.
+    primary: np.ndarray,
+    secondary: np.ndarray | None,
+    items: np.ndarray,
+    b: int,
+    first: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Chunk each run of equal (primary, secondary) keys into floor(len/b)
+    full buckets of b items; the leftovers of each run are dropped.
 
-    Returns (members, bucket_primary, bucket_secondary) with members
-    bucket-major, each bucket exactly b long.
+    The items are sorted by (primary, secondary, item) first. secondary may
+    be None, for one key. A caller that has already sorted its items passes
+    first, the mask of run starts (sorting.first_of_runs), and gets the
+    chunking alone, with no sort.
+
+    Returns (members, bucket_primary, bucket_secondary), members
+    bucket-major, each bucket exactly b long; bucket_secondary is None
+    without a secondary key.
     """
-    if len(items) == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
-    order = np.lexsort((items, secondary, primary))
-    p, s, it = primary[order], secondary[order], items[order]
-    new_run = np.r_[True, (p[1:] != p[:-1]) | (s[1:] != s[:-1])]
-    run_id = np.cumsum(new_run) - 1
-    run_starts = np.flatnonzero(new_run)
-    run_lens = np.diff(np.r_[run_starts, len(it)])
-    pos = np.arange(len(it)) - run_starts[run_id]
-    keep = pos < (run_lens[run_id] // b) * b
-    members = it[keep]
-    bucket_primary = p[keep][::b]
-    bucket_secondary = s[keep][::b]
-    return members, bucket_primary, bucket_secondary
-
-
-def _interval_buckets(ids: np.ndarray, b: int, coef: float, name: str) -> QuadPotential:
-    """Consecutive id-sorted chunks of size b; leftover ids unbucketed."""
-    ids = np.sort(ids)
-    n_buckets = len(ids) // b
-    members = ids[: n_buckets * b]
-    return QuadPotential(members=members, coefs=np.full(n_buckets, coef), b=b, name=name)
+    if first is None:
+        keys = (items, primary) if secondary is None else (items, secondary, primary)
+        order = np.lexsort(keys)
+        primary, items = primary[order], items[order]
+        first = first_of_runs(primary)
+        if secondary is not None:
+            secondary = secondary[order]
+            first |= first_of_runs(secondary)
+    starts = np.flatnonzero(first)
+    run_lens = np.diff(np.r_[starts, len(items)])
+    run_id = np.cumsum(first) - 1
+    keep = np.arange(len(items)) - starts[run_id] < (run_lens // b * b)[run_id]
+    bucket_secondary = None if secondary is None else secondary[keep][::b]
+    return items[keep], primary[keep][::b], bucket_secondary
 
 
 @dataclass
@@ -451,12 +473,18 @@ def build_low_potentials(
         coef2 = np.zeros(n_buckets)
     pots.append(QuadPotential(members=members, coefs=coef2, b=b, name="phi_weighted"))
 
-    pots.append(
-        _interval_buckets(np.arange(n_cand, dtype=np.int64), b, 4.0 / (b * (n_cand // b)), "phi_size")
-        if n_cand // b
-        else QuadPotential(np.empty(0, dtype=np.int64), np.empty(0), b, "phi_size")
-    )
+    n_size = n_cand // b * b
+    coef3 = np.full(n_cand // b, 4.0 / max(n_size, 1))
+    pots.append(QuadPotential(np.arange(n_size, dtype=np.int64), coef3, b, "phi_size"))
     return LowPotentialSet(pots=pots, den=den, tot_imp=tot_imp, tag_u=tag_u, tag_lev=tag_lev)
+
+
+def node_share(tags: np.ndarray, values: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Per left node: the values of the buckets tagged with it, summed in
+    bucket order and divided by den (0 where den is 0)."""
+    # bincount of no values is int64
+    q = np.bincount(tags, weights=values, minlength=len(den)).astype(np.float64)
+    return np.divide(q, den, out=np.zeros_like(q), where=den > 0)
 
 
 def low_drift_rule(lp: LowPotentialSet, selected: np.ndarray, b: int) -> np.ndarray:
@@ -465,14 +493,8 @@ def low_drift_rule(lp: LowPotentialSet, selected: np.ndarray, b: int) -> np.ndar
     q_u > 4 b^BAD_NODE_EXP can hold for at most a phi_weighted/(4 b^BAD_NODE_EXP)
     importance mass, by Markov over the realized weighted potential.
     """
-    counts = lp.pots[0].counts(selected).astype(np.float64)
-    sq = (counts - b / 2.0) ** 2
-    q = np.zeros(len(lp.den), dtype=np.float64)
-    if len(lp.tag_u):
-        np.add.at(q, lp.tag_u, 4.0 * np.exp2(-lp.tag_lev.astype(np.float64)) * sq)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = np.where(lp.den > 0, q / lp.den, 0.0)
-    return q > 4.0 * b**BAD_NODE_EXP
+    share = 4.0 * np.exp2(-lp.tag_lev.astype(np.float64)) * lp.pots[0].sq_dev(selected)
+    return node_share(lp.tag_u, share, lp.den) > 4.0 * b**BAD_NODE_EXP
 
 
 # --- the regime driver ---------------------------------------------------------
@@ -744,9 +766,7 @@ class RegimeDriver:
         neighborhood (candidates plus nodes waiting at lower levels) so its
         mean is at most imp/4; certified under half the importance."""
         b = h.b
-        members, tag_u, _ = _group_full_buckets(
-            h.edge_u, np.zeros(len(h.edge_u), dtype=np.int64), h.edge_v, b
-        )
+        members, tag_u, _ = _group_full_buckets(h.edge_u, None, h.edge_v, b)
         alive = self.u_good[sub.edge_u] & self.v_alive[sub.edge_v]
         deg = np.bincount(sub.edge_u[alive], minlength=sub.n_left).astype(np.float64)
         with np.errstate(divide="ignore"):
@@ -755,11 +775,7 @@ class RegimeDriver:
         bound = float(np.sum(sub.imp[deg > 0])) / 2.0 if pot.n_buckets else 0.0
 
         def judge(half: HalfResult) -> tuple[np.ndarray, dict]:
-            sq = (pot.counts(half.selected).astype(np.float64) - b / 2.0) ** 2
-            q = np.zeros(sub.n_left, dtype=np.float64)
-            np.add.at(q, tag_u, sq)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                q = np.where(deg > 0, q / deg, 0.0)
+            q = node_share(tag_u, pot.sq_dev(half.selected), deg)
             return q > float(b) ** BAD_NODE_EXP, {
                 "buckets": int(pot.n_buckets),
                 "good_importance_bound": 1.0 - 0.5 / float(b) ** BAD_NODE_EXP,

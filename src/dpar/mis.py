@@ -46,10 +46,12 @@ from .hitting import (
     _renumber,
     build_low_potentials,
     low_drift_rule,
+    node_share,
     run_half,  # noqa: F401  (still importable from here, for tools that trace halvings)
     sub_problem,
 )
 from .rounding import tiled_sum
+from .sorting import first_of_runs
 from .verify import check_maximal_independent, require
 from .workcount import WorkCounter, charge
 
@@ -154,12 +156,15 @@ def edge_buckets(
 ) -> EdgeBucketing:
     """Bucket the edges of a simple graph given as unique undirected pairs.
 
-    High-degree nodes (degree >= b) own their incident edges and chunk them
-    into full buckets (special = far endpoint). Remaining edges are owned
-    by one endpoint each and grouped by owner's leftover degree d: b owners
-    at a time yield d buckets, the i-th built from each owner's i-th edge
-    (special = owner). Only incomplete groups stay leftover, fewer than b^3
-    edges in total.
+    Each edge has one owner: its endpoint of degree >= b when only one
+    endpoint has that degree, else the smaller endpoint. Two passes of the
+    bucket builder (hitting._group_full_buckets) then cut the buckets.
+    Pass 1 chunks each owner's edges, sorted by far endpoint, into full
+    buckets (special = far endpoint). Pass 2 groups the edges left over,
+    d < b per owner, by (d, rank of the edge among its owner's leftovers)
+    and chunks each group, ordered by owner, into buckets of b owners
+    (special = owner). Only incomplete groups stay leftover, fewer than
+    b^3 edges in total.
     """
     if b < 2:
         raise ValueError("bucket size must be at least 2")
@@ -168,14 +173,7 @@ def edge_buckets(
     m = len(src)
     if len(dst) != m:
         raise ValueError("edge arrays must have equal length")
-    if m == 0:
-        return EdgeBucketing(
-            specials=np.empty(0, dtype=np.int64),
-            b=b,
-            edge_bucket=np.empty(0, dtype=np.int64),
-            leftover=0,
-        )
-    if src.min() < 0 or dst.min() < 0 or max(src.max(), dst.max()) >= n:
+    if m and (src.min() < 0 or dst.min() < 0 or max(src.max(), dst.max()) >= n):
         raise ValueError("edge endpoint out of range")
     if np.any(src == dst):
         raise ValueError("self-loop")
@@ -190,67 +188,29 @@ def edge_buckets(
     other = src + dst - owner
 
     order = np.lexsort((other, owner))
-    o_own, o_oth = owner[order], other[order]
-    new_run = np.r_[True, o_own[1:] != o_own[:-1]]
-    starts = np.flatnonzero(new_run)
-    run_id = np.cumsum(new_run) - 1
-    run_len = np.diff(np.r_[starts, m])
-    pos = np.arange(m, dtype=np.int64) - starts[run_id]
+    o_own = owner[order]
+    full, _, _ = _group_full_buckets(o_own, None, order, b, first=first_of_runs(o_own))
+    edge_bucket = np.full(m, -1, dtype=np.int64)
+    edge_bucket[full] = np.arange(len(full)) // b
 
-    full_count = (run_len // b) * b
-    in_full = pos < full_count[run_id]
-    k1 = int(in_full.sum()) // b
+    rest = order[edge_bucket[order] < 0]  # still (owner, far end)-sorted
+    r_first = first_of_runs(owner[rest])
+    r_starts = np.flatnonzero(r_first)
+    d = np.diff(np.r_[r_starts, len(rest)])
+    rank = np.arange(len(rest)) - r_starts[np.cumsum(r_first) - 1]
+    # a stable sort by (d, rank) keeps each group in owner order
+    key = np.repeat(d, d) * b + rank
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    cross, _, _ = _group_full_buckets(key, None, rest[by_key], b, first=first_of_runs(key))
+    edge_bucket[cross] = (len(full) + np.arange(len(cross))) // b
 
-    # leftover blocks of < b edges per owner enter the cross-owner phase
-    d_rem = run_len % b
-    run_owner = o_own[starts]
-    r_order = np.lexsort((run_owner, d_rem))
-    rd = d_rem[r_order]
-    nz = rd > 0
-    rz_runs = r_order[nz]  # run indices with a nonzero leftover block, (d, owner)-sorted
-    rdz = rd[nz]
-    d_new = np.r_[True, rdz[1:] != rdz[:-1]] if len(rdz) else np.empty(0, dtype=bool)
-    d_sid = np.cumsum(d_new) - 1
-    d_starts = np.flatnonzero(d_new)
-    d_counts = np.diff(np.r_[d_starts, len(rdz)])
-    pos_in_d = np.arange(len(rdz), dtype=np.int64) - (d_starts[d_sid] if len(rdz) else 0)
-    kept = pos_in_d < (d_counts[d_sid] // b) * b if len(rdz) else np.empty(0, dtype=bool)
-
-    kept_idx = np.flatnonzero(kept)
-    n_parts = len(kept_idx) // b
-    part_of_kept = np.arange(len(kept_idx), dtype=np.int64) // b
-    part_d = rdz[kept_idx[::b]] if n_parts else np.empty(0, dtype=np.int64)
-    part_base = np.zeros(n_parts + 1, dtype=np.int64)
-    if n_parts:
-        part_base[1:] = np.cumsum(part_d)
-    k2 = int(part_base[-1])
-
-    run_part = np.full(len(starts), -1, dtype=np.int64)
-    run_slot = np.zeros(len(starts), dtype=np.int64)
-    if len(kept_idx):
-        run_part[rz_runs[kept_idx]] = part_of_kept
-        run_slot[rz_runs[kept_idx]] = np.arange(len(kept_idx), dtype=np.int64) % b
-
-    eb_sorted = np.full(m, -1, dtype=np.int64)
-    eb_sorted[in_full] = np.arange(k1 * b, dtype=np.int64) // b
-
-    rem_rank = pos - full_count[run_id]
-    ph2 = ~in_full & (run_part[run_id] >= 0)
-    ph2_bucket = k1 + part_base[run_part[run_id[ph2]]] + rem_rank[ph2]
-    eb_sorted[ph2] = ph2_bucket
-
-    specials = np.full((k1 + k2) * b, -1, dtype=np.int64)
-    specials[: k1 * b] = o_oth[in_full]
-    specials[ph2_bucket * b + run_slot[run_id[ph2]]] = o_own[ph2]
-    if len(specials) and specials.min() < 0:
-        raise RuntimeError("edge bucketing left an unfilled bucket slot")
-
-    edge_bucket = np.empty(m, dtype=np.int64)
-    edge_bucket[order] = eb_sorted
-    leftover = int(np.sum(eb_sorted < 0))
+    leftover = m - len(full) - len(cross)
     if leftover >= b**3:
         raise RuntimeError("edge bucketing leftover exceeded b^3; construction broken")
-    charge(work, "edge_buckets", m + n)
+    if m:  # an edgeless graph is bucketed for free
+        charge(work, "edge_buckets", m + n)
+    specials = np.concatenate([other[full], owner[cross]])
     return EdgeBucketing(specials=specials, b=b, edge_bucket=edge_bucket, leftover=leftover)
 
 
@@ -325,19 +285,6 @@ class LinearEdgePotential:
         return self.factor * 4.0 * float(np.sum(self.edge_w)) / self.norm
 
 
-def _adaptive_eps(potentials: list, denom: int, b: int) -> tuple[float, float]:
-    """eps small enough that eps * total pairwise cost stays below 1.
-
-    That keeps the assembled potential within 1 of its mean sum, making the
-    certified bounds provable rather than empirical.
-    """
-    c_tot = math.fsum(p.total_cost() for p in potentials)
-    eps = 1.0 / (denom * max(b - 1, 1))
-    if c_tot > 0:
-        eps = min(eps, 1.0 / c_tot)
-    return eps, c_tot
-
-
 def _mixed_sum(sub: MisAuxInstance, node_mask: np.ndarray, lev_eff: np.ndarray) -> float:
     """sum of aux edge weight at 2^-(k+k') plus vertex weight at 2^-k over
     the masked candidates (edges need both endpoints masked)."""
@@ -369,11 +316,18 @@ def _candidate_aux(sub, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _add_aux_potential(pots, h, ai, aj, aw, vw, factor, denom) -> tuple[float, float]:
     """Append the linear aux potential (unless it vanishes); return the
-    adaptive eps and the total pairwise cost of the stack."""
+    adaptive eps and the total pairwise cost c of the stack.
+
+    eps is 1/(denom (b-1)), cut to 1/c when that is smaller: eps c <= 1
+    keeps the assembled potential within 1 of its mean sum, which makes
+    the certified bounds provable rather than empirical.
+    """
     lin = LinearEdgePotential.build("phi_aux", factor / h.gamma, ai, aj, aw, vw, len(h.cand))
     if lin is not None:
         pots.append(lin)
-    return _adaptive_eps(pots, denom, h.b)
+    c_tot = math.fsum(p.total_cost() for p in pots)
+    eps = 1.0 / (denom * max(h.b - 1, 1))
+    return (min(eps, 1.0 / c_tot) if c_tot > 0 else eps), c_tot
 
 
 # --- the core selection lemma ---------------------------------------------------
@@ -474,9 +428,7 @@ class MisRegimeDriver(RegimeDriver):
         _fold_cross(
             vw, h.local, sub, is_cand, self.v_alive & ~is_cand, lambda s, t: level + lev_cur[t]
         )
-        members, tag_u, _ = _group_full_buckets(
-            h.edge_u, np.zeros(len(h.edge_u), dtype=np.int64), h.edge_v, b
-        )
+        members, tag_u, _ = _group_full_buckets(h.edge_u, None, h.edge_v, b)
         n_buckets = len(members) // b
         cand_deg = np.bincount(h.edge_u, minlength=sub.n_left).astype(np.float64)
         tot_imp = float(np.sum(sub.imp[cand_deg > 0]))
@@ -495,10 +447,7 @@ class MisRegimeDriver(RegimeDriver):
         def judge(half):
             q = np.zeros(sub.n_left, dtype=np.float64)
             if hit_pot is not None:
-                sq = (hit_pot.counts(half.selected).astype(np.float64) - b / 2.0) ** 2
-                np.add.at(q, tag_u, 4.0 * sq)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    q = np.where(cand_deg > 0, q / cand_deg, 0.0)
+                q = node_share(tag_u, 4.0 * hit_pot.sq_dev(half.selected), cand_deg)
             markov_thr = float(b) ** BAD_NODE_EXP
             phi_hits = half.phi_values.get("phi_hits", 0.0)
             return q > markov_thr, {
@@ -777,6 +726,44 @@ def _greedy_class_union(sub: Graph, colors: np.ndarray, num_colors: int,
     return chosen
 
 
+def _peel(g: Graph, pick: Callable, work: WorkCounter) -> MisResult:
+    """The sweep loop that maximal_independent_set and luby_mis_baseline
+    share.
+
+    Each sweep puts the isolated nodes into the set and drops them. Then
+    pick(cur, deg, owners) returns an independent set of the rest and a
+    function from the removed mask (the set plus its neighbors) to the
+    sweep's report fields. The set joins the output and is dropped with
+    its neighbors; a sweep that picks nothing drops nothing. The result is
+    asserted maximal independent.
+    """
+    in_set = np.zeros(g.n, dtype=bool)
+    iterations: list[dict] = []
+    cur = g
+    to_orig = np.arange(g.n, dtype=np.int64)
+    while cur.n:
+        deg = cur.degrees()
+        isolated = deg == 0
+        if isolated.any():
+            in_set[to_orig[isolated]] = True
+            if isolated.all():
+                break
+            cur, _, sub_ids = compact_subgraph(cur, ~isolated, work)
+            to_orig = to_orig[sub_ids]
+            deg = cur.degrees()
+        owners = cur.slot_owners()
+        chosen, fields = pick(cur, deg, owners)
+        removed = chosen.copy()
+        removed[cur.nbrs[chosen[owners]]] = True
+        iterations.append({"nodes": int(cur.n), "edges": int(cur.m), **fields(removed)})
+        if chosen.any():
+            in_set[to_orig[chosen]] = True
+            cur, _, sub_ids = compact_subgraph(cur, ~removed, work)
+            to_orig = to_orig[sub_ids]
+    require(check_maximal_independent(g, in_set), "maximal independent set")
+    return MisResult(in_set=in_set, iterations=iterations, work=work)
+
+
 def maximal_independent_set(
     g: Graph,
     params: ParamSet | None = None,
@@ -794,59 +781,30 @@ def maximal_independent_set(
         raise ValueError("dpar runs sequentially; threads must be 1")
     params = params or ParamSet.desk()
     work = work if work is not None else WorkCounter()
-    in_set = np.zeros(g.n, dtype=bool)
-    iterations: list[dict] = []
-    cur = g
-    to_orig = np.arange(g.n, dtype=np.int64)
 
-    while cur.n:
-        deg = cur.degrees()
-        isolated = deg == 0
-        if isolated.any():
-            in_set[to_orig[isolated]] = True
-            if isolated.all():
-                break
-            cur, _, sub_ids = compact_subgraph(cur, ~isolated, work)
-            to_orig = to_orig[sub_ids]
-            deg = cur.degrees()
-
+    def sweep(cur, deg, owners):
         ind = independentish_set(cur, params, work=work)
-        s_star = ind.s_star
-        owners = cur.slot_owners()
-        sub, _, sub_ids = compact_subgraph(cur, s_star, work)
+        sub, _, sub_ids = compact_subgraph(cur, ind.s_star, work)
         sub_key = ind.keys[sub_ids]
         out_slots = sub_key[sub.nbrs] > sub_key[sub.slot_owners()]
         col = color_delta_squared(sub, orientation=out_slots, work=work)
-        chosen_sub = _greedy_class_union(sub, col.colors, col.num_colors, work)
-
         chosen = np.zeros(cur.n, dtype=bool)
-        chosen[sub_ids[chosen_sub]] = True
-        in_set[to_orig[chosen]] = True
-
-        removed = chosen.copy()
-        removed[cur.nbrs[chosen[owners]]] = True
-        if not removed.any():
+        chosen[sub_ids[_greedy_class_union(sub, col.colors, col.num_colors, work)]] = True
+        if not chosen.any():
             raise RuntimeError("sweep made no progress")
-        iterations.append(
-            {
-                "nodes": int(cur.n),
-                "edges": int(cur.m),
-                "selected_raw": int(ind.s_raw.sum()),
-                "selected_star": int(s_star.sum()),
-                "chosen": int(chosen.sum()),
-                "removed": int(removed.sum()),
-                "removed_degree_fraction": float(np.sum(deg[removed])) / max(cur.m, 1),
-                "star_degree_fraction": ind.removed_degree_fraction,
-                "palette": int(col.num_colors),
-                "fallback": ind.fallback,
-                "dropped_watchers": ind.dropped_watchers,
-            }
-        )
-        cur, _, sub_ids = compact_subgraph(cur, ~removed, work)
-        to_orig = to_orig[sub_ids]
+        return chosen, lambda removed: {
+            "selected_raw": int(ind.s_raw.sum()),
+            "selected_star": int(ind.s_star.sum()),
+            "chosen": int(chosen.sum()),
+            "removed": int(removed.sum()),
+            "removed_degree_fraction": float(np.sum(deg[removed])) / max(cur.m, 1),
+            "star_degree_fraction": ind.removed_degree_fraction,
+            "palette": int(col.num_colors),
+            "fallback": ind.fallback,
+            "dropped_watchers": ind.dropped_watchers,
+        }
 
-    require(check_maximal_independent(g, in_set), "maximal independent set")
-    return MisResult(in_set=in_set, iterations=iterations, work=work)
+    return _peel(g, sweep, work)
 
 
 def luby_mis_baseline(g: Graph, seed: int, work: WorkCounter | None = None) -> MisResult:
@@ -858,41 +816,15 @@ def luby_mis_baseline(g: Graph, seed: int, work: WorkCounter | None = None) -> M
     """
     work = work if work is not None else WorkCounter()
     rng = np.random.default_rng(seed)
-    in_set = np.zeros(g.n, dtype=bool)
-    iterations: list[dict] = []
-    cur = g
-    to_orig = np.arange(g.n, dtype=np.int64)
 
-    while cur.n:
-        deg = cur.degrees()
-        isolated = deg == 0
-        if isolated.any():
-            in_set[to_orig[isolated]] = True
-            if isolated.all():
-                break
-            cur, _, sub_ids = compact_subgraph(cur, ~isolated, work)
-            to_orig = to_orig[sub_ids]
-            deg = cur.degrees()
-
+    def luby_round(cur, deg, owners):
         marked = rng.random(cur.n) < 1.0 / (10.0 * deg)
         key = deg * np.int64(cur.n) + np.arange(cur.n, dtype=np.int64)
-        owners = cur.slot_owners()
         out_marked = marked[owners] & marked[cur.nbrs] & (key[cur.nbrs] > key[owners])
         has_marked_out = np.zeros(cur.n, dtype=bool)
         has_marked_out[owners[out_marked]] = True
         winners = marked & ~has_marked_out
         charge(work, "luby_round", cur.n + len(cur.nbrs))
-        if not winners.any():
-            iterations.append({"nodes": int(cur.n), "edges": int(cur.m), "chosen": 0})
-            continue
-        in_set[to_orig[winners]] = True
-        removed = winners.copy()
-        removed[cur.nbrs[winners[owners]]] = True
-        iterations.append(
-            {"nodes": int(cur.n), "edges": int(cur.m), "chosen": int(winners.sum())}
-        )
-        cur, _, sub_ids = compact_subgraph(cur, ~removed, work)
-        to_orig = to_orig[sub_ids]
+        return winners, lambda removed: {"chosen": int(winners.sum())}
 
-    require(check_maximal_independent(g, in_set), "maximal independent set")
-    return MisResult(in_set=in_set, iterations=iterations, work=work)
+    return _peel(g, luby_round, work)

@@ -93,11 +93,24 @@ def test_instance_validation():
         ("gamma0_low", math.nan),
         ("gamma_high", 0.0),
         ("gamma_high", math.inf),
+        ("mode", "bogus"),
     ],
 )
 def test_param_set_rejects_out_of_domain_values(field, value):
     with pytest.raises(ValueError, match=f"parameter {field} must be"):
         replace(DESK, **{field: value})
+
+
+@pytest.mark.parametrize("k_factor", [1e308, 1e18, 400.0])
+def test_level_cap_rejects_a_k_beyond_float_range(k_factor):
+    # 2^(K-1) overflows a float once K passes 1024; a K past int64 crashed numpy
+    params = replace(DESK, k_factor=k_factor)
+    with pytest.raises(ValueError, match="parameter k_factor="):
+        params.level_cap(1 << 20)
+    inst = crafted_instance(np.random.default_rng(0), 2, 6, 3, np.full(6, 2), size_param=1 << 20)
+    with pytest.raises(ValueError, match="parameter k_factor="):
+        hitting_set(inst, params)
+    assert replace(DESK, k_factor=100.0).level_cap(BIG_N) == 600
 
 
 def test_hset_round_trip(tmp_path):
@@ -164,6 +177,20 @@ def test_group_full_buckets_frozen():
     assert members.tolist() == [1, 2, 4, 5]  # sorted, leftover 7 dropped
     assert bp.tolist() == [0, 0]
     assert bs.tolist() == [0, 0]
+    # without a secondary key: runs of primary alone, no secondary tags
+    primary = np.array([3, 1, 3, 1, 3, 1, 1], dtype=np.int64)
+    items = np.array([9, 8, 2, 6, 5, 1, 4], dtype=np.int64)
+    members, bp, bs = _group_full_buckets(primary, None, items, 2)
+    assert members.tolist() == [1, 4, 6, 8, 2, 5]  # 9 is primary 3's leftover
+    assert bp.tolist() == [1, 1, 3]
+    assert bs is None
+    # items the caller sorted already: chunking only, in the given order
+    primary = np.array([1, 1, 1, 1, 3, 3, 3], dtype=np.int64)
+    items = np.array([8, 6, 1, 4, 9, 2, 5], dtype=np.int64)
+    first = np.array([True, False, False, False, True, False, False])
+    members, bp, _ = _group_full_buckets(primary, None, items, 2, first=first)
+    assert members.tolist() == [8, 6, 1, 4, 9, 2]
+    assert bp.tolist() == [1, 1, 3]
 
 
 def test_monte_carlo_potential_mean():

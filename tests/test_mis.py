@@ -167,6 +167,75 @@ def test_edge_buckets_invariants_random(b):
     assert all(incident[i, sp[i]].all() for i in range(k))
 
 
+def reference_edge_buckets(n, edges, b):
+    """The edge bucketing in plain Python: a set of (edges, specials) per
+    bucket, and the leftover count. Each edge is owned by its one endpoint
+    of degree >= b, else by its smaller endpoint. Every owner chunks its
+    edges, sorted by far endpoint, into buckets of b (specials: the far
+    endpoints). Owners left with d < b edges are taken b at a time in id
+    order, within each d; such a part yields d buckets, the i-th made of
+    each owner's i-th leftover edge (specials: the owners)."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    far: dict[int, list[int]] = {}
+    for u, v in edges:
+        hu, hv = deg[u] >= b, deg[v] >= b
+        owner = u if hu and not hv else v if hv and not hu else min(u, v)
+        far.setdefault(owner, []).append(u + v - owner)
+    buckets = set()
+    by_d: dict[int, list[tuple[int, list[int]]]] = {}
+    for owner in sorted(far):
+        ends = sorted(far[owner])
+        full = len(ends) // b * b
+        for i in range(0, full, b):
+            chunk = ends[i : i + b]
+            buckets.add((frozenset((min(owner, x), max(owner, x)) for x in chunk), frozenset(chunk)))
+        if full < len(ends):
+            by_d.setdefault(len(ends) - full, []).append((owner, ends[full:]))
+    for d, owners in by_d.items():
+        for p in range(len(owners) // b):
+            part = owners[p * b : (p + 1) * b]
+            for i in range(d):
+                edges_i = frozenset((min(o, r[i]), max(o, r[i])) for o, r in part)
+                buckets.add((edges_i, frozenset(o for o, _ in part)))
+    return buckets, len(edges) - b * len(buckets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    b=st.integers(2, 8),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_edge_buckets_match_the_reference(n, b, density, seed):
+    # a random simple graph, each edge in a random direction and position
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < density
+    flip = rng.random(int(keep.sum())) < 0.5
+    perm = rng.permutation(int(keep.sum()))
+    edges = [
+        (int(v), int(u)) if f else (int(u), int(v))
+        for u, v, f in zip(iu[keep][perm], ju[keep][perm], flip)
+    ]
+    src = np.array([u for u, _ in edges], dtype=np.int64)
+    dst = np.array([v for _, v in edges], dtype=np.int64)
+    eb = edge_buckets(n, src, dst, b)
+    got = set()
+    for k in range(eb.n_buckets):
+        in_k = np.flatnonzero(eb.edge_bucket == k)
+        bucket_edges = frozenset(tuple(sorted(edges[e])) for e in in_k.tolist())
+        specials = eb.specials[k * b : (k + 1) * b].tolist()
+        assert len(set(specials)) == b
+        got.add((bucket_edges, frozenset(specials)))
+    want, leftover = reference_edge_buckets(n, edges, b)
+    assert got == want
+    assert eb.leftover == leftover
+
+
 def test_edge_bucket_potential_mean_one():
     g = gnm_graph(150, 900, seed=9)
     owners = g.slot_owners()
