@@ -173,9 +173,9 @@ def test_cli_rejects_hand_written_csr_garbage(tmp_path, case):
         ({"outdeg_cap": "eight"}, SystemExit, "parameter outdeg_cap: expected int"),
         ({"outdeg_cap": -1}, ValueError, "parameter outdeg_cap must be >= 0"),
         ({"beta": 0}, ValueError, "parameter beta must be finite and > 0"),
+        ({"outdeg_cap": 4, "gamma_high": None}, None, None),
         ({"mode": "bogus"}, ValueError, "parameter mode must be 'paper' or 'desk'"),
         ({"k_factor": 1e308}, ValueError, "parameter k_factor=1e\\+308 puts the level cap"),
-        ({"outdeg_cap": 4, "gamma_high": None}, None, None),
     ],
 )
 def test_cli_params_files(tmp_path, overrides, error, message):
