@@ -43,6 +43,8 @@ def _load_params(args) -> ParamSet:
         for key in overrides:
             if key not in kinds:
                 raise SystemExit(f"unknown parameter: {key}")
+            if key == "mode":
+                raise SystemExit("parameter mode: choose the preset with --mode")
         params = dataclasses.replace(
             params, **{key: _coerce_param(key, kinds[key], v) for key, v in overrides.items()}
         )

@@ -4,12 +4,14 @@ A graph stores both directed copies of every undirected edge: node u's
 block is nbrs[offsets[u]:offsets[u+1]]. Optional per-slot weights are
 symmetric.
 
-Graphs are built from pair lists on one path: merged_pairs canonicalizes,
-stably sorts and dedupes the pairs, summing each pair's weights in input
-order, and graph_from_directed_slots sorts the two directed copies into
-CSR. sort_edges_to_csr validates an input edge list and takes that path;
-rounding.local_round takes it for its cost graphs. compact_subgraph
-restricts a graph to a node set.
+Graphs are built from pair lists on one path: merged_pairs canonicalizes
+and dedupes the pairs, summing each pair's weights in input order, and
+graph_from_directed_slots sorts the two directed copies into CSR.
+merged_pairs sums the pairs in a dense table of all n * n pair codes when
+there are at least that many pairs, and stably sorts the codes otherwise;
+both ways return the same bytes. sort_edges_to_csr validates an input edge
+list and takes that path; rounding.local_round takes it for its cost
+graphs. compact_subgraph restricts a graph to a node set.
 """
 
 from __future__ import annotations
@@ -82,13 +84,31 @@ def merged_pairs(
 
     Returns (lo, hi, w): one entry per distinct pair lo < hi, in ascending
     (lo, hi) order, and w the sum of each pair's weights taken in input
-    order (None without weights). The sort is not charged. Temporaries are
-    built in place and dropped early, since this merge sets peak memory on
-    dense rounding instances.
+    order (None without weights). Each pair has the code lo * n + hi.
+
+    When 0 < n * n <= len(i), the codes are marked in a dense table of all
+    n * n codes and summed there by bincount, with no sort. The table holds
+    a bool and a float64 per code, so the rule also bounds its memory: at
+    most 9 bytes per input pair, where the sort holds four 8-byte arrays
+    per pair. Otherwise, empty input included, the codes are stably sorted
+    and each run of equal codes is summed. bincount adds each bin's weights
+    in input order, so both ways give the same sums to the bit. Neither way
+    is charged to a WorkCounter. Temporaries are built in place and dropped
+    early, since this merge sets peak memory on dense rounding instances.
     """
     code = np.minimum(i, j)
     code *= n
     code += np.maximum(i, j)
+    if 0 < n * n <= len(code):
+        present = np.zeros(n * n, dtype=bool)
+        present[code] = True
+        uniq = np.flatnonzero(present)
+        del present
+        w = None
+        if weights is not None:
+            # float64 already: only bincount of no entries comes back int64
+            w = np.bincount(code, weights=weights)[uniq]
+        return uniq // n, uniq % n, w
     order = stable_order_u64(code)
     code = code[order]
     first = first_of_runs(code)

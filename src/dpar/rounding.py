@@ -12,6 +12,9 @@ graph, one slot pair per distinct node pair (bucket potentials emit the
 same pair many times over). It builds that graph on the graph module's
 one path, graph.merged_pairs then graph_from_directed_slots, without
 sort_edges_to_csr's input checks, which RoundingInstance has already made.
+merged_pairs sums the terms per pair in a dense table of all n * n pairs
+when there are at least n * n terms, as in a dense halving, and by a
+stable sort of the pair codes otherwise; the sums are the same either way.
 The coloring and the sweep run on that graph; the certificate still
 evaluates F on the input terms.
 

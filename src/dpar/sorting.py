@@ -1,10 +1,14 @@
-"""Prefix sums and small-key radix sort.
+"""Prefix sums, small-key radix sort and a stable word-key sort.
 
 The small-key sort handles keys in [1, ceil(log2 N)] with O(log log N)
 stable binary-digit passes, each pass built from prefix sums. General
-machine-word keys go through a stable integer argsort (an LSD radix sort
-for integer dtypes), used as infrastructure by the CSR builder;
-first_of_runs marks where the runs of equal keys in its output begin.
+machine-word keys go through numpy's stable argsort, used as
+infrastructure by the CSR builder. numpy radix-sorts only keys of 16 bits
+or less; on int64 keys it runs timsort, which is fast on partly ordered
+input such as the merge codes of bucket pairs. Its work charge, one unit
+per key per 16-bit digit, is a declared cost model of an LSD radix sort,
+not a count of what timsort does. first_of_runs marks where the runs of
+equal keys in a sorted array begin.
 """
 
 from __future__ import annotations
@@ -78,7 +82,13 @@ def radix_sort_small_keys(
 
 
 def stable_order_u64(keys, work: WorkCounter | None = None) -> np.ndarray:
-    """Stable ordering permutation for machine-word integer keys."""
+    """Stable ordering permutation for machine-word integer keys.
+
+    np.argsort(kind="stable") runs a radix sort on keys of 16 bits or less
+    and timsort on wider ones, so int64 keys are timsorted. The charge,
+    word_sort units of (bits / 16) passes times the key count, models an
+    LSD radix sort with 16-bit digits; it is a declared cost, not a count.
+    """
     arr = np.asarray(keys)
     passes = max(1, (int(arr.dtype.itemsize) * 8) // 16)
     charge(work, "word_sort", passes * arr.size)

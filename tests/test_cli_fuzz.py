@@ -4,8 +4,9 @@ Inputs are empty, one-edge, star and clique edge lists, as edge-list text,
 as CSR files and (for hitting-set) as HSET files, whole or cut inside one
 of their sections, plus hand-written garbage files and --params files.
 Every run must either exit 0 with every certificate ok or raise a
-ValueError or SystemExit that carries a message. sort_edges_to_csr is
-compared byte for byte with a plain-Python reference.
+ValueError or SystemExit that carries a message. sort_edges_to_csr and
+merged_pairs, on both sides of its dense-table rule, are compared byte for
+byte with a plain-Python reference.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpar.cli import main
-from dpar.graph import sort_edges_to_csr, write_csr
+from dpar.graph import merged_pairs, sort_edges_to_csr, write_csr
 from dpar.hitting import BipartiteInstance, write_hset
 
 FAMILIES = {
@@ -174,8 +175,9 @@ def test_cli_rejects_hand_written_csr_garbage(tmp_path, case):
         ({"outdeg_cap": -1}, ValueError, "parameter outdeg_cap must be >= 0"),
         ({"beta": 0}, ValueError, "parameter beta must be finite and > 0"),
         ({"outdeg_cap": 4, "gamma_high": None}, None, None),
-        ({"mode": "bogus"}, ValueError, "parameter mode must be 'paper' or 'desk'"),
+        ({"mode": "bogus"}, SystemExit, "parameter mode: choose the preset with --mode"),
         ({"k_factor": 1e308}, ValueError, "parameter k_factor=1e\\+308 puts the level cap"),
+        ({"mode": "paper"}, SystemExit, "parameter mode: choose the preset with --mode"),
     ],
 )
 def test_cli_params_files(tmp_path, overrides, error, message):
@@ -193,13 +195,20 @@ def test_cli_params_files(tmp_path, overrides, error, message):
     assert all(c["ok"] for c in json.loads(report.read_text())["certificates"])
 
 
-def reference_csr(edges, n, weights):
-    """(offsets, nbrs, weights) in plain Python: each pair's weights summed
-    in input order, adjacency sorted by (owner, neighbour)."""
+def reference_pairs(edges, weights):
+    """{(lo, hi): summed weight} in plain Python, each pair's weights added
+    in input order (1.0 per edge without weights), keys in ascending order."""
     pair_w: dict[tuple[int, int], float] = {}
     for k, (u, v) in enumerate(edges):
         key = (min(u, v), max(u, v))
         pair_w[key] = pair_w.get(key, 0.0) + (1.0 if weights is None else weights[k])
+    return dict(sorted(pair_w.items()))
+
+
+def reference_csr(edges, n, weights):
+    """(offsets, nbrs, weights) in plain Python: reference_pairs' sums,
+    adjacency sorted by (owner, neighbour)."""
+    pair_w = reference_pairs(edges, weights)
     slots = sorted(s for (u, v), w in pair_w.items() for s in ((u, v, w), (v, u, w)))
     offsets = [0] * (n + 1)
     for u, _, _ in slots:
@@ -209,21 +218,49 @@ def reference_csr(edges, n, weights):
     return offsets, [v for _, v, _ in slots], [w for _, _, w in slots]
 
 
+def assert_same_array(a, values, dtype):
+    assert a.dtype == dtype and a.tobytes() == np.array(values, dtype=dtype).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(1, 12),
     data=st.data(),
     weighted=st.booleans(),
+    dense=st.booleans(),
 )
-def test_sort_edges_to_csr_matches_a_plain_python_reference(n, data, weighted):
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    edges = data.draw(st.lists(pairs, max_size=40)) if n > 1 else []
-    # weights of very different size, so the summation order shows in the bytes
+def test_sort_edges_to_csr_matches_a_plain_python_reference(n, data, weighted, dense):
+    """sort_edges_to_csr and merged_pairs against the plain-Python merge.
+    With dense, n <= 5 and there are at least n * n edges, so merged_pairs
+    sums in its dense pair table; otherwise it mostly sorts."""
+    if dense:
+        n = min(n, 5)
+    # an offset in [1, n) from u gives every ordered pair u != v
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1))).map(
+        lambda e: (e[0], (e[0] + e[1]) % n)
+    )
+    min_size = n * n if dense else 0
+    edges = []
+    if n > 1:
+        edges = data.draw(st.lists(pairs, min_size=min_size, max_size=max(40, min_size)))
+    # weights of very different size, so the summation order shows in the bytes;
+    # 0.0 gives pairs whose weights sum to 0
     weight = st.sampled_from([0.0, 0.1, 0.3, 1.0, 1e-17, 1e17, 2.5e-300])
     weights = None
     if weighted:
         weights = data.draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
-    g = sort_edges_to_csr(np.array(edges, dtype=np.int64).reshape(-1, 2), n, weights=weights)
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+    lo, hi, w = merged_pairs(e[:, 0], e[:, 1], n, None if weights is None else np.array(weights))
+    pair_w = reference_pairs(edges, weights)
+    assert_same_array(lo, [u for u, _ in pair_w], np.int64)
+    assert_same_array(hi, [v for _, v in pair_w], np.int64)
+    if weighted:
+        assert_same_array(w, list(pair_w.values()), np.float64)
+    else:
+        assert w is None
+
+    g = sort_edges_to_csr(e, n, weights=weights)
     offsets, nbrs, ws = reference_csr(edges, n, weights)
     assert g.offsets.tobytes() == np.array(offsets, dtype=np.int64).tobytes()
     assert g.nbrs.tobytes() == np.array(nbrs, dtype=np.int64).tobytes()
