@@ -14,6 +14,18 @@ defective coloring (a point is admissible when the weight of neighbors
 hitting it stays below a per-node budget; such edges may go monochromatic
 and are "lost").
 
+A round solves each conflict once. The slots u -> v and v -> u solve the
+same quadratic up to sign, so they share its roots, with r1 and r2
+swapped; where conflicts are symmetric, the kernel solves each pair from
+its slot u < v and hits both ends, and with an orientation it solves
+each out-slot for its owner. The hits reach the sort in the order that
+solving every slot would give, so weighted scores are summed in that
+order and the colors do not depend on which way a pair was solved. The
+inverses in the root formula are gathers from a per-prime table (see
+ntheory). color_delta_squared stops after the first shrinking round
+whose field is set by the degree rather than by the palette, since a
+further round could not improve its O(delta^2) bound.
+
 Defective coloring ends with a greedy sweep over the classes of its
 phase-1 coloring, in ascending order, where each node reads only the final
 colors of its heads in lower classes. class_sweep cuts such sweeps into
@@ -57,18 +69,6 @@ class Coloring:
     mono_weight: float = 0.0
 
 
-def _mod_pow(base: np.ndarray, exp: int, p: int) -> np.ndarray:
-    result = np.ones_like(base)
-    b = base % p
-    e = exp
-    while e > 0:
-        if e & 1:
-            result = (result * b) % p
-        b = (b * b) % p
-        e >>= 1
-    return result
-
-
 def _poly_coeffs(q: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Base-p digits of each color: q = a p^2 + b p + c."""
     c = q % p
@@ -83,9 +83,18 @@ def _eval_poly(a, b, c, x, p: int) -> np.ndarray:
 
 
 def _conflict_roots(
-    dq_a: np.ndarray, dq_b: np.ndarray, dq_c: np.ndarray, p: int, sqrt_tab: np.ndarray
+    dq_a: np.ndarray,
+    dq_b: np.ndarray,
+    dq_c: np.ndarray,
+    p: int,
+    sqrt_tab: np.ndarray,
+    inv_tab: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of a x^2 + b x + c over F_p (p odd). Returns (r1, ok1, r2, ok2)."""
+    """Roots of a x^2 + b x + c over F_p (p odd). Returns (r1, ok1, r2, ok2).
+
+    Negating the polynomial keeps its roots and swaps r1 and r2 (a double
+    or linear root stays r1, with ok2 False).
+    """
     a, b, c = dq_a % p, dq_b % p, dq_c % p
     n = len(a)
     r1 = np.zeros(n, dtype=np.int64)
@@ -94,7 +103,7 @@ def _conflict_roots(
     ok2 = np.zeros(n, dtype=bool)
     lin = (a == 0) & (b != 0)
     if lin.any():
-        inv_b = _mod_pow(b[lin], p - 2, p)
+        inv_b = inv_tab[b[lin]]
         r1[lin] = (p - c[lin]) * inv_b % p
         ok1[lin] = True
     quad = a != 0
@@ -102,7 +111,7 @@ def _conflict_roots(
         disc = (b[quad] * b[quad] - 4 * a[quad] * c[quad]) % p
         s = sqrt_tab[disc]
         has = s >= 0
-        inv_2a = _mod_pow(2 * a[quad] % p, p - 2, p)
+        inv_2a = inv_tab[2 * a[quad] % p]
         root_a = (p - b[quad] + s) % p * inv_2a % p
         root_b = (p - b[quad] + (p - s) % p) % p * inv_2a % p
         idx = np.flatnonzero(quad)
@@ -172,6 +181,7 @@ def _kernel_round(
     domain: np.ndarray,
     budget: np.ndarray | None,
     zero_budget_nodes: np.ndarray | None,
+    symmetric: bool,
     work: WorkCounter | None,
 ) -> np.ndarray:
     """One recoloring round over conflict slots (src -> dst).
@@ -179,6 +189,9 @@ def _kernel_round(
     weights/budget None: proper mode, every hit point is inadmissible.
     Otherwise a point is admissible while its hit weight stays below
     budget[v]; nodes flagged in zero_budget_nodes require hit weight 0.
+    symmetric: the slots hold both directions of every conflict, with
+    symmetric weights; each pair is solved once, from its slot src < dst,
+    and hits both ends. Otherwise every slot is solved and hits its owner.
     Returns the new colors (compacted later by the caller).
     """
     p = prime_in_range(tables, kprime)
@@ -187,30 +200,42 @@ def _kernel_round(
     if k > p**3:
         raise RuntimeError("palette does not fit the field; k' selection broken")
     sqrt_tab = tables.sqrt_table(p, work)
+    inv_tab = tables.inv_table(p)
     a_all, b_all, c_all = _poly_coeffs(colors, p)
     charge(work, "recolor_slots", len(src) + n)
+    if symmetric:
+        fwd = src < dst
+        src, dst = src[fwd], dst[fwd]
+        if weights is not None:
+            weights = weights[fwd]
 
-    # one slice of TILE slots at a time keeps the root search's temporaries small
-    parts = []
+    # Hits go out in two blocks, the r1 hits of every pair and then the r2
+    # hits, with the two ends of a pair side by side. On slots sorted by
+    # neighbour, each node's hits then reach the stable sort in its slot
+    # order, as if each slot had been solved on its own, so the weighted
+    # scores are summed in that order. One slice of TILE pairs at a time
+    # keeps the temporaries small.
+    blocks: tuple[list, list] = ([], [])
+    wblocks: tuple[list, list] = ([], [])
     for lo in range(0, len(src), TILE):
         s, d = src[lo : lo + TILE], dst[lo : lo + TILE]
-        da = a_all[d] - a_all[s]
-        db = b_all[d] - b_all[s]
-        dc = c_all[d] - c_all[s]
-        parts.append(_conflict_roots(da, db, dc, p, sqrt_tab))
-    if parts:
-        r1, ok1, r2, ok2 = (np.concatenate(cols) for cols in zip(*parts))
-    else:
-        r1 = r2 = np.empty(0, dtype=np.int64)
-        ok1 = ok2 = np.empty(0, dtype=bool)
-
-    vv = np.concatenate([src, src])
-    rr = np.concatenate([r1, r2])
-    hit = np.concatenate([ok1, ok2]) & (rr < domain[vv])
-    vv, rr = vv[hit], rr[hit]
-    if weights is not None:
-        ws = np.concatenate([weights, weights])[hit]
-    key = vv * p + rr
+        r1, ok1, r2, ok2 = _conflict_roots(
+            a_all[d] - a_all[s], b_all[d] - b_all[s], c_all[d] - c_all[s], p, sqrt_tab, inv_tab
+        )
+        dom_s = domain[s]
+        sides = [[(s, r1, ok1 & (r1 < dom_s))], [(s, r2, ok2 & (r2 < dom_s))]]
+        if symmetric:
+            # the slot d -> s solves the negated polynomial: r1 and r2 swap
+            rev1 = np.where(ok2, r2, r1)
+            dom_d = domain[d]
+            sides[0].append((d, rev1, ok1 & (rev1 < dom_d)))
+            sides[1].append((d, r1, ok2 & (r1 < dom_d)))
+        for block, wblock, side in zip(blocks, wblocks, sides):
+            hit = np.stack([m for _, _, m in side], axis=1)
+            block.append(np.stack([v * p + r for v, r, _ in side], axis=1)[hit])
+            if weights is not None:
+                wblock.append(np.broadcast_to(weights[lo : lo + TILE, None], hit.shape)[hit])
+    key = np.concatenate(blocks[0] + blocks[1]) if blocks[0] else np.empty(0, dtype=np.int64)
     order = stable_order_u64(key, work)
     key_s = key[order]
     uniq_mask = first_of_runs(key_s)
@@ -219,6 +244,7 @@ def _kernel_round(
     if weights is None:
         adm = np.zeros(len(ukey), dtype=bool)
     else:
+        ws = np.concatenate(wblocks[0] + wblocks[1]) if wblocks[0] else np.empty(0)
         groups = np.cumsum(uniq_mask) - 1
         score = np.bincount(groups, weights=ws[order], minlength=len(ukey))
         # zero hit weight is always harmless, whatever the budget
@@ -266,7 +292,8 @@ def reduce_colors_once(
     p = prime_in_range(tables, kprime)
     domain = np.minimum(np.maximum(3 * cdeg, 1), p)
     new_colors = _kernel_round(
-        g.n, current.colors, k, kprime, tables, src, dst, None, domain, None, None, work
+        g.n, current.colors, k, kprime, tables, src, dst, None, domain, None, None,
+        orientation is None, work,
     )
     if len(src) and np.any(new_colors[src] == new_colors[dst]):
         raise RuntimeError("recoloring produced a monochromatic conflict edge")
@@ -286,8 +313,13 @@ def color_delta_squared(
 ) -> Coloring:
     """Proper coloring with a palette polynomial in the max conflict degree.
 
-    Starts from node ids and runs recoloring rounds until the palette stops
-    shrinking. With an orientation, conflicts are out-edges only; the
+    Starts from node ids and runs recoloring rounds, keeping a round only
+    if it shrinks the palette and returning at the first round that does
+    not. A shrinking round whose field is set by the degree,
+    ceil(k^(1/3)) <= 3*delta on a palette of k colors, is the last one:
+    it leaves at most p * max(domain) colors, O(delta^2), and a later
+    round would use the same field and domains, so it could not improve
+    that bound. With an orientation, conflicts are out-edges only; the
     result still has no monochromatic edge in either mode.
     """
     src, _dst = _conflict_slots(g, orientation)
@@ -295,9 +327,12 @@ def color_delta_squared(
     tables = precompute_tables(tables_limit_for(g.n, delta))
     cur = Coloring(colors=np.arange(g.n, dtype=np.int64), num_colors=max(g.n, 1))
     while True:
+        degree_bound = math.ceil(cur.num_colors ** (1.0 / 3.0)) <= 3 * delta
         nxt = reduce_colors_once(g, cur, tables, delta=delta, orientation=orientation, work=work)
         if nxt.num_colors >= cur.num_colors:
             return cur
+        if degree_bound:
+            return nxt
         cur = nxt
 
 
@@ -411,7 +446,7 @@ def _defective_phase1(
         domain = np.maximum(domain, 1).astype(np.int64)
         budget = eps1 * incident
         new_colors = _kernel_round(
-            n, colors, k, kprime, tables, src, dst, w, domain, budget, low, work
+            n, colors, k, kprime, tables, src, dst, w, domain, budget, low, True, work
         )
         lost = new_colors[src] == new_colors[dst]
         if np.any(lost & low[src] & (w > 0)):

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from dpar.coloring import (
     Coloring,
+    _conflict_roots,
+    _kernel_round,
+    _poly_coeffs,
     _smallest_admissible,
     color_delta_squared,
     defective_coloring,
@@ -14,6 +17,7 @@ from dpar.coloring import (
     tables_limit_for,
 )
 from dpar.graph import Graph, sort_edges_to_csr
+from dpar.matching import _line_graph
 from dpar.ntheory import precompute_tables, prime_in_range
 from dpar.workcount import WorkCounter
 
@@ -76,6 +80,85 @@ def test_round_rejects_understated_degree():
         reduce_colors_once(g, cur, tables, delta=1)
 
 
+def per_slot_round(n, colors, kprime, tables, src, dst, weights, domain, budget, strict):
+    """The per-slot rule that _kernel_round's pair solve must reproduce:
+    every slot is solved on its own and hits its owner, all r1 hits go
+    before all r2 hits, and the hits are stably sorted by (node, point)."""
+    p = prime_in_range(tables, kprime)
+    a, b, c = _poly_coeffs(colors, p)
+    r1, ok1, r2, ok2 = _conflict_roots(
+        a[dst] - a[src], b[dst] - b[src], c[dst] - c[src],
+        p, tables.sqrt_table(p), tables.inv_table(p),
+    )
+    vv = np.concatenate([src, src])
+    rr = np.concatenate([r1, r2])
+    hit = np.concatenate([ok1, ok2]) & (rr < domain[vv])
+    key = vv[hit] * p + rr[hit]
+    order = np.argsort(key, kind="stable")
+    ukey, groups = np.unique(key[order], return_inverse=True)
+    uv, ur = ukey // p, ukey % p
+    adm = np.zeros(len(ukey), dtype=bool)
+    if weights is not None:
+        ws = np.concatenate([weights, weights])[hit][order]
+        score = np.bincount(groups, weights=ws, minlength=len(ukey))
+        adm = (score < budget[uv]) | (score <= 0.0)
+        adm[strict[uv]] = score[strict[uv]] <= 0.0
+    x = np.zeros(n, dtype=np.int64)
+    gids, best = _smallest_admissible(uv, ur, adm, domain)
+    x[gids] = best
+    return x * p + (a * x % p * x + b * x + c) % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    avg_deg=st.floats(0.5, 12.0),
+    palette_mult=st.integers(1, 60),
+    mode=st.sampled_from(["symmetric", "oriented", "weighted"]),
+)
+def test_pair_solve_matches_per_slot_rule(seed, n, avg_deg, palette_mult, mode):
+    """Solving each conflict pair once and hitting both ends gives the same
+    colours, byte for byte, as solving every slot: proper rounds over both
+    directions of every edge or over a random subset of the slots, and
+    weighted phase-1 rounds of defective_coloring."""
+    rng = np.random.default_rng(seed)
+    ends = rng.integers(0, n, size=(max(1, int(avg_deg * n / 2)), 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    # zero weights exercise the "zero hit weight is harmless" rule
+    w = rng.random(len(ends)) * (rng.random(len(ends)) < 0.8)
+    g = sort_edges_to_csr(ends, n, weights=w if mode == "weighted" else None)
+    k = n * palette_mult
+    colors = rng.choice(k, size=n, replace=False).astype(np.int64)
+    src, dst = g.slot_owners(), g.nbrs
+    weights = budget = strict = None
+    if mode == "oriented":
+        keep = rng.random(len(src)) < 0.5
+        src, dst = src[keep], dst[keep]
+    cdeg = np.bincount(src, minlength=n)
+    if mode == "weighted":
+        eps1 = [1.0, 0.5, 0.25, 0.05][seed % 4]
+        weights = g.weights
+        kprime = max(math.ceil(k ** (1.0 / 3.0)), 3 * math.ceil(1.0 / eps1), 3)
+        strict = cdeg <= math.floor(1.0 / eps1)
+        budget = eps1 * np.bincount(src, weights=weights, minlength=n)
+    else:
+        kprime = max(math.ceil(k ** (1.0 / 3.0)), 3 * int(cdeg.max()), 3)
+    tables = precompute_tables(2 * kprime + 2)
+    p = prime_in_range(tables, kprime)
+    if mode == "weighted":
+        domain = np.where(strict, np.minimum(3 * cdeg + 1, p), min(3 * math.ceil(1.0 / eps1), p))
+    else:
+        domain = np.minimum(np.maximum(3 * cdeg, 1), p)
+    domain = domain.astype(np.int64)
+    got = _kernel_round(
+        n, colors, k, kprime, tables, src, dst, weights, domain, budget, strict,
+        mode != "oriented", None,
+    )
+    want = per_slot_round(n, colors, kprime, tables, src, dst, weights, domain, budget, strict)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # --- full proper coloring --------------------------------------------------
 
 def test_triangle_squared_degree_palette():
@@ -116,6 +199,26 @@ def test_random_graph_palette_bound():
     assert is_proper(g, col.colors)
     assert col.num_colors <= 20 * delta * delta
     assert work.total > 0
+
+
+def test_degree_bound_field_runs_one_round():
+    """A line graph with ceil(n^(1/3)) <= 3*Delta has its field set by the
+    degree from the first round on, so color_delta_squared stops after the
+    first round that shrinks the palette."""
+    rng = np.random.default_rng(11)
+    base = random_graph(rng, 200, 600)
+    owners = base.slot_owners()
+    fwd = owners < base.nbrs
+    g = _line_graph(owners[fwd], base.nbrs[fwd], base.n)
+    delta = int(g.degrees().max())
+    assert math.ceil(g.n ** (1.0 / 3.0)) <= 3 * delta
+    work = WorkCounter()
+    col = color_delta_squared(g, work=work)
+    assert work.snapshot()["recolor_slots"] == len(g.nbrs) + g.n  # one round
+    assert is_proper(g, col.colors)
+    assert col.num_colors < g.n
+    p = prime_in_range(precompute_tables(tables_limit_for(g.n, delta)), 3 * delta)
+    assert col.num_colors <= p * min(3 * delta, p)
 
 
 # --- defective coloring ----------------------------------------------------

@@ -19,6 +19,7 @@ from dpar.losses import LossSchedule, iterative_loss_bound
 from dpar.ntheory import precompute_tables, prime_in_range
 from dpar.sorting import max_small_key, prefix_sum, radix_sort_small_keys
 from dpar.workcount import WorkCounter
+from dpar.workcount import WorkCounter
 
 
 def test_prefix_sum_frozen():
@@ -103,6 +104,30 @@ def test_sqrt_table_property(x):
             s = int(tab[r])
             if s >= 0:
                 assert (s * s) % int(p) == r
+
+
+def test_field_tables_match_brute_force():
+    """Every prime below 2 000 and a few near 10^5 and 10^6: the inverse
+    table inverts every x != 0, the square-root table holds the smallest
+    root of each residue (-1 for non-residues), and building both charges
+    sqrt_tables exactly p units, once per prime."""
+    t = precompute_tables(1_000_040)
+    primes = [int(p) for p in t.primes if p < 2000 or 99_980 < p < 100_020 or 999_970 < p]
+    work = WorkCounter()
+    for p in primes:
+        before = work.snapshot().get("sqrt_tables", 0)
+        sqrt, inv = t.sqrt_table(p, work), t.inv_table(p, work)
+        assert work.snapshot()["sqrt_tables"] == before + p
+        x = np.arange(1, p, dtype=np.int64)
+        assert np.all(x * inv[1:] % p == 1)
+        z = np.arange(p, dtype=np.int64)
+        brute = np.full(p, p, dtype=np.int64)
+        np.minimum.at(brute, z * z % p, z)
+        brute[brute == p] = -1
+        assert sqrt.dtype == brute.dtype and sqrt.tobytes() == brute.tobytes()
+        t.sqrt_table(p, work)
+        t.inv_table(p, work)
+    assert work.snapshot() == {"sqrt_tables": sum(primes)}
 
 
 def test_prime_in_range_frozen():

@@ -1,14 +1,17 @@
 """Guards for the shared low/high regime driver.
 
 The pinned digests and WorkCounter snapshots must keep matching. The
-matching pin was recorded before hitting_set and core_mis_hitting moved
-onto one driver; no matching halving emits cost pairs, so it has not
-moved since. The other pins were recorded when local_round began merging
+matching pin was recorded when color_delta_squared began stopping after
+the first shrinking round whose prime field is set by the degree. The
+first sweep's conflict colouring now keeps the 480 colours of its first
+round, where eight more rounds took it to 178, so the matching and its
+work moved. The other pins were recorded when local_round began merging
 parallel cost terms into one weighted pair per node pair, and when the
-round reports gained cost_terms and cost_pairs. sqrt_tables is left out
-of the comparison: the driver shares its number-theory tables across the
-rounds of a call, so it may only charge fewer square-root tables than
-the pinned count.
+round reports gained cost_terms and cost_pairs; the MIS run's two
+conflict colourings never shrink, so no other pin has moved since.
+sqrt_tables is left out of the comparison: the driver shares its
+number-theory tables across the rounds of a call, so it may only charge
+fewer square-root tables than the pinned count.
 """
 
 import dataclasses
@@ -156,7 +159,7 @@ PINS = {
     "core_no_aux": ("ed123cbfd0e4b85e", {'core_mis_finalize': 1416, 'defective_phase1': 44356, 'defective_phase2': 23378, 'half_sample': 24960, 'local_round': 70516, 'mis_high_round': 2608, 'mis_high_skip': 13, 'recolor_slots': 45556, 'sqrt_tables': 6337, 'word_sort': 0}),
     "core_tall": ("1b73e1caf0b24916", {'core_mis_finalize': 4495, 'defective_phase1': 40478, 'defective_phase2': 22483, 'edge_buckets': 999, 'half_sample': 26652, 'local_round': 69374, 'mis_high_round': 3190, 'mis_low_round': 1386, 'recolor_slots': 42722, 'sqrt_tables': 1403189, 'word_sort': 0}),
     "mis": ("9303c521e4a0ca95", {'class_union': 160, 'compact': 681640, 'core_mis_finalize': 234649, 'defective_phase1': 243592, 'defective_phase2': 122396, 'half_sample': 1306516, 'independentish': 341450, 'local_round': 1550640, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 48, 'recolor_slots': 244281, 'sqrt_tables': 15009, 'word_sort': 0}),
-    "matching": ("8bb61274daad00bc", {'high_regime_skip': 40, 'hitting_finalize': 21742, 'match_compact': 15977, 'match_conflicts': 211827, 'match_extract': 14028, 'match_sweep': 22051, 'recolor_slots': 4370309, 'sqrt_tables': 215, 'word_sort': 931032}),
+    "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'match_compact': 15985, 'match_conflicts': 211716, 'match_extract': 13967, 'match_sweep': 21982, 'recolor_slots': 437399, 'sqrt_tables': 215, 'word_sort': 618980}),
 }
 
 
