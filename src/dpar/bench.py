@@ -92,6 +92,8 @@ def run_defective(g: Graph, eps: float, params: ParamSet) -> dict:
         _cert("monochromatic_weight", d["mono_weight"], d["bound"], d["mono_weight"] <= d["bound"] + 1e-9 * max(d["total_weight"], 1.0), "<=")
     )
     rep["certificates"].append(_cert("palette", d["palette"], cap, d["palette"] <= cap, "<="))
+    rep["phase1_rounds"] = col.phase1_rounds
+    rep["steps"] = col.steps
     return _finish(rep, work, t0)
 
 

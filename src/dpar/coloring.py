@@ -26,14 +26,30 @@ ntheory). color_delta_squared stops after the first shrinking round
 whose field is set by the degree rather than by the palette, since a
 further round could not improve its O(delta^2) bound.
 
+No round runs on a palette that the field already holds (k <= p). Every
+color is then a constant polynomial, so two nodes of different colors
+have no common point, every node takes x = 0 and keeps its color: the
+round would return its input. color_delta_squared returns before such a
+round and defective phase 1 stops before it, with the colors, the alive
+slots and the lost weight that running it would give.
+
 Defective coloring ends with a greedy sweep over the classes of its
-phase-1 coloring, in ascending order, where each node reads only the final
-colors of its heads in lower classes. class_sweep cuts such sweeps into
-batches of consecutive classes none of whose lower-class heads lie in the
-same batch, so phase 2 runs one batch of dependency-free classes at a
-time, in a fixed number of array operations per batch, with the result of
-the class-by-class order. The rounding sweeps in rounding.py use the same
-batches.
+phase-1 coloring, where each node reads only the final colors of its heads
+in classes swept earlier. The classes are swept in a strided order, class
+t * a mod k at step t with a near k / golden ratio and coprime to k. Phase
+1 classes follow node ids (with no round run, the class is the id; after
+a round most nodes take x = 0 and the class follows id mod p), and cost
+graphs put their bucket cliques on runs of consecutive ids, so
+consecutive classes share edges; the strided order puts classes far
+apart next to each other. The defect bound holds for any order of the
+classes. class_sweep cuts a sweep into batches of consecutive steps none
+of whose earlier heads lie in the same batch, so phase 2 runs one batch of
+dependency-free classes at a time, in a fixed number of array operations
+per batch, with the result of the class-by-class order. On the
+benchmark's core-tall workload (seed 1) the strided order cuts the batches
+of its 25 defective colorings and 25 rounding sweeps from 26 720 to
+1 683. The rounding sweeps in rounding.py use the same batches over the
+final colors, in ascending order.
 
 Phase 2 needs no sort per batch. A node with d out-heads sees at most d
 head colors, so one of the colors 0..d is free and its answer lies there.
@@ -67,6 +83,8 @@ class Coloring:
     colors: np.ndarray  # int64 per node, values in [0, num_colors)
     num_colors: int
     mono_weight: float = 0.0
+    phase1_rounds: int = 0  # defective_coloring: polynomial rounds phase 1 ran
+    steps: int = 0  # defective_coloring: phase-2 batches, run one after another
 
 
 def _poly_coeffs(q: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,6 +277,13 @@ def _kernel_round(
     return new_colors
 
 
+def _round_prime(tables: NumberTheoryTables, k: int, spread: int) -> tuple[int, int]:
+    """(kprime, p) of a recoloring round on k colors whose point domains
+    reach up to spread."""
+    kprime = max(math.ceil(k ** (1.0 / 3.0)), spread, 3)
+    return kprime, prime_in_range(tables, kprime)
+
+
 def _conflict_slots(g: Graph, orientation: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     owners = g.slot_owners()
     if orientation is None:
@@ -288,8 +313,7 @@ def reduce_colors_once(
     elif d_eff > delta:
         raise ValueError("delta smaller than actual conflict degree")
     k = current.num_colors
-    kprime = max(math.ceil(k ** (1.0 / 3.0)), 3 * delta, 3)
-    p = prime_in_range(tables, kprime)
+    kprime, p = _round_prime(tables, k, 3 * delta)
     domain = np.minimum(np.maximum(3 * cdeg, 1), p)
     new_colors = _kernel_round(
         g.n, current.colors, k, kprime, tables, src, dst, None, domain, None, None,
@@ -315,7 +339,10 @@ def color_delta_squared(
 
     Starts from node ids and runs recoloring rounds, keeping a round only
     if it shrinks the palette and returning at the first round that does
-    not. A shrinking round whose field is set by the degree,
+    not. It returns before a round whose field holds the whole palette
+    (k <= p): every color is then a constant polynomial, so no conflict
+    has a root, every node takes x = 0 and the round would return its
+    input. A shrinking round whose field is set by the degree,
     ceil(k^(1/3)) <= 3*delta on a palette of k colors, is the last one:
     it leaves at most p * max(domain) colors, O(delta^2), and a later
     round would use the same field and domains, so it could not improve
@@ -325,8 +352,10 @@ def color_delta_squared(
     src, _dst = _conflict_slots(g, orientation)
     delta = int(np.bincount(src, minlength=g.n).max()) if g.n and len(src) else 0
     tables = precompute_tables(tables_limit_for(g.n, delta))
-    cur = Coloring(colors=np.arange(g.n, dtype=np.int64), num_colors=max(g.n, 1))
+    cur = Coloring(colors=np.arange(g.n, dtype=np.int64), num_colors=g.n)
     while True:
+        if cur.num_colors <= _round_prime(tables, cur.num_colors, 3 * delta)[1]:
+            return cur
         degree_bound = math.ceil(cur.num_colors ** (1.0 / 3.0)) <= 3 * delta
         nxt = reduce_colors_once(g, cur, tables, delta=delta, orientation=orientation, work=work)
         if nxt.num_colors >= cur.num_colors:
@@ -339,6 +368,9 @@ def color_delta_squared(
 @dataclass
 class ClassSweep:
     """A sweep over the classes 0..k-1 of a node coloring, cut into batches.
+
+    The classes are swept in ascending order; a caller with another order
+    passes each node's step in it as its class.
 
     slot_order sorts the swept slots by (owner class, owner) and node_order
     sorts the nodes by class, both stably; lower marks the sorted slots whose
@@ -360,18 +392,22 @@ class ClassSweep:
 def class_sweep(
     colors: np.ndarray, num_classes: int, owners: np.ndarray, heads: np.ndarray
 ) -> ClassSweep:
-    """Batches of dependency-free classes for sweeping the slots owners -> heads."""
-    n = len(colors)
+    """Batches of dependency-free classes for sweeping the slots owners -> heads.
+
+    owners must be in ascending order, as the slot owners of a CSR graph
+    are, so that a stable sort by class alone orders the slots by (class,
+    owner). Classes below 2^16 sort as 16-bit keys, which numpy
+    radix-sorts.
+    """
     head_class = colors[heads]
     key = colors[owners]
     lower = head_class < key
     head_class[~lower] = -1  # now the class of each lower-class head, else -1
     slot_bounds = np.zeros(num_classes + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=num_classes), out=slot_bounds[1:])
-    key *= n
-    key += owners  # (owner class, owner)
-    slot_order = stable_order_u64(key)
-    node_order = stable_order_u64(colors)
+    kind = np.uint16 if num_classes <= 1 << 16 else np.int64
+    slot_order = stable_order_u64(key.astype(kind))
+    node_order = stable_order_u64(colors.astype(kind))
     node_bounds = np.zeros(num_classes + 1, dtype=np.int64)
     np.cumsum(np.bincount(colors, minlength=num_classes), out=node_bounds[1:])
     # per class, the highest class among its lower-class heads (-1 if none)
@@ -380,19 +416,24 @@ def class_sweep(
     if len(filled):
         top[filled] = np.maximum.reduceat(head_class[slot_order], slot_bounds[filled])
     # cut greedily: a class opens a new batch when one of its lower-class
-    # heads lies in the current batch. The cuts stay in numpy arrays, since
-    # a Python object per class or batch, all live at once, fragments the
+    # heads lies in the current batch. The batch that starts at class s
+    # ends before the first class with a lower-class head at s or later,
+    # next_cut[s], a suffix minimum over the head classes, so the loop
+    # visits the cuts only. The cuts stay in a numpy array, since a Python
+    # object per class or batch, all live at once, fragments the
     # interpreter's small-object arenas and raises peak memory.
+    first_above = np.full(num_classes + 1, num_classes, dtype=np.int64)
+    has_top = top >= 0
+    np.minimum.at(first_above, top[has_top], np.flatnonzero(has_top))
+    next_cut = np.minimum.accumulate(first_above[::-1])[::-1]
     cuts = np.empty(num_classes + 1, dtype=np.int64)
     cuts[0] = start = 0
     n_cuts = 1
-    for c in range(num_classes):
-        if top[c] >= start:
-            cuts[n_cuts] = start = c
-            n_cuts += 1
-    cuts[n_cuts] = num_classes
-    slot_cuts = slot_bounds[cuts[: n_cuts + 1]]
-    node_cuts = node_bounds[cuts[: n_cuts + 1]]
+    while start < num_classes:
+        start = cuts[n_cuts] = next_cut[start]
+        n_cuts += 1
+    slot_cuts = slot_bounds[cuts[:n_cuts]]
+    node_cuts = node_bounds[cuts[:n_cuts]]
     has_members = node_cuts[:-1] < node_cuts[1:]
     batches = np.stack(
         [slot_cuts[:-1], slot_cuts[1:], node_cuts[:-1], node_cuts[1:]], axis=1
@@ -419,12 +460,16 @@ def _defective_phase1(
     weights: np.ndarray,
     tables: NumberTheoryTables | None,
     work: WorkCounter | None,
-) -> tuple[np.ndarray, int, np.ndarray]:
+) -> tuple[np.ndarray, int, np.ndarray, int]:
     """Budgeted polynomial rounds of defective_coloring (owners: the slot
     owners of g).
 
-    Returns (colors in [0, k), k, alive slot mask): slots turned
-    monochromatic by some round are dead and their weight is lost.
+    Returns (colors in [0, k), k, alive slot mask, rounds run): slots
+    turned monochromatic by some round are dead and their weight is lost.
+    It stops before a round whose field holds the whole palette (k <= p):
+    every color is then a constant polynomial and the alive slots join
+    nodes of different colors, so no conflict has a root, every node takes
+    x = 0 and the round would return its input colors.
     """
     n = g.n
     iters = _phase1_iterations(n)
@@ -435,12 +480,14 @@ def _defective_phase1(
     alive = np.ones(len(g.nbrs), dtype=bool)
     colors = np.arange(n, dtype=np.int64)
     k = max(n, 1)
-    for _ in range(iters):
+    rounds = 0
+    while rounds < iters:
+        kprime, p = _round_prime(tables, k, 3 * math.ceil(1.0 / eps1))
+        if k <= p:
+            break
         src, dst, w = owners[alive], g.nbrs[alive], weights[alive]
         deg = np.bincount(src, minlength=n).astype(np.int64)
         incident = np.bincount(src, weights=w, minlength=n)
-        kprime = max(math.ceil(k ** (1.0 / 3.0)), 3 * math.ceil(1.0 / eps1), 3)
-        p = prime_in_range(tables, kprime)
         low = deg <= inv_eps1
         domain = np.where(low, np.minimum(3 * deg + 1, p), min(3 * math.ceil(1.0 / eps1), p))
         domain = np.maximum(domain, 1).astype(np.int64)
@@ -448,6 +495,7 @@ def _defective_phase1(
         new_colors = _kernel_round(
             n, colors, k, kprime, tables, src, dst, w, domain, budget, low, True, work
         )
+        rounds += 1
         lost = new_colors[src] == new_colors[dst]
         if np.any(lost & low[src] & (w > 0)):
             raise RuntimeError("low-degree node lost edge weight in phase 1")
@@ -459,7 +507,20 @@ def _defective_phase1(
         k = k_new  # even a round that did not shrink has recolored every node
         if not shrank:
             break
-    return colors, k, alive
+    return colors, k, alive, rounds
+
+
+def _sweep_stride(k: int) -> int:
+    """The step a of phase 2's class order: step t sweeps class t * a mod k.
+
+    a is the integer nearest k / golden ratio that is coprime to k, so the
+    order visits every class once, and any run of consecutive steps visits
+    classes spread evenly over 0..k-1 (three-distance theorem).
+    """
+    a = max(round(k * (math.sqrt(5.0) - 1.0) / 2.0), 1)
+    while math.gcd(a, k) != 1:
+        a += 1
+    return a
 
 
 def defective_coloring(
@@ -472,11 +533,15 @@ def defective_coloring(
     times the total edge weight.
 
     Phase 1 runs budgeted polynomial rounds, each losing at most an
-    eps/(2I) fraction of edge weight to monochromatic edges; phase 2
-    orients edges from high to low phase-1 color and greedily recolors the
-    phase-1 classes into the final palette in ascending order, one batch of
-    dependency-free classes at a time (see class_sweep), losing at most
-    eps/2.
+    eps/(2I) fraction of edge weight to monochromatic edges, and stops
+    before a round that could not change a color. Phase 2 sweeps the
+    phase-1 classes in the strided order, class t * a mod k at step t
+    (see the module docstring), orients every edge from its later to its
+    earlier class and greedily recolors the classes into the final
+    palette, one batch of dependency-free classes at a time (see
+    class_sweep), losing at most eps/2: the bound needs only an acyclic
+    orientation. The result records the phase-1 rounds run and the
+    phase-2 batches (steps).
 
     Phase 2 lays out a row table once: per node, in the sweep's node order,
     one cell per color 0..min(outdeg, palette2 - 1) plus a spill cell, so a
@@ -492,19 +557,21 @@ def defective_coloring(
     total_w = float(np.sum(weights)) / 2.0
     palette2 = 3 * math.ceil(1.0 / eps)
     owners = g.slot_owners()
-    colors, k, alive = _defective_phase1(g, eps, owners, weights, tables, work)
+    colors, k, alive, rounds = _defective_phase1(g, eps, owners, weights, tables, work)
 
-    # phase 2: orient high -> low phase-1 color; a node picks the smallest
-    # final color whose weight among its out-heads stays under its budget
-    src, dst, w = owners[alive], g.nbrs[alive], weights[alive]
-    out_mask = colors[src] > colors[dst]
-    osrc, odst, ow = src[out_mask], dst[out_mask], w[out_mask]
+    # phase 2 sweeps class t * a mod k at step t: each node's class becomes
+    # its step, c * a^-1 mod k, and edges point from later to earlier steps;
+    # a node picks the smallest final color whose weight among its
+    # out-heads stays under its budget
+    step = colors * pow(_sweep_stride(k), -1, k) % k
+    out_mask = alive & (step[owners] > step[g.nbrs])
+    osrc, odst, ow = owners[out_mask], g.nbrs[out_mask], weights[out_mask]
     # a node may take a color whose out-head weight is 0 or below its budget;
     # strict nodes (few out-edges) have budget 0, so only weight 0 will do
     outdeg = np.bincount(osrc, minlength=n)
     strict = outdeg < math.ceil(1.0 / eps)
     budget = np.where(strict, 0.0, 0.5 * eps * np.bincount(osrc, weights=ow, minlength=n))
-    sweep = class_sweep(colors, k, osrc, odst)
+    sweep = class_sweep(step, k, osrc, odst)
     batches = sweep.batches
     odst, ow = odst[sweep.slot_order], ow[sweep.slot_order]
     # the row table: per node, in node order, cells for the colors
@@ -546,4 +613,7 @@ def defective_coloring(
     mono = float(np.sum(weights[final[owners] == final[g.nbrs]])) / 2.0
     if mono > eps * total_w + 1e-9 * max(total_w, 1.0):
         raise RuntimeError("defective coloring exceeded its monochromatic budget")
-    return Coloring(colors=final, num_colors=palette2, mono_weight=mono)
+    return Coloring(
+        colors=final, num_colors=palette2, mono_weight=mono, phase1_rounds=rounds,
+        steps=len(batches),
+    )

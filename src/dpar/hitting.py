@@ -386,6 +386,7 @@ class HalfResult:
     phi_bound: float
     cost_terms: int  # pair terms the potentials emitted
     cost_pairs: int  # distinct candidate pairs among them
+    sweep_steps: int  # sequential class-sweep batches of the rounding
 
 
 def run_half(
@@ -424,6 +425,7 @@ def run_half(
         phi_bound=phi_bound,
         cost_terms=len(cc),
         cost_pairs=res.cost_pairs,
+        sweep_steps=res.sweep_steps,
     )
 
 
@@ -716,6 +718,7 @@ class RegimeDriver:
             "phi_bound": half.phi_bound,
             "cost_terms": half.cost_terms,
             "cost_pairs": half.cost_pairs,
+            "sweep_steps": half.sweep_steps,
             "bad_left": int(bad.sum()),
             "bad_importance": float(np.sum(sub.imp[bad])),
             **fields,

@@ -102,6 +102,7 @@ class RoundingResult:
     scores: np.ndarray  # conditional score each node was decided on
     num_classes: int = 0
     cost_pairs: int = 0  # distinct node pairs among the cost terms
+    sweep_steps: int = 0  # batches of the coloring's phase 2 and of the sweep
 
 
 def _member_positions(sweep: ClassSweep, owners: np.ndarray) -> np.ndarray:
@@ -175,6 +176,7 @@ def local_round(
         scores=scores,
         num_classes=col.num_colors,
         cost_pairs=len(pair_c),
+        sweep_steps=col.steps + len(sweep.batches),
     )
 
 

@@ -7,8 +7,11 @@ infrastructure by the CSR builder. numpy radix-sorts only keys of 16 bits
 or less; on int64 keys it runs timsort, which is fast on partly ordered
 input such as the merge codes of bucket pairs. Its work charge, one unit
 per key per 16-bit digit, is a declared cost model of an LSD radix sort,
-not a count of what timsort does. first_of_runs marks where the runs of
-equal keys in a sorted array begin.
+not a count of what timsort does. coloring.class_sweep passes its class
+keys as 16-bit integers when there are at most 2^16 classes, so they get
+the radix sort, which does not slow down on unsorted keys such as the
+strided classes of defective coloring. first_of_runs marks where the runs
+of equal keys in a sorted array begin.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from dpar.bench import (
     scaling_series,
 )
 from dpar.cli import _load_params, main
+from dpar.coloring import defective_coloring
 from dpar.generate import (
     complete_graph,
     generate_graph,
@@ -25,7 +26,7 @@ from dpar.generate import (
     powerlaw_graph,
     star_graph,
 )
-from dpar.graph import sort_edges_to_csr, write_csr
+from dpar.graph import read_edgelist, sort_edges_to_csr, write_csr
 from dpar.hitting import BipartiteInstance, ParamSet, hitting_set
 from dpar.matching import maximal_matching
 from dpar.mis import MisAuxInstance, core_mis_hitting, maximal_independent_set
@@ -206,6 +207,19 @@ def test_cli_defective_and_maxcut(tmp_path):
     path = edgelist_file(tmp_path, gnm_graph(80, 320, seed=10))
     assert main(["defective", "--input", path, "--eps", "0.5"]) == 0
     assert main(["maxcut", "--input", path, "--eps", "0.1"]) == 0
+
+
+def test_cli_defective_reports_phase1_rounds_and_steps(tmp_path):
+    # 2 000 nodes exceed the phase-1 field at eps 0.25 (p < 400), so
+    # phase 1 runs at least one round
+    path = edgelist_file(tmp_path, gnm_graph(2000, 8000, seed=10))
+    rep = tmp_path / "out.json"
+    assert main(["defective", "--input", path, "--eps", "0.25", "--report", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    edges, weights, n = read_edgelist(path)
+    col = defective_coloring(sort_edges_to_csr(edges, n, weights=weights), 0.25)
+    assert data["phase1_rounds"] == col.phase1_rounds >= 1
+    assert data["steps"] == col.steps >= 1
 
 
 def test_cli_rejects_unknown_param_override(tmp_path):

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from dpar.coloring import (
     Coloring,
+    _compact_colors,
     _conflict_roots,
+    _defective_phase1,
     _kernel_round,
+    _phase1_iterations,
     _poly_coeffs,
     _smallest_admissible,
     color_delta_squared,
@@ -157,6 +160,118 @@ def test_pair_solve_matches_per_slot_rule(seed, n, avg_deg, palette_mult, mode):
     )
     want = per_slot_round(n, colors, kprime, tables, src, dst, weights, domain, budget, strict)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def greedy_colors(g: Graph, order: np.ndarray) -> np.ndarray:
+    """A proper coloring: each node in turn takes the smallest color that
+    none of its colored neighbours holds."""
+    colors = np.full(g.n, -1, dtype=np.int64)
+    for v in order.tolist():
+        taken = set(colors[g.nbrs[g.offsets[v] : g.offsets[v + 1]]].tolist())
+        colors[v] = next(c for c in range(g.n) if c not in taken)
+    return colors
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 120),
+    avg_deg=st.floats(0.0, 10.0),
+    distinct=st.booleans(),
+    mode=st.sampled_from(["symmetric", "oriented", "weighted"]),
+)
+def test_round_on_a_palette_inside_the_field_returns_its_input(seed, n, avg_deg, distinct, mode):
+    """With k <= p every color is a constant polynomial, so a round over a
+    coloring that is proper on its conflict slots finds no root and returns
+    its input colors: proper rounds over both directions of every edge or
+    over a random subset of the slots, and weighted phase-1 rounds."""
+    rng = np.random.default_rng(seed)
+    ends = rng.integers(0, n, size=(int(avg_deg * n / 2), 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    w = rng.random(len(ends)) * (rng.random(len(ends)) < 0.8)
+    g = sort_edges_to_csr(ends, n, weights=w if mode == "weighted" else None)
+    if distinct:  # node ids, as before the first round
+        k = n + int(rng.integers(0, n + 1))
+        colors = rng.choice(k, size=n, replace=False).astype(np.int64)
+    else:  # few colors, as after a round
+        colors = greedy_colors(g, rng.permutation(n))
+        k = int(colors.max()) + 1
+    src, dst = g.slot_owners(), g.nbrs
+    if mode == "oriented":
+        keep = rng.random(len(src)) < 0.5
+        src, dst = src[keep], dst[keep]
+    cdeg = np.bincount(src, minlength=n)
+    kprime = max(k, 3)
+    tables = precompute_tables(2 * kprime + 2)
+    p = prime_in_range(tables, kprime)
+    assert k <= p
+    weights = budget = strict = None
+    if mode == "weighted":
+        weights = g.weights
+        strict = cdeg <= 4
+        budget = 0.25 * np.bincount(src, weights=weights, minlength=n)
+        domain = np.where(strict, np.minimum(3 * cdeg + 1, p), min(12, p))
+    else:
+        domain = np.minimum(np.maximum(3 * cdeg, 1), p)
+    got = _kernel_round(
+        n, colors, k, kprime, tables, src, dst, weights, domain.astype(np.int64), budget,
+        strict, mode != "oriented", None,
+    )
+    assert got.tobytes() == colors.tobytes()
+
+
+def phase1_every_round(g: Graph, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(colors, alive) of defective_coloring's phase 1 with no round skipped:
+    up to _phase1_iterations rounds, stopping after the first that does not
+    shrink the palette."""
+    n = g.n
+    iters = _phase1_iterations(n)
+    eps1 = eps / (2.0 * iters)
+    spread = 3 * math.ceil(1.0 / eps1)
+    owners = g.slot_owners()
+    tables = precompute_tables(tables_limit_for(n, 0, math.ceil(1.0 / eps1)))
+    alive = np.ones(len(g.nbrs), dtype=bool)
+    colors, k = np.arange(n, dtype=np.int64), max(n, 1)
+    for _ in range(iters):
+        src, dst, w = owners[alive], g.nbrs[alive], g.weights[alive]
+        deg = np.bincount(src, minlength=n)
+        kprime = max(math.ceil(k ** (1.0 / 3.0)), spread, 3)
+        p = prime_in_range(tables, kprime)
+        low = deg <= math.floor(1.0 / eps1)
+        domain = np.maximum(np.where(low, np.minimum(3 * deg + 1, p), min(spread, p)), 1)
+        budget = eps1 * np.bincount(src, weights=w, minlength=n)
+        new = _kernel_round(
+            n, colors, k, kprime, tables, src, dst, w, domain.astype(np.int64), budget, low,
+            True, None,
+        )
+        alive[np.flatnonzero(alive)[new[src] == new[dst]]] = False
+        colors, k_new = _compact_colors(new)
+        shrank, k = k_new < k, k_new
+        if not shrank:
+            break
+    return colors, alive
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    avg_deg=st.floats(0.0, 12.0),
+    eps=st.sampled_from([1.0, 0.5, 0.25, 0.1, 0.03]),
+)
+def test_phase1_skip_keeps_colors_and_alive_slots(seed, n, avg_deg, eps):
+    """_defective_phase1 stops before a round whose field holds the whole
+    palette; it must end where running that round would."""
+    rng = np.random.default_rng(seed)
+    ends = rng.integers(0, n, size=(int(avg_deg * n / 2), 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    g = sort_edges_to_csr(ends, n, weights=rng.random(len(ends)))
+    colors, k, alive, rounds = _defective_phase1(g, eps, g.slot_owners(), g.weights, None, None)
+    want_colors, want_alive = phase1_every_round(g, eps)
+    assert colors.tobytes() == want_colors.tobytes()
+    assert np.array_equal(alive, want_alive)
+    assert k == (int(colors.max()) + 1 if n else 1)
+    assert 0 <= rounds <= _phase1_iterations(n)
 
 
 # --- full proper coloring --------------------------------------------------

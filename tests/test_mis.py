@@ -439,6 +439,8 @@ def test_dense_halving_reports_merged_cost_pairs():
     assert halvings
     for r in halvings:
         assert 0 < r["cost_pairs"] < r["cost_terms"]
+        # at least one phase-2 batch and one rounding-sweep batch
+        assert r["sweep_steps"] >= 2
 
 
 def test_independentish_small_degrees_take_everyone():

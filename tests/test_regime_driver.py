@@ -5,11 +5,15 @@ matching pin was recorded when color_delta_squared began stopping after
 the first shrinking round whose prime field is set by the degree. The
 first sweep's conflict colouring now keeps the 480 colours of its first
 round, where eight more rounds took it to 178, so the matching and its
-work moved. The other pins were recorded when local_round began merging
-parallel cost terms into one weighted pair per node pair, and when the
-round reports gained cost_terms and cost_pairs; the MIS run's two
-conflict colourings never shrink, so no other pin has moved since.
-sqrt_tables is left out of the comparison: the driver shares its
+work moved. The other pins were recorded when defective_coloring began
+stopping phase 1 before a round whose field holds the whole palette and
+sweeping the phase-2 classes in a strided order, and when the round
+reports gained sweep_steps. None of these runs colours more nodes than
+its phase-1 field holds, so their phase 1 runs no round and charges no
+recolouring, sort or square-root work; phase 2 orients the edges by the
+new order, so the selections moved. The MIS run's two conflict
+colourings fit their field too, so color_delta_squared now returns
+before the one round each ran without shrinking. sqrt_tables is left out of the comparison: the driver shares its
 number-theory tables across the rounds of a call, so it may only charge
 fewer square-root tables than the pinned count.
 """
@@ -153,12 +157,12 @@ RUNS = {
 }
 
 PINS = {
-    "hitting_high": ("584de5c68733a97e", {'defective_phase1': 65232, 'defective_phase2': 34096, 'half_sample': 37120, 'high_regime_round': 3332, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 103832, 'recolor_slots': 66712, 'sqrt_tables': 6337, 'word_sort': 0}),
-    "hitting_both": ("f0c1354388f92ea6", {'defective_phase1': 129852, 'defective_phase2': 69005, 'half_sample': 98049, 'high_regime_round': 9350, 'hitting_finalize': 2408, 'local_round': 231980, 'low_regime_round': 2706, 'recolor_slots': 133931, 'sqrt_tables': 99171, 'word_sort': 0}),
-    "core_aux": ("2179040887914244", {'core_mis_finalize': 3640, 'defective_phase1': 74944, 'defective_phase2': 38672, 'half_sample': 42592, 'local_round': 118736, 'mis_high_round': 4832, 'mis_high_skip': 13, 'recolor_slots': 76144, 'sqrt_tables': 15803, 'word_sort': 0}),
-    "core_no_aux": ("ed123cbfd0e4b85e", {'core_mis_finalize': 1416, 'defective_phase1': 44356, 'defective_phase2': 23378, 'half_sample': 24960, 'local_round': 70516, 'mis_high_round': 2608, 'mis_high_skip': 13, 'recolor_slots': 45556, 'sqrt_tables': 6337, 'word_sort': 0}),
-    "core_tall": ("1b73e1caf0b24916", {'core_mis_finalize': 4495, 'defective_phase1': 40478, 'defective_phase2': 22483, 'edge_buckets': 999, 'half_sample': 26652, 'local_round': 69374, 'mis_high_round': 3190, 'mis_low_round': 1386, 'recolor_slots': 42722, 'sqrt_tables': 1403189, 'word_sort': 0}),
-    "mis": ("9303c521e4a0ca95", {'class_union': 160, 'compact': 681640, 'core_mis_finalize': 234649, 'defective_phase1': 243592, 'defective_phase2': 122396, 'half_sample': 1306516, 'independentish': 341450, 'local_round': 1550640, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 48, 'recolor_slots': 244281, 'sqrt_tables': 15009, 'word_sort': 0}),
+    "hitting_high": ("d0da2c167225f523", {'defective_phase2': 33969, 'half_sample': 37115, 'high_regime_round': 3334, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 103578}),
+    "hitting_both": ("b37b583862a6c481", {'defective_phase2': 68193, 'half_sample': 96291, 'high_regime_round': 9161, 'hitting_finalize': 2408, 'local_round': 228566, 'low_regime_round': 2723}),
+    "core_aux": ("5ec6bd68251285e6", {'core_mis_finalize': 3640, 'defective_phase2': 38672, 'half_sample': 42592, 'local_round': 118736, 'mis_high_round': 4832, 'mis_high_skip': 13}),
+    "core_no_aux": ("4f7e034263588edb", {'core_mis_finalize': 1416, 'defective_phase2': 23378, 'half_sample': 24960, 'local_round': 70516, 'mis_high_round': 2608, 'mis_high_skip': 13}),
+    "core_tall": ("001be9708cbe4cf6", {'core_mis_finalize': 4495, 'defective_phase2': 22482, 'edge_buckets': 999, 'half_sample': 26652, 'local_round': 69372, 'mis_high_round': 3176, 'mis_low_round': 1386}),
+    "mis": ("66d3af1eaab6dcac", {'class_union': 194, 'compact': 681732, 'core_mis_finalize': 234672, 'defective_phase2': 122396, 'half_sample': 1306516, 'independentish': 341497, 'local_round': 1550524, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 51}),
     "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'match_compact': 15985, 'match_conflicts': 211716, 'match_extract': 13967, 'match_sweep': 21982, 'recolor_slots': 437399, 'sqrt_tables': 215, 'word_sort': 618980}),
 }
 
