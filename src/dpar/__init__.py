@@ -38,7 +38,7 @@ from .mis import (
 )
 from .ntheory import NumberTheoryTables, precompute_tables, prime_in_range
 from .rounding import CutResult, RoundingInstance, local_round, max_cut_half
-from .sorting import prefix_sum, radix_sort_small_keys
+from .sorting import prefix_sum
 from .workcount import WorkCounter
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "precompute_tables",
     "prefix_sum",
     "prime_in_range",
-    "radix_sort_small_keys",
     "read_csr",
     "read_edgelist",
     "read_hset",

@@ -85,7 +85,6 @@ def _add_common(sp):
     )
     sp.add_argument("--params", help="JSON file with parameter overrides")
     sp.add_argument("--mode", default="desk", choices=["paper", "desk"])
-    sp.add_argument("--seed", type=int, default=0, help="baseline RNG seed")
     sp.add_argument("--report", help="write the JSON report here")
 
 
@@ -98,6 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         _add_common(sp)
         if name == "mis":
             sp.add_argument("--baseline", action="store_true", help="run the seeded Luby baseline")
+            sp.add_argument("--seed", type=int, default=0, help="baseline RNG seed")
 
     for name in ("defective", "maxcut"):
         sp = sub.add_parser(name)

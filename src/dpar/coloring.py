@@ -22,9 +22,12 @@ each out-slot for its owner. The hits reach the sort in the order that
 solving every slot would give, so weighted scores are summed in that
 order and the colors do not depend on which way a pair was solved. The
 inverses in the root formula are gathers from a per-prime table (see
-ntheory). color_delta_squared stops after the first shrinking round
-whose field is set by the degree rather than by the palette, since a
-further round could not improve its O(delta^2) bound.
+ntheory). color_delta_squared is the one proper-mode loop: its conflict
+slots and degrees are fixed for the call, so it finds them once, and
+only the field and the point domains change from round to round. It
+stops after the first shrinking round whose field is set by the degree
+rather than by the palette, since a further round could not improve its
+O(delta^2) bound.
 
 No round runs on a palette that the field already holds (k <= p). Every
 color is then a constant polynomial, so two nodes of different colors
@@ -292,39 +295,6 @@ def _conflict_slots(g: Graph, orientation: np.ndarray | None) -> tuple[np.ndarra
     return owners[keep], g.nbrs[keep]
 
 
-def reduce_colors_once(
-    g: Graph,
-    current: Coloring,
-    tables: NumberTheoryTables,
-    delta: int | None = None,
-    orientation: np.ndarray | None = None,
-    work: WorkCounter | None = None,
-) -> Coloring:
-    """One proper polynomial recoloring round; palette stays proper.
-
-    delta bounds the conflict degree (full degree, or outdegree when an
-    orientation restricts conflicts); computed from the graph if omitted.
-    """
-    src, dst = _conflict_slots(g, orientation)
-    cdeg = np.bincount(src, minlength=g.n).astype(np.int64)
-    d_eff = int(cdeg.max()) if g.n and len(src) else 0
-    if delta is None:
-        delta = d_eff
-    elif d_eff > delta:
-        raise ValueError("delta smaller than actual conflict degree")
-    k = current.num_colors
-    kprime, p = _round_prime(tables, k, 3 * delta)
-    domain = np.minimum(np.maximum(3 * cdeg, 1), p)
-    new_colors = _kernel_round(
-        g.n, current.colors, k, kprime, tables, src, dst, None, domain, None, None,
-        orientation is None, work,
-    )
-    if len(src) and np.any(new_colors[src] == new_colors[dst]):
-        raise RuntimeError("recoloring produced a monochromatic conflict edge")
-    dense, used = _compact_colors(new_colors)
-    return Coloring(colors=dense, num_colors=used)
-
-
 def tables_limit_for(n: int, delta: int, inv_eps: int = 1) -> int:
     kprime = max(math.ceil(max(n, 1) ** (1.0 / 3.0)), 3 * delta, 3 * inv_eps, 3)
     return 2 * kprime + 2
@@ -337,32 +307,43 @@ def color_delta_squared(
 ) -> Coloring:
     """Proper coloring with a palette polynomial in the max conflict degree.
 
-    Starts from node ids and runs recoloring rounds, keeping a round only
-    if it shrinks the palette and returning at the first round that does
-    not. It returns before a round whose field holds the whole palette
-    (k <= p): every color is then a constant polynomial, so no conflict
-    has a root, every node takes x = 0 and the round would return its
-    input. A shrinking round whose field is set by the degree,
+    Starts from node ids and runs proper recoloring rounds, keeping a round
+    only if it shrinks the palette and returning at the first round that
+    does not. A node's point domain is 3 * (its conflict degree), capped
+    by the round's field. It returns before a round whose field holds the
+    whole palette (k <= p): every color is then a constant polynomial, so
+    no conflict has a root, every node takes x = 0 and the round would
+    return its input. A shrinking round whose field is set by the degree,
     ceil(k^(1/3)) <= 3*delta on a palette of k colors, is the last one:
     it leaves at most p * max(domain) colors, O(delta^2), and a later
     round would use the same field and domains, so it could not improve
     that bound. With an orientation, conflicts are out-edges only; the
     result still has no monochromatic edge in either mode.
     """
-    src, _dst = _conflict_slots(g, orientation)
-    delta = int(np.bincount(src, minlength=g.n).max()) if g.n and len(src) else 0
+    src, dst = _conflict_slots(g, orientation)
+    cdeg = np.bincount(src, minlength=g.n).astype(np.int64)
+    delta = int(cdeg.max()) if g.n and len(src) else 0
     tables = precompute_tables(tables_limit_for(g.n, delta))
-    cur = Coloring(colors=np.arange(g.n, dtype=np.int64), num_colors=g.n)
+    colors, k = np.arange(g.n, dtype=np.int64), g.n
     while True:
-        if cur.num_colors <= _round_prime(tables, cur.num_colors, 3 * delta)[1]:
-            return cur
-        degree_bound = math.ceil(cur.num_colors ** (1.0 / 3.0)) <= 3 * delta
-        nxt = reduce_colors_once(g, cur, tables, delta=delta, orientation=orientation, work=work)
-        if nxt.num_colors >= cur.num_colors:
-            return cur
+        kprime, p = _round_prime(tables, k, 3 * delta)
+        if k <= p:
+            break
+        degree_bound = math.ceil(k ** (1.0 / 3.0)) <= 3 * delta
+        domain = np.minimum(np.maximum(3 * cdeg, 1), p)
+        new_colors = _kernel_round(
+            g.n, colors, k, kprime, tables, src, dst, None, domain, None, None,
+            orientation is None, work,
+        )
+        if len(src) and np.any(new_colors[src] == new_colors[dst]):
+            raise RuntimeError("recoloring produced a monochromatic conflict edge")
+        new_colors, used = _compact_colors(new_colors)
+        if used >= k:
+            break
+        colors, k = new_colors, used
         if degree_bound:
-            return nxt
-        cur = nxt
+            break
+    return Coloring(colors=colors, num_colors=k)
 
 
 @dataclass

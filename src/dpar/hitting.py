@@ -446,7 +446,6 @@ class LowPotentialSet:
 
 def build_low_potentials(
     imp: np.ndarray,
-    u_ids: np.ndarray,
     cand_levels: np.ndarray,
     edge_u: np.ndarray,
     edge_v: np.ndarray,
@@ -455,7 +454,6 @@ def build_low_potentials(
 ) -> LowPotentialSet:
     """Per-left-node bucket counts (uniform and importance-weighted) and a
     global interval potential over the candidate set; each has mean <= 1."""
-    imp_u = imp[u_ids]
     lev_e = cand_levels[edge_v]
 
     members, tag_u, tag_lev = _group_full_buckets(edge_u, lev_e, edge_v, b)
@@ -466,11 +464,11 @@ def build_low_potentials(
     coef1 = np.full(n_buckets, 4.0 / d_total if d_total else 0.0)
     pots.append(QuadPotential(members=members, coefs=coef1, b=b, name="phi_pair"))
 
-    den = np.zeros(len(u_ids), dtype=np.float64)
+    den = np.zeros(len(imp), dtype=np.float64)
     np.add.at(den, edge_u, np.exp2(-lev_e.astype(np.float64)))
-    tot_imp = float(np.sum(imp_u[den > 0]))
+    tot_imp = float(np.sum(imp[den > 0]))
     if tot_imp > 0:
-        coef2 = 4.0 * imp_u[tag_u] * np.exp2(-tag_lev.astype(np.float64)) / (tot_imp * den[tag_u])
+        coef2 = 4.0 * imp[tag_u] * np.exp2(-tag_lev.astype(np.float64)) / (tot_imp * den[tag_u])
     else:
         coef2 = np.zeros(n_buckets)
     pots.append(QuadPotential(members=members, coefs=coef2, b=b, name="phi_weighted"))
@@ -750,8 +748,7 @@ class RegimeDriver:
     def plan_low(self, sub, h: Halving) -> RoundPlan:
         """The three low potentials, each with mean at most 1, under 3.1."""
         b = h.b
-        u_ids = np.arange(sub.n_left, dtype=np.int64)
-        lp = build_low_potentials(sub.imp, u_ids, h.levels, h.edge_u, h.edge_v, b, len(h.cand))
+        lp = build_low_potentials(sub.imp, h.levels, h.edge_u, h.edge_v, b, len(h.cand))
 
         def judge(half: HalfResult) -> tuple[np.ndarray, dict]:
             counts = lp.pots[0].counts(half.selected).astype(np.float64)

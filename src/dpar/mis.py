@@ -386,8 +386,7 @@ class MisRegimeDriver(RegimeDriver):
         _fold_cross(
             vw, h.local, sub, self.v_alive, self.v_frozen, lambda s, t: lev[h.local[s]] + h.level
         )
-        u_ids = np.arange(sub.n_left, dtype=np.int64)
-        lp = build_low_potentials(sub.imp, u_ids, lev, h.edge_u, h.edge_v, b, n_cand)
+        lp = build_low_potentials(sub.imp, lev, h.edge_u, h.edge_v, b, n_cand)
         pots = list(lp.pots)
         ai, aj, keep_a = _candidate_aux(sub, h)
         eb = edge_buckets(n_cand, ai, aj, b, work=self.work)

@@ -29,9 +29,11 @@ never lowers the tracked expectation. The output is certified against
 
     F(S) >= util_total/2 - cost_total/4 - eps * cost_total.
 
-max_cut_half applies the same schema to edge cuts: a node joins the side
-opposite its heavier already-decided neighborhood, monochromatic edges
-count as uncut, and the cut is certified >= (1/2 - eps) * total weight.
+Max-cut is an instance of F: the weight of the edges leaving S is
+sum_{v in S} deg_w(v) - sum_{uv: u, v in S} 2 w_uv, so max_cut_half rounds
+the instance with util = weighted degree and a cost 2w per edge. At eps/2
+the bound above is (1/2 - eps) times the total weight, and the cut is
+certified against that.
 """
 
 from __future__ import annotations
@@ -190,41 +192,31 @@ class CutResult:
 def max_cut_half(
     g: Graph,
     eps: float,
-    tables: NumberTheoryTables | None = None,
     work: WorkCounter | None = None,
 ) -> CutResult:
     """Cut of weight >= (1/2 - eps) of the total, found deterministically.
 
-    Nodes are decided in ascending defective class order, a batch of
-    dependency-free classes at a time; each joins the side opposite the
-    heavier decided part of its neighborhood (ties go to S).
-    Monochromatic edges are counted as uncut by the certificate.
+    The cut weight of a side S is F(S) with util(v) the weighted degree of
+    v and a cost 2w per edge of weight w, so local_round at eps/2 picks S:
+    its bound, util_total/2 - (1/4 + eps/2) * cost_total, is exactly
+    (1/2 - eps) times the total weight.
     """
-    n = g.n
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
     weights = g.weights if g.weights is not None else np.ones(len(g.nbrs), dtype=np.float64)
-    total = tiled_sum(weights) / 2.0
-    bound = (0.5 - eps) * total
-    col = defective_coloring(g, eps, tables=tables, work=work)
-    colors = col.colors
-
     owners = g.slot_owners()
     heads = g.nbrs
-    alive = colors[owners] != colors[heads]
-    sweep = class_sweep(colors, col.num_colors, owners[alive], heads[alive])
-    slots = np.flatnonzero(alive)[sweep.slot_order]
-    s_head, s_w = heads[slots], weights[slots]
-    s_member = _member_positions(sweep, owners[alive])
-
-    side = np.zeros(n, dtype=bool)
-    for lo, hi, m0, m1 in sweep.batches:
-        members = sweep.node_order[m0:m1]
-        # heads in lower classes are decided
-        hd, wv, dec = s_head[lo:hi], s_w[lo:hi], sweep.lower[lo:hi]
-        loc = s_member[lo:hi] - m0
-        to_s = np.bincount(loc, weights=np.where(dec & side[hd], wv, 0.0), minlength=m1 - m0)
-        to_t = np.bincount(loc, weights=np.where(dec & ~side[hd], wv, 0.0), minlength=m1 - m0)
-        side[members] = to_s <= to_t
-        charge(work, "max_cut", (hi - lo) + (m1 - m0))
+    total = tiled_sum(weights) / 2.0
+    bound = (0.5 - eps) * total
+    fwd = owners < heads
+    inst = RoundingInstance(
+        utils=np.bincount(owners, weights=weights, minlength=g.n),
+        cost_i=owners[fwd],
+        cost_j=heads[fwd],
+        cost_c=2.0 * weights[fwd],
+        eps=eps / 2.0,
+    )
+    side = local_round(inst, work=work).in_set
     cut = tiled_sum(np.where(side[owners] != side[heads], weights, 0.0)) / 2.0
     if cut < bound:
         raise RuntimeError("cut certificate violated")

@@ -1,8 +1,6 @@
-"""Prefix sums, small-key radix sort and a stable word-key sort.
+"""Prefix sums and a stable word-key sort.
 
-The small-key sort handles keys in [1, ceil(log2 N)] with O(log log N)
-stable binary-digit passes, each pass built from prefix sums. General
-machine-word keys go through numpy's stable argsort, used as
+Machine-word keys go through numpy's stable argsort, used as
 infrastructure by the CSR builder. numpy radix-sorts only keys of 16 bits
 or less; on int64 keys it runs timsort, which is fast on partly ordered
 input such as the merge codes of bucket pairs. Its work charge, one unit
@@ -15,8 +13,6 @@ of equal keys in a sorted array begin.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -42,46 +38,6 @@ def prefix_sum(values, work: WorkCounter | None = None) -> np.ndarray:
         if true_total != int(out[-1]):
             raise OverflowError("prefix_sum accumulator overflow; instance too large")
     return out
-
-
-def max_small_key(n_bound: int) -> int:
-    """Largest key the small-key sort accepts for instances of size bound N."""
-    if n_bound < 2:
-        raise ValueError("n_bound must be >= 2")
-    return max(1, math.ceil(math.log2(n_bound)))
-
-
-def radix_sort_small_keys(
-    keys, payload, n_bound: int, work: WorkCounter | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort of (key, payload) pairs, keys in [1, ceil(log2 N)].
-
-    Runs ceil(log2 log2 N)-ish binary-digit passes (one per bit of the key
-    bound), each a stable two-way partition positioned by prefix sums.
-    """
-    k = np.asarray(keys, dtype=np.int64).copy()
-    p = np.asarray(payload, dtype=np.int64).copy()
-    if k.shape != p.shape or k.ndim != 1:
-        raise ValueError("keys and payload must be 1-d arrays of equal length")
-    hi = max_small_key(n_bound)
-    if k.size and (k.min() < 1 or k.max() > hi):
-        raise ValueError(f"keys must lie in [1, {hi}] for n_bound={n_bound}")
-    bits = max(1, math.ceil(math.log2(hi + 1)))
-    for bit in range(bits):
-        digit = (k >> bit) & 1
-        zeros = digit == 0
-        # stable positions: zeros first in order, then ones, via prefix sums
-        pos_zero = np.cumsum(zeros) - 1
-        n_zero = int(pos_zero[-1]) + 1 if k.size else 0
-        pos_one = np.cumsum(~zeros) - 1 + n_zero
-        charge(work, "radix_sort", 3 * k.size)
-        dest = np.where(zeros, pos_zero, pos_one)
-        nk = np.empty_like(k)
-        np_ = np.empty_like(p)
-        nk[dest] = k
-        np_[dest] = p
-        k, p = nk, np_
-    return k, p
 
 
 def stable_order_u64(keys, work: WorkCounter | None = None) -> np.ndarray:

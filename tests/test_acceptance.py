@@ -324,7 +324,7 @@ def test_c06_potential_calibration():
         b = int(rng.integers(8, 17))
         imp, eu, ev, cand_levels, _ = _divisible_bipartite(rng, b)
         n_cand = len(ev)
-        lp = build_low_potentials(imp, np.arange(len(imp)), cand_levels, eu, ev, b, n_cand)
+        lp = build_low_potentials(imp, cand_levels, eu, ev, b, n_cand)
         for pot, target in zip(lp.pots, (1.0, 1.0, 1.0)):  # pair, weighted, size
             assert pot.expectation() == pytest.approx(target, abs=1e-9)
             audit(*_mc_quad(pot, n_cand, rng), target)

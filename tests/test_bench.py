@@ -186,14 +186,29 @@ def edgelist_file(tmp_path, g, name="g.txt"):
     return str(path)
 
 
-@pytest.mark.parametrize("argv_tail", [[], ["--mode", "paper"]])
+@pytest.mark.parametrize(
+    "argv_tail", [[], ["--mode", "paper"], ["--baseline", "--seed", "3"]]
+)
 def test_cli_mis_runs(tmp_path, argv_tail):
     path = edgelist_file(tmp_path, gnm_graph(120, 480, seed=8))
     rep = tmp_path / "out.json"
     rc = main(["mis", "--input", path, "--report", str(rep)] + argv_tail)
     assert rc == 0
     data = json.loads(rep.read_text())
-    assert data["algorithm"] == "mis" and data["ok"]
+    assert data["ok"]
+    if "--baseline" in argv_tail:
+        assert data["algorithm"] == "luby" and data["seed"] == 3
+    else:
+        assert data["algorithm"] == "mis"
+
+
+@pytest.mark.parametrize("command", ["color", "defective", "maxcut", "matching", "hitting-set"])
+def test_cli_seed_is_an_option_of_mis_only(tmp_path, command, capsys):
+    path = edgelist_file(tmp_path, gnm_graph(20, 40, seed=8))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", path, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_cli_csr_roundtrip(tmp_path):

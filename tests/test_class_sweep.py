@@ -1,9 +1,9 @@
 """Batched class sweeps against plain one-class-at-a-time references.
 
-defective_coloring (phase 2), local_round and max_cut_half decide a whole
-batch of color classes per step. The references below decide one class
-at a time, one node at a time, summing weights in slot order, so the
-batched code must match them exactly: colors, scores, sides and work.
+defective_coloring (phase 2) and local_round decide a whole batch of
+color classes per step. The references below decide one class at a time,
+one node at a time, summing weights in slot order, so the batched code
+must match them exactly: colors, scores and work.
 Phase 2 takes the phase-1 classes in the strided order, the rounding
 sweeps take the final colors in ascending order, and the batch counts
 must match a plain walk over that order. The rounding reference merges
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from dpar.coloring import _defective_phase1, class_sweep, defective_coloring
 from dpar.graph import Graph, sort_edges_to_csr
-from dpar.rounding import RoundingInstance, local_round, max_cut_half
+from dpar.rounding import RoundingInstance, local_round
 from dpar.workcount import WorkCounter, charge
 from test_coloring import random_graph
 
@@ -147,34 +147,6 @@ def reference_local_round(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarra
     return in_set, scores, work.total + color_units, steps
 
 
-def reference_max_cut(g: Graph, eps: float) -> tuple[np.ndarray, int]:
-    """(side, work total) deciding one class at a time."""
-    work = WorkCounter()
-    col = defective_coloring(g, eps, work=work)
-    colors = col.colors
-    slots = _slots_by_owner(g)
-    side = np.zeros(g.n, dtype=bool)
-    for c in range(col.num_colors):
-        members = [v for v in range(g.n) if colors[v] == c]
-        units = len(members)
-        for v in members:
-            to_s = to_t = 0.0
-            for s in slots[v]:
-                head = g.nbrs[s]
-                if colors[head] == c:
-                    continue
-                units += 1
-                if colors[head] < c:
-                    if side[head]:
-                        to_s += g.weights[s]
-                    else:
-                        to_t += g.weights[s]
-            side[v] = to_s <= to_t
-        if members:
-            charge(work, "max_cut", units)
-    return side, work.total
-
-
 def weighted_graph(rng, n: int, m: int) -> Graph:
     u, v = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
     keep = u != v
@@ -211,11 +183,6 @@ def test_batched_sweeps_match_class_by_class(seed, n, eps_idx):
     assert col.mono_weight == mono
     assert work.total == units
     assert col.steps == steps
-
-    side, units = reference_max_cut(g, eps)
-    work = WorkCounter()
-    assert np.array_equal(max_cut_half(g, eps, work=work).side, side)
-    assert work.total == units
 
     inst = rounding_instance(rng, n, eps)
     in_set, scores, units, steps = reference_local_round(inst)

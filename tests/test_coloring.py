@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpar.coloring import (
-    Coloring,
     _compact_colors,
     _conflict_roots,
     _defective_phase1,
@@ -16,7 +15,6 @@ from dpar.coloring import (
     _smallest_admissible,
     color_delta_squared,
     defective_coloring,
-    reduce_colors_once,
     tables_limit_for,
 )
 from dpar.graph import Graph, sort_edges_to_csr
@@ -69,18 +67,15 @@ def test_single_edge_round_uses_field_of_three():
     g = sort_edges_to_csr(np.array([[0, 1]]), 2)
     tables = precompute_tables(16)
     assert prime_in_range(tables, 3) == 3
-    cur = Coloring(colors=np.array([0, 1], dtype=np.int64), num_colors=2)
-    nxt = reduce_colors_once(g, cur, tables)
-    assert nxt.num_colors <= 9
-    assert is_proper(g, nxt.colors)
-
-
-def test_round_rejects_understated_degree():
-    g = sort_edges_to_csr(np.array([[0, 1], [0, 2], [0, 3]]), 4)
-    tables = precompute_tables(64)
-    cur = Coloring(colors=np.arange(4), num_colors=4)
-    with pytest.raises(ValueError):
-        reduce_colors_once(g, cur, tables, delta=1)
+    src, dst = g.slot_owners(), g.nbrs
+    domain = np.full(2, 3, dtype=np.int64)
+    new_colors = _kernel_round(
+        2, np.array([0, 1], dtype=np.int64), 2, 3, tables, src, dst, None, domain, None, None,
+        True, None,
+    )
+    colors, used = _compact_colors(new_colors)
+    assert used <= 9
+    assert is_proper(g, colors)
 
 
 def per_slot_round(n, colors, kprime, tables, src, dst, weights, domain, budget, strict):

@@ -1,4 +1,4 @@
-"""Core layer: prefix sums, small-key sort, tables, loss bounds, CSR, IO."""
+"""Core layer: prefix sums, tables, loss bounds, CSR, IO."""
 
 import math
 
@@ -17,8 +17,7 @@ from dpar.graph import (
 )
 from dpar.losses import LossSchedule, iterative_loss_bound
 from dpar.ntheory import precompute_tables, prime_in_range
-from dpar.sorting import max_small_key, prefix_sum, radix_sort_small_keys
-from dpar.workcount import WorkCounter
+from dpar.sorting import prefix_sum
 from dpar.workcount import WorkCounter
 
 
@@ -46,37 +45,6 @@ def test_prefix_sum_matches_fold(xs):
         acc += x
         ref.append(acc)
     assert out == ref
-
-
-def test_radix_sort_stability_and_bounds():
-    n_bound = 1 << 16
-    keys = np.array([3, 1, 3, 2, 1, 16], dtype=np.int64)
-    payload = np.arange(6, dtype=np.int64)
-    sk, sp = radix_sort_small_keys(keys, payload, n_bound)
-    assert sk.tolist() == [1, 1, 2, 3, 3, 16]
-    # stability: equal keys keep payload order
-    assert sp.tolist() == [1, 4, 3, 0, 2, 5]
-    with pytest.raises(ValueError):
-        radix_sort_small_keys([0], [0], n_bound)
-    with pytest.raises(ValueError):
-        radix_sort_small_keys([max_small_key(n_bound) + 1], [0], n_bound)
-
-
-@settings(max_examples=50)
-@given(st.lists(st.integers(min_value=1, max_value=10), max_size=300))
-def test_radix_sort_matches_stable_reference(keys):
-    keys = np.array(keys, dtype=np.int64)
-    payload = np.arange(len(keys), dtype=np.int64)
-    sk, sp = radix_sort_small_keys(keys, payload, 1 << 10)
-    ref = sorted(range(len(keys)), key=lambda i: (keys[i], i))
-    assert sp.tolist() == ref
-    assert sk.tolist() == sorted(keys.tolist())
-
-
-def test_radix_sort_charges_work():
-    w = WorkCounter()
-    radix_sort_small_keys([1, 2, 3, 4], np.arange(4), 1 << 8, work=w)
-    assert w.per_phase.get("radix_sort", 0) > 0
 
 
 def test_sieve_frozen_values():

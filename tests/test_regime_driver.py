@@ -16,6 +16,14 @@ colourings fit their field too, so color_delta_squared now returns
 before the one round each ran without shrinking. sqrt_tables is left out of the comparison: the driver shares its
 number-theory tables across the rounds of a call, so it may only charge
 fewer square-root tables than the pinned count.
+
+The matching pin runs proper kernel rounds in its conflict colourings
+(recolor_slots), but neither it nor the six pins above runs a budgeted
+phase-1 round. The hitting_phase1 pin does: its first two halvings
+colour cost graphs with more nodes than their phase-1 field holds
+(defective_phase1). It was recorded when max-cut became a local_round
+instance and color_delta_squared took in its one-round helper, both
+without moving any pin.
 """
 
 import dataclasses
@@ -114,6 +122,26 @@ def run_hitting_both():
     return digest(res.selected, rounds=res.rounds), work
 
 
+def run_hitting_phase1():
+    """Built like the benchmark's core-tall hitting part, smaller: the
+    cost graphs of the first two halvings have more nodes than their
+    phase-1 field holds, so their defective colourings run budgeted
+    kernel rounds."""
+    rng = np.random.default_rng(37)
+    n_cand, level = 12_000, 12
+    deg = np.round((1.0 + 0.8 * (np.arange(2) + 0.5) / 2) * 2.0**level).astype(np.int64)
+    inst = BipartiteInstance(
+        imp=rng.random(2) + 0.2,
+        levels=np.full(n_cand, level, dtype=np.int64),
+        edge_u=np.repeat(np.arange(2), deg),
+        edge_v=np.concatenate([rng.choice(n_cand, size=d, replace=False) for d in deg]),
+        size_param=1 << 17,
+    )
+    work = WorkCounter()
+    res = hitting_set(inst, DESK, floor=4, work=work)
+    return digest(res.selected, rounds=res.rounds), work
+
+
 def _core(inst):
     work = WorkCounter()
     res = core_mis_hitting(inst, DESK, work=work)
@@ -149,6 +177,7 @@ TALL_SEED = 3  # the second low round keeps an aux edge: the adaptive-eps path
 RUNS = {
     "hitting_high": run_hitting_high,
     "hitting_both": run_hitting_both,
+    "hitting_phase1": run_hitting_phase1,
     "core_aux": run_core_aux,
     "core_no_aux": run_core_no_aux,
     "core_tall": run_core_tall,
@@ -159,6 +188,7 @@ RUNS = {
 PINS = {
     "hitting_high": ("d0da2c167225f523", {'defective_phase2': 33969, 'half_sample': 37115, 'high_regime_round': 3334, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 103578}),
     "hitting_both": ("b37b583862a6c481", {'defective_phase2': 68193, 'half_sample': 96291, 'high_regime_round': 9161, 'hitting_finalize': 2408, 'local_round': 228566, 'low_regime_round': 2723}),
+    "hitting_phase1": ("9ab7528775c69ebc", {'defective_phase1': 698906, 'defective_phase2': 512708, 'half_sample': 543929, 'high_regime_round': 67031, 'high_regime_skip': 1, 'hitting_finalize': 11471, 'local_round': 1525366, 'recolor_slots': 718607, 'sqrt_tables': 7393, 'word_sort': 0}),
     "core_aux": ("5ec6bd68251285e6", {'core_mis_finalize': 3640, 'defective_phase2': 38672, 'half_sample': 42592, 'local_round': 118736, 'mis_high_round': 4832, 'mis_high_skip': 13}),
     "core_no_aux": ("4f7e034263588edb", {'core_mis_finalize': 1416, 'defective_phase2': 23378, 'half_sample': 24960, 'local_round': 70516, 'mis_high_round': 2608, 'mis_high_skip': 13}),
     "core_tall": ("001be9708cbe4cf6", {'core_mis_finalize': 4495, 'defective_phase2': 22482, 'edge_buckets': 999, 'half_sample': 26652, 'local_round': 69372, 'mis_high_round': 3176, 'mis_low_round': 1386}),

@@ -14,6 +14,7 @@ from dpar.rounding import (
     local_round,
     max_cut_half,
 )
+from dpar.verify import cut_weight
 from dpar.workcount import WorkCounter
 
 
@@ -83,20 +84,21 @@ def test_parallel_cost_terms_accumulate():
 
 
 @contextmanager
-def cost_graphs():
-    """Collect the cost graphs local_round builds inside the block."""
-    built = []
-    build = dpar.rounding.graph_from_directed_slots
+def calls_to(name):
+    """Collect (args, result) of every call to dpar.rounding.<name> made
+    inside the block."""
+    calls = []
+    real = getattr(dpar.rounding, name)
 
-    def keep(*args):
-        built.append(build(*args))
-        return built[-1]
+    def keep(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
 
-    dpar.rounding.graph_from_directed_slots = keep
+    setattr(dpar.rounding, name, keep)
     try:
-        yield built
+        yield calls
     finally:
-        dpar.rounding.graph_from_directed_slots = build
+        setattr(dpar.rounding, name, real)
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,13 +124,13 @@ def test_split_parallel_terms_round_like_the_merged_instance(seed, eps_idx):
         eps=eps,
     )
     a = local_round(whole)
-    with cost_graphs() as built:
+    with calls_to("graph_from_directed_slots") as built:
         b = local_round(split)
     assert np.array_equal(a.in_set, b.in_set)
     assert np.array_equal(a.scores, b.scores)
     assert a.bound == b.bound
     assert a.cost_pairs == b.cost_pairs == len(pairs)
-    (g,) = built
+    ((_, g),) = built
     codes = g.slot_owners() * n + g.nbrs
     assert len(np.unique(codes)) == len(codes)
 
@@ -208,6 +210,37 @@ def test_cut_matches_sides():
     recomputed = float(np.sum(g.weights[res.side[owners] != res.side[g.nbrs]])) / 2.0
     assert recomputed == pytest.approx(res.cut_weight)
     assert res.cut_weight >= (0.5 - 0.1) * g.edge_weight_total()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), weighted=st.booleans(), eps_idx=st.integers(0, 3))
+def test_max_cut_instance_objective_is_the_cut_weight(seed, weighted, eps_idx):
+    eps = [1.0, 0.5, 0.25, 0.1][eps_idx]
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    m = int(rng.integers(1, 3 * n))
+    u, v = rng.integers(0, n, size=(2, m))
+    keep = u != v
+    # some zero weights; others unequal, so a weight-blind degree shows
+    w = (rng.random(m) * (rng.random(m) >= 0.2))[keep] if weighted else None
+    g = sort_edges_to_csr(np.stack([u, v], axis=1)[keep], n, weights=w)
+    with calls_to("local_round") as calls:
+        res = max_cut_half(g, eps=eps)
+    ((args, _),) = calls
+    inst = args[0]
+    assert inst.eps == eps / 2.0
+    # with every node in S nothing is cut: the costs must cancel the degrees
+    sides = [res.side, np.ones(n, dtype=bool)] + [rng.random(n) < 0.5 for _ in range(4)]
+    for side in sides:
+        cut, total = cut_weight(g, side)
+        assert evaluate_objective(inst, side) == pytest.approx(cut, rel=1e-9, abs=1e-9 * total)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.5])
+def test_max_cut_rejects_eps_outside_the_unit_interval(eps):
+    g = sort_edges_to_csr(np.array([[0, 1]]), 2)
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+        max_cut_half(g, eps=eps)
 
 
 @settings(max_examples=30, deadline=None)
