@@ -10,6 +10,7 @@ under "rounds"/"iterations" and never stand in for a certificate.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -27,7 +28,7 @@ from .mis import luby_mis_baseline, maximal_independent_set
 from .rounding import max_cut_half
 from .workcount import WorkCounter
 
-REPORT_VERSION = "v1"
+REPORT_VERSION = "v2"
 
 
 def _report_shell(algorithm: str, g: Graph, params: ParamSet) -> dict:
@@ -35,7 +36,7 @@ def _report_shell(algorithm: str, g: Graph, params: ParamSet) -> dict:
         "version": REPORT_VERSION,
         "algorithm": algorithm,
         "input": {"nodes": int(g.n), "edges": int(g.m), "weighted": g.weights is not None},
-        "mode": params.mode,
+        "params": dataclasses.asdict(params),
         "certificates": [],
         "oracles": {},
         "work": {},
@@ -109,7 +110,7 @@ def run_maxcut(g: Graph, eps: float, params: ParamSet) -> dict:
     return _finish(rep, work, t0)
 
 
-def run_hitting(inst: BipartiteInstance, params: ParamSet) -> dict:
+def run_hitting(inst: BipartiteInstance, params: ParamSet, window_share: float) -> dict:
     rep = {
         "version": REPORT_VERSION,
         "algorithm": "hitting-set",
@@ -118,7 +119,7 @@ def run_hitting(inst: BipartiteInstance, params: ParamSet) -> dict:
             "right": int(inst.n_right),
             "edges": int(len(inst.edge_u)),
         },
-        "mode": params.mode,
+        "params": dataclasses.asdict(params),
         "certificates": [],
         "oracles": {},
     }
@@ -129,10 +130,9 @@ def run_hitting(inst: BipartiteInstance, params: ParamSet) -> dict:
         inst.imp, inst.levels, inst.edge_u, inst.edge_v, res.selected, floor=params.high_floor_hitting
     )
     rep["oracles"]["window"] = {"ok": ok, **d}
-    threshold = 0.9 if params.mode == "paper" else 0.75
     rep["certificates"].append(
-        _cert("window_importance_fraction", d["window_importance_fraction"], threshold,
-              d["window_importance_fraction"] >= threshold, ">=")
+        _cert("window_importance_fraction", d["window_importance_fraction"], window_share,
+              d["window_importance_fraction"] >= window_share, ">=")
     )
     rep["certificates"].append(
         _cert(

@@ -17,6 +17,9 @@ from . import bench
 from .graph import Graph, read_csr, read_edgelist, sort_edges_to_csr
 from .hitting import ParamSet, read_hset
 
+# --mode picks a preset: the parameters and the hitting-set report's window share
+PRESETS = {"desk": (ParamSet.desk(), 0.75), "paper": (ParamSet.paper(), 0.9)}
+
 
 def _coerce_param(name: str, kind, value):
     """value as the type the ParamSet field declares (None where allowed)."""
@@ -35,7 +38,7 @@ def _coerce_param(name: str, kind, value):
 
 
 def _load_params(args) -> ParamSet:
-    params = ParamSet.paper() if args.mode == "paper" else ParamSet.desk()
+    params = PRESETS[args.mode][0]
     if getattr(args, "params", None):
         with open(args.params) as f:
             overrides = json.load(f)
@@ -43,8 +46,6 @@ def _load_params(args) -> ParamSet:
         for key in overrides:
             if key not in kinds:
                 raise SystemExit(f"unknown parameter: {key}")
-            if key == "mode":
-                raise SystemExit("parameter mode: choose the preset with --mode")
         params = dataclasses.replace(
             params, **{key: _coerce_param(key, kinds[key], v) for key, v in overrides.items()}
         )
@@ -84,7 +85,7 @@ def _add_common(sp):
         help="input encoding",
     )
     sp.add_argument("--params", help="JSON file with parameter overrides")
-    sp.add_argument("--mode", default="desk", choices=["paper", "desk"])
+    sp.add_argument("--mode", default="desk", choices=sorted(PRESETS))
     sp.add_argument("--report", help="write the JSON report here")
 
 
@@ -115,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.format != "hset":
             raise SystemExit("hitting-set expects --format hset")
         inst = read_hset(args.input)
-        report = bench.run_hitting(inst, params)
+        report = bench.run_hitting(inst, params, PRESETS[args.mode][1])
         return _emit(report, args)
 
     g = _load_graph(args)

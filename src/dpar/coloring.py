@@ -201,7 +201,6 @@ def _kernel_round(
     weights: np.ndarray | None,
     domain: np.ndarray,
     budget: np.ndarray | None,
-    zero_budget_nodes: np.ndarray | None,
     symmetric: bool,
     work: WorkCounter | None,
 ) -> np.ndarray:
@@ -209,7 +208,7 @@ def _kernel_round(
 
     weights/budget None: proper mode, every hit point is inadmissible.
     Otherwise a point is admissible while its hit weight stays below
-    budget[v]; nodes flagged in zero_budget_nodes require hit weight 0.
+    budget[v] or is 0; a node with budget 0 requires hit weight 0.
     symmetric: the slots hold both directions of every conflict, with
     symmetric weights; each pair is solved once, from its slot src < dst,
     and hits both ends. Otherwise every slot is solved and hits its owner.
@@ -270,9 +269,6 @@ def _kernel_round(
         score = np.bincount(groups, weights=ws[order], minlength=len(ukey))
         # zero hit weight is always harmless, whatever the budget
         adm = (score < budget[uv]) | (score <= 0.0)
-        if zero_budget_nodes is not None:
-            strict = zero_budget_nodes[uv]
-            adm[strict] = score[strict] <= 0.0
     x_star = np.zeros(n, dtype=np.int64)
     gids, best = _smallest_admissible(uv, ur, adm, domain)
     x_star[gids] = best
@@ -332,7 +328,7 @@ def color_delta_squared(
         degree_bound = math.ceil(k ** (1.0 / 3.0)) <= 3 * delta
         domain = np.minimum(np.maximum(3 * cdeg, 1), p)
         new_colors = _kernel_round(
-            g.n, colors, k, kprime, tables, src, dst, None, domain, None, None,
+            g.n, colors, k, kprime, tables, src, dst, None, domain, None,
             orientation is None, work,
         )
         if len(src) and np.any(new_colors[src] == new_colors[dst]):
@@ -472,9 +468,10 @@ def _defective_phase1(
         low = deg <= inv_eps1
         domain = np.where(low, np.minimum(3 * deg + 1, p), min(3 * math.ceil(1.0 / eps1), p))
         domain = np.maximum(domain, 1).astype(np.int64)
-        budget = eps1 * incident
+        # low nodes may lose no weight: budget 0 admits hit weight 0 only
+        budget = np.where(low, 0.0, eps1 * incident)
         new_colors = _kernel_round(
-            n, colors, k, kprime, tables, src, dst, w, domain, budget, low, True, work
+            n, colors, k, kprime, tables, src, dst, w, domain, budget, True, work
         )
         rounds += 1
         lost = new_colors[src] == new_colors[dst]

@@ -73,31 +73,30 @@ MAX_LEVEL_CAP = 1024  # K above this overflows 2^(K-1) in bucket_low
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Knobs of the sampling machinery.
+    """Knobs of the sampling machinery; the presets differ only in values.
 
     paper(): the values the guarantees are proved for; astronomically
     conservative, only usable on toy sizes. desk(): small values with the
     same shapes, sized so the certified inequalities still hold on
-    instances that fit in memory. Values both sets share are module
-    constants (GAMMA_LOW_DECAY, ADDITIVE_CAP, DRIFT_EXP, BAD_NODE_EXP here,
-    MATCHING_FLOOR in matching.py).
+    instances that fit in memory. None is the paper's per-instance rule:
+    degree_floor=None is ceil(10 log2(N)^25). Values both sets share are
+    module constants (GAMMA_LOW_DECAY, ADDITIVE_CAP, DRIFT_EXP,
+    BAD_NODE_EXP here, MATCHING_FLOOR in matching.py).
     """
 
-    mode: str
     k_factor: float  # K = ceil(k_factor * log2 log2 N)
     beta: float  # bucket size b ~ (1/gamma)^beta
     gamma0_low: float
     gamma_high: float | None  # None: round-dependent 1/(100 (K-i)^2)
     high_floor_hitting: int  # levels below this are never sampled
     high_floor_mis: int
-    degree_floor: int  # left nodes need this many low neighbors to join the low regime
+    degree_floor: int | None  # left nodes need this many low neighbors to join the low regime
     outdeg_cap: int
 
     def __post_init__(self):
-        if self.mode not in ("paper", "desk"):
-            raise ValueError(f"parameter mode must be 'paper' or 'desk', not {self.mode!r}")
         for name in ("high_floor_hitting", "high_floor_mis", "degree_floor", "outdeg_cap"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise ValueError(f"parameter {name} must be >= 0")
         for name in ("k_factor", "beta", "gamma0_low", "gamma_high"):
             value = getattr(self, name)
@@ -109,21 +108,19 @@ class ParamSet:
     @staticmethod
     def paper() -> "ParamSet":
         return ParamSet(
-            mode="paper",
             k_factor=100.0,
             beta=6.0,
             gamma0_low=1e-7,
             gamma_high=None,
             high_floor_hitting=50,
             high_floor_mis=20,
-            degree_floor=0,  # stands for ceil(10 log^25 N), resolved per instance
+            degree_floor=None,
             outdeg_cap=10000,
         )
 
     @staticmethod
     def desk() -> "ParamSet":
         return ParamSet(
-            mode="desk",
             k_factor=3.0,
             beta=2.0,
             gamma0_low=0.0099,
@@ -145,7 +142,7 @@ class ParamSet:
         return max(1, math.ceil(k))
 
     def degree_floor_for(self, size_param: int) -> int:
-        if self.mode == "paper":
+        if self.degree_floor is None:
             return math.ceil(10.0 * math.log2(max(size_param, 2)) ** 25)
         return self.degree_floor
 
@@ -159,12 +156,11 @@ class ParamSet:
         return 1.0 / (100.0 * max(level, 1) ** 2)
 
     def bucket_low(self, gamma: float, size_param: int) -> int:
+        """The low-regime bucket size; below 2 on small instances, where
+        RegimeDriver.low sends the candidates left to the high regime."""
         log_n = max(math.ceil(math.log2(max(size_param, 2))), 1)
         k_cap = self.level_cap(size_param)
-        b = int(min((1.0 / gamma) ** self.beta, gamma * 2.0 ** (k_cap - 1) / log_n))
-        if b < 2:
-            raise ValueError("invalid parameters: low-regime bucket size below 2")
-        return b
+        return int(min((1.0 / gamma) ** self.beta, gamma * 2.0 ** (k_cap - 1) / log_n))
 
     def bucket_high(self, gamma: float) -> int:
         b = math.ceil((1.0 / gamma) ** self.beta)
@@ -243,47 +239,56 @@ def write_hset(path, inst: BipartiteInstance) -> None:
 def read_hset(path) -> BipartiteInstance:
     """Read write_hset's format. A file cut inside the header, the left
     section or the right section, a header count that is negative or
-    exceeds the lines present, or an edge line with fewer than two fields,
-    raises ValueError naming the section. The format stores no edge count,
-    so a file cut between two edge lines loads fewer edges."""
+    exceeds the lines present, or a line with fewer fields than its
+    section needs, raises ValueError naming the section. The format
+    stores no edge count, so a file cut between two edge lines loads fewer
+    edges."""
     with open(path) as f:
-        rows = [ln.split() for ln in f if ln.strip()]
-    if not rows or rows[0] != [HSET_MAGIC]:
+        lines = [ln for ln in f if ln.strip()]
+    if not lines or lines[0].split() != [HSET_MAGIC]:
         raise ValueError("not an HSET1 file")
 
-    def section(name: str, start: int, count: int, width: int = 2) -> list[list[str]]:
-        got = rows[start : start + count]
+    def section(name: str, start: int, count: int, fields: list) -> np.ndarray:
+        """The section's lines as one record per line, parsed by one numpy
+        call; fields beyond the record's are ignored."""
+        got = lines[start : start + count]
+        dtype = np.dtype(fields)
         if count < 0:
             short = f"a negative line count ({count})"
         elif len(got) < count:
             short = f"{len(got)} of {count} lines"
-        elif any(len(tok) < width for tok in got):
-            short = f"a line of fewer than {width} fields"
+        elif not got:  # np.loadtxt warns on no lines
+            return np.zeros(0, dtype)
         else:
-            return got
+            try:
+                return np.loadtxt(
+                    got, dtype=dtype, comments=None, usecols=range(len(fields)), ndmin=1
+                )
+            except ValueError as exc:
+                if all(len(ln.split()) >= len(fields) for ln in got):
+                    raise ValueError(f"bad HSET file: {name} section: {exc}") from None
+            short = f"a line of fewer than {len(fields)} fields"
         raise ValueError(f"truncated HSET file: {name} section has {short}")
 
-    n_u, n_v, size_param = (int(x) for x in section("header", 1, 1, 3)[0])
+    ints = np.int64
+    n_u, n_v, size_param = section("header", 1, 1, [("u", ints), ("v", ints), ("n", ints)])[0]
     # both counts are checked against the lines present before any allocation
-    left = section("left", 2, n_u)
-    right = section("right", 2 + n_u, n_v)
-    imp = np.zeros(n_u, dtype=np.float64)
-    levels = np.zeros(n_v, dtype=np.int64)
-    for i, tok in enumerate(left):
-        u = int(tok[0])
-        if u != i:
-            raise ValueError("left ids must be 0..nU-1 in order")
-        imp[u] = float(tok[1])
-    for i, tok in enumerate(right):
-        v = int(tok[0])
-        if v != i:
-            raise ValueError("right ids must be 0..nV-1 in order")
-        levels[v] = int(tok[1])
+    left = section("left", 2, n_u, [("id", ints), ("imp", np.float64)])
+    right = section("right", 2 + n_u, n_v, [("id", ints), ("level", ints)])
+    if np.any(left["id"] != np.arange(n_u)):
+        raise ValueError("left ids must be 0..nU-1 in order")
+    if np.any(right["id"] != np.arange(n_v)):
+        raise ValueError("right ids must be 0..nV-1 in order")
     pos = 2 + n_u + n_v
-    rest = section("edge", pos, len(rows) - pos)
-    eu = np.array([int(t[0]) for t in rest], dtype=np.int64)
-    ev = np.array([int(t[1]) for t in rest], dtype=np.int64)
-    return BipartiteInstance(imp=imp, levels=levels, edge_u=eu, edge_v=ev, size_param=size_param)
+    edges = section("edge", pos, len(lines) - pos, [("u", ints), ("v", ints)])
+    # copies: a field of a record array is a strided view
+    return BipartiteInstance(
+        imp=left["imp"].copy(),
+        levels=right["level"].copy(),
+        edge_u=edges["u"].copy(),
+        edge_v=edges["v"].copy(),
+        size_param=int(size_param),
+    )
 
 
 # --- quadratic bucket potentials -------------------------------------------
@@ -569,9 +574,11 @@ class RegimeDriver:
     run() splits the input: right nodes above level K form the low regime,
     which protects only left nodes with at least degree_floor low
     neighbors. low() halves its candidates down to K, freezes the
-    survivors and certifies the shrinkage. The survivors rejoin the rest
-    at level K, and high() halves from K down to the floor, charging a skip
-    for each round without candidates.
+    survivors and certifies the shrinkage; at a round whose bucket size
+    falls below 2 (small N), it freezes the candidates left unhalved and
+    reports "straight_to_high" with their number. The survivors rejoin
+    the rest at level K, and high() halves from K down to the floor,
+    charging a skip for each round without candidates.
 
     Every round asks the potential stack (the methods from restrict() on)
     for its potentials, eps, bound, bad-node rule and report fields.
@@ -626,6 +633,16 @@ class RegimeDriver:
                 break
             gamma = self.params.gamma_low(i, sub.size_param)
             b = self.params.bucket_low(gamma, sub.size_param)
+            if b < 2:
+                # no bucket of two fits (small N): the candidates still
+                # above K go straight to the high regime at level K
+                reports.append({
+                    "regime": self.tags["low"], "round": i, "gamma": gamma, "b": b,
+                    "straight_to_high": int(self.v_alive.sum()),
+                })
+                self.v_frozen |= self.v_alive
+                self.v_alive[:] = False
+                break
             h = self._prepare(sub, "low", i, k_cap, gamma, b, self.v_alive)
             plan = self.plan_low(sub, h)
             selected, report = self._halve(sub, h, plan)

@@ -346,7 +346,7 @@ class MisRegimeDriver(RegimeDriver):
     frozen aux weight is certified against twice the starting mixed sum
     and the selected aux weight against 2^(2 floor) times the drift times
     it. Watcher mass is capped at ENTRY_MASS_CAP into the high regime and
-    measured against ROUND_MASS_CAP after each high round.
+    at ROUND_MASS_CAP after each high round.
     """
 
     tags = {"low": "mis_low", "high": "mis_high"}
@@ -468,7 +468,7 @@ class MisRegimeDriver(RegimeDriver):
                 watch = sub.watch_mass(self.v_alive, lev)
                 over = int(np.sum((watch > ROUND_MASS_CAP + 1e-9) & self.u_good))
                 report["mass_violations"] = over
-                if over and self.params.mode == "paper":
+                if over:
                     raise RuntimeError("watcher probability mass exceeded the per-round cap")
         mixed = _mixed_sum(sub, mask, lev)
         report["mixed_sum"] = mixed

@@ -1,6 +1,6 @@
 import argparse
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from dpar.generate import (
     star_graph,
 )
 from dpar.graph import read_edgelist, sort_edges_to_csr, write_csr
-from dpar.hitting import BipartiteInstance, ParamSet, hitting_set
+from dpar.hitting import BipartiteInstance, ParamSet, hitting_set, write_hset
 from dpar.matching import maximal_matching
 from dpar.mis import MisAuxInstance, core_mis_hitting, maximal_independent_set
 from dpar.verify import (
@@ -122,15 +122,18 @@ def test_hitting_window_upper_side_uses_the_declared_constant():
     assert check_hitting_window(np.ones(1), levels, eu, ev, selected, floor=10)[0]
 
 
-def test_hitting_report_certifies_the_declared_hit_bound():
-    inst = BipartiteInstance(
+def two_watcher_instance():
+    return BipartiteInstance(
         imp=np.ones(2),
         levels=np.full(400, 6, dtype=np.int64),
         edge_u=np.repeat(np.arange(2), 200),
         edge_v=np.arange(400),
         size_param=1 << 16,
     )
-    rep = run_hitting(inst, ParamSet.desk())
+
+
+def test_hitting_report_certifies_the_declared_hit_bound():
+    rep = run_hitting(two_watcher_instance(), ParamSet.desk(), 0.75)
     cert = {c["name"]: c for c in rep["certificates"]}["hit_constant"]
     assert rep["ok"] and cert["ok"]
     assert cert["bound"] == rep["oracles"]["window"]["hit_constant_bound"] == 4.0 * 2**4
@@ -200,6 +203,34 @@ def test_cli_mis_runs(tmp_path, argv_tail):
         assert data["algorithm"] == "luby" and data["seed"] == 3
     else:
         assert data["algorithm"] == "mis"
+
+
+@pytest.mark.parametrize("mode, share", [("desk", 0.75), ("paper", 0.9)])
+def test_cli_hitting_set_certifies_the_window_share_of_its_preset(tmp_path, mode, share):
+    path, rep = tmp_path / "inst.hset", tmp_path / "out.json"
+    write_hset(path, two_watcher_instance())
+    argv = ["hitting-set", "--input", str(path), "--format", "hset", "--report", str(rep)]
+    assert main(argv + ["--mode", mode]) == 0
+    cert = {c["name"]: c for c in json.loads(rep.read_text())["certificates"]}
+    assert cert["window_importance_fraction"]["bound"] == share
+    assert cert["window_importance_fraction"]["ok"]
+
+
+@pytest.mark.parametrize("mode", ["desk", "paper"])
+def test_cli_reports_carry_the_params_they_ran(tmp_path, mode):
+    path = edgelist_file(tmp_path, gnm_graph(60, 200, seed=8))
+    rep = tmp_path / "out.json"
+    assert main(["mis", "--input", path, "--mode", mode, "--report", str(rep)]) == 0
+    preset = getattr(ParamSet, mode)()
+    assert json.loads(rep.read_text())["params"] == asdict(preset)
+    # an override shows in the report, and nothing else moves
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"outdeg_cap": 5, "degree_floor": None}))
+    argv = ["matching", "--input", path, "--mode", mode, "--params", str(pfile)]
+    assert main(argv + ["--report", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert data["version"] == REPORT_VERSION and "mode" not in data
+    assert data["params"] == asdict(replace(preset, outdeg_cap=5, degree_floor=None))
 
 
 @pytest.mark.parametrize("command", ["color", "defective", "maxcut", "matching", "hitting-set"])

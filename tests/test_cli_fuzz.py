@@ -4,7 +4,9 @@ Inputs are empty, one-edge, star and clique edge lists, as edge-list text,
 as CSR files and (for hitting-set) as HSET files, whole or cut inside one
 of their sections, plus hand-written garbage files and --params files.
 Every run must either exit 0 with every certificate ok or raise a
-ValueError or SystemExit that carries a message. sort_edges_to_csr and
+ValueError or SystemExit that carries a message; a whole HSET file must
+certify, at levels up to 9, above the level cap K = 4 of the small
+instances, whose low-regime bucket falls below 2. sort_edges_to_csr and
 merged_pairs, on both sides of its dense-table rule, are compared byte for
 byte with a plain-Python reference.
 """
@@ -89,7 +91,7 @@ def _cut_inside(data: st.DataObject, text: bytes, bounds, by_line: bool) -> byte
     weight=st.none() | st.sampled_from([0.0, 0.5, 1.0, 7.25]),
     encoding=st.sampled_from(["edgelist", "csr"]),
     cut=st.booleans(),
-    level=st.integers(0, 8),
+    level=st.integers(0, 9),
     eps=st.sampled_from([0.1, 0.25, 1.0]),
     data=st.data(),
 )
@@ -120,6 +122,7 @@ def test_cli_certifies_or_rejects_with_a_message(
             rc = main(argv + ["--report", str(report)])
         except (ValueError, SystemExit) as exc:
             assert str(exc), f"{type(exc).__name__} without a message"
+            assert cut or encoding != "hset", f"whole HSET file rejected: {exc}"
             return
         certificates = json.loads(report.read_text())["certificates"]
         assert rc == 0 and certificates and all(c["ok"] for c in certificates)
@@ -149,6 +152,22 @@ CSR_GARBAGE = {
 }
 
 
+@pytest.mark.parametrize("mode", ["desk", "paper"])
+@pytest.mark.parametrize("level", [5, 6, 7, 8, 9])
+def test_cli_star_hset_certifies_above_the_level_cap(tmp_path, level, mode):
+    """A 4-leaf star: size 5, so K = 4 at desk, and levels 5 to 9 used to
+    raise "low-regime bucket size below 2". Its candidates now go straight
+    to the high regime at K, and the report says so."""
+    path, report = tmp_path / "star.hset", tmp_path / "report.json"
+    _hset_file(path, FAMILIES["star"](5), level)
+    argv = ["hitting-set", "--input", str(path), "--format", "hset", "--mode", mode]
+    assert main(argv + ["--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert all(c["ok"] for c in data["certificates"]) and data["oracles"]["window"]["ok"]
+    straight = [r["straight_to_high"] for r in data["rounds"] if "straight_to_high" in r]
+    assert straight == ([4] if mode == "desk" else [])
+
+
 @pytest.mark.parametrize("case", sorted(HSET_GARBAGE))
 def test_cli_rejects_hand_written_hset_garbage(tmp_path, case):
     text, message = HSET_GARBAGE[case]
@@ -175,9 +194,9 @@ def test_cli_rejects_hand_written_csr_garbage(tmp_path, case):
         ({"outdeg_cap": -1}, ValueError, "parameter outdeg_cap must be >= 0"),
         ({"beta": 0}, ValueError, "parameter beta must be finite and > 0"),
         ({"outdeg_cap": 4, "gamma_high": None}, None, None),
-        ({"mode": "bogus"}, SystemExit, "parameter mode: choose the preset with --mode"),
+        ({"mode": "bogus"}, SystemExit, "unknown parameter: mode"),
         ({"k_factor": 1e308}, ValueError, "parameter k_factor=1e\\+308 puts the level cap"),
-        ({"mode": "paper"}, SystemExit, "parameter mode: choose the preset with --mode"),
+        ({"mode": "paper"}, SystemExit, "unknown parameter: mode"),
     ],
 )
 def test_cli_params_files(tmp_path, overrides, error, message):

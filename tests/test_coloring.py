@@ -70,8 +70,8 @@ def test_single_edge_round_uses_field_of_three():
     src, dst = g.slot_owners(), g.nbrs
     domain = np.full(2, 3, dtype=np.int64)
     new_colors = _kernel_round(
-        2, np.array([0, 1], dtype=np.int64), 2, 3, tables, src, dst, None, domain, None, None,
-        True, None,
+        2, np.array([0, 1], dtype=np.int64), 2, 3, tables, src, dst, None, domain, None, True,
+        None,
     )
     colors, used = _compact_colors(new_colors)
     assert used <= 9
@@ -149,9 +149,10 @@ def test_pair_solve_matches_per_slot_rule(seed, n, avg_deg, palette_mult, mode):
     else:
         domain = np.minimum(np.maximum(3 * cdeg, 1), p)
     domain = domain.astype(np.int64)
+    # _kernel_round takes the strict rule as budget 0
+    folded = None if budget is None else np.where(strict, 0.0, budget)
     got = _kernel_round(
-        n, colors, k, kprime, tables, src, dst, weights, domain, budget, strict,
-        mode != "oriented", None,
+        n, colors, k, kprime, tables, src, dst, weights, domain, folded, mode != "oriented", None
     )
     want = per_slot_round(n, colors, kprime, tables, src, dst, weights, domain, budget, strict)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -200,17 +201,17 @@ def test_round_on_a_palette_inside_the_field_returns_its_input(seed, n, avg_deg,
     tables = precompute_tables(2 * kprime + 2)
     p = prime_in_range(tables, kprime)
     assert k <= p
-    weights = budget = strict = None
+    weights = budget = None
     if mode == "weighted":
         weights = g.weights
         strict = cdeg <= 4
-        budget = 0.25 * np.bincount(src, weights=weights, minlength=n)
+        budget = np.where(strict, 0.0, 0.25 * np.bincount(src, weights=weights, minlength=n))
         domain = np.where(strict, np.minimum(3 * cdeg + 1, p), min(12, p))
     else:
         domain = np.minimum(np.maximum(3 * cdeg, 1), p)
     got = _kernel_round(
         n, colors, k, kprime, tables, src, dst, weights, domain.astype(np.int64), budget,
-        strict, mode != "oriented", None,
+        mode != "oriented", None,
     )
     assert got.tobytes() == colors.tobytes()
 
@@ -234,10 +235,9 @@ def phase1_every_round(g: Graph, eps: float) -> tuple[np.ndarray, np.ndarray]:
         p = prime_in_range(tables, kprime)
         low = deg <= math.floor(1.0 / eps1)
         domain = np.maximum(np.where(low, np.minimum(3 * deg + 1, p), min(spread, p)), 1)
-        budget = eps1 * np.bincount(src, weights=w, minlength=n)
+        budget = np.where(low, 0.0, eps1 * np.bincount(src, weights=w, minlength=n))
         new = _kernel_round(
-            n, colors, k, kprime, tables, src, dst, w, domain.astype(np.int64), budget, low,
-            True, None,
+            n, colors, k, kprime, tables, src, dst, w, domain.astype(np.int64), budget, True, None
         )
         alive[np.flatnonzero(alive)[new[src] == new[dst]]] = False
         colors, k_new = _compact_colors(new)

@@ -50,18 +50,31 @@ def test_desk_parameter_values():
 
 def test_paper_parameter_shapes():
     p = ParamSet.paper()
-    assert p.gamma_high is None
+    assert p.gamma_high is None and p.degree_floor is None
     assert p.gamma_high_for(50) == pytest.approx(1.0 / (100 * 2500))
     assert p.degree_floor_for(1 << 20) == math.ceil(10.0 * 20.0**25)
+    # the formula belongs to the None value, not to the preset
+    assert replace(DESK, degree_floor=None).degree_floor_for(1 << 20) == p.degree_floor_for(1 << 20)
+    assert replace(p, degree_floor=0).degree_floor_for(1 << 20) == 0
     # gamma decays but never below gamma0/log2(N)
     lo = p.gamma_low(10_000, 1 << 16)
     assert lo == pytest.approx(p.gamma0_low / 16)
 
 
-def test_low_bucket_too_small_raises():
+def test_low_bucket_below_two_sends_the_candidates_straight_to_high():
+    # the star at levels 5 to 9 (size 5, K = 4), which used to raise "low-regime
+    # bucket size below 2", is tests/test_cli_fuzz.py's
     p = ParamSet.desk()
-    with pytest.raises(ValueError):
-        p.bucket_low(p.gamma_low(0, 1 << 16), 1 << 16)
+    assert p.bucket_low(p.gamma_low(0, 1 << 16), 1 << 16) == 1
+    assert p.level_cap(5) == 4 and p.bucket_low(p.gamma_low(0, 5), 5) == 0
+    # at N = 2^17 the bucket starts at 2 and falls below it in round 18,
+    # as gamma decays; the rounds before it halve as they did
+    inst = crafted_instance(np.random.default_rng(1), 4, 400, 100, np.full(400, 40), 1 << 17)
+    res = hitting_set(inst, p)
+    low = [r for r in res.rounds if r["regime"] == "low"]
+    assert [r["b"] for r in low] == [2] * 18 + [1]
+    assert "phi_total" not in low[-1] and low[-1]["straight_to_high"] >= 1
+    assert res.window_ok.all()
 
 
 # --- instance container and file format --------------------------------------
@@ -93,7 +106,6 @@ def test_instance_validation():
         ("gamma0_low", math.nan),
         ("gamma_high", 0.0),
         ("gamma_high", math.inf),
-        ("mode", "bogus"),
     ],
 )
 def test_param_set_rejects_out_of_domain_values(field, value):

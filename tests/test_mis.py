@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpar import mis
 from dpar.generate import complete_graph, gnm_graph, star_graph
 from dpar.graph import Graph, sort_edges_to_csr
 from dpar.hitting import ParamSet
@@ -337,6 +338,17 @@ def test_high_regime_reaches_floor():
     assert len(rounds) == 1  # one halving from level 5 to the floor 4
     assert selected.sum() > 0
     assert drv.drift <= (1 + p.gamma_high_for(5)) ** 1 + 1e-12
+
+
+def test_round_mass_cap_raises_under_desk(monkeypatch):
+    # the per-round watcher mass cap used to raise under the paper preset only
+    rng = np.random.default_rng(11)
+    inst = core_instance(rng, n_u=25, n_v=600, deg=160, level=5)  # mass 5 per watcher
+    res = core_mis_hitting(inst, ParamSet.desk())
+    assert [r["mass_violations"] for r in res.rounds if r["regime"] == "mis_high"] == [0]
+    monkeypatch.setattr(mis, "ROUND_MASS_CAP", 1.0)
+    with pytest.raises(RuntimeError, match="watcher probability mass exceeded the per-round cap"):
+        core_mis_hitting(inst, ParamSet.desk())
 
 
 def test_high_regime_rejects_levels_above_cap():
