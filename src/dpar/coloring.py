@@ -29,30 +29,31 @@ stops after the first shrinking round whose field is set by the degree
 rather than by the palette, since a further round could not improve its
 O(delta^2) bound.
 
-No round runs on a palette that the field already holds (k <= p). Every
+No round runs on a palette that the field already holds (k <= p): every
 color is then a constant polynomial, so two nodes of different colors
-have no common point, every node takes x = 0 and keeps its color: the
-round would return its input. color_delta_squared returns before such a
-round and defective phase 1 stops before it, with the colors, the alive
-slots and the lost weight that running it would give.
+have no common point, every node takes x = 0 and keeps its color.
+color_delta_squared returns before such a round and defective phase 1
+stops before it. Defective phase 1 starts from the layout: with w the
+largest id distance over the slots (the bandwidth), id mod (w + 1) is
+proper on min(n, w + 1) colors (layout_start). A halving puts each bucket
+clique on nearby ids, so no round runs on its cost graph; on spread ids
+(w near n - 1, as on a generic graph) rounds run, and only then does phase
+1 sieve primes, in O(p), below the O(n + m) of a round on over p nodes.
 
 Defective coloring ends with a greedy sweep over the classes of its
 phase-1 coloring, where each node reads only the final colors of its heads
 in classes swept earlier. The classes are swept in a strided order, class
 t * a mod k at step t with a near k / golden ratio and coprime to k. Phase
-1 classes follow node ids (with no round run, the class is the id; after
-a round most nodes take x = 0 and the class follows id mod p), and cost
-graphs put their bucket cliques on runs of consecutive ids, so
-consecutive classes share edges; the strided order puts classes far
-apart next to each other. The defect bound holds for any order of the
+1 classes follow node ids (id mod (w + 1), and mod p after a round, where
+most nodes take x = 0), and cost graphs put their bucket cliques on runs
+of consecutive ids, so consecutive classes share edges; the strided order
+puts classes far apart next to each other. The defect bound holds for any order of the
 classes. class_sweep cuts a sweep into batches of consecutive steps none
 of whose earlier heads lie in the same batch, so phase 2 runs one batch of
 dependency-free classes at a time, in a fixed number of array operations
-per batch, with the result of the class-by-class order. On the
-benchmark's core-tall workload (seed 1) the strided order cuts the batches
-of its 25 defective colorings and 25 rounding sweeps from 26 720 to
-1 683. The rounding sweeps in rounding.py use the same batches over the
-final colors, in ascending order.
+per batch, with the result of the class-by-class order. The rounding
+sweeps in rounding.py use the same batches over the final colors, in
+ascending order.
 
 Phase 2 needs no sort per batch. A node with d out-heads sees at most d
 head colors, so one of the colors 0..d is free and its answer lies there.
@@ -307,9 +308,8 @@ def color_delta_squared(
     only if it shrinks the palette and returning at the first round that
     does not. A node's point domain is 3 * (its conflict degree), capped
     by the round's field. It returns before a round whose field holds the
-    whole palette (k <= p): every color is then a constant polynomial, so
-    no conflict has a root, every node takes x = 0 and the round would
-    return its input. A shrinking round whose field is set by the degree,
+    whole palette (k <= p), which would return its input (see the module
+    docstring). A shrinking round whose field is set by the degree,
     ceil(k^(1/3)) <= 3*delta on a palette of k colors, is the last one:
     it leaves at most p * max(domain) colors, O(delta^2), and a later
     round would use the same field and domains, so it could not improve
@@ -424,49 +424,46 @@ def _phase1_iterations(n: int) -> int:
     return max(1, math.ceil(math.log(max(math.log2(max(n, 2)), 2.0), 1.5)))
 
 
-def defective_tables_limit(n: int, eps: float) -> int:
-    """Sieve limit that defective_coloring needs on n nodes at this eps."""
-    eps1 = eps / (2.0 * _phase1_iterations(n))
-    return tables_limit_for(n, 0, max(math.ceil(1.0 / eps1), 1))
+def layout_start(n: int, owners: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, int]:
+    """(id mod (w + 1), its min(n, w + 1) colors, at least 1) for the
+    bandwidth w = max |owner - head| over the slots: the ends of a slot
+    differ by 1..w, never by a multiple of w + 1, so the coloring is proper."""
+    w = int(np.abs(owners - heads).max()) if len(heads) else 0
+    return np.arange(n, dtype=np.int64) % (w + 1), max(min(n, w + 1), 1)
 
 
 def _defective_phase1(
-    g: Graph,
-    eps: float,
-    owners: np.ndarray,
-    weights: np.ndarray,
-    tables: NumberTheoryTables | None,
-    work: WorkCounter | None,
+    g: Graph, eps: float, owners: np.ndarray, weights: np.ndarray, work: WorkCounter | None
 ) -> tuple[np.ndarray, int, np.ndarray, int]:
     """Budgeted polynomial rounds of defective_coloring (owners: the slot
-    owners of g).
+    owners of g), started from layout_start.
 
     Returns (colors in [0, k), k, alive slot mask, rounds run): slots
     turned monochromatic by some round are dead and their weight is lost.
-    It stops before a round whose field holds the whole palette (k <= p):
-    every color is then a constant polynomial and the alive slots join
-    nodes of different colors, so no conflict has a root, every node takes
-    x = 0 and the round would return its input colors.
+    It stops before a round whose field holds the whole palette (k <= p),
+    which would return its input (see the module docstring); as p >=
+    spread, a palette of at most spread colors needs no sieve either.
     """
     n = g.n
     iters = _phase1_iterations(n)
     eps1 = eps / (2.0 * iters)
     inv_eps1 = math.floor(1.0 / eps1)
-    if tables is None:
-        tables = precompute_tables(defective_tables_limit(n, eps))
+    spread = 3 * math.ceil(1.0 / eps1)
     alive = np.ones(len(g.nbrs), dtype=bool)
-    colors = np.arange(n, dtype=np.int64)
-    k = max(n, 1)
+    colors, k = layout_start(n, owners, g.nbrs)
+    if k <= spread:  # the field p >= spread holds the palette
+        return colors, k, alive, 0
+    tables = precompute_tables(tables_limit_for(k, 0, math.ceil(1.0 / eps1)))
     rounds = 0
     while rounds < iters:
-        kprime, p = _round_prime(tables, k, 3 * math.ceil(1.0 / eps1))
+        kprime, p = _round_prime(tables, k, spread)
         if k <= p:
             break
         src, dst, w = owners[alive], g.nbrs[alive], weights[alive]
         deg = np.bincount(src, minlength=n).astype(np.int64)
         incident = np.bincount(src, weights=w, minlength=n)
         low = deg <= inv_eps1
-        domain = np.where(low, np.minimum(3 * deg + 1, p), min(3 * math.ceil(1.0 / eps1), p))
+        domain = np.where(low, np.minimum(3 * deg + 1, p), min(spread, p))
         domain = np.maximum(domain, 1).astype(np.int64)
         # low nodes may lose no weight: budget 0 admits hit weight 0 only
         budget = np.where(low, 0.0, eps1 * incident)
@@ -501,18 +498,14 @@ def _sweep_stride(k: int) -> int:
     return a
 
 
-def defective_coloring(
-    g: Graph,
-    eps: float,
-    tables: NumberTheoryTables | None = None,
-    work: WorkCounter | None = None,
-) -> Coloring:
+def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) -> Coloring:
     """Color with at most 3*ceil(1/eps) colors, monochromatic weight <= eps
     times the total edge weight.
 
-    Phase 1 runs budgeted polynomial rounds, each losing at most an
-    eps/(2I) fraction of edge weight to monochromatic edges, and stops
-    before a round that could not change a color. Phase 2 sweeps the
+    Phase 1 starts from the layout coloring id mod (w + 1) (see
+    layout_start) and runs budgeted polynomial rounds, each losing at
+    most an eps/(2I) fraction of edge weight to monochromatic edges; it
+    stops before a round that could not change a color. Phase 2 sweeps the
     phase-1 classes in the strided order, class t * a mod k at step t
     (see the module docstring), orients every edge from its later to its
     earlier class and greedily recolors the classes into the final
@@ -520,13 +513,6 @@ def defective_coloring(
     class_sweep), losing at most eps/2: the bound needs only an acyclic
     orientation. The result records the phase-1 rounds run and the
     phase-2 batches (steps).
-
-    Phase 2 lays out a row table once: per node, in the sweep's node order,
-    one cell per color 0..min(outdeg, palette2 - 1) plus a spill cell, so a
-    batch's rows are one contiguous range of cells. A batch gathers its
-    heads' final colors, sums the head weights into the cells with one
-    bincount (in slot order), compares every cell with its owner's budget
-    and takes each row's first admissible cell with one minimum.reduceat.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -535,7 +521,7 @@ def defective_coloring(
     total_w = float(np.sum(weights)) / 2.0
     palette2 = 3 * math.ceil(1.0 / eps)
     owners = g.slot_owners()
-    colors, k, alive, rounds = _defective_phase1(g, eps, owners, weights, tables, work)
+    colors, k, alive, rounds = _defective_phase1(g, eps, owners, weights, work)
 
     # phase 2 sweeps class t * a mod k at step t: each node's class becomes
     # its step, c * a^-1 mod k, and edges point from later to earlier steps;

@@ -54,8 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coloring import defective_tables_limit
-from .ntheory import NumberTheoryTables, precompute_tables
+from .ntheory import precompute_tables  # noqa: F401  (importable here for tools that trace it)
 from .rounding import RoundingInstance, local_round
 from .sorting import first_of_runs
 from .workcount import WorkCounter, charge
@@ -395,12 +394,7 @@ class HalfResult:
 
 
 def run_half(
-    n_cand: int,
-    potentials: list,
-    eps: float,
-    phi_bound: float,
-    tables: NumberTheoryTables | None = None,
-    work: WorkCounter | None = None,
+    n_cand: int, potentials: list, eps: float, phi_bound: float, work: WorkCounter | None = None
 ) -> HalfResult:
     """One derandomized halving of n_cand candidates against the potentials.
 
@@ -416,7 +410,7 @@ def run_half(
     cc = np.concatenate([p[2] for p in pair_parts]) if pair_parts else np.empty(0, dtype=np.float64)
     charge(work, "half_sample", n_cand + len(ci))
     inst = RoundingInstance(utils=utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=eps)
-    res = local_round(inst, tables=tables, work=work)
+    res = local_round(inst, work=work)
     values = {pot.name: pot.value(res.in_set) for pot in potentials}
     total = math.fsum(values.values())
     if total > phi_bound:
@@ -582,9 +576,7 @@ class RegimeDriver:
 
     Every round asks the potential stack (the methods from restrict() on)
     for its potentials, eps, bound, bad-node rule and report fields.
-    MisRegimeDriver in mis.py swaps in the MIS stack. Number-theory tables
-    live for one driver, that is one public call; a round sieves again
-    only when it needs a larger limit than it has.
+    MisRegimeDriver in mis.py swaps in the MIS stack.
     """
 
     tags = {"low": "low", "high": "high"}  # the rounds' "regime" field
@@ -594,7 +586,6 @@ class RegimeDriver:
         self.params = params
         self.floor = floor
         self.work = work
-        self.tables: NumberTheoryTables | None = None
 
     def run(self, inst: BipartiteInstance) -> tuple[np.ndarray, np.ndarray, list[dict]]:
         """Both regimes on a validated instance: (selected right mask, good
@@ -716,10 +707,7 @@ class RegimeDriver:
 
     def _halve(self, sub, h: Halving, plan: RoundPlan) -> tuple[np.ndarray, dict]:
         n_cand = len(h.cand)
-        need = defective_tables_limit(n_cand, plan.eps)
-        if self.tables is None or self.tables.limit < need:
-            self.tables = precompute_tables(need)
-        half = run_half(n_cand, plan.pots, plan.eps, plan.bound, tables=self.tables, work=self.work)
+        half = run_half(n_cand, plan.pots, plan.eps, plan.bound, work=self.work)
         bad, fields = plan.judge(half)
         self.u_good &= ~bad
         report = {

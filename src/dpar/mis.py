@@ -346,7 +346,8 @@ class MisRegimeDriver(RegimeDriver):
     frozen aux weight is certified against twice the starting mixed sum
     and the selected aux weight against 2^(2 floor) times the drift times
     it. Watcher mass is capped at ENTRY_MASS_CAP into the high regime and
-    at ROUND_MASS_CAP after each high round.
+    at ROUND_MASS_CAP after each high round, whose report gives the largest
+    good-watcher mass as max_watch_mass.
     """
 
     tags = {"low": "mis_low", "high": "mis_high"}
@@ -464,12 +465,10 @@ class MisRegimeDriver(RegimeDriver):
             lev = np.maximum(sub.levels - (h.round + 1), h.level)
         else:
             mask, lev = self.v_alive, np.minimum(sub.levels, h.level - 1)
-            if sub.n_left:
-                watch = sub.watch_mass(self.v_alive, lev)
-                over = int(np.sum((watch > ROUND_MASS_CAP + 1e-9) & self.u_good))
-                report["mass_violations"] = over
-                if over:
-                    raise RuntimeError("watcher probability mass exceeded the per-round cap")
+            good_mass = sub.watch_mass(self.v_alive, lev)[self.u_good]
+            report["max_watch_mass"] = float(good_mass.max()) if len(good_mass) else 0.0
+            if report["max_watch_mass"] > ROUND_MASS_CAP + 1e-9:
+                raise RuntimeError("watcher probability mass exceeded the per-round cap")
         mixed = _mixed_sum(sub, mask, lev)
         report["mixed_sum"] = mixed
         if mixed > (1.0 + h.gamma) * self.mixed + 1e-9 * max(self.mixed, 1.0):
@@ -489,6 +488,27 @@ class MisRegimeDriver(RegimeDriver):
         cap = 2.0 ** (2.0 * self.floor) * self.drift * start
         if float(np.sum(sub.aux_w[both])) > cap + 1e-9 * max(cap, 1.0):
             raise RuntimeError("selected aux weight exceeds its certified cap")
+
+
+def _reject_unhalved_entry(inst: MisAuxInstance, params: ParamSet, k_cap: int) -> None:
+    """Raise ValueError when a low round's bucket is below 2 (small N), so
+    that candidates above K may reach level K unhalved, and an aux edge
+    touches one (each skipped level weighs it up to 4 times more, against
+    an allowance of 2) or a watcher's mass at level K tops ENTRY_MASS_CAP."""
+    rounds, n = int(inst.levels.max(initial=0)) - k_cap, inst.size_param
+    # gamma falls from round to round; the bucket min((1/gamma)^beta, ~gamma)
+    # first grows and then shrinks, so its smallest value is at an end
+    if rounds < 1 or min(params.bucket_low(params.gamma_low(i, n), n) for i in {0, rounds - 1}) > 1:
+        return
+    why = (
+        f"size_param {n} is too small for candidates above K = {k_cap}: "
+        "a low-regime bucket falls below 2, so they would reach level K unhalved"
+    )
+    above = inst.levels > k_cap
+    if np.any(above[inst.aux_i] | above[inst.aux_j]):
+        raise ValueError(f"{why}, and an aux edge touches one of them")
+    if np.any(inst.watch_mass(None, np.minimum(inst.levels, k_cap)) > ENTRY_MASS_CAP + 1e-9):
+        raise ValueError(f"{why}, and a watcher's mass could exceed {ENTRY_MASS_CAP} there")
 
 
 @dataclass
@@ -518,7 +538,10 @@ def core_mis_hitting(
     Requires per-watcher probability mass sum 2^-k in [5, 10] and no input
     vertex weights (the regimes derive their own). Candidates above level K
     go through the low regime first; survivors join the rest at level K and
-    are halved down to the floor (MisRegimeDriver).
+    are halved down to the floor (MisRegimeDriver). Where size_param is too
+    small for the low regime to halve them, candidates above K must carry
+    no aux edge and must keep every watcher's mass under the entry cap at
+    level K, or the call raises ValueError (_reject_unhalved_entry).
     """
     if threads != 1:
         raise ValueError("dpar runs sequentially; threads must be 1")
@@ -531,6 +554,7 @@ def core_mis_hitting(
         mass = inst.watch_mass()
         if np.any((mass < 5.0 - 1e-9) | (mass > 10.0 + 1e-9)):
             raise ValueError("watcher probability mass outside [5, 10]")
+    _reject_unhalved_entry(inst, params, k_cap)
     driver = MisRegimeDriver(params, params.high_floor_mis, work)
     selected, u_good, rounds = driver.run(inst)
 

@@ -45,7 +45,6 @@ import numpy as np
 
 from .coloring import ClassSweep, class_sweep, defective_coloring
 from .graph import Graph, graph_from_directed_slots, merged_pairs
-from .ntheory import NumberTheoryTables
 from .workcount import WorkCounter, charge
 
 SUM_TILE = 1 << 14  # tiled_sum's tile; it fixes the rounding of every sum below
@@ -122,11 +121,7 @@ def evaluate_objective(inst: RoundingInstance, in_set: np.ndarray) -> float:
     return util_part - cost_part
 
 
-def local_round(
-    inst: RoundingInstance,
-    tables: NumberTheoryTables | None = None,
-    work: WorkCounter | None = None,
-) -> RoundingResult:
+def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> RoundingResult:
     """Pick S with F(S) >= util_total/2 - (1/4 + eps) * cost_total."""
     n = inst.n
     util_total = tiled_sum(inst.utils)
@@ -138,7 +133,7 @@ def local_round(
     cost_graph = graph_from_directed_slots(
         n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([pair_c, pair_c])
     )
-    col = defective_coloring(cost_graph, inst.eps, tables=tables, work=work)
+    col = defective_coloring(cost_graph, inst.eps, work=work)
     colors = col.colors
 
     owners = cost_graph.slot_owners()

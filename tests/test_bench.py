@@ -256,8 +256,9 @@ def test_cli_defective_and_maxcut(tmp_path):
 
 
 def test_cli_defective_reports_phase1_rounds_and_steps(tmp_path):
-    # 2 000 nodes exceed the phase-1 field at eps 0.25 (p < 400), so
-    # phase 1 runs at least one round
+    # a gnm graph spreads its ids (bandwidth near n - 1), and 2 000 nodes
+    # exceed the phase-1 field at eps 0.25 (p < 400), so phase 1 runs at
+    # least one round
     path = edgelist_file(tmp_path, gnm_graph(2000, 8000, seed=10))
     rep = tmp_path / "out.json"
     assert main(["defective", "--input", path, "--eps", "0.25", "--report", str(rep)]) == 0

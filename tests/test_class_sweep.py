@@ -62,7 +62,7 @@ def reference_defective(g: Graph, eps: float) -> tuple[np.ndarray, float, int, i
     head's class comes earlier in that order."""
     work = WorkCounter()
     weights = g.weights if g.weights is not None else np.ones(len(g.nbrs))
-    colors, k, alive, _rounds = _defective_phase1(g, eps, g.slot_owners(), weights, None, work)
+    colors, k, alive, _rounds = _defective_phase1(g, eps, g.slot_owners(), weights, work)
     palette2 = 3 * math.ceil(1.0 / eps)
     order = strided_classes(k)
     assert sorted(order) == sorted(set(colors.tolist())) == list(range(k))
@@ -224,7 +224,7 @@ def _phase2_rows(g: Graph, eps: float, final: np.ndarray) -> tuple[bool, bool]:
     """(some node's row is capped at the palette, some head's final color
     lies past its owner's row) for phase 2 of defective_coloring, whose row
     for node v covers the colors 0..min(outdeg(v), palette2 - 1)."""
-    colors, k, alive, _rounds = _defective_phase1(g, eps, g.slot_owners(), g.weights, None, None)
+    colors, k, alive, _rounds = _defective_phase1(g, eps, g.slot_owners(), g.weights, None)
     step = np.argsort(strided_classes(k))[colors]
     owners = g.slot_owners()
     out = alive & (step[owners] > step[g.nbrs])
@@ -238,15 +238,23 @@ def _phase2_rows(g: Graph, eps: float, final: np.ndarray) -> tuple[bool, bool]:
 @pytest.mark.parametrize(
     "edges, eps, capped, past, colors",
     [
-        # These graphs are small enough for phase 1 to keep the node ids as
-        # classes, so phase 2 sweeps the nodes in the strided order: 0, 3, 1,
-        # 4, 2 on five nodes and 0, 3, 2, 1 on four.
+        # These graphs are small enough for phase 1 to run no round, and
+        # each has an edge between its first and last node, so the layout
+        # start id mod (w + 1) keeps the node ids as classes: phase 2
+        # sweeps the nodes in the strided order 0, 3, 1, 4, 2 on five nodes
+        # and 0, 3, 2, 1 on four.
         #
         # a star centred on node 2, swept last, whose leaves already hold
         # colors 0 and 1 (nodes 3 and 4 follow nodes 0 and 1 and point at
-        # them) with weight at its budget: 4 out-heads, palette 3, color 2
-        # is left
-        ([(2, 0), (2, 1), (2, 3), (2, 4), (3, 0), (4, 1)], 1.0, True, False, [0, 0, 2, 1, 1]),
+        # them, node 4 at node 0 too) with weight at its budget: 4
+        # out-heads, palette 3, color 2 is left
+        (
+            [(2, 0), (2, 1), (2, 3), (2, 4), (3, 0), (4, 1), (4, 0)],
+            1.0,
+            True,
+            False,
+            [0, 0, 2, 1, 1],
+        ),
         # a triangle on nodes 0, 3, 2, colored 0, 1, 2 in sweep order, plus a
         # pendant node 1, swept last, with one out-head, of color 2, past the
         # pendant's row of colors 0..1
@@ -285,7 +293,7 @@ def test_phase2_recolors_classes_of_a_growing_phase1_round(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 60))
     g = random_graph(rng, n, int(rng.integers(1, 3 * n)), weighted=True)
-    colors, _k, _alive, _rounds = _defective_phase1(g, 1.0, g.slot_owners(), g.weights, None, None)
+    colors, _k, _alive, _rounds = _defective_phase1(g, 1.0, g.slot_owners(), g.weights, None)
     assert int(colors.max()) == 32
     expected, mono, units, steps = reference_defective(g, 1.0)
     work = WorkCounter()
@@ -296,15 +304,18 @@ def test_phase2_recolors_classes_of_a_growing_phase1_round(seed):
 
 def test_strided_order_cuts_phase2_steps():
     # overlapping cliques of 45 on runs of consecutive ids, a clique every
-    # 22 ids: phase 1 keeps the ids as classes (n is below its field), and
-    # consecutive classes share edges. Swept in id order, nearly every class
-    # is a batch of its own (2 993 batches); the strided order spreads
-    # consecutive steps over the ids and measured 127 batches.
+    # 22 ids, and one edge from the first node to the last: the bandwidth
+    # is n - 1, so the layout start keeps the ids as classes (n is below
+    # the field), and consecutive classes share edges. Swept in id order,
+    # nearly every class is a batch of its own (2 993 batches); the strided
+    # order spreads consecutive steps over the ids and measured 127 batches.
+    # Without the long edge the layout start has 45 classes, each sharing
+    # edges with every other, and 45 batches in any order.
     n, size = 3000, 45
     iu, ju = np.triu_indices(size, k=1)
     starts = np.arange(0, n - size + 1, 22)
     edges = np.stack([(starts[:, None] + iu).ravel(), (starts[:, None] + ju).ravel()], axis=1)
-    g = sort_edges_to_csr(edges, n)
+    g = sort_edges_to_csr(np.vstack([edges, [[0, n - 1]]]), n)
     col = defective_coloring(g, 0.0057)
     assert col.phase1_rounds == 0
     assert 0 < col.steps <= 200

@@ -8,7 +8,9 @@ ValueError or SystemExit that carries a message; a whole HSET file must
 certify, at levels up to 9, above the level cap K = 4 of the small
 instances, whose low-regime bucket falls below 2. sort_edges_to_csr and
 merged_pairs, on both sides of its dense-table rule, are compared byte for
-byte with a plain-Python reference.
+byte with a plain-Python reference. core_mis_hitting, called directly on
+small core instances with candidates above K, must certify or raise a
+ValueError with a message.
 """
 
 import itertools
@@ -19,12 +21,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpar.cli import main
 from dpar.graph import merged_pairs, sort_edges_to_csr, write_csr
-from dpar.hitting import BipartiteInstance, write_hset
+from dpar.hitting import BipartiteInstance, ParamSet, write_hset
+from dpar.mis import MisAuxInstance, core_mis_hitting
 
 FAMILIES = {
     "empty": lambda k: [],
@@ -287,3 +290,60 @@ def test_sort_edges_to_csr_matches_a_plain_python_reference(n, data, weighted, d
         assert g.weights.tobytes() == np.array(ws, dtype=np.float64).tobytes()
     else:
         assert g.weights is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    exponent=st.integers(2, 17),
+    size_share=st.floats(0.0, 1.0),
+    n_u=st.integers(0, 4),
+    base_level=st.integers(0, 7),
+    tall_above=st.integers(1, 3),
+    tall_share=st.sampled_from([0.0, 0.5, 1.0]),
+    aux=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# N = 4: watchers of the level-6 layer would reach K = 3 with 8 times their mass
+@example(2, 1.0, 2, 0, 3, 1.0, False, 0)
+# N = 16: aux edges among candidates one level above K = 6
+@example(4, 1.0, 4, 7, 1, 1.0, True, 0)
+def test_core_certifies_or_rejects_with_a_message(
+    exponent, size_share, n_u, base_level, tall_above, tall_share, aux, seed
+):
+    """Core instances at N from 4 to 2^17 with a layer of candidates one to
+    three levels above K, watched for a share of each watcher's mass in
+    [5, 9] (and partly unwatched), the rest at a base level; with or
+    without about 3 random aux edges per candidate. At most of these N a
+    low-regime bucket falls below 2, and the call must then certify or
+    raise a ValueError that says why."""
+    params = ParamSet.desk()
+    size = max(4, 2 ** (exponent - 1) + round(size_share * 2 ** (exponent - 1)))
+    k_cap = params.level_cap(size)
+    base_level, tall_level = min(base_level, k_cap), k_cap + tall_above
+    rng = np.random.default_rng(seed)
+    mass = rng.uniform(5.0, 9.0, size=n_u)
+    n_tall = np.minimum(np.round(tall_share * mass * 2.0**tall_level), 600).astype(np.int64)
+    n_base = np.ceil((mass - n_tall * 2.0**-tall_level) * 2.0**base_level).astype(np.int64)
+    pool_base, pool_tall = 2 * int(n_base.max(initial=1)), 2 * int(n_tall.max(initial=0)) + 20
+    n_v = pool_base + pool_tall
+    edge_v = [rng.choice(pool_base, size=d, replace=False) for d in n_base]
+    edge_v += [pool_base + rng.choice(pool_tall, size=d, replace=False) for d in n_tall]
+    ai, aj = rng.integers(0, n_v, size=(2, 3 * n_v if aux else 0))
+    code = np.unique(ai[ai < aj] * np.int64(n_v) + aj[ai < aj])
+    inst = MisAuxInstance(
+        imp=rng.random(n_u) + 0.2,
+        levels=np.repeat([base_level, tall_level], [pool_base, pool_tall]),
+        edge_u=np.repeat(np.tile(np.arange(n_u), 2), np.concatenate([n_base, n_tall])),
+        edge_v=np.concatenate(edge_v + [np.empty(0, np.int64)]),
+        aux_i=code // n_v,
+        aux_j=code % n_v,
+        aux_w=rng.random(len(code)),
+        vert_w=np.zeros(n_v),
+        size_param=size,
+    )
+    try:
+        res = core_mis_hitting(inst, params)
+    except ValueError as exc:
+        assert str(exc), "ValueError without a message"
+        return
+    assert len(res.selected) == n_v and not np.any(res.u_good & (res.hits == 0))

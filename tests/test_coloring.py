@@ -15,6 +15,7 @@ from dpar.coloring import (
     _smallest_admissible,
     color_delta_squared,
     defective_coloring,
+    layout_start,
     tables_limit_for,
 )
 from dpar.graph import Graph, sort_edges_to_csr
@@ -218,8 +219,9 @@ def test_round_on_a_palette_inside_the_field_returns_its_input(seed, n, avg_deg,
 
 def phase1_every_round(g: Graph, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """(colors, alive) of defective_coloring's phase 1 with no round skipped:
-    up to _phase1_iterations rounds, stopping after the first that does not
-    shrink the palette."""
+    from the layout start, id mod (w + 1) for the largest id distance w of
+    an edge, up to _phase1_iterations rounds, stopping after the first
+    that does not shrink the palette."""
     n = g.n
     iters = _phase1_iterations(n)
     eps1 = eps / (2.0 * iters)
@@ -227,7 +229,9 @@ def phase1_every_round(g: Graph, eps: float) -> tuple[np.ndarray, np.ndarray]:
     owners = g.slot_owners()
     tables = precompute_tables(tables_limit_for(n, 0, math.ceil(1.0 / eps1)))
     alive = np.ones(len(g.nbrs), dtype=bool)
-    colors, k = np.arange(n, dtype=np.int64), max(n, 1)
+    w = max((abs(u - v) for u, v in zip(owners.tolist(), g.nbrs.tolist())), default=0)
+    colors = np.array([v % (w + 1) for v in range(n)], dtype=np.int64)
+    k = max(min(n, w + 1), 1)
     for _ in range(iters):
         src, dst, w = owners[alive], g.nbrs[alive], g.weights[alive]
         deg = np.bincount(src, minlength=n)
@@ -256,17 +260,62 @@ def phase1_every_round(g: Graph, eps: float) -> tuple[np.ndarray, np.ndarray]:
 )
 def test_phase1_skip_keeps_colors_and_alive_slots(seed, n, avg_deg, eps):
     """_defective_phase1 stops before a round whose field holds the whole
-    palette; it must end where running that round would."""
+    palette, and sieves no primes when its start already fits the field;
+    it must end where running that round would."""
     rng = np.random.default_rng(seed)
     ends = rng.integers(0, n, size=(int(avg_deg * n / 2), 2))
     ends = ends[ends[:, 0] != ends[:, 1]]
     g = sort_edges_to_csr(ends, n, weights=rng.random(len(ends)))
-    colors, k, alive, rounds = _defective_phase1(g, eps, g.slot_owners(), g.weights, None, None)
+    colors, k, alive, rounds = _defective_phase1(g, eps, g.slot_owners(), g.weights, None)
     want_colors, want_alive = phase1_every_round(g, eps)
     assert colors.tobytes() == want_colors.tobytes()
     assert np.array_equal(alive, want_alive)
     assert k == (int(colors.max()) + 1 if n else 1)
     assert 0 <= rounds <= _phase1_iterations(n)
+
+
+def bucket_clique_graph(rng, n: int, size: int, buckets: int, keep: float, permute: bool) -> Graph:
+    """Cliques on runs of up to `size` consecutive ids at random starts, as a
+    halving lays out its bucket potentials, each pair kept with probability
+    keep, with the node ids shuffled when permute is set."""
+    iu, ju = np.triu_indices(size, k=1)
+    starts = rng.integers(0, n, size=buckets)
+    ends = np.stack([(starts[:, None] + iu).ravel(), (starts[:, None] + ju).ravel()], axis=1)
+    ends = ends[(ends[:, 1] < n) & (rng.random(len(ends)) < keep)]
+    if permute:
+        ends = rng.permutation(n)[ends]
+    return sort_edges_to_csr(ends, n, weights=rng.random(len(ends)) + 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 600),
+    size=st.integers(2, 60),
+    buckets=st.integers(0, 40),
+    keep=st.floats(0.1, 1.0),
+    permute=st.booleans(),
+    eps=st.sampled_from([1.0, 0.25, 0.1, 0.03, 0.0057]),
+)
+def test_layout_start_is_proper_on_bucket_cliques(seed, n, size, buckets, keep, permute, eps):
+    """id mod (w + 1), w the largest id distance of an edge, is a proper
+    coloring on min(n, w + 1) colors, and a defective coloring that runs no
+    phase-1 round sweeps at most w + 1 steps. The same layout with modulus
+    w has a monochromatic edge, so the check can fail."""
+    rng = np.random.default_rng(seed)
+    g = bucket_clique_graph(rng, n, size, buckets, keep, permute)
+    owners = g.slot_owners()
+    w = max((abs(u - v) for u, v in zip(owners.tolist(), g.nbrs.tolist())), default=0)
+    colors, k = layout_start(n, owners, g.nbrs)
+    assert k == max(min(n, w + 1), 1)
+    assert sorted(set(colors.tolist())) == list(range(k))
+    assert is_proper(g, colors)
+    if w >= 1:
+        assert not is_proper(g, np.arange(n) % w)
+    col = defective_coloring(g, eps)
+    if col.phase1_rounds == 0:
+        assert col.steps <= w + 1
+    assert mono_weight_of(g, col.colors) <= eps * g.edge_weight_total() + 1e-9
 
 
 # --- full proper coloring --------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -345,10 +347,31 @@ def test_round_mass_cap_raises_under_desk(monkeypatch):
     rng = np.random.default_rng(11)
     inst = core_instance(rng, n_u=25, n_v=600, deg=160, level=5)  # mass 5 per watcher
     res = core_mis_hitting(inst, ParamSet.desk())
-    assert [r["mass_violations"] for r in res.rounds if r["regime"] == "mis_high"] == [0]
+    (high,) = [r for r in res.rounds if r["regime"] == "mis_high"]
+    assert 1.0 < high["max_watch_mass"] <= mis.ROUND_MASS_CAP
     monkeypatch.setattr(mis, "ROUND_MASS_CAP", 1.0)
     with pytest.raises(RuntimeError, match="watcher probability mass exceeded the per-round cap"):
         core_mis_hitting(inst, ParamSet.desk())
+
+
+def test_core_rejects_aux_edges_that_would_skip_the_low_regime():
+    """4 watchers of 640 candidates at level 7, N = 16: K = 6 and the low
+    bucket is 0, so the candidates would reach K unhalved. With about 3
+    random aux edges per candidate the frozen aux weight check used to
+    raise RuntimeError; the call now rejects the instance up front, and
+    without aux edges it certifies."""
+    rng = np.random.default_rng(5)
+    inst = core_instance(rng, n_u=4, n_v=1280, deg=640, level=7)
+    inst.size_param = 16
+    ai, aj = rng.integers(0, 1280, size=(2, 3 * 1280))
+    code = np.unique(ai[ai < aj] * 1280 + aj[ai < aj])
+    with_aux = dataclasses.replace(
+        inst, aux_i=code // 1280, aux_j=code % 1280, aux_w=rng.random(len(code))
+    )
+    with pytest.raises(ValueError, match=r"size_param 16 .* K = 6.*aux edge"):
+        core_mis_hitting(with_aux, ParamSet.desk())
+    res = core_mis_hitting(inst, ParamSet.desk())
+    assert [r["straight_to_high"] for r in res.rounds if "straight_to_high" in r] == [1280]
 
 
 def test_high_regime_rejects_levels_above_cap():
