@@ -43,27 +43,21 @@ clique on nearby ids, so no round runs on its cost graph; on spread ids
 Defective coloring ends with a greedy sweep over the classes of its
 phase-1 coloring, where each node reads only the final colors of its heads
 in classes swept earlier. The classes are swept in a strided order, class
-t * a mod k at step t with a near k / golden ratio and coprime to k. Phase
-1 classes follow node ids (id mod (w + 1), and mod p after a round, where
-most nodes take x = 0), and cost graphs put their bucket cliques on runs
-of consecutive ids, so consecutive classes share edges; the strided order
-puts classes far apart next to each other. The defect bound holds for any order of the
-classes. class_sweep cuts a sweep into batches of consecutive steps none
-of whose earlier heads lie in the same batch, so phase 2 runs one batch of
-dependency-free classes at a time, in a fixed number of array operations
-per batch, with the result of the class-by-class order. The rounding
-sweeps in rounding.py use the same batches over the final colors, in
-ascending order.
-
-Phase 2 needs no sort per batch. A node with d out-heads sees at most d
-head colors, so one of the colors 0..d is free and its answer lies there.
-Each node gets a row of cells for the colors 0..min(d, palette - 1) plus a
-spill cell for heads of a color past the row, laid out once per call in
-the sweep's node order; a batch's rows are then one contiguous range, and
-the batch is a bincount of head weights into its cells and a
-minimum.reduceat over the admissible ones. The polynomial rounds keep
-sorting their (node, point) pairs: their rows would span a node's whole
-point domain, which costs more memory and time than the sort.
+t * a mod k at step t with a near k / golden ratio and coprime to k;
+strided_phase1 runs phase 1 and gives each node its step. Phase 1 classes
+follow node ids (id mod (w + 1), and mod p after a round, where most nodes
+take x = 0), and cost graphs put their bucket cliques on runs of
+consecutive ids, so consecutive classes share edges; the strided order
+puts classes far apart next to each other. The defect bound holds for any
+order of the classes. class_sweep cuts a sweep into batches of
+consecutive steps none of whose earlier heads lie in the same batch, so
+phase 2 runs one batch of dependency-free classes at a time, with the
+result of the class-by-class order: it sorts the batch's (node, head
+color) pairs and takes each node's smallest admissible color, the search
+the polynomial rounds make over their points. The rounding sweep in
+rounding.py needs classes with no live edge inside, not a small palette,
+so it takes the same batches over the strided phase-1 classes and runs no
+phase 2.
 """
 
 from __future__ import annotations
@@ -486,7 +480,7 @@ def _defective_phase1(
 
 
 def _sweep_stride(k: int) -> int:
-    """The step a of phase 2's class order: step t sweeps class t * a mod k.
+    """The step a of the strided class order: step t sweeps class t * a mod k.
 
     a is the integer nearest k / golden ratio that is coprime to k, so the
     order visits every class once, and any run of consecutive steps visits
@@ -498,6 +492,21 @@ def _sweep_stride(k: int) -> int:
     return a
 
 
+def strided_phase1(
+    g: Graph, eps: float, owners: np.ndarray, weights: np.ndarray, work: WorkCounter | None
+) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """Phase 1 of defective_coloring with its classes in the strided order.
+
+    Returns (step, k, alive, rounds): each node's step t in the sweep that
+    takes class t * a mod k at step t, which is its class times a^-1 mod
+    k, then the k classes, the alive slot mask and the rounds run, as
+    _defective_phase1 returns them. No alive slot joins two nodes of one
+    step.
+    """
+    colors, k, alive, rounds = _defective_phase1(g, eps, owners, weights, work)
+    return colors * pow(_sweep_stride(k), -1, k) % k, k, alive, rounds
+
+
 def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) -> Coloring:
     """Color with at most 3*ceil(1/eps) colors, monochromatic weight <= eps
     times the total edge weight.
@@ -506,13 +515,12 @@ def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) ->
     layout_start) and runs budgeted polynomial rounds, each losing at
     most an eps/(2I) fraction of edge weight to monochromatic edges; it
     stops before a round that could not change a color. Phase 2 sweeps the
-    phase-1 classes in the strided order, class t * a mod k at step t
-    (see the module docstring), orients every edge from its later to its
-    earlier class and greedily recolors the classes into the final
-    palette, one batch of dependency-free classes at a time (see
-    class_sweep), losing at most eps/2: the bound needs only an acyclic
-    orientation. The result records the phase-1 rounds run and the
-    phase-2 batches (steps).
+    phase-1 classes in the strided order (see strided_phase1), orients
+    every edge from its later to its earlier class and greedily recolors
+    the classes into the final palette, one batch of dependency-free
+    classes at a time (see class_sweep), losing at most eps/2: the bound
+    needs only an acyclic orientation. The result records the phase-1
+    rounds run and the phase-2 batches (steps).
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -521,63 +529,42 @@ def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) ->
     total_w = float(np.sum(weights)) / 2.0
     palette2 = 3 * math.ceil(1.0 / eps)
     owners = g.slot_owners()
-    colors, k, alive, rounds = _defective_phase1(g, eps, owners, weights, work)
+    step, k, alive, rounds = strided_phase1(g, eps, owners, weights, work)
 
-    # phase 2 sweeps class t * a mod k at step t: each node's class becomes
-    # its step, c * a^-1 mod k, and edges point from later to earlier steps;
-    # a node picks the smallest final color whose weight among its
-    # out-heads stays under its budget
-    step = colors * pow(_sweep_stride(k), -1, k) % k
+    # edges point from later to earlier steps; a node picks the smallest
+    # final color whose weight among its out-heads stays under its budget
     out_mask = alive & (step[owners] > step[g.nbrs])
     osrc, odst, ow = owners[out_mask], g.nbrs[out_mask], weights[out_mask]
     # a node may take a color whose out-head weight is 0 or below its budget;
     # strict nodes (few out-edges) have budget 0, so only weight 0 will do
-    outdeg = np.bincount(osrc, minlength=n)
-    strict = outdeg < math.ceil(1.0 / eps)
+    strict = np.bincount(osrc, minlength=n) < math.ceil(1.0 / eps)
     budget = np.where(strict, 0.0, 0.5 * eps * np.bincount(osrc, weights=ow, minlength=n))
     sweep = class_sweep(step, k, osrc, odst)
-    batches = sweep.batches
+    okey = osrc[sweep.slot_order] * palette2
     odst, ow = odst[sweep.slot_order], ow[sweep.slot_order]
-    # the row table: per node, in node order, cells for the colors
-    # 0..min(outdeg, palette2 - 1) and one spill cell. At most outdeg colors
-    # carry head weight, so the row holds the answer; heads of a color past
-    # the row go to the spill cell, which is never admissible
-    row_deg = outdeg[sweep.node_order]
-    row_len = np.minimum(row_deg, palette2 - 1) + 2
-    row_start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_len, out=row_start[1:])
-    col = np.arange(row_start[-1], dtype=np.int64) - np.repeat(row_start[:-1], row_len)
-    # a cell's weight w is admissible when w <= 0 or w < budget, which is
-    # w < fmax(budget, smallest positive float); never in a spill cell
-    limit = np.repeat(np.fmax(budget, np.nextafter(0.0, 1.0))[sweep.node_order], row_len)
-    limit[row_start[1:] - 1] = -np.inf
-    # rows and slots relative to the first cell of their batch
-    batch_cells = row_start[batches[:, 2:]]
-    row_rel = row_start[:-1] - np.repeat(batch_cells[:, 0], batches[:, 3] - batches[:, 2])
-    slot_row = np.repeat(np.arange(n, dtype=np.int64), row_deg)
-    slot_rel, slot_spill = row_rel[slot_row], row_len[slot_row] - 1
-    if len(batches):
+    dom2 = np.full(n, palette2, dtype=np.int64)
+    if len(sweep.batches):
         charge(work, "defective_phase2", len(odst) + n)
-    big = np.int64(1) << 60
     final = np.zeros(n, dtype=np.int64)
-    # one row at a time: Python ints for every batch, all live at once,
-    # would fragment the interpreter's small-object arenas (see class_sweep)
-    for batch in np.hstack([batches, batch_cells]):
-        lo, hi, m0, m1, c0, c1 = batch.tolist()
+    for lo, hi in sweep.batches[:, :2]:
         if lo == hi:
             continue  # members without out-edges keep color 0
-        # heads lie in classes before the batch, so their final colors are set
-        cell = np.minimum(final[odst[lo:hi]], slot_spill[lo:hi])
-        cell += slot_rel[lo:hi]
-        wsum = np.bincount(cell, weights=ow[lo:hi], minlength=c1 - c0)
-        cand = np.where(wsum < limit[c0:c1], col[c0:c1], big)
-        final[sweep.node_order[m0:m1]] = np.minimum.reduceat(cand, row_rel[m0:m1])
-    if n and final.max() >= big:
-        raise RuntimeError("no admissible point for some node; invariant broken")
+        # heads lie in classes before the batch, so their final colors are
+        # set; a stable sort by (node, color) sums each color's weight in
+        # slot order
+        key = okey[lo:hi] + final[odst[lo:hi]]
+        korder = key.argsort(kind="stable")
+        key_s = key[korder]
+        first = first_of_runs(key_s)
+        wsum = np.bincount(first.cumsum() - 1, weights=ow[lo:hi][korder])
+        uv, uc = np.divmod(key_s[first], palette2)
+        adm = (wsum <= 0.0) | (wsum < budget[uv])
+        gids, best = _smallest_admissible(uv, uc, adm, dom2)
+        final[gids] = best
     mono = float(np.sum(weights[final[owners] == final[g.nbrs]])) / 2.0
     if mono > eps * total_w + 1e-9 * max(total_w, 1.0):
         raise RuntimeError("defective coloring exceeded its monochromatic budget")
     return Coloring(
         colors=final, num_colors=palette2, mono_weight=mono, phase1_rounds=rounds,
-        steps=len(batches),
+        steps=len(sweep.batches),
     )

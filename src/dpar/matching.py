@@ -18,7 +18,7 @@ import numpy as np
 
 from .coloring import color_delta_squared
 from .graph import Graph, sort_edges_to_csr  # noqa: F401  (importable here for tools that trace it)
-from .hitting import BipartiteInstance, ParamSet, hitting_set
+from .hitting import BipartiteInstance, ParamSet, _renumber, hitting_set
 from .verify import check_maximal_matching, require
 from .workcount import WorkCounter, charge
 
@@ -130,9 +130,7 @@ def maximal_matching(
         inc = active[au] | active[av]
         edge_ids = np.flatnonzero(alive)[inc]
         iu, iv = e_u[edge_ids], e_v[edge_ids]
-        u_list = np.flatnonzero(active)
-        u_rank = np.full(g.n, -1, dtype=np.int64)
-        u_rank[u_list] = np.arange(len(u_list))
+        u_list, u_rank = _renumber(active)
         h_u = []
         h_v = []
         for side in (iu, iv):

@@ -657,9 +657,7 @@ def independentish_set(
     if watchers.any() and not np.all(mass[watchers] <= 7.0):
         raise RuntimeError("audited in-neighborhood mass overshot; prefix rule broken")
 
-    u_list = np.flatnonzero(watchers)
-    u_rank = np.full(n, -1, dtype=np.int64)
-    u_rank[u_list] = np.arange(len(u_list))
+    u_list, u_rank = _renumber(watchers)
     h_u = u_rank[owners[take]]
     h_v = g.nbrs[take]
 

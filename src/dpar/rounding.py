@@ -20,12 +20,18 @@ evaluates F on the input terms.
 
 Including every node independently with probability 1/2 gives
 E[F] = util_total/2 - cost_total/4, so some S achieves that much. To find
-one deterministically, the cost pairs are defectively colored: pairs that
-go monochromatic (at most an eps fraction of total cost) are written off,
-and the remaining pairs never join two nodes of one class, so a whole
-class can be decided in parallel. Processing classes in ascending order,
-each node joins S exactly when its conditional score is nonnegative, which
-never lowers the tracked expectation. The output is certified against
+one deterministically, the cost graph is colored by phase 1 of defective
+coloring (coloring.strided_phase1): pairs that one of its rounds turns
+monochromatic (at most eps/2 of the total cost) are written off, and the
+remaining pairs never join two nodes of one class, so a whole class can be
+decided in parallel. That is all the sweep needs, so it runs no phase 2:
+no small palette, only classes without a live pair inside. A halving's
+cost graph puts each bucket clique on nearby ids, where the layout
+coloring id mod (w + 1) is already proper, so phase 1 runs no round there
+and nothing is written off. Processing the classes in phase 2's strided
+order, each node joins S exactly when its conditional score is
+nonnegative, which never lowers the tracked expectation. The output is
+certified against
 
     F(S) >= util_total/2 - cost_total/4 - eps * cost_total.
 
@@ -43,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import ClassSweep, class_sweep, defective_coloring
+from .coloring import ClassSweep, class_sweep, strided_phase1
+from .coloring import defective_coloring  # noqa: F401  (importable here for tools that trace it)
 from .graph import Graph, graph_from_directed_slots, merged_pairs
 from .workcount import WorkCounter, charge
 
@@ -103,7 +110,7 @@ class RoundingResult:
     scores: np.ndarray  # conditional score each node was decided on
     num_classes: int = 0
     cost_pairs: int = 0  # distinct node pairs among the cost terms
-    sweep_steps: int = 0  # batches of the coloring's phase 2 and of the sweep
+    sweep_steps: int = 0  # batches of the class sweep
 
 
 def _member_positions(sweep: ClassSweep, owners: np.ndarray) -> np.ndarray:
@@ -133,17 +140,14 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     cost_graph = graph_from_directed_slots(
         n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([pair_c, pair_c])
     )
-    col = defective_coloring(cost_graph, inst.eps, work=work)
-    colors = col.colors
-
     owners = cost_graph.slot_owners()
     heads = cost_graph.nbrs
     costs = cost_graph.weights
-    alive = colors[owners] != colors[heads]
+    step, k, alive, _rounds = strided_phase1(cost_graph, inst.eps, owners, costs, work)
 
     in_set = np.zeros(n, dtype=bool)
     scores = np.zeros(n, dtype=np.float64)
-    sweep = class_sweep(colors, col.num_colors, owners[alive], heads[alive])
+    sweep = class_sweep(step, k, owners[alive], heads[alive])
     slots = np.flatnonzero(alive)[sweep.slot_order]
     s_head, s_cost = heads[slots], costs[slots]
     s_member = _member_positions(sweep, owners[alive])
@@ -171,9 +175,9 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
         bound=bound,
         lost_cost=lost,
         scores=scores,
-        num_classes=col.num_colors,
+        num_classes=k,
         cost_pairs=len(pair_c),
-        sweep_steps=col.steps + len(sweep.batches),
+        sweep_steps=len(sweep.batches),
     )
 
 

@@ -474,7 +474,7 @@ def test_dense_halving_reports_merged_cost_pairs():
     assert halvings
     for r in halvings:
         assert 0 < r["cost_pairs"] < r["cost_terms"]
-        # at least one phase-2 batch and one rounding-sweep batch
+        # buckets overlap, so some class has a head in an earlier one
         assert r["sweep_steps"] >= 2
 
 

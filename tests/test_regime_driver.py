@@ -7,13 +7,11 @@ sieves and builds its own tables, so nothing is shared between rounds.
 The matching pin was recorded when color_delta_squared began stopping
 after the first shrinking round whose prime field is set by the degree;
 its conflict colourings run proper kernel rounds (recolor_slots). The
-hitting, core and hitting_phase1 pins were re-recorded when defective
-phase 1 began starting from the layout colouring id mod (w + 1), w the
-largest id distance of a cost-graph edge: the phase-2 classes, and so the
-selections, moved, and the MIS high-round reports traded mass_violations
-for max_watch_mass. The mis pin digests its output only and did not move:
-its one halving's cost graph has bandwidth n - 1, where the layout start
-is the ids.
+other seven pins were re-recorded when local_round began sweeping the
+phase-1 classes of its cost graph directly, in the strided order, instead
+of recolouring them into defective phase 2's palette and sweeping that:
+the rounding decides its nodes in another order, so the selections moved,
+and no pin charges defective_phase2 any more.
 
 Only hitting_phase1 colours a cost graph with more classes than its
 phase-1 field holds: each of its watchers has 90 candidates spread over
@@ -182,13 +180,13 @@ RUNS = {
 }
 
 PINS = {
-    "hitting_high": ("894276e284be4631", {'defective_phase2': 33889, 'half_sample': 37116, 'high_regime_round': 3335, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 103418}),
-    "hitting_both": ("3c357633faa9b254", {'defective_phase2': 68937, 'half_sample': 98238, 'high_regime_round': 9323, 'hitting_finalize': 2408, 'local_round': 232034, 'low_regime_round': 2718}),
-    "hitting_phase1": ("44a172da3fbe516a", {'defective_phase1': 209696, 'defective_phase2': 246399, 'half_sample': 246619, 'high_regime_round': 92276, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 664068, 'recolor_slots': 229498, 'sqrt_tables': 7393, 'word_sort': 3684}),
-    "core_aux": ("a631471049bc00b4", {'core_mis_finalize': 3640, 'defective_phase2': 38672, 'half_sample': 42592, 'local_round': 118736, 'mis_high_round': 4832, 'mis_high_skip': 13}),
-    "core_no_aux": ("f329cec77eee03a1", {'core_mis_finalize': 1416, 'defective_phase2': 23378, 'half_sample': 24960, 'local_round': 70516, 'mis_high_round': 2608, 'mis_high_skip': 13}),
-    "core_tall": ("1017df520a06c5ac", {'core_mis_finalize': 4495, 'defective_phase2': 18569, 'edge_buckets': 998, 'half_sample': 22676, 'local_round': 57586, 'mis_high_round': 2934, 'mis_low_round': 1374}),
-    "mis": ("66d3af1eaab6dcac", {'class_union': 194, 'compact': 681732, 'core_mis_finalize': 234672, 'defective_phase2': 122396, 'half_sample': 1306516, 'independentish': 341497, 'local_round': 1550524, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 51}),
+    "hitting_high": ("f57ae1d2994078ab", {'half_sample': 37112, 'high_regime_round': 3329, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 103246}),
+    "hitting_both": ("754bce251dbc87b2", {'half_sample': 98561, 'high_regime_round': 9107, 'hitting_finalize': 2408, 'local_round': 233014, 'low_regime_round': 2725}),
+    "hitting_phase1": ("2319000d32df0568", {'defective_phase1': 182016, 'half_sample': 240522, 'high_regime_round': 93858, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 644964, 'recolor_slots': 201864, 'sqrt_tables': 7393, 'word_sort': 3100}),
+    "core_aux": ("dbe5e7118cc0bf20", {'core_mis_finalize': 3640, 'half_sample': 42592, 'local_round': 118736, 'mis_high_round': 4832, 'mis_high_skip': 13}),
+    "core_no_aux": ("47d12711a6e20043", {'core_mis_finalize': 1416, 'half_sample': 24960, 'local_round': 70516, 'mis_high_round': 2608, 'mis_high_skip': 13}),
+    "core_tall": ("d37e838b9a18960b", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 22741, 'local_round': 57717, 'mis_high_round': 2990, 'mis_low_round': 1385}),
+    "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 681776, 'core_mis_finalize': 234683, 'half_sample': 1306516, 'independentish': 341519, 'local_round': 1550708, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),
     "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'match_compact': 15985, 'match_conflicts': 211716, 'match_extract': 13967, 'match_sweep': 21982, 'recolor_slots': 437399, 'sqrt_tables': 215, 'word_sort': 618980}),
 }
 

@@ -161,6 +161,36 @@ def test_property_certificate_holds(seed, eps_idx):
     assert work.total > 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 100_000), eps_idx=st.integers(0, 4), band=st.integers(1, 11)
+)
+def test_banded_costs_round_over_the_layout_classes(seed, eps_idx, band):
+    # cliques on runs of at most band + 1 consecutive ids, as a halving lays
+    # out its buckets: the bandwidth w is at most band, and phase 1's field
+    # holds at least 12 colors, so phase 1 runs no round. The sweep takes
+    # the min(n, w + 1) layout classes and writes nothing off.
+    eps = [1.0, 0.5, 0.25, 0.1, 0.03][eps_idx]
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    ci, cj = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for start in rng.integers(0, n, size=int(rng.integers(0, n // 2 + 2))):
+        ids = np.arange(start, min(start + int(rng.integers(2, band + 2)), n))
+        iu, ju = np.triu_indices(len(ids), k=1)
+        ci.append(ids[iu])
+        cj.append(ids[ju])
+    ci, cj = np.concatenate(ci), np.concatenate(cj)
+    cc = rng.random(len(ci)) * 3.0
+    utils = rng.normal(0.0, 2.0, size=n)
+    inst = RoundingInstance(utils=utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=eps)
+    w = int(np.abs(ci - cj).max()) if len(ci) else 0
+    res = local_round(inst)
+    assert res.num_classes == min(n, w + 1)
+    assert res.lost_cost == 0.0
+    assert res.bound == pytest.approx(0.5 * utils.sum() - (0.25 + eps) * cc.sum())
+    assert res.objective == evaluate_objective(inst, res.in_set) >= res.bound
+
+
 def test_monte_carlo_expectation_reference():
     # the certificate bound sits eps*cost below the sampling mean; a random
     # subset experiment should agree with the closed form within noise
