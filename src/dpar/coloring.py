@@ -39,6 +39,10 @@ proper on min(n, w + 1) colors (layout_start). A halving puts each bucket
 clique on nearby ids, so no round runs on its cost graph; on spread ids
 (w near n - 1, as on a generic graph) rounds run, and only then does phase
 1 sieve primes, in O(p), below the O(n + m) of a round on over p nodes.
+Whether a round runs depends on n, w and eps alone, so strided_layout
+gives the classes of a graph it keeps at its layout without the graph's
+slots: the rounding passes the bandwidth of its bucket cliques, which it
+never expands on that path.
 
 Defective coloring ends with a greedy sweep over the classes of its
 phase-1 coloring, where each node reads only the final colors of its heads
@@ -57,12 +61,14 @@ color) pairs and takes each node's smallest admissible color, the search
 the polynomial rounds make over their points. The rounding sweep in
 rounding.py needs classes with no live edge inside, not a small palette,
 so it takes the same batches over the strided phase-1 classes and runs no
-phase 2.
+phase 2; its bucket cliques cut those batches through class_sweep's
+clique rows, one link per member to its predecessor in step order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,7 +367,11 @@ class ClassSweep:
 
 
 def class_sweep(
-    colors: np.ndarray, num_classes: int, owners: np.ndarray, heads: np.ndarray
+    colors: np.ndarray,
+    num_classes: int,
+    owners: np.ndarray,
+    heads: np.ndarray,
+    cliques: Sequence[np.ndarray] = (),
 ) -> ClassSweep:
     """Batches of dependency-free classes for sweeping the slots owners -> heads.
 
@@ -369,6 +379,12 @@ def class_sweep(
     are, so that a stable sort by class alone orders the slots by (class,
     owner). Classes below 2^16 sort as 16-bit keys, which numpy
     radix-sorts.
+
+    Each array in cliques holds one clique of nodes per row. Their edges
+    cut the batches as slots would, but are not swept: the highest lower
+    class among a member's co-members is its predecessor in the row
+    sorted by class, so each row stands for its b(b - 1) slots with b - 1
+    links. The members of a row must lie in distinct classes.
     """
     head_class = colors[heads]
     key = colors[owners]
@@ -386,6 +402,11 @@ def class_sweep(
     filled = np.flatnonzero(slot_bounds[:-1] < slot_bounds[1:])
     if len(filled):
         top[filled] = np.maximum.reduceat(head_class[slot_order], slot_bounds[filled])
+    for rows in cliques:
+        chain = np.sort(colors[rows], axis=1)
+        if np.any(chain[:, 1:] == chain[:, :-1]):
+            raise RuntimeError("two members of a clique share a class")
+        np.maximum.at(top, chain[:, 1:].ravel(), chain[:, :-1].ravel())
     # cut greedily: a class opens a new batch when one of its lower-class
     # heads lies in the current batch. The batch that starts at class s
     # ends before the first class with a lower-class head at s or later,
@@ -418,12 +439,35 @@ def _phase1_iterations(n: int) -> int:
     return max(1, math.ceil(math.log(max(math.log2(max(n, 2)), 2.0), 1.5)))
 
 
-def layout_start(n: int, owners: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, int]:
-    """(id mod (w + 1), its min(n, w + 1) colors, at least 1) for the
-    bandwidth w = max |owner - head| over the slots: the ends of a slot
-    differ by 1..w, never by a multiple of w + 1, so the coloring is proper."""
-    w = int(np.abs(owners - heads).max()) if len(heads) else 0
+def bandwidth(owners: np.ndarray, heads: np.ndarray) -> int:
+    """The largest id distance |owner - head| over the slots, 0 without slots."""
+    return int(np.abs(owners - heads).max()) if len(heads) else 0
+
+
+def layout_start(n: int, w: int) -> tuple[np.ndarray, int]:
+    """(id mod (w + 1), its min(n, w + 1) colors, at least 1) for a graph
+    of bandwidth w: the ends of a slot differ by 1..w, never by a multiple
+    of w + 1, so the coloring is proper."""
     return np.arange(n, dtype=np.int64) % (w + 1), max(min(n, w + 1), 1)
+
+
+def _phase1_budget(n: int, eps: float) -> tuple[int, float, int]:
+    """(rounds I, per-round loss eps/(2I), point spread 3 ceil(2I/eps)) of
+    phase 1 on n nodes."""
+    iters = _phase1_iterations(n)
+    eps1 = eps / (2.0 * iters)
+    return iters, eps1, 3 * math.ceil(1.0 / eps1)
+
+
+def _phase1_tables(k: int, eps1: float, spread: int) -> NumberTheoryTables | None:
+    """The tables phase 1's rounds on a k-color start need, or None when it
+    runs no round: the field p >= spread of its first round holds the
+    palette (k <= p), so the round would return its input (see the module
+    docstring). A palette of at most spread colors needs no sieve."""
+    if k <= spread:
+        return None
+    tables = precompute_tables(tables_limit_for(k, 0, math.ceil(1.0 / eps1)))
+    return tables if k > _round_prime(tables, k, spread)[1] else None
 
 
 def _defective_phase1(
@@ -435,19 +479,16 @@ def _defective_phase1(
     Returns (colors in [0, k), k, alive slot mask, rounds run): slots
     turned monochromatic by some round are dead and their weight is lost.
     It stops before a round whose field holds the whole palette (k <= p),
-    which would return its input (see the module docstring); as p >=
-    spread, a palette of at most spread colors needs no sieve either.
+    which would return its input.
     """
     n = g.n
-    iters = _phase1_iterations(n)
-    eps1 = eps / (2.0 * iters)
+    iters, eps1, spread = _phase1_budget(n, eps)
     inv_eps1 = math.floor(1.0 / eps1)
-    spread = 3 * math.ceil(1.0 / eps1)
     alive = np.ones(len(g.nbrs), dtype=bool)
-    colors, k = layout_start(n, owners, g.nbrs)
-    if k <= spread:  # the field p >= spread holds the palette
+    colors, k = layout_start(n, bandwidth(owners, g.nbrs))
+    tables = _phase1_tables(k, eps1, spread)
+    if tables is None:
         return colors, k, alive, 0
-    tables = precompute_tables(tables_limit_for(k, 0, math.ceil(1.0 / eps1)))
     rounds = 0
     while rounds < iters:
         kprime, p = _round_prime(tables, k, spread)
@@ -492,6 +533,12 @@ def _sweep_stride(k: int) -> int:
     return a
 
 
+def _strided_steps(colors: np.ndarray, k: int) -> np.ndarray:
+    """Each node's step t in the sweep that takes class t * a mod k at step
+    t: its class times a^-1 mod k."""
+    return colors * pow(_sweep_stride(k), -1, k) % k
+
+
 def strided_phase1(
     g: Graph, eps: float, owners: np.ndarray, weights: np.ndarray, work: WorkCounter | None
 ) -> tuple[np.ndarray, int, np.ndarray, int]:
@@ -504,7 +551,18 @@ def strided_phase1(
     step.
     """
     colors, k, alive, rounds = _defective_phase1(g, eps, owners, weights, work)
-    return colors * pow(_sweep_stride(k), -1, k) % k, k, alive, rounds
+    return _strided_steps(colors, k), k, alive, rounds
+
+
+def strided_layout(n: int, w: int, eps: float) -> tuple[np.ndarray, int] | None:
+    """(step, k) that strided_phase1 gives every graph on n nodes of
+    bandwidth w, when phase 1 keeps its layout coloring and so needs none
+    of the graph's slots; None when phase 1 would run a round on it."""
+    _, eps1, spread = _phase1_budget(n, eps)
+    colors, k = layout_start(n, w)
+    if _phase1_tables(k, eps1, spread) is not None:
+        return None
+    return _strided_steps(colors, k), k
 
 
 def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) -> Coloring:

@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .ntheory import precompute_tables  # noqa: F401  (importable here for tools that trace it)
-from .rounding import RoundingInstance, local_round
+from .rounding import CliqueGroup, RoundingInstance, local_round
 from .sorting import first_of_runs
 from .workcount import WorkCounter, charge
 
@@ -294,23 +294,17 @@ def read_hset(path) -> BipartiteInstance:
 
 
 @dataclass
-class QuadPotential:
-    """sum over buckets of coef_B * (|S cap B| - b/2)^2, buckets of size b."""
+class QuadPotential(CliqueGroup):
+    """sum over buckets of coef_B * (|S cap B| - b/2)^2, buckets of size b.
 
-    members: np.ndarray  # int64 candidate ids, bucket-major, each bucket exactly b
-    coefs: np.ndarray  # float64 per bucket
-    b: int
+    Apart from a linear part (utils), its rounding cost is the clique group
+    it is: coef_B * c_B * (c_B - 1) on a set holding c_B members of bucket
+    B, so run_half hands it to the rounding as it is, and its b(b - 1)/2
+    pairs per bucket are expanded (pairs) only where defective phase 1 has
+    to run polynomial rounds.
+    """
+
     name: str
-
-    @property
-    def n_buckets(self) -> int:
-        return len(self.coefs)
-
-    def counts(self, in_set: np.ndarray) -> np.ndarray:
-        if self.n_buckets == 0:
-            return np.zeros(0, dtype=np.int64)
-        picked = in_set[self.members].astype(np.int64)
-        return np.add.reduceat(picked, np.arange(0, len(self.members), self.b))
 
     def sq_dev(self, in_set: np.ndarray) -> np.ndarray:
         """Per bucket: (|S cap B| - b/2)^2."""
@@ -333,18 +327,6 @@ class QuadPotential:
             per_member = np.repeat(self.coefs * (self.b - 1), self.b)
             np.add.at(out, self.members, per_member)
         return out
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.n_buckets == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e, np.empty(0, dtype=np.float64)
-        b = self.b
-        ia, ja = np.triu_indices(b, k=1)
-        base = np.arange(self.n_buckets, dtype=np.int64) * b
-        ci = self.members[(base[:, None] + ia[None, :]).ravel()]
-        cj = self.members[(base[:, None] + ja[None, :]).ravel()]
-        cc = np.repeat(2.0 * self.coefs, len(ia))
-        return ci, cj, cc
 
 
 def _group_full_buckets(
@@ -388,8 +370,9 @@ class HalfResult:
     phi_values: dict[str, float]
     phi_total: float
     phi_bound: float
-    cost_terms: int  # pair terms the potentials emitted
+    cost_terms: int  # explicit pair terms the linear potentials emitted
     cost_pairs: int  # distinct candidate pairs among them
+    clique_members: int  # bucket memberships of the quadratic potentials
     sweep_steps: int  # sequential class-sweep batches of the rounding
 
 
@@ -398,18 +381,22 @@ def run_half(
 ) -> HalfResult:
     """One derandomized halving of n_cand candidates against the potentials.
 
-    Each potential supplies utils(n)/pairs()/value(mask)/name; anything
-    with that surface participates (quadratic buckets, linear edge terms).
+    Each potential supplies utils(n)/value(mask)/name. A quadratic bucket
+    potential (a CliqueGroup) goes to the rounding as its buckets; any
+    other potential (the linear edge terms) supplies pairs(), its explicit
+    cost terms.
     """
     utils = np.zeros(n_cand, dtype=np.float64)
     for pot in potentials:
         utils += pot.utils(n_cand)
-    pair_parts = [pot.pairs() for pot in potentials]
-    ci = np.concatenate([p[0] for p in pair_parts]) if pair_parts else np.empty(0, dtype=np.int64)
-    cj = np.concatenate([p[1] for p in pair_parts]) if pair_parts else np.empty(0, dtype=np.int64)
-    cc = np.concatenate([p[2] for p in pair_parts]) if pair_parts else np.empty(0, dtype=np.float64)
-    charge(work, "half_sample", n_cand + len(ci))
-    inst = RoundingInstance(utils=utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=eps)
+    cliques = [pot for pot in potentials if isinstance(pot, CliqueGroup)]
+    parts = [pot.pairs() for pot in potentials if not isinstance(pot, CliqueGroup)]
+    ci = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, dtype=np.int64)
+    cj = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, dtype=np.int64)
+    cc = np.concatenate([p[2] for p in parts]) if parts else np.empty(0, dtype=np.float64)
+    members = sum(len(g.members) for g in cliques)
+    charge(work, "half_sample", n_cand + len(ci) + members)
+    inst = RoundingInstance(utils=utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=eps, cliques=cliques)
     res = local_round(inst, work=work)
     values = {pot.name: pot.value(res.in_set) for pot in potentials}
     total = math.fsum(values.values())
@@ -424,6 +411,7 @@ def run_half(
         phi_bound=phi_bound,
         cost_terms=len(cc),
         cost_pairs=res.cost_pairs,
+        clique_members=members,
         sweep_steps=res.sweep_steps,
     )
 
@@ -721,6 +709,7 @@ class RegimeDriver:
             "phi_bound": half.phi_bound,
             "cost_terms": half.cost_terms,
             "cost_pairs": half.cost_pairs,
+            "clique_members": half.clique_members,
             "sweep_steps": half.sweep_steps,
             "bad_left": int(bad.sum()),
             "bad_importance": float(np.sum(sub.imp[bad])),

@@ -1,39 +1,61 @@
 """Deterministic rounding of half-sampling by conditional expectations.
 
 The object being rounded is a node subset S of an instance with per-node
-utilities (any sign) and pairwise costs (nonnegative, parallel terms
-allowed):
+utilities (any sign), explicit pairwise cost terms (nonnegative, parallel
+terms allowed) and groups of bucket cliques:
 
     F(S) = sum_{v in S} util(v) - sum_{(i,j,c): i in S, j in S} c
+           - sum_B coef_B * c_B * (c_B - 1),    c_B = |S cap B|.
 
-F depends on the cost terms only through the summed cost per node pair,
-so local_round first merges the cost multiset into a simple weighted
-graph, one slot pair per distinct node pair (bucket potentials emit the
-same pair many times over). It builds that graph on the graph module's
-one path, graph.merged_pairs then graph_from_directed_slots, without
-sort_edges_to_csr's input checks, which RoundingInstance has already made.
-merged_pairs sums the terms per pair in a dense table of all n * n pairs
-when there are at least n * n terms, as in a dense halving, and by a
-stable sort of the pair codes otherwise; the sums are the same either way.
-The coloring and the sweep run on that graph; the certificate still
-evaluates F on the input terms.
+A bucket clique B of b members costs the same as a term 2 coef_B on each
+of its b(b - 1)/2 member pairs, but the rounding keeps it as a bucket: a
+halving's quadratic potentials hand their buckets over as they are
+(CliqueGroup: members, coefs, b), and only linear terms and max-cut's
+edges come as explicit terms. F depends on the explicit terms only
+through the summed cost per node pair, so local_round merges them into a
+simple weighted graph on the graph module's one path, graph.merged_pairs
+then graph_from_directed_slots, without sort_edges_to_csr's input checks,
+which RoundingInstance has already made.
 
 Including every node independently with probability 1/2 gives
-E[F] = util_total/2 - cost_total/4, so some S achieves that much. To find
-one deterministically, the cost graph is colored by phase 1 of defective
-coloring (coloring.strided_phase1): pairs that one of its rounds turns
-monochromatic (at most eps/2 of the total cost) are written off, and the
-remaining pairs never join two nodes of one class, so a whole class can be
-decided in parallel. That is all the sweep needs, so it runs no phase 2:
-no small palette, only classes without a live pair inside. A halving's
-cost graph puts each bucket clique on nearby ids, where the layout
-coloring id mod (w + 1) is already proper, so phase 1 runs no round there
-and nothing is written off. Processing the classes in phase 2's strided
-order, each node joins S exactly when its conditional score is
-nonnegative, which never lowers the tracked expectation. The output is
-certified against
+E[F] = util_total/2 - cost_total/4, where a bucket adds coef_B b(b - 1) to
+cost_total, so some S achieves that much. To find one deterministically,
+the nodes are decided one class at a time of a coloring in which no cost
+pair joins two nodes of one class. The classes come from the layout: with
+w the bandwidth, the largest |i - j| over the explicit terms and the
+largest max - min over the members of a bucket, the coloring id mod
+(w + 1) is proper. A halving numbers its candidates so that each bucket
+lies on nearby ids, and phase 1 of defective coloring
+(coloring.strided_layout) keeps that coloring whenever the field of its
+first round holds the w + 1 colors; the classes then need no graph and
+nothing is written off. Only when the palette exceeds the field does
+phase 1 run polynomial rounds (coloring.strided_phase1), which need every
+cost pair as a slot: only then are the cliques expanded into explicit
+terms (CliqueGroup.pairs), and the pairs a round turns monochromatic (at
+most eps/2 of the cost) are written off.
 
-    F(S) >= util_total/2 - cost_total/4 - eps * cost_total.
+The classes are swept in phase 2's strided order, one batch of
+dependency-free classes at a time (coloring.class_sweep); a clique cuts
+the batches through each member's predecessor in step order, as its
+b(b - 1) slots would. A node's conditional score is its utility minus,
+per explicit pair, the cost if its partner is decided and joined or half
+the cost if the partner is undecided, minus, per bucket, 2 coef_B (joined_B
++ (undecided_B - 1)/2), from the bucket's tallies of decided members in S
+and of undecided members, the node itself among them. No two members of a
+batch share a bucket, so each batch reads and then updates the tallies
+of its buckets with plain gathers and adds. A node joins S when its score
+is positive and stays out when it is negative, which never lowers the
+tracked expectation. A zero score ties the two choices, and the node
+joins only if none of its cost partners is decided after it, so that the
+tie is one of F itself rather than of an expectation over undecided
+partners. Bucket potentials make exact ties common: their utilities
+balance a member's cost against its undecided co-members, so every member
+decided before all of its co-members ties, and joining all of them would
+tip a halving above half. The output is certified against
+
+    F(S) >= util_total/2 - cost_total/4 - eps * cost_total,
+
+with the clique part of F evaluated from per-bucket counts.
 
 Max-cut is an instance of F: the weight of the edges leaving S is
 sum_{v in S} deg_w(v) - sum_{uv: u, v in S} 2 w_uv, so max_cut_half rounds
@@ -45,11 +67,11 @@ certified against that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coloring import ClassSweep, class_sweep, strided_phase1
+from .coloring import ClassSweep, bandwidth, class_sweep, strided_layout, strided_phase1
 from .coloring import defective_coloring  # noqa: F401  (importable here for tools that trace it)
 from .graph import Graph, graph_from_directed_slots, merged_pairs
 from .workcount import WorkCounter, charge
@@ -65,14 +87,50 @@ def tiled_sum(values: np.ndarray) -> float:
 
 
 @dataclass
+class CliqueGroup:
+    """Buckets of b distinct members each; bucket B costs a set holding c_B
+    of its members coef_B * c_B * (c_B - 1), a term 2 coef_B per pair."""
+
+    members: np.ndarray  # int64 node ids, bucket-major, each bucket exactly b
+    coefs: np.ndarray  # float64 >= 0 per bucket
+    b: int
+
+    @property
+    def n_buckets(self) -> int:
+        return len(self.coefs)
+
+    def counts(self, in_set: np.ndarray) -> np.ndarray:
+        """Per bucket: |S cap B|."""
+        if self.n_buckets == 0:
+            return np.zeros(0, dtype=np.int64)
+        picked = in_set[self.members].astype(np.int64)
+        return np.add.reduceat(picked, np.arange(0, len(self.members), self.b))
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The b(b - 1)/2 explicit terms (i, j, 2 coef_B) of each bucket."""
+        if self.n_buckets == 0:
+            e = np.empty(0, dtype=np.int64)
+            return e, e, np.empty(0, dtype=np.float64)
+        b = self.b
+        ia, ja = np.triu_indices(b, k=1)
+        base = np.arange(self.n_buckets, dtype=np.int64) * b
+        ci = self.members[(base[:, None] + ia[None, :]).ravel()]
+        cj = self.members[(base[:, None] + ja[None, :]).ravel()]
+        cc = np.repeat(2.0 * self.coefs, len(ia))
+        return ci, cj, cc
+
+
+@dataclass
 class RoundingInstance:
-    """Utilities per node plus a multiset of pairwise cost terms."""
+    """Utilities per node, a multiset of pairwise cost terms and groups of
+    bucket cliques."""
 
     utils: np.ndarray  # float64, signed
     cost_i: np.ndarray  # int64 endpoints, i != j
     cost_j: np.ndarray
     cost_c: np.ndarray  # float64 >= 0
     eps: float
+    cliques: list[CliqueGroup] = field(default_factory=list)
 
     def __post_init__(self):
         self.utils = np.asarray(self.utils, dtype=np.float64)
@@ -93,6 +151,16 @@ class RoundingInstance:
             raise ValueError("cost term with equal endpoints")
         if len(self.cost_c) and self.cost_c.min() < 0:
             raise ValueError("negative cost")
+        for group in self.cliques:
+            if group.b < 1 or len(group.members) != group.b * group.n_buckets:
+                raise ValueError("clique members must fill whole buckets of b >= 1")
+            if len(group.members) and (group.members.min() < 0 or group.members.max() >= n):
+                raise ValueError("clique member out of range")
+            rows = np.sort(group.members.reshape(-1, group.b), axis=1)
+            if np.any(rows[:, 1:] == rows[:, :-1]):
+                raise ValueError("clique with a repeated member")
+            if group.n_buckets and group.coefs.min() < 0:
+                raise ValueError("negative clique coefficient")
         if not (0.0 < self.eps <= 1.0):
             raise ValueError("eps must lie in (0, 1]")
 
@@ -109,7 +177,7 @@ class RoundingResult:
     lost_cost: float  # cost written off to monochromatic pairs
     scores: np.ndarray  # conditional score each node was decided on
     num_classes: int = 0
-    cost_pairs: int = 0  # distinct node pairs among the cost terms
+    cost_pairs: int = 0  # distinct node pairs of the explicit cost graph swept
     sweep_steps: int = 0  # batches of the class sweep
 
 
@@ -124,30 +192,55 @@ def _member_positions(sweep: ClassSweep, owners: np.ndarray) -> np.ndarray:
 def evaluate_objective(inst: RoundingInstance, in_set: np.ndarray) -> float:
     util_part = tiled_sum(np.where(in_set, inst.utils, 0.0))
     both = in_set[inst.cost_i] & in_set[inst.cost_j]
-    cost_part = tiled_sum(np.where(both, inst.cost_c, 0.0))
-    return util_part - cost_part
+    parts = [np.where(both, inst.cost_c, 0.0)]
+    for group in inst.cliques:
+        c = group.counts(in_set).astype(np.float64)
+        parts.append(group.coefs * c * (c - 1.0))
+    return util_part - tiled_sum(np.concatenate(parts))
+
+
+def _clique_span(group: CliqueGroup) -> int:
+    """The largest max - min over the members of a bucket, 0 without one."""
+    if group.n_buckets == 0:
+        return 0
+    rows = group.members.reshape(-1, group.b)
+    return int((rows.max(axis=1) - rows.min(axis=1)).max())
 
 
 def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> RoundingResult:
     """Pick S with F(S) >= util_total/2 - (1/4 + eps) * cost_total."""
     n = inst.n
+    groups = inst.cliques
     util_total = tiled_sum(inst.utils)
-    cost_total = tiled_sum(inst.cost_c)
+    cost_total = tiled_sum(
+        np.concatenate([inst.cost_c] + [g.coefs * float(g.b * (g.b - 1)) for g in groups])
+    )
     bound = 0.5 * util_total - (0.25 + inst.eps) * cost_total
-    charge(work, "local_round", n + len(inst.cost_c))
+    charge(work, "local_round", n + len(inst.cost_c) + sum(len(g.members) for g in groups))
 
-    lo, hi, pair_c = merged_pairs(inst.cost_i, inst.cost_j, n, inst.cost_c)
+    ci, cj, cc = inst.cost_i, inst.cost_j, inst.cost_c
+    w = max([bandwidth(ci, cj)] + [_clique_span(g) for g in groups])
+    layout = strided_layout(n, w, inst.eps)
+    if layout is None and groups:
+        # phase 1 runs polynomial rounds, which need every cost pair as a slot
+        parts = [(ci, cj, cc)] + [g.pairs() for g in groups]
+        ci, cj, cc = (np.concatenate([p[t] for p in parts]) for t in range(3))
+        groups = []
+    lo, hi, pair_c = merged_pairs(ci, cj, n, cc)
     cost_graph = graph_from_directed_slots(
         n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([pair_c, pair_c])
     )
     owners = cost_graph.slot_owners()
     heads = cost_graph.nbrs
     costs = cost_graph.weights
-    step, k, alive, _rounds = strided_phase1(cost_graph, inst.eps, owners, costs, work)
+    if layout is None:
+        step, k, alive, _rounds = strided_phase1(cost_graph, inst.eps, owners, costs, work)
+    else:
+        (step, k), alive = layout, np.ones(len(heads), dtype=bool)
 
-    in_set = np.zeros(n, dtype=bool)
-    scores = np.zeros(n, dtype=np.float64)
-    sweep = class_sweep(step, k, owners[alive], heads[alive])
+    sweep = class_sweep(
+        step, k, owners[alive], heads[alive], [g.members.reshape(-1, g.b) for g in groups]
+    )
     slots = np.flatnonzero(alive)[sweep.slot_order]
     s_head, s_cost = heads[slots], costs[slots]
     s_member = _member_positions(sweep, owners[alive])
@@ -155,15 +248,52 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     # joined; a head in a higher class is undecided and charges half
     undecided = 0.5 * s_cost
     undecided[sweep.lower] = 0.0
-    for lo, hi, m0, m1 in sweep.batches:
+
+    # one entry per bucket membership, in the sweep's node order and cut at
+    # its batches; per bucket, 2 coef_B and the tallies of its members
+    # decided and joined and of those still undecided
+    none = [np.empty(0, dtype=np.int64)]
+    b_size = np.concatenate(none + [np.full(g.n_buckets, g.b) for g in groups])
+    b_coef = np.concatenate([np.empty(0)] + [2.0 * g.coefs for g in groups])
+    pos = np.empty(n, dtype=np.int64)
+    pos[sweep.node_order] = np.arange(n, dtype=np.int64)
+    m_pos = pos[np.concatenate(none + [g.members for g in groups])]
+    m_bucket = np.repeat(np.arange(len(b_size)), b_size)
+    m_order = np.argsort(m_pos, kind="stable")
+    m_pos, m_bucket = m_pos[m_order], m_bucket[m_order]
+    m_coef = b_coef[m_bucket]
+    m_cuts = np.searchsorted(m_pos, sweep.batches[:, 2:])
+    joined = np.zeros(len(b_size))
+    waiting = b_size.astype(np.float64)
+
+    # per node position, whether it settles a zero score: no cost partner
+    # of it, a head in a higher class or a later member of one of its
+    # buckets, is decided after it
+    later = np.bincount(s_member[~sweep.lower], minlength=n)
+    last = np.full(len(b_size), -1, dtype=np.int64)
+    np.maximum.at(last, m_bucket, m_pos)
+    later += np.bincount(m_pos[m_pos < last[m_bucket]], minlength=n)
+    settled = later == 0
+
+    in_set = np.zeros(n, dtype=bool)
+    scores = np.zeros(n, dtype=np.float64)
+    for (lo, hi, m0, m1), (a, z) in zip(sweep.batches.tolist(), m_cuts.tolist()):
         members = sweep.node_order[m0:m1]
         hd = s_head[lo:hi]
         burden = np.where(sweep.lower[lo:hi] & in_set[hd], s_cost[lo:hi], undecided[lo:hi])
         acc = np.bincount(s_member[lo:hi] - m0, weights=burden, minlength=m1 - m0)
+        if a < z:
+            bk, mp = m_bucket[a:z], m_pos[a:z] - m0
+            tally = m_coef[a:z] * (joined[bk] + 0.5 * (waiting[bk] - 1.0))
+            acc = acc + np.bincount(mp, weights=tally, minlength=m1 - m0)
         sc = inst.utils[members] - acc
+        join = (sc > 0.0) | ((sc == 0.0) & settled[m0:m1])
         scores[members] = sc
-        in_set[members] = sc >= 0.0
-        charge(work, "local_round", (hi - lo) + (m1 - m0))
+        in_set[members] = join
+        if a < z:
+            joined[bk] += join[mp]
+            waiting[bk] -= 1.0
+        charge(work, "local_round", (hi - lo) + (m1 - m0) + (z - a))
 
     lost = tiled_sum(np.where(~alive, costs, 0.0)) / 2.0
     objective = evaluate_objective(inst, in_set)

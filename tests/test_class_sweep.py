@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from dpar.coloring import _defective_phase1, class_sweep, defective_coloring
 from dpar.graph import Graph, sort_edges_to_csr
-from dpar.rounding import RoundingInstance, local_round
+import dpar.rounding
+from dpar.rounding import CliqueGroup, RoundingInstance, evaluate_objective, local_round
 from dpar.workcount import WorkCounter, charge
 from test_coloring import random_graph
 
@@ -132,7 +133,7 @@ def reference_local_round(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarra
         members = [v for v in range(n) if colors[v] == c]
         units = len(members)
         for v in members:
-            acc = 0.0
+            acc, waits = 0.0, False
             for s in slots[v]:
                 if not alive[s]:
                     continue  # turned monochromatic by phase 1: written off
@@ -141,10 +142,12 @@ def reference_local_round(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarra
                 units += 1
                 if step[colors[head]] > step[c]:
                     acc += 0.5 * cost_graph.weights[s]
+                    waits = True
                 elif in_set[head]:
                     acc += cost_graph.weights[s]
             scores[v] = inst.utils[v] - acc
-            in_set[v] = scores[v] >= 0.0
+            # a zero score joins only when no partner is left undecided
+            in_set[v] = scores[v] > 0.0 or (scores[v] == 0.0 and not waits)
         if members:
             charge(work, "local_round", units)
     live = [
@@ -203,6 +206,82 @@ def test_batched_sweeps_match_class_by_class(seed, n, eps_idx):
     assert np.array_equal(res.scores, scores)
     assert work.total == units
     assert res.sweep_steps == steps
+
+
+def clique_instance(rng, n: int, eps: float, aux: bool) -> RoundingInstance:
+    """Up to three groups of bucket cliques on distinct random members, and
+    random explicit terms when aux is set. Costs, coefficients and utility
+    offsets are multiples of 1/8, so every sum is exact and zero scores are
+    exact ties. The utilities balance each node's cost against undecided
+    partners, so most nodes tie until some partner is decided."""
+    groups = []
+    for _ in range(int(rng.integers(1, 4))):
+        b = int(rng.integers(2, min(n, 8) + 1))
+        nb = int(rng.integers(0, 7))
+        members = np.concatenate(
+            [rng.choice(n, size=b, replace=False) for _ in range(nb)] + [np.empty(0, dtype=np.int64)]
+        )
+        groups.append(CliqueGroup(members, rng.integers(0, 16, size=nb) / 8.0, b))
+    m = int(rng.integers(0, 3 * n)) if aux else 0
+    ci, cj = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    keep = ci != cj
+    ci, cj, cc = ci[keep], cj[keep], rng.integers(0, 16, size=int(keep.sum())) / 8.0
+    utils = rng.integers(-2, 3, size=n) / 8.0 * (rng.random(n) < 0.5)
+    np.add.at(utils, ci, cc / 2.0)
+    np.add.at(utils, cj, cc / 2.0)
+    for g in groups:
+        np.add.at(utils, g.members, np.repeat(g.coefs * (g.b - 1), g.b))
+    return RoundingInstance(utils=utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=eps, cliques=groups)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(2, 40), eps_idx=st.integers(1, 3), aux=st.booleans())
+def test_clique_tallies_round_like_the_expanded_pairs(seed, n, eps_idx, aux):
+    """local_round on bucket cliques against the same instance with every
+    clique expanded into its pair terms, and against the class-by-class
+    reference on that expansion: the same batches, scores and selection,
+    and the same certificate. With at most 40 nodes the layout fits phase
+    1's field at these eps, so the cliques are never expanded."""
+    rng = np.random.default_rng(seed)
+    inst = clique_instance(rng, n, EPS_CHOICES[eps_idx], aux)
+    parts = [(inst.cost_i, inst.cost_j, inst.cost_c)] + [g.pairs() for g in inst.cliques]
+    ci, cj, cc = (np.concatenate([p[t] for p in parts]) for t in range(3))
+    expanded = RoundingInstance(utils=inst.utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=inst.eps)
+
+    sweeps, expansions = [], []
+    real_sweep, real_pairs = dpar.rounding.class_sweep, CliqueGroup.pairs
+
+    def keep_sweep(*args, **kwargs):
+        sweeps.append(real_sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    def keep_pairs(group):
+        expansions.append(group)
+        return real_pairs(group)
+
+    dpar.rounding.class_sweep, CliqueGroup.pairs = keep_sweep, keep_pairs
+    try:
+        a = local_round(inst)
+        assert not expansions
+        b = local_round(expanded)
+    finally:
+        dpar.rounding.class_sweep, CliqueGroup.pairs = real_sweep, real_pairs
+
+    first, second = sweeps
+    assert np.array_equal(first.node_order, second.node_order)
+    assert np.array_equal(first.batches[:, 2:], second.batches[:, 2:])
+    assert a.num_classes == b.num_classes and a.sweep_steps == b.sweep_steps
+    assert np.allclose(a.scores, b.scores, rtol=0.0, atol=1e-9)
+    assert np.array_equal(a.in_set, b.in_set)
+    assert a.lost_cost == b.lost_cost == 0.0
+    assert a.bound == pytest.approx(b.bound, rel=0.0, abs=1e-9)
+    assert a.objective == evaluate_objective(inst, a.in_set) >= a.bound
+    assert b.objective == pytest.approx(a.objective, rel=0.0, abs=1e-9)
+
+    in_set, scores, _units, steps = reference_local_round(expanded)
+    assert np.array_equal(b.in_set, in_set)
+    assert np.array_equal(b.scores, scores)
+    assert b.sweep_steps == steps
 
 
 @settings(max_examples=60, deadline=None)

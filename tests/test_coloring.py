@@ -13,6 +13,7 @@ from dpar.coloring import (
     _phase1_iterations,
     _poly_coeffs,
     _smallest_admissible,
+    bandwidth,
     color_delta_squared,
     defective_coloring,
     layout_start,
@@ -306,7 +307,8 @@ def test_layout_start_is_proper_on_bucket_cliques(seed, n, size, buckets, keep, 
     g = bucket_clique_graph(rng, n, size, buckets, keep, permute)
     owners = g.slot_owners()
     w = max((abs(u - v) for u, v in zip(owners.tolist(), g.nbrs.tolist())), default=0)
-    colors, k = layout_start(n, owners, g.nbrs)
+    assert bandwidth(owners, g.nbrs) == w
+    colors, k = layout_start(n, w)
     assert k == max(min(n, w + 1), 1)
     assert sorted(set(colors.tolist())) == list(range(k))
     assert is_proper(g, colors)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dpar import mis
 from dpar.generate import complete_graph, gnm_graph, star_graph
 from dpar.graph import Graph, sort_edges_to_csr
-from dpar.hitting import ParamSet
+from dpar.hitting import ParamSet, QuadPotential
 from dpar.mis import (
     AUX_FACTOR_LOW,
     LOW_BOUND_BASE,
@@ -467,15 +467,28 @@ def test_independentish_complete_graph():
 
 
 def test_dense_halving_reports_merged_cost_pairs():
-    # watchers take the lowest-id prefix of their in-neighbors, so their
-    # clique buckets repeat pairs; the rounding colors each pair once
+    # the watchers' hit buckets reach the rounding as cliques, b members
+    # each; only the aux edges are explicit cost terms, merged into pairs
     res = independentish_set(gnm_graph(540, 140_000, seed=1))
-    halvings = [r for r in res.core.rounds if "cost_terms" in r]
+    halvings = [r for r in res.core.rounds if "clique_members" in r]
     assert halvings
     for r in halvings:
-        assert 0 < r["cost_pairs"] < r["cost_terms"]
+        assert r["clique_members"] == r["b"] * r["buckets"] > 0
+        assert 0 < r["cost_pairs"] <= r["cost_terms"]
         # buckets overlap, so some class has a head in an earlier one
         assert r["sweep_steps"] >= 2
+
+
+def test_dense_halvings_never_expand_their_cliques(monkeypatch):
+    def expand(pot):
+        raise AssertionError(f"{pot.name} expanded into pairs")
+
+    monkeypatch.setattr(QuadPotential, "pairs", expand)
+    g = gnm_graph(540, 140_000, seed=1)
+    work = WorkCounter()
+    res = maximal_independent_set(g, work=work)
+    assert work.per_phase["half_sample"] > 0  # some halving ran
+    assert check_maximal_independent(g, res.in_set)[0]
 
 
 def test_independentish_small_degrees_take_everyone():

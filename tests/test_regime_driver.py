@@ -7,17 +7,22 @@ sieves and builds its own tables, so nothing is shared between rounds.
 The matching pin was recorded when color_delta_squared began stopping
 after the first shrinking round whose prime field is set by the degree;
 its conflict colourings run proper kernel rounds (recolor_slots). The
-other seven pins were re-recorded when local_round began sweeping the
-phase-1 classes of its cost graph directly, in the strided order, instead
-of recolouring them into defective phase 2's palette and sweeping that:
-the rounding decides its nodes in another order, so the selections moved,
-and no pin charges defective_phase2 any more.
+other seven pins were re-recorded when the rounding began taking each
+bucket potential as a group of cliques, swept by per-bucket tallies,
+instead of as its b(b - 1)/2 pair terms per bucket: half_sample and
+local_round charge bucket memberships plus explicit terms, the round
+reports gained clique_members, their cost_terms and cost_pairs count
+explicit terms only, and a zero score now joins only when none of the
+node's cost partners is still undecided, so selections moved (the mis
+pin's output did not).
 
 Only hitting_phase1 colours a cost graph with more classes than its
 phase-1 field holds: each of its watchers has 90 candidates spread over
-12 000 ids, so its first halving runs a budgeted kernel round that finds
-conflict roots (defective_phase1, word_sort). Every other pin's phase 1
-runs no round and charges no recolouring, sort or square-root work.
+12 000 ids, so its first halving expands its cliques into pair terms and
+runs two budgeted kernel rounds that find conflict roots
+(defective_phase1, word_sort). Every other pin's halvings keep their
+cliques, and their phase 1 runs no round and charges no recolouring, sort
+or square-root work.
 """
 
 import dataclasses
@@ -120,8 +125,9 @@ def run_hitting_phase1():
     """60 watchers, each of 90 candidates spread over 12 000 at level 12:
     a watcher's bucket of 45 candidates spans about half the ids, so the
     first halving's cost graph has more nodes and a larger bandwidth than
-    its phase-1 field holds, and its defective colouring runs a budgeted
-    kernel round that finds conflict roots (word_sort)."""
+    its phase-1 field holds, so it expands its cliques into pair terms and
+    its defective colouring runs budgeted kernel rounds that find conflict
+    roots (word_sort)."""
     rng = np.random.default_rng(37)
     n_watch, deg, n_cand, level = 60, 90, 12_000, 12
     inst = BipartiteInstance(
@@ -180,13 +186,13 @@ RUNS = {
 }
 
 PINS = {
-    "hitting_high": ("f57ae1d2994078ab", {'half_sample': 37112, 'high_regime_round': 3329, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 103246}),
-    "hitting_both": ("754bce251dbc87b2", {'half_sample': 98561, 'high_regime_round': 9107, 'hitting_finalize': 2408, 'local_round': 233014, 'low_regime_round': 2725}),
-    "hitting_phase1": ("2319000d32df0568", {'defective_phase1': 182016, 'half_sample': 240522, 'high_regime_round': 93858, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 644964, 'recolor_slots': 201864, 'sqrt_tables': 7393, 'word_sort': 3100}),
-    "core_aux": ("dbe5e7118cc0bf20", {'core_mis_finalize': 3640, 'half_sample': 42592, 'local_round': 118736, 'mis_high_round': 4832, 'mis_high_skip': 13}),
-    "core_no_aux": ("47d12711a6e20043", {'core_mis_finalize': 1416, 'half_sample': 24960, 'local_round': 70516, 'mis_high_round': 2608, 'mis_high_skip': 13}),
-    "core_tall": ("d37e838b9a18960b", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 22741, 'local_round': 57717, 'mis_high_round': 2990, 'mis_low_round': 1385}),
-    "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 681776, 'core_mis_finalize': 234683, 'half_sample': 1306516, 'independentish': 341519, 'local_round': 1550708, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),
+    "hitting_high": ("c373aaed142597f3", {'half_sample': 3080, 'high_regime_round': 3325, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 6160}),
+    "hitting_both": ("12a26215af8dff4e", {'half_sample': 10304, 'high_regime_round': 8443, 'hitting_finalize': 2408, 'local_round': 20608, 'low_regime_round': 2713}),
+    "hitting_phase1": ("c517e891f6f56354", {'defective_phase1': 233024, 'half_sample': 82003, 'high_regime_round': 90528, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 277863, 'recolor_slots': 252496, 'sqrt_tables': 7393, 'word_sort': 4212}),
+"core_aux": ("1ac6585900ac4be8", {'core_mis_finalize': 3640, 'half_sample': 4792, 'local_round': 11376, 'mis_high_round': 4832, 'mis_high_skip': 13}),
+    "core_no_aux": ("5d1e9f84d960bfbc", {'core_mis_finalize': 1416, 'half_sample': 2280, 'local_round': 4560, 'mis_high_round': 2608, 'mis_high_skip': 13}),
+    "core_tall": ("f9e850c2477dfb68", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 5567, 'local_round': 12651, 'mis_high_round': 3032, 'mis_low_round': 1383}),
+    "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 681776, 'core_mis_finalize': 234683, 'half_sample': 175351, 'independentish': 341519, 'local_round': 471588, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),
     "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'match_compact': 15985, 'match_conflicts': 211716, 'match_extract': 13967, 'match_sweep': 21982, 'recolor_slots': 437399, 'sqrt_tables': 215, 'word_sort': 618980}),
 }
 

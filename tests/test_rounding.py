@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import dpar.rounding
 from dpar.graph import sort_edges_to_csr
 from dpar.rounding import (
+    CliqueGroup,
     CutResult,
     RoundingInstance,
     evaluate_objective,
@@ -188,6 +189,32 @@ def test_banded_costs_round_over_the_layout_classes(seed, eps_idx, band):
     assert res.num_classes == min(n, w + 1)
     assert res.lost_cost == 0.0
     assert res.bound == pytest.approx(0.5 * utils.sum() - (0.25 + eps) * cc.sum())
+    assert res.objective == evaluate_objective(inst, res.in_set) >= res.bound
+
+
+def test_spread_cliques_expand_and_run_phase1_rounds(monkeypatch):
+    # buckets whose members spread over 3 000 ids, as the hitting_phase1 pin
+    # lays them out: the 3 000 layout colors exceed phase 1's field (173 at
+    # eps 0.25), so the cliques are expanded and phase 1 runs its rounds
+    rng = np.random.default_rng(11)
+    n, b, nb, eps = 3000, 12, 400, 0.25
+    members = np.concatenate([rng.choice(n, size=b, replace=False) for _ in range(nb)])
+    group = CliqueGroup(members, rng.random(nb) + 0.1, b)
+    utils = rng.normal(0.0, 1.0, size=n)
+    np.add.at(utils, members, np.repeat(group.coefs * (b - 1), b))
+    e = np.empty(0, dtype=np.int64)
+    inst = RoundingInstance(utils=utils, cost_i=e, cost_j=e, cost_c=np.empty(0), eps=eps, cliques=[group])
+    expansions = []
+    real_pairs = CliqueGroup.pairs
+    monkeypatch.setattr(CliqueGroup, "pairs", lambda g: expansions.append(g) or real_pairs(g))
+    with calls_to("strided_phase1") as phase1:
+        res = local_round(inst)
+    assert expansions == [group]
+    ((_, (_step, k, _alive, rounds)),) = phase1
+    assert rounds >= 1 and k == res.num_classes
+    cost_total = float(np.sum(group.coefs)) * b * (b - 1)
+    assert res.lost_cost <= eps / 2.0 * cost_total
+    assert res.bound == pytest.approx(0.5 * utils.sum() - (0.25 + eps) * cost_total)
     assert res.objective == evaluate_objective(inst, res.in_set) >= res.bound
 
 
