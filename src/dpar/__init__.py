@@ -37,12 +37,13 @@ from .mis import (
     maximal_independent_set,
 )
 from .ntheory import NumberTheoryTables, precompute_tables, prime_in_range
-from .rounding import CutResult, RoundingInstance, local_round, max_cut_half
+from .rounding import CliqueGroup, CutResult, RoundingInstance, local_round, max_cut_half
 from .sorting import prefix_sum
 from .workcount import WorkCounter
 
 __all__ = [
     "BipartiteInstance",
+    "CliqueGroup",
     "Coloring",
     "CutResult",
     "EdgeBucketing",
