@@ -218,9 +218,8 @@ def clique_instance(rng, n: int, eps: float, aux: bool) -> RoundingInstance:
     for _ in range(int(rng.integers(1, 4))):
         b = int(rng.integers(2, min(n, 8) + 1))
         nb = int(rng.integers(0, 7))
-        members = np.concatenate(
-            [rng.choice(n, size=b, replace=False) for _ in range(nb)] + [np.empty(0, dtype=np.int64)]
-        )
+        rows = [rng.choice(n, size=b, replace=False) for _ in range(nb)]
+        members = np.concatenate(rows + [np.empty(0, dtype=np.int64)])
         groups.append(CliqueGroup(members, rng.integers(0, 16, size=nb) / 8.0, b))
     m = int(rng.integers(0, 3 * n)) if aux else 0
     ci, cj = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
@@ -235,7 +234,12 @@ def clique_instance(rng, n: int, eps: float, aux: bool) -> RoundingInstance:
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 100_000), n=st.integers(2, 40), eps_idx=st.integers(1, 3), aux=st.booleans())
+@given(
+    seed=st.integers(0, 100_000),
+    n=st.integers(2, 40),
+    eps_idx=st.integers(1, 3),
+    aux=st.booleans(),
+)
 def test_clique_tallies_round_like_the_expanded_pairs(seed, n, eps_idx, aux):
     """local_round on bucket cliques against the same instance with every
     clique expanded into its pair terms, and against the class-by-class

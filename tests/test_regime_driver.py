@@ -189,7 +189,7 @@ PINS = {
     "hitting_high": ("c373aaed142597f3", {'half_sample': 3080, 'high_regime_round': 3325, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 6160}),
     "hitting_both": ("12a26215af8dff4e", {'half_sample': 10304, 'high_regime_round': 8443, 'hitting_finalize': 2408, 'local_round': 20608, 'low_regime_round': 2713}),
     "hitting_phase1": ("c517e891f6f56354", {'defective_phase1': 233024, 'half_sample': 82003, 'high_regime_round': 90528, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 277863, 'recolor_slots': 252496, 'sqrt_tables': 7393, 'word_sort': 4212}),
-"core_aux": ("1ac6585900ac4be8", {'core_mis_finalize': 3640, 'half_sample': 4792, 'local_round': 11376, 'mis_high_round': 4832, 'mis_high_skip': 13}),
+    "core_aux": ("1ac6585900ac4be8", {'core_mis_finalize': 3640, 'half_sample': 4792, 'local_round': 11376, 'mis_high_round': 4832, 'mis_high_skip': 13}),
     "core_no_aux": ("5d1e9f84d960bfbc", {'core_mis_finalize': 1416, 'half_sample': 2280, 'local_round': 4560, 'mis_high_round': 2608, 'mis_high_skip': 13}),
     "core_tall": ("f9e850c2477dfb68", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 5567, 'local_round': 12651, 'mis_high_round': 3032, 'mis_low_round': 1383}),
     "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 681776, 'core_mis_finalize': 234683, 'half_sample': 175351, 'independentish': 341519, 'local_round': 471588, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),

@@ -203,7 +203,7 @@ def test_spread_cliques_expand_and_run_phase1_rounds(monkeypatch):
     utils = rng.normal(0.0, 1.0, size=n)
     np.add.at(utils, members, np.repeat(group.coefs * (b - 1), b))
     e = np.empty(0, dtype=np.int64)
-    inst = RoundingInstance(utils=utils, cost_i=e, cost_j=e, cost_c=np.empty(0), eps=eps, cliques=[group])
+    inst = RoundingInstance(utils, cost_i=e, cost_j=e, cost_c=np.empty(0), eps=eps, cliques=[group])
     expansions = []
     real_pairs = CliqueGroup.pairs
     monkeypatch.setattr(CliqueGroup, "pairs", lambda g: expansions.append(g) or real_pairs(g))
