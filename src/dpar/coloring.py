@@ -29,6 +29,20 @@ stops after the first shrinking round whose field is set by the degree
 rather than by the palette, since a further round could not improve its
 O(delta^2) bound.
 
+color_delta_squared also takes the conflicts of k edges as their endpoint
+cliques (EdgeCliques: edge i lies in the cliques of its two endpoints),
+which is how the matching colours its selected edges. Its proper rounds
+then solve nothing and build no line graph. Two polynomials of distinct
+colors collide at x exactly when their values there agree, so a round
+walks the points x = 0, 1, ... in steps (_clique_round): a step tallies
+f(x) per (clique, value) over the members of every clique that still
+holds an undecided node, and each undecided node whose value is alone in
+both its cliques, with x below its domain, takes x. That is the smallest
+point no neighbour hits, the point a round on the line graph takes, so
+the colors are the same. A step touches at most the 2k memberships, not
+the line graph's sum of deg^2 slots; most nodes take one of the first
+few points, and the steps stop at the largest domain.
+
 No round runs on a palette that the field already holds (k <= p): every
 color is then a constant polynomial, so two nodes of different colors
 have no common point, every node takes x = 0 and keeps its color.
@@ -89,6 +103,7 @@ class Coloring:
     mono_weight: float = 0.0
     phase1_rounds: int = 0  # defective_coloring: polynomial rounds phase 1 ran
     steps: int = 0  # defective_coloring: phase-2 batches, run one after another
+    point_steps: int = 0  # color_delta_squared on EdgeCliques: point steps its rounds took
 
 
 def _poly_coeffs(q: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,6 +206,17 @@ def _compact_colors(colors: np.ndarray) -> tuple[np.ndarray, int]:
     return dense.astype(np.int64), len(used)
 
 
+def _round_field(tables: NumberTheoryTables, k: int, kprime: int) -> int:
+    """The prime p >= kprime of a round on k colors, checked to keep its
+    products exact and to hold the palette as polynomials (k <= p^3)."""
+    p = prime_in_range(tables, kprime)
+    if p >= MAX_FIELD:
+        raise ValueError("instance too large: prime field exceeds exact-arithmetic range")
+    if k > p**3:
+        raise RuntimeError("palette does not fit the field; k' selection broken")
+    return p
+
+
 def _kernel_round(
     n: int,
     colors: np.ndarray,
@@ -215,11 +241,7 @@ def _kernel_round(
     and hits both ends. Otherwise every slot is solved and hits its owner.
     Returns the new colors (compacted later by the caller).
     """
-    p = prime_in_range(tables, kprime)
-    if p >= MAX_FIELD:
-        raise ValueError("instance too large: prime field exceeds exact-arithmetic range")
-    if k > p**3:
-        raise RuntimeError("palette does not fit the field; k' selection broken")
+    p = _round_field(tables, k, kprime)
     sqrt_tab = tables.sqrt_table(p, work)
     inv_tab = tables.inv_table(p)
     a_all, b_all, c_all = _poly_coeffs(colors, p)
@@ -277,6 +299,67 @@ def _kernel_round(
     return new_colors
 
 
+def _clique_round(
+    ends: np.ndarray,
+    n_ends: int,
+    colors: np.ndarray,
+    k: int,
+    kprime: int,
+    tables: NumberTheoryTables,
+    domain: np.ndarray,
+    work: WorkCounter | None,
+) -> tuple[np.ndarray, int]:
+    """One proper recoloring round on endpoint cliques, in point steps.
+
+    Node i (of m = len(colors)) belongs to the cliques of ends[i] and
+    ends[m + i], and ends has values in [0, n_ends). A proper round gives
+    each node the smallest x in its domain at which its polynomial value
+    differs from that of every neighbour, the point _kernel_round finds by
+    solving each conflict for its roots. On a union of cliques the test is
+    a tally: step x = 0, 1, ... counts f(x) per (clique, value) over the
+    members of every clique that still holds an undecided node, and each
+    undecided node whose value is alone in both its cliques, with x below
+    its domain, takes x. Returns (new colors, steps taken); raises if a
+    node is still undecided at the largest domain.
+    """
+    p = _round_field(tables, k, kprime)
+    m = len(colors)
+    a_all, b_all, c_all = _poly_coeffs(colors, p)
+    x_star = np.zeros(m, dtype=np.int64)
+    pending = np.arange(m, dtype=np.int64)
+    # the live memberships: their clique and node
+    live_end, live_node = ends, np.arange(2 * m, dtype=np.int64) % m
+    clash = np.zeros(m, dtype=bool)
+    open_end = np.zeros(n_ends, dtype=bool)
+    steps = 0
+    for x in range(int(domain.max()) if m else 0):
+        steps += 1
+        vals = _eval_poly(a_all[live_node], b_all[live_node], c_all[live_node], x, p)
+        key = live_end * p + vals
+        charge(work, "recolor_slots", len(key))
+        order = stable_order_u64(key, work)
+        first = first_of_runs(key[order])
+        alone = first.copy()
+        alone[:-1] &= first[1:]  # a run of one membership
+        shared = live_node[order[~alone]]
+        clash[shared] = True
+        free = ~clash[pending] & (x < domain[pending])
+        clash[shared] = False
+        x_star[pending[free]] = x
+        pending = pending[~free]
+        if len(pending) == 0:
+            break
+        # keep the members of the cliques that still hold an undecided node
+        touched = np.concatenate([ends[pending], ends[m + pending]])
+        open_end[touched] = True
+        keep = open_end[live_end]
+        open_end[touched] = False
+        live_end, live_node = live_end[keep], live_node[keep]
+    if len(pending):
+        raise RuntimeError("no admissible point for some node; invariant broken")
+    return x_star * p + _eval_poly(a_all, b_all, c_all, x_star, p), steps
+
+
 def _round_prime(tables: NumberTheoryTables, k: int, spread: int) -> tuple[int, int]:
     """(kprime, p) of a recoloring round on k colors whose point domains
     reach up to spread."""
@@ -297,12 +380,80 @@ def tables_limit_for(n: int, delta: int, inv_eps: int = 1) -> int:
     return 2 * kprime + 2
 
 
+@dataclass(frozen=True)
+class EdgeCliques:
+    """The conflicts of k distinct edges (e_u[i], e_v[i]) of a simple graph
+    on nodes 0..n-1, as one clique per node: edge i conflicts with every
+    other edge at e_u[i] or at e_v[i]. Two distinct edges share at most one
+    endpoint, so this is the line graph on the k edges, with conflict
+    degrees deg(u) + deg(v) - 2, held as 2k memberships instead of its
+    sum of deg^2 slots."""
+
+    e_u: np.ndarray
+    e_v: np.ndarray
+    n: int
+
+
+class _SlotConflicts:
+    """The conflict slots of a graph, out-slots only under an orientation;
+    its rounds solve every conflict for its roots (_kernel_round)."""
+
+    point_steps = 0
+
+    def __init__(self, g: Graph, orientation: np.ndarray | None) -> None:
+        self.n = g.n
+        self.src, self.dst = _conflict_slots(g, orientation)
+        self.symmetric = orientation is None
+        self.cdeg = np.bincount(self.src, minlength=g.n).astype(np.int64)
+
+    def recolor(self, colors, k, kprime, tables, domain, work) -> np.ndarray:
+        return _kernel_round(
+            self.n, colors, k, kprime, tables, self.src, self.dst, None, domain, None,
+            self.symmetric, work,
+        )
+
+    def monochromatic(self, colors: np.ndarray, k: int) -> bool:
+        return bool(np.any(colors[self.src] == colors[self.dst]))
+
+
+class _CliqueConflicts:
+    """The endpoint cliques of an EdgeCliques; its rounds tally values at
+    point steps (_clique_round) and count the steps they take."""
+
+    def __init__(self, cl: EdgeCliques) -> None:
+        self.n = len(cl.e_u)
+        self.n_ends = cl.n
+        self.ends = np.concatenate([cl.e_u, cl.e_v]).astype(np.int64)
+        deg = np.bincount(self.ends, minlength=cl.n)
+        self.cdeg = (deg[cl.e_u] + deg[cl.e_v] - 2).astype(np.int64)
+        self.point_steps = 0
+
+    def recolor(self, colors, k, kprime, tables, domain, work) -> np.ndarray:
+        new_colors, steps = _clique_round(
+            self.ends, self.n_ends, colors, k, kprime, tables, domain, work
+        )
+        self.point_steps += steps
+        return new_colors
+
+    def monochromatic(self, colors: np.ndarray, k: int) -> bool:
+        """Whether some clique holds one of the k colors twice."""
+        if self.n_ends * k >= 1 << 63:
+            raise ValueError("instance too large: clique color keys exceed int64")
+        key = np.sort(self.ends * k + np.concatenate([colors, colors]))
+        return bool(np.any(key[1:] == key[:-1]))
+
+
 def color_delta_squared(
-    g: Graph,
+    g: Graph | EdgeCliques,
     orientation: np.ndarray | None = None,
     work: WorkCounter | None = None,
 ) -> Coloring:
     """Proper coloring with a palette polynomial in the max conflict degree.
+
+    g is a conflict graph, or the endpoint cliques of a set of edges (see
+    EdgeCliques), whose rounds run in point steps (_clique_round) and reach
+    the colors that rounds on its line graph reach, with no line graph and
+    no root solves; the result records those steps.
 
     Starts from node ids and runs proper recoloring rounds, keeping a round
     only if it shrinks the palette and returning at the first round that
@@ -313,33 +464,35 @@ def color_delta_squared(
     ceil(k^(1/3)) <= 3*delta on a palette of k colors, is the last one:
     it leaves at most p * max(domain) colors, O(delta^2), and a later
     round would use the same field and domains, so it could not improve
-    that bound. With an orientation, conflicts are out-edges only; the
-    result still has no monochromatic edge in either mode.
+    that bound. With an orientation (graphs only), conflicts are out-edges
+    only; the result still has no monochromatic edge in either mode.
     """
-    src, dst = _conflict_slots(g, orientation)
-    cdeg = np.bincount(src, minlength=g.n).astype(np.int64)
-    delta = int(cdeg.max()) if g.n and len(src) else 0
-    tables = precompute_tables(tables_limit_for(g.n, delta))
-    colors, k = np.arange(g.n, dtype=np.int64), g.n
+    if isinstance(g, EdgeCliques):
+        if orientation is not None:
+            raise ValueError("endpoint cliques take no orientation")
+        conflicts: _SlotConflicts | _CliqueConflicts = _CliqueConflicts(g)
+    else:
+        conflicts = _SlotConflicts(g, orientation)
+    n, cdeg = conflicts.n, conflicts.cdeg
+    delta = int(cdeg.max()) if n else 0
+    tables = precompute_tables(tables_limit_for(n, delta))
+    colors, k = np.arange(n, dtype=np.int64), n
     while True:
         kprime, p = _round_prime(tables, k, 3 * delta)
         if k <= p:
             break
         degree_bound = math.ceil(k ** (1.0 / 3.0)) <= 3 * delta
         domain = np.minimum(np.maximum(3 * cdeg, 1), p)
-        new_colors = _kernel_round(
-            g.n, colors, k, kprime, tables, src, dst, None, domain, None,
-            orientation is None, work,
-        )
-        if len(src) and np.any(new_colors[src] == new_colors[dst]):
-            raise RuntimeError("recoloring produced a monochromatic conflict edge")
+        new_colors = conflicts.recolor(colors, k, kprime, tables, domain, work)
         new_colors, used = _compact_colors(new_colors)
+        if conflicts.monochromatic(new_colors, used):
+            raise RuntimeError("recoloring produced a monochromatic conflict edge")
         if used >= k:
             break
         colors, k = new_colors, used
         if degree_bound:
             break
-    return Coloring(colors=colors, num_colors=k)
+    return Coloring(colors=colors, num_colors=k, point_steps=conflicts.point_steps)
 
 
 @dataclass

@@ -7,6 +7,15 @@ node carries probability mass a few units wide), the hitting machinery
 selects a sparse certified edge set, and a proper coloring of the
 selected edges' conflicts turns that set into a matching. Matched nodes
 leave, dropping the stage, and the sweeps continue until no edge is live.
+
+The conflicts are colored from the selected edges' endpoint cliques (each
+node's incident edges form one clique), in point steps that touch the 2k
+memberships of the k edges rather than the sum of deg^2 slots of their
+line graph; the colors equal those of the line graph's coloring (see
+coloring.EdgeCliques). _line_graph stays as the reference the tests
+compare against. Each sweep's report gives the color classes its
+extraction sweeps one after another (conflict_colors) and the point steps
+of its coloring (point_steps).
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import color_delta_squared
+from .coloring import EdgeCliques, color_delta_squared
 from .graph import Graph, sort_edges_to_csr  # noqa: F401  (importable here for tools that trace it)
 from .hitting import BipartiteInstance, ParamSet, _renumber, hitting_set
 from .verify import check_maximal_matching, require
@@ -64,21 +73,23 @@ def _extract_matching(
     e_v: np.ndarray,
     n: int,
     work: WorkCounter | None,
-) -> np.ndarray:
-    """Maximal (greedy) sub-matching of the given edge set, as a bool mask.
+) -> tuple[np.ndarray, int, int]:
+    """Maximal (greedy) sub-matching of the given edge set, as a bool mask,
+    with the color classes it sweeps and the point steps of its coloring.
 
-    Builds the conflict graph (edges sharing an endpoint), colors it, and
-    sweeps color classes in order, taking every edge whose endpoints are
-    still free. Within a class no two edges conflict, so the sweep is a
-    sequence of parallel steps."""
+    Colors the conflicts (edges sharing an endpoint) from their endpoint
+    cliques, with no line graph (see coloring.EdgeCliques), and sweeps the
+    color classes in order, taking every edge whose endpoints are still
+    free. Within a class no two edges conflict, so the sweep is one
+    parallel step per class. Edges that share no endpoint are all taken in
+    one step."""
     k = len(e_u)
     if k == 0:
-        return np.zeros(0, dtype=bool)
-    cg = _line_graph(e_u, e_v, n)
-    if cg.m == 0:
-        return np.ones(k, dtype=bool)
-    charge(work, "match_conflicts", cg.m)
-    col = color_delta_squared(cg, work=work)
+        return np.zeros(0, dtype=bool), 0, 0
+    if (np.bincount(e_u, minlength=n) + np.bincount(e_v, minlength=n)).max() <= 1:
+        return np.ones(k, dtype=bool), 1, 0
+    charge(work, "match_conflicts", 2 * k)
+    col = color_delta_squared(EdgeCliques(e_u, e_v, n), work=work)
 
     chosen = np.zeros(k, dtype=bool)
     used = np.zeros(n, dtype=bool)
@@ -93,7 +104,7 @@ def _extract_matching(
         used[e_u[take]] = True
         used[e_v[take]] = True
         charge(work, "match_extract", len(members))
-    return chosen
+    return chosen, col.num_colors, col.point_steps
 
 
 def maximal_matching(
@@ -149,7 +160,7 @@ def maximal_matching(
         if len(cand_edges) == 0:
             # certified selection came back empty; advance by one edge
             cand_edges = edge_ids[:1]
-        taken = _extract_matching(e_u[cand_edges], e_v[cand_edges], g.n, work)
+        taken, classes, steps = _extract_matching(e_u[cand_edges], e_v[cand_edges], g.n, work)
         mu, mv = e_u[cand_edges[taken]], e_v[cand_edges[taken]]
         match_with[mu] = mv
         match_with[mv] = mu
@@ -165,6 +176,8 @@ def maximal_matching(
                 "incident_edges": int(len(edge_ids)),
                 "selected_edges": int(len(cand_edges)),
                 "matched": int(len(mu)),
+                "conflict_colors": classes,
+                "point_steps": steps,
                 "live_edges": int(alive.sum()),
                 "hit_constant": sel.hit_constant,
                 "good_importance_fraction": sel.good_importance_fraction,

@@ -1,11 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpar.coloring
 from dpar.coloring import (
+    EdgeCliques,
+    _clique_round,
     _compact_colors,
     _conflict_roots,
     _defective_phase1,
@@ -380,6 +384,170 @@ def test_degree_bound_field_runs_one_round():
     assert col.num_colors < g.n
     p = prime_in_range(precompute_tables(tables_limit_for(g.n, delta)), 3 * delta)
     assert col.num_colors <= p * min(3 * delta, p)
+
+
+# --- endpoint cliques ------------------------------------------------------
+
+def edge_set(rng, shape, size):
+    """(e_u, e_v, n): distinct edges of a simple graph of the given shape,
+    on randomly relabelled nodes, in random order, either endpoint first."""
+    if shape == "random":
+        n = size
+        iu, ju = np.triu_indices(n, k=1)
+        pick = rng.permutation(len(iu))[: rng.integers(1, len(iu) + 1)]
+        e_u, e_v = iu[pick], ju[pick]
+    elif shape == "star":
+        n = size + 1
+        e_u, e_v = np.zeros(size, dtype=np.int64), np.arange(1, n)
+    elif shape == "complete":
+        n = size
+        e_u, e_v = np.triu_indices(n, k=1)
+    else:  # path or cycle
+        n = size
+        e_u, e_v = np.arange(n - 1), np.arange(1, n)
+        if shape == "cycle":
+            e_u, e_v = np.append(e_u, n - 1), np.append(e_v, 0)
+    label = rng.permutation(n)
+    order = rng.permutation(len(e_u))
+    e_u, e_v = label[e_u[order]], label[e_v[order]]
+    flip = rng.random(len(e_u)) < 0.5
+    return np.where(flip, e_v, e_u), np.where(flip, e_u, e_v), n
+
+
+def naive_clique_round(e_u, e_v, colors, p, domain):
+    """Point steps by Python loops: (new colors, steps, memberships tallied)."""
+    a, b, c = (d.tolist() for d in _poly_coeffs(colors, p))
+    m = len(colors)
+    x_star = [-1] * m
+    x = tallied = 0
+    while -1 in x_star:
+        assert x < domain.max()
+        pending = [i for i in range(m) if x_star[i] < 0]
+        open_ends = {int(e[i]) for i in pending for e in (e_u, e_v)}
+        vals = [(a[i] * x * x + b[i] * x + c[i]) % p for i in range(m)]
+        members = [(int(e[i]), vals[i]) for i in range(m) for e in (e_u, e_v)]
+        tally = Counter(mem for mem in members if mem[0] in open_ends)
+        tallied += sum(tally.values())
+        for i in pending:
+            alone = tally[(int(e_u[i]), vals[i])] == tally[(int(e_v[i]), vals[i])] == 1
+            if x < domain[i] and alone:
+                x_star[i] = x
+        x += 1
+    new = [xi * p + (a[i] * xi * xi + b[i] * xi + c[i]) % p for i, xi in enumerate(x_star)]
+    return np.array(new, dtype=np.int64), x, tallied
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), palette_mult=st.integers(1, 60))
+def test_clique_round_matches_the_kernel_round_on_the_line_graph(seed, n, palette_mult):
+    """One round in point steps picks, for every node and domain with a free
+    point, the point that solving the line graph's conflicts picks; its
+    charges are the memberships tallied at each step, sorted as int64."""
+    rng = np.random.default_rng(seed)
+    e_u, e_v, n = edge_set(rng, "random", n)
+    lg = _line_graph(e_u, e_v, n)
+    m, cdeg = lg.n, lg.degrees()
+    delta = int(cdeg.max())
+    k = m * palette_mult
+    colors = rng.choice(k, size=m, replace=False).astype(np.int64)  # proper: all distinct
+    tables = precompute_tables(tables_limit_for(k, delta))
+    kprime = max(math.ceil(k ** (1.0 / 3.0)), 3 * delta, 3)
+    p = prime_in_range(tables, kprime)
+    # each neighbour rules out at most 2 points, so 2 * cdeg + 1 leaves one free
+    domain = rng.integers(np.minimum(2 * cdeg + 1, p), p + 1)
+    want = _kernel_round(
+        m, colors, k, kprime, tables, lg.slot_owners(), lg.nbrs, None, domain, None, True, None
+    )
+    work = WorkCounter()
+    ends = np.concatenate([e_u, e_v])
+    got, steps = _clique_round(ends, n, colors, k, kprime, tables, domain, work)
+    assert np.array_equal(got, want)
+    ref, ref_steps, tallied = naive_clique_round(e_u, e_v, colors, p, domain)
+    assert np.array_equal(got, ref) and steps == ref_steps
+    assert work.snapshot() == {"recolor_slots": tallied, "word_sort": 4 * tallied}
+
+
+def test_clique_round_raises_past_the_largest_domain():
+    """Three edges at node 0 with colors 0, p, 2p have the value 0 at x = 0
+    and distinct values at x = 1; with domain 1 no edge has a free point, so
+    both round kernels raise instead of reaching past the domain."""
+    e_u, e_v = np.zeros(3, dtype=np.int64), np.arange(1, 4)
+    tables = precompute_tables(64)
+    p = prime_in_range(tables, 3)
+    colors = np.array([0, p, 2 * p], dtype=np.int64)
+    ends, lg = np.concatenate([e_u, e_v]), _line_graph(e_u, e_v, 4)
+    src, dst = lg.slot_owners(), lg.nbrs
+    for domain in (np.ones(3, dtype=np.int64), np.array([1, 1, 2])):
+        with pytest.raises(RuntimeError, match="no admissible point"):
+            _clique_round(ends, 4, colors, 3 * p, 3, tables, domain, None)
+        with pytest.raises(RuntimeError, match="no admissible point"):
+            _kernel_round(3, colors, 3 * p, 3, tables, src, dst, None, domain, None, True, None)
+    got, steps = _clique_round(ends, 4, colors, 3 * p, 3, tables, np.full(3, 2), None)
+    assert got.tolist() == [p, p + 1, p + 2] and steps == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["random", "star", "complete", "path", "cycle"]),
+    size=st.integers(1, 400),
+)
+def test_clique_colouring_matches_the_line_graph_colouring(seed, shape, size):
+    """color_delta_squared on endpoint cliques gives, byte for byte, the
+    colors and palette of color_delta_squared on their line graph: random
+    simple graphs, stars, complete graphs, and paths and cycles of up to
+    20 000 edges, whose first field is set by the palette."""
+    sizes = {"random": 2 + size % 39, "star": size, "complete": 2 + size % 29}
+    size = sizes.get(shape, 3 + 50 * size)  # paths and cycles
+    e_u, e_v, n = edge_set(np.random.default_rng(seed), shape, size)
+    want = color_delta_squared(_line_graph(e_u, e_v, n))
+    got = color_delta_squared(EdgeCliques(e_u, e_v, n))
+    assert got.colors.dtype == want.colors.dtype
+    assert got.colors.tobytes() == want.colors.tobytes()
+    assert got.num_colors == want.num_colors
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle"])
+def test_long_paths_and_cycles_run_two_clique_rounds(monkeypatch, shape):
+    """On 20 000 edges of conflict degree <= 2 the first field is set by the
+    palette (ceil(k^(1/3)) > 3 * delta), so a second round runs, and the
+    colors still equal those of the line graph."""
+    e_u, e_v, n = edge_set(np.random.default_rng(5), shape, 20_000)
+    rounds = []
+    real = dpar.coloring._clique_round
+
+    def counted(*args):
+        new, steps = real(*args)
+        rounds.append(steps)
+        return new, steps
+
+    monkeypatch.setattr(dpar.coloring, "_clique_round", counted)
+    assert math.ceil(len(e_u) ** (1.0 / 3.0)) > 3 * 2
+    got = color_delta_squared(EdgeCliques(e_u, e_v, n))
+    assert len(rounds) == 2 and got.point_steps == sum(rounds)
+    want = color_delta_squared(_line_graph(e_u, e_v, n))
+    assert got.colors.tobytes() == want.colors.tobytes() and got.num_colors == want.num_colors
+
+
+def test_clique_colouring_rejects_a_repeated_colour_at_an_endpoint(monkeypatch):
+    """A round that gives edges 0 = (0, 1) and 1 = (1, 2) of a path one
+    color is caught by the per-round check on every clique."""
+    real = dpar.coloring._clique_round
+
+    def corrupted(*args):
+        new, steps = real(*args)
+        new[1] = new[0]
+        return new, steps
+
+    monkeypatch.setattr(dpar.coloring, "_clique_round", corrupted)
+    with pytest.raises(RuntimeError, match="monochromatic"):
+        color_delta_squared(EdgeCliques(np.arange(500), np.arange(1, 501), 501))
+
+
+def test_endpoint_cliques_take_no_orientation():
+    cl = EdgeCliques(np.array([0]), np.array([1]), 2)
+    with pytest.raises(ValueError, match="orientation"):
+        color_delta_squared(cl, orientation=np.ones(2, dtype=bool))
 
 
 # --- defective coloring ----------------------------------------------------

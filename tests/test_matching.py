@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from dpar.generate import complete_graph, gnm_graph, star_graph
 from dpar.graph import Graph, sort_edges_to_csr
-from dpar.matching import _line_graph, maximal_matching
+from dpar.matching import _extract_matching, _line_graph, maximal_matching
 from dpar.verify import check_maximal_matching
+from dpar.workcount import WorkCounter
 
 
 def path_graph(n):
@@ -117,7 +118,49 @@ def test_output_certificate_raises_with_the_oracle_details(monkeypatch):
     # taking every selected edge of a star matches all leaves to the center
     monkeypatch.setattr(
         "dpar.matching._extract_matching",
-        lambda e_u, e_v, n, work: np.ones(len(e_u), dtype=bool),
+        lambda e_u, e_v, n, work: (np.ones(len(e_u), dtype=bool), 1, 0),
     )
     with pytest.raises(RuntimeError, match="not a maximal matching.*'symmetric': False"):
         maximal_matching(star_graph(4))
+
+
+# --- conflict colouring on endpoint cliques -----------------------------------------
+
+
+def test_matching_builds_no_line_graph_and_solves_no_roots(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the matching reached a line-graph kernel")
+
+    monkeypatch.setattr("dpar.matching._line_graph", refuse)
+    monkeypatch.setattr("dpar.coloring._kernel_round", refuse)
+    g = gnm_graph(400, 3200, seed=32)
+    res = maximal_matching(g)
+    assert check_maximal_matching(g, res.match_with)[0]
+    assert any(it["conflict_colors"] > 1 and it["point_steps"] >= 1 for it in res.iterations)
+    assert "sqrt_tables" not in res.work.snapshot()
+
+
+def test_extraction_charges_endpoint_memberships():
+    """match_conflicts counts the 2k memberships of a star's k edges; the
+    sweep has one class per color and the colouring reports its steps."""
+    work = WorkCounter()
+    k = 40
+    star = np.zeros(k, dtype=np.int64), np.arange(1, k + 1)
+    chosen, classes, steps = _extract_matching(*star, k + 1, work)
+    assert chosen.sum() == 1
+    assert work.snapshot()["match_conflicts"] == 2 * k
+    assert classes == k and steps == 0  # k colors fit the first field: no round runs
+    e_u, e_v = np.arange(300), np.arange(1, 301)  # a path: rounds run
+    chosen, classes, steps = _extract_matching(e_u, e_v, 301, work)
+    assert 1 < classes < 300 and steps >= 1
+    assert not np.any(chosen[1:] & chosen[:-1])
+
+
+def test_extraction_without_conflicts_takes_every_edge():
+    work = WorkCounter()
+    chosen, classes, steps = _extract_matching(np.array([0, 2, 4]), np.array([1, 3, 5]), 6, work)
+    assert chosen.tolist() == [True, True, True] and (classes, steps) == (1, 0)
+    empty = np.empty(0, dtype=np.int64)
+    chosen, classes, steps = _extract_matching(empty, empty, 3, work)
+    assert len(chosen) == 0 and (classes, steps) == (0, 0)
+    assert work.total == 0

@@ -4,10 +4,14 @@ The pinned digests and WorkCounter snapshots must keep matching exactly,
 sqrt_tables included: every defective colouring that runs a phase-1 round
 sieves and builds its own tables, so nothing is shared between rounds.
 
-The matching pin was recorded when color_delta_squared began stopping
-after the first shrinking round whose prime field is set by the degree;
-its conflict colourings run proper kernel rounds (recolor_slots). The
-other seven pins were re-recorded when the rounding began taking each
+The matching pin's digest was recorded when color_delta_squared began
+stopping after the first shrinking round whose prime field is set by the
+degree. Its snapshot was re-recorded, with the digest unchanged, when the
+conflict colourings began running on the selected edges' endpoint
+cliques instead of their line graph: match_conflicts counts the 2k
+endpoint memberships, recolor_slots the memberships tallied at each point
+step, word_sort those steps' sorts, and no round builds a square-root
+table. The other seven pins were re-recorded when the rounding began taking each
 bucket potential as a group of cliques, swept by per-bucket tallies,
 instead of as its b(b - 1)/2 pair terms per bucket: half_sample and
 local_round charge bucket memberships plus explicit terms, the round
@@ -193,7 +197,7 @@ PINS = {
     "core_no_aux": ("5d1e9f84d960bfbc", {'core_mis_finalize': 1416, 'half_sample': 2280, 'local_round': 4560, 'mis_high_round': 2608, 'mis_high_skip': 13}),
     "core_tall": ("f9e850c2477dfb68", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 5567, 'local_round': 12651, 'mis_high_round': 3032, 'mis_low_round': 1383}),
     "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 681776, 'core_mis_finalize': 234683, 'half_sample': 175351, 'independentish': 341519, 'local_round': 471588, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),
-    "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'match_compact': 15985, 'match_conflicts': 211716, 'match_extract': 13967, 'match_sweep': 21982, 'recolor_slots': 437399, 'sqrt_tables': 215, 'word_sort': 618980}),
+    "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'match_compact': 15985, 'match_conflicts': 27934, 'match_extract': 13967, 'match_sweep': 21982, 'recolor_slots': 57262, 'word_sort': 229048}),
 }
 
 
