@@ -89,7 +89,7 @@ import numpy as np
 
 from .graph import Graph
 from .ntheory import NumberTheoryTables, precompute_tables, prime_in_range
-from .sorting import first_of_runs, stable_order_u64
+from .sorting import first_of_runs, radix_order, stable_order_u64
 from .workcount import WorkCounter, charge
 
 MAX_FIELD = 1 << 23  # int64 stays exact for all modular products below this
@@ -502,11 +502,11 @@ class ClassSweep:
     The classes are swept in ascending order; a caller with another order
     passes each node's step in it as its class.
 
-    slot_order sorts the swept slots by (owner class, owner) and node_order
-    sorts the nodes by class, both stably; lower marks the sorted slots whose
-    head lies in a lower class than their owner. A batch is a maximal run of
-    consecutive classes in which no slot's head lies in a lower class of the
-    same run. A sweep whose decisions read only lower-class heads can
+    node_order sorts the nodes by class, stably, and positions is its
+    inverse, each node's position in it; slot_order sorts the swept slots
+    by their owner's position, stably. A batch is a maximal run of
+    consecutive classes in which no slot's head lies in a lower class of
+    the same run. A sweep whose decisions read only lower-class heads can
     therefore decide a whole batch at once and reach the same result as
     deciding one class at a time. batches has one row (slot_lo, slot_hi,
     node_lo, node_hi) per batch with members, as slices of the two sorted
@@ -515,7 +515,7 @@ class ClassSweep:
 
     slot_order: np.ndarray
     node_order: np.ndarray
-    lower: np.ndarray
+    positions: np.ndarray
     batches: np.ndarray  # int64, shape (number of batches, 4)
 
 
@@ -528,10 +528,11 @@ def class_sweep(
 ) -> ClassSweep:
     """Batches of dependency-free classes for sweeping the slots owners -> heads.
 
-    owners must be in ascending order, as the slot owners of a CSR graph
-    are, so that a stable sort by class alone orders the slots by (class,
-    owner). Classes below 2^16 sort as 16-bit keys, which numpy
-    radix-sorts.
+    The slots may come in any order: they are sorted by their owner's
+    position in node_order, that is by (class, owner). Both sorts are
+    radix sorts (sorting.radix_order), one pass per 16 bits of the
+    classes and of the positions. Slots whose head does not lie in a
+    lower class than their owner are swept but cut no batch.
 
     Each array in cliques holds one clique of nodes per row. Their edges
     cut the batches as slots would, but are not swept: the highest lower
@@ -539,15 +540,16 @@ def class_sweep(
     sorted by class, so each row stands for its b(b - 1) slots with b - 1
     links. The members of a row must lie in distinct classes.
     """
+    n = len(colors)
     head_class = colors[heads]
     key = colors[owners]
-    lower = head_class < key
-    head_class[~lower] = -1  # now the class of each lower-class head, else -1
+    head_class[head_class >= key] = -1  # now the class of each lower-class head, else -1
     slot_bounds = np.zeros(num_classes + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=num_classes), out=slot_bounds[1:])
-    kind = np.uint16 if num_classes <= 1 << 16 else np.int64
-    slot_order = stable_order_u64(key.astype(kind))
-    node_order = stable_order_u64(colors.astype(kind))
+    node_order = radix_order(colors, num_classes)
+    positions = np.empty(n, dtype=np.int64)
+    positions[node_order] = np.arange(n, dtype=np.int64)
+    slot_order = radix_order(positions[owners], n)
     node_bounds = np.zeros(num_classes + 1, dtype=np.int64)
     np.cumsum(np.bincount(colors, minlength=num_classes), out=node_bounds[1:])
     # per class, the highest class among its lower-class heads (-1 if none)
@@ -584,7 +586,7 @@ def class_sweep(
         [slot_cuts[:-1], slot_cuts[1:], node_cuts[:-1], node_cuts[1:]], axis=1
     )[has_members]
     return ClassSweep(
-        slot_order=slot_order, node_order=node_order, lower=lower[slot_order], batches=batches
+        slot_order=slot_order, node_order=node_order, positions=positions, batches=batches
     )
 
 

@@ -10,8 +10,9 @@ graph_from_directed_slots sorts the two directed copies into CSR.
 merged_pairs sums the pairs in a dense table of all n * n pair codes when
 there are at least that many pairs, and stably sorts the codes otherwise;
 both ways return the same bytes. sort_edges_to_csr validates an input edge
-list and takes that path; rounding.local_round takes it for its cost
-graphs. compact_subgraph restricts a graph to a node set.
+list and takes that path; rounding.local_round takes it only for the cost
+graphs on which defective phase 1 runs polynomial rounds.
+compact_subgraph restricts a graph to a node set.
 """
 
 from __future__ import annotations

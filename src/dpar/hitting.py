@@ -299,9 +299,10 @@ class QuadPotential(CliqueGroup):
 
     Apart from a linear part (utils), its rounding cost is the clique group
     it is: coef_B * c_B * (c_B - 1) on a set holding c_B members of bucket
-    B, so run_half hands it to the rounding as it is, and its b(b - 1)/2
-    pairs per bucket are expanded (pairs) only where defective phase 1 has
-    to run polynomial rounds.
+    B, so run_half hands it to the rounding as it is, folded with any other
+    potential over the same members, and its b(b - 1)/2 pairs per bucket
+    are expanded (pairs) only where defective phase 1 has to run
+    polynomial rounds.
     """
 
     name: str
@@ -371,8 +372,8 @@ class HalfResult:
     phi_total: float
     phi_bound: float
     cost_terms: int  # explicit pair terms the linear potentials emitted
-    cost_pairs: int  # distinct candidate pairs among them
-    clique_members: int  # bucket memberships of the quadratic potentials
+    cost_pairs: int  # explicit cost slots the rounding swept, one per term on the layout path
+    clique_members: int  # bucket memberships the rounding swept, shared buckets folded
     sweep_steps: int  # sequential class-sweep batches of the rounding
 
 
@@ -382,14 +383,23 @@ def run_half(
     """One derandomized halving of n_cand candidates against the potentials.
 
     Each potential supplies utils(n)/value(mask)/name. A quadratic bucket
-    potential (a CliqueGroup) goes to the rounding as its buckets; any
-    other potential (the linear edge terms) supplies pairs(), its explicit
-    cost terms.
+    potential (a CliqueGroup) goes to the rounding as its buckets, and
+    potentials over one members array with one b go as one group, their
+    coefficients summed; any other potential (the linear edge terms)
+    supplies pairs(), its explicit cost terms.
     """
     utils = np.zeros(n_cand, dtype=np.float64)
     for pot in potentials:
         utils += pot.utils(n_cand)
-    cliques = [pot for pot in potentials if isinstance(pot, CliqueGroup)]
+    folded: dict[tuple[int, int], CliqueGroup] = {}
+    for pot in potentials:
+        if isinstance(pot, CliqueGroup):
+            key = (id(pot.members), pot.b)
+            prev = folded.get(key)
+            if prev is not None:
+                pot = CliqueGroup(pot.members, prev.coefs + pot.coefs, pot.b)
+            folded[key] = pot
+    cliques = list(folded.values())
     parts = [pot.pairs() for pot in potentials if not isinstance(pot, CliqueGroup)]
     ci = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, dtype=np.int64)
     cj = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, dtype=np.int64)

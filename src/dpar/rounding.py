@@ -11,11 +11,7 @@ A bucket clique B of b members costs the same as a term 2 coef_B on each
 of its b(b - 1)/2 member pairs, but the rounding keeps it as a bucket: a
 halving's quadratic potentials hand their buckets over as they are
 (CliqueGroup: members, coefs, b), and only linear terms and max-cut's
-edges come as explicit terms. F depends on the explicit terms only
-through the summed cost per node pair, so local_round merges them into a
-simple weighted graph on the graph module's one path, graph.merged_pairs
-then graph_from_directed_slots, without sort_edges_to_csr's input checks,
-which RoundingInstance has already made.
+edges come as explicit terms.
 
 Including every node independently with probability 1/2 gives
 E[F] = util_total/2 - cost_total/4, where a bucket adds coef_B b(b - 1) to
@@ -30,28 +26,33 @@ lies on nearby ids, and phase 1 of defective coloring
 first round holds the w + 1 colors; the classes then need no graph and
 nothing is written off. Only when the palette exceeds the field does
 phase 1 run polynomial rounds (coloring.strided_phase1), which need every
-cost pair as a slot: only then are the cliques expanded into explicit
-terms (CliqueGroup.pairs), and the pairs a round turns monochromatic (at
-most eps/2 of the cost) are written off.
+cost pair as a slot of a simple graph: only then are the cliques expanded
+into explicit terms (CliqueGroup.pairs) and parallel terms merged into one
+pair (graph.merged_pairs then graph_from_directed_slots), and the pairs a
+round turns monochromatic (at most eps/2 of the cost) are written off.
 
 The classes are swept in phase 2's strided order, one batch of
 dependency-free classes at a time (coloring.class_sweep); a clique cuts
 the batches through each member's predecessor in step order, as its
-b(b - 1) slots would. A node's conditional score is its utility minus,
-per explicit pair, the cost if its partner is decided and joined or half
-the cost if the partner is undecided, minus, per bucket, 2 coef_B (joined_B
-+ (undecided_B - 1)/2), from the bucket's tallies of decided members in S
-and of undecided members, the node itself among them. No two members of a
-batch share a bucket, so each batch reads and then updates the tallies
-of its buckets with plain gathers and adds. A node joins S when its score
-is positive and stays out when it is negative, which never lowers the
-tracked expectation. A zero score ties the two choices, and the node
-joins only if none of its cost partners is decided after it, so that the
-tie is one of F itself rather than of an expectation over undecided
-partners. Bucket potentials make exact ties common: their utilities
-balance a member's cost against its undecided co-members, so every member
-decided before all of its co-members ties, and joining all of them would
-tip a halving above half. The output is certified against
+b(b - 1) slots would. Each explicit term, or each live pair after phase 1
+rounds, is one slot, from its endpoint with the later step to the earlier
+one; parallel terms stay separate slots, whose costs add. A node's
+conditional score is its utility minus the cost of each slot it owns
+whose head, decided, joined, minus half the cost of each slot it heads,
+whose owner is still undecided (one sum per node, fixed before the
+sweep), minus, per bucket, 2 coef_B (joined_B + (undecided_B - 1)/2),
+from the bucket's tallies of decided members in S and of undecided
+members, the node itself among them. No two members of a batch share a
+bucket, so each batch reads and then updates the tallies of its buckets
+with plain gathers and adds. A node joins S when its score is positive
+and stays out when it is negative, which never lowers the tracked
+expectation. A zero score ties the two choices, and the node joins only
+if none of its cost partners is decided after it, so that the tie is one
+of F itself rather than of an expectation over undecided partners. Bucket
+potentials make exact ties common: their utilities balance a member's
+cost against its undecided co-members, so every member decided before all
+of its co-members ties, and joining all of them would tip a halving above
+half. The output is certified against
 
     F(S) >= util_total/2 - cost_total/4 - eps * cost_total,
 
@@ -71,9 +72,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coloring import ClassSweep, bandwidth, class_sweep, strided_layout, strided_phase1
+from .coloring import bandwidth, class_sweep, strided_layout, strided_phase1
 from .coloring import defective_coloring  # noqa: F401  (importable here for tools that trace it)
 from .graph import Graph, graph_from_directed_slots, merged_pairs
+from .sorting import radix_order
 from .workcount import WorkCounter, charge
 
 SUM_TILE = 1 << 14  # tiled_sum's tile; it fixes the rounding of every sum below
@@ -177,16 +179,8 @@ class RoundingResult:
     lost_cost: float  # cost written off to monochromatic pairs
     scores: np.ndarray  # conditional score each node was decided on
     num_classes: int = 0
-    cost_pairs: int = 0  # distinct node pairs of the explicit cost graph swept
+    cost_pairs: int = 0  # explicit cost slots swept: one per term, or per live pair after phase 1
     sweep_steps: int = 0  # batches of the class sweep
-
-
-def _member_positions(sweep: ClassSweep, owners: np.ndarray) -> np.ndarray:
-    """Per sorted slot of the sweep over owners, its owner's position in
-    sweep.node_order. Both orders go by (class, node), so the slots come in
-    runs, one per node in node order."""
-    per_node = np.bincount(owners, minlength=len(sweep.node_order))
-    return np.repeat(np.arange(len(sweep.node_order), dtype=np.int64), per_node[sweep.node_order])
 
 
 def evaluate_objective(inst: RoundingInstance, in_set: np.ndarray) -> float:
@@ -221,33 +215,38 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     ci, cj, cc = inst.cost_i, inst.cost_j, inst.cost_c
     w = max([bandwidth(ci, cj)] + [_clique_span(g) for g in groups])
     layout = strided_layout(n, w, inst.eps)
-    if layout is None and groups:
-        # phase 1 runs polynomial rounds, which need every cost pair as a slot
+    lost = 0.0
+    if layout is None:
+        # phase 1 runs polynomial rounds, which need every cost pair as a
+        # slot of a simple graph
         parts = [(ci, cj, cc)] + [g.pairs() for g in groups]
         ci, cj, cc = (np.concatenate([p[t] for p in parts]) for t in range(3))
         groups = []
-    lo, hi, pair_c = merged_pairs(ci, cj, n, cc)
-    cost_graph = graph_from_directed_slots(
-        n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([pair_c, pair_c])
-    )
-    owners = cost_graph.slot_owners()
-    heads = cost_graph.nbrs
-    costs = cost_graph.weights
-    if layout is None:
+        lo, hi, pair_c = merged_pairs(ci, cj, n, cc)
+        cost_graph = graph_from_directed_slots(
+            n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([pair_c, pair_c])
+        )
+        owners, heads, costs = cost_graph.slot_owners(), cost_graph.nbrs, cost_graph.weights
         step, k, alive, _rounds = strided_phase1(cost_graph, inst.eps, owners, costs, work)
+        lost = tiled_sum(np.where(~alive, costs, 0.0)) / 2.0
+        # a live pair has a slot each way; the one from its later step stays
+        keep = alive & (step[owners] > step[heads])
+        owners, heads, costs = owners[keep], heads[keep], costs[keep]
     else:
-        (step, k), alive = layout, np.ones(len(heads), dtype=bool)
+        # one slot per term, from its endpoint with the later step to the
+        # earlier one; the layout classes are proper, so the steps differ
+        step, k = layout
+        from_i = step[ci] > step[cj]
+        owners, heads, costs = np.where(from_i, ci, cj), np.where(from_i, cj, ci), cc
 
-    sweep = class_sweep(
-        step, k, owners[alive], heads[alive], [g.members.reshape(-1, g.b) for g in groups]
-    )
-    slots = np.flatnonzero(alive)[sweep.slot_order]
-    s_head, s_cost = heads[slots], costs[slots]
-    s_member = _member_positions(sweep, owners[alive])
-    # a head in a lower class is decided and charges its full cost if it
-    # joined; a head in a higher class is undecided and charges half
-    undecided = 0.5 * s_cost
-    undecided[sweep.lower] = 0.0
+    sweep = class_sweep(step, k, owners, heads, [g.members.reshape(-1, g.b) for g in groups])
+    pos = sweep.positions
+    head_pos = pos[heads]
+    # per node position: half the cost of its partners decided after it,
+    # which stay undecided while it is decided
+    half_later = np.bincount(head_pos, weights=0.5 * costs, minlength=n)
+    s_member = pos[owners[sweep.slot_order]]
+    s_head, s_cost = heads[sweep.slot_order], costs[sweep.slot_order]
 
     # one entry per bucket membership, in the sweep's node order and cut at
     # its batches; per bucket, 2 coef_B and the tallies of its members
@@ -255,11 +254,9 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     none = [np.empty(0, dtype=np.int64)]
     b_size = np.concatenate(none + [np.full(g.n_buckets, g.b) for g in groups])
     b_coef = np.concatenate([np.empty(0)] + [2.0 * g.coefs for g in groups])
-    pos = np.empty(n, dtype=np.int64)
-    pos[sweep.node_order] = np.arange(n, dtype=np.int64)
     m_pos = pos[np.concatenate(none + [g.members for g in groups])]
     m_bucket = np.repeat(np.arange(len(b_size)), b_size)
-    m_order = np.argsort(m_pos, kind="stable")
+    m_order = radix_order(m_pos, n)
     m_pos, m_bucket = m_pos[m_order], m_bucket[m_order]
     m_coef = b_coef[m_bucket]
     m_cuts = np.searchsorted(m_pos, sweep.batches[:, 2:])
@@ -267,9 +264,9 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     waiting = b_size.astype(np.float64)
 
     # per node position, whether it settles a zero score: no cost partner
-    # of it, a head in a higher class or a later member of one of its
+    # of it, the owner of a slot it heads or a later member of one of its
     # buckets, is decided after it
-    later = np.bincount(s_member[~sweep.lower], minlength=n)
+    later = np.bincount(head_pos, minlength=n)
     last = np.full(len(b_size), -1, dtype=np.int64)
     np.maximum.at(last, m_bucket, m_pos)
     later += np.bincount(m_pos[m_pos < last[m_bucket]], minlength=n)
@@ -279,9 +276,12 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     scores = np.zeros(n, dtype=np.float64)
     for (lo, hi, m0, m1), (a, z) in zip(sweep.batches.tolist(), m_cuts.tolist()):
         members = sweep.node_order[m0:m1]
-        hd = s_head[lo:hi]
-        burden = np.where(sweep.lower[lo:hi] & in_set[hd], s_cost[lo:hi], undecided[lo:hi])
-        acc = np.bincount(s_member[lo:hi] - m0, weights=burden, minlength=m1 - m0)
+        # every head lies in an earlier class: decided, its full cost
+        # charged if it joined
+        charged = s_cost[lo:hi] * in_set[s_head[lo:hi]]
+        acc = half_later[m0:m1] + np.bincount(
+            s_member[lo:hi] - m0, weights=charged, minlength=m1 - m0
+        )
         if a < z:
             bk, mp = m_bucket[a:z], m_pos[a:z] - m0
             tally = m_coef[a:z] * (joined[bk] + 0.5 * (waiting[bk] - 1.0))
@@ -295,7 +295,6 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
             waiting[bk] -= 1.0
         charge(work, "local_round", (hi - lo) + (m1 - m0) + (z - a))
 
-    lost = tiled_sum(np.where(~alive, costs, 0.0)) / 2.0
     objective = evaluate_objective(inst, in_set)
     if objective < bound:
         raise RuntimeError("rounding certificate violated")
@@ -306,7 +305,7 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
         lost_cost=lost,
         scores=scores,
         num_classes=k,
-        cost_pairs=len(pair_c),
+        cost_pairs=len(costs),
         sweep_steps=len(sweep.batches),
     )
 

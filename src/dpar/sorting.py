@@ -1,15 +1,17 @@
-"""Prefix sums and a stable word-key sort.
+"""Prefix sums and stable integer-key sorts.
 
 Machine-word keys go through numpy's stable argsort, used as
 infrastructure by the CSR builder. numpy radix-sorts only keys of 16 bits
 or less; on int64 keys it runs timsort, which is fast on partly ordered
 input such as the merge codes of bucket pairs. Its work charge, one unit
 per key per 16-bit digit, is a declared cost model of an LSD radix sort,
-not a count of what timsort does. coloring.class_sweep passes its class
-keys as 16-bit integers when there are at most 2^16 classes, so they get
-the radix sort, which does not slow down on unsorted keys such as the
-strided classes of defective coloring. first_of_runs marks where the runs
-of equal keys in a sorted array begin.
+not a count of what timsort does. radix_order sorts keys below a known
+bound by 16-bit digits, one radix-sorted pass per digit, so it does not
+slow down on unsorted keys: coloring.class_sweep sorts its nodes by class
+(the strided classes of defective coloring) and its slots by their
+owner's position in that node order, and the rounding sorts its bucket
+memberships by the same positions. first_of_runs marks where the runs of
+equal keys in a sorted array begin.
 """
 
 from __future__ import annotations
@@ -52,6 +54,19 @@ def stable_order_u64(keys, work: WorkCounter | None = None) -> np.ndarray:
     passes = max(1, (int(arr.dtype.itemsize) * 8) // 16)
     charge(work, "word_sort", passes * arr.size)
     return np.argsort(arr, kind="stable")
+
+
+def radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable ordering permutation of integer keys in [0, bound).
+
+    Least significant digit first, one stable argsort of 16-bit digits
+    per pass, which numpy radix-sorts: one pass when bound <= 2^16.
+    """
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    for shift in range(16, max(bound - 1, 1).bit_length(), 16):
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 def first_of_runs(a: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ must match them exactly: colors, scores and work.
 Both take the phase-1 classes in the strided order, over the slots phase
 1 left alive, and the batch counts must match a plain walk over that
 order. The rounding reference merges parallel cost terms with a plain
-dict.
+dict for phase 1 and sweeps one slot per term, from its later endpoint;
+a second reference sweeps each term from both endpoints, as a symmetric
+cost graph would, and must give the same scores on exact costs.
 """
 
 import math
@@ -98,9 +100,18 @@ def reference_defective(g: Graph, eps: float) -> tuple[np.ndarray, float, int, i
 
 def reference_local_round(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(in_set, scores, work total, sweep steps) deciding one phase-1 class
-    at a time, in the strided order, over the slots phase 1 left alive, on
-    a cost graph with one slot pair per distinct node pair, its cost the
-    sum of the pair's terms in input order."""
+    at a time, in the strided order.
+
+    Phase 1 runs on a cost graph with one slot pair per distinct node pair,
+    its cost the sum of the pair's terms in input order. When it keeps the
+    layout classes, each term is one slot, in input order, from its
+    endpoint with the later step to the earlier one; after phase-1 rounds,
+    each live pair is, as the slot from its later step in the cost graph's
+    slot order. A node's score is its utility minus the sum of half the
+    cost of the slots it heads and the cost of the slots it owns whose
+    head joined, each part summed in slot order; each owned slot is a unit
+    of work.
+    """
     n = inst.n
     work = WorkCounter()
     charge(work, "local_round", n + len(inst.cost_c))
@@ -121,42 +132,71 @@ def reference_local_round(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarra
         weights=np.array([c for row in adj for _, c in row], dtype=np.float64),
     )
     owners = cost_graph.slot_owners()
-    colors, k, alive, _rounds = _defective_phase1(
+    colors, k, alive, rounds = _defective_phase1(
         cost_graph, inst.eps, owners, cost_graph.weights, work
     )
     order = strided_classes(k)
-    step = {c: t for t, c in enumerate(order)}
-    slots = _slots_by_owner(cost_graph)
+    step = [order.index(c) for c in colors.tolist()]
+    if rounds == 0:
+        terms = zip(inst.cost_i.tolist(), inst.cost_j.tolist(), inst.cost_c.tolist())
+        slots = [(i, j, c) if step[i] > step[j] else (j, i, c) for i, j, c in terms]
+    else:
+        graph_slots = zip(owners.tolist(), cost_graph.nbrs.tolist(), cost_graph.weights.tolist())
+        slots = [(o, h, c) for (o, h, c), a in zip(graph_slots, alive) if a and step[o] > step[h]]
+    owned: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    half = [0.0] * n
+    for o, h, c in slots:
+        owned[o].append((h, c))
+        half[h] += 0.5 * c
+    heads = {h for _, h, _ in slots}
     in_set = np.zeros(n, dtype=bool)
     scores = np.zeros(n)
-    for c in order:
+    for t, c in enumerate(order):
         members = [v for v in range(n) if colors[v] == c]
-        units = len(members)
         for v in members:
-            acc, waits = 0.0, False
-            for s in slots[v]:
-                if not alive[s]:
-                    continue  # turned monochromatic by phase 1: written off
-                head = cost_graph.nbrs[s]
-                assert colors[head] != c
-                units += 1
-                if step[colors[head]] > step[c]:
-                    acc += 0.5 * cost_graph.weights[s]
-                    waits = True
-                elif in_set[head]:
-                    acc += cost_graph.weights[s]
-            scores[v] = inst.utils[v] - acc
+            joined_cost = 0.0
+            for h, cost in owned[v]:
+                assert step[h] < t
+                joined_cost += cost if in_set[h] else 0.0
+            scores[v] = inst.utils[v] - (half[v] + joined_cost)
             # a zero score joins only when no partner is left undecided
-            in_set[v] = scores[v] > 0.0 or (scores[v] == 0.0 and not waits)
+            in_set[v] = scores[v] > 0.0 or (scores[v] == 0.0 and v not in heads)
         if members:
-            charge(work, "local_round", units)
-    live = [
-        (step[colors[o]], step[colors[h]])
-        for o, h, a in zip(owners.tolist(), cost_graph.nbrs.tolist(), alive)
-        if a
-    ]
-    steps = batches_with_members(walk_cuts(k, live), [step[c] for c in colors.tolist()])
+            charge(work, "local_round", len(members) + sum(len(owned[v]) for v in members))
+    live = [(step[o], step[h]) for o, h, _ in slots]
+    steps = batches_with_members(walk_cuts(k, live), step)
     return in_set, scores, work.total, steps
+
+
+def symmetric_local_round(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(in_set, scores) deciding one layout class at a time, in the strided
+    order, with each term as two slots, one from each endpoint: a node
+    charges a term's full cost when its partner is decided and joined and
+    half of it when the partner is undecided. For instances on which phase
+    1 keeps the layout classes id mod (w + 1)."""
+    n = inst.n
+    w = int(np.abs(inst.cost_i - inst.cost_j).max()) if len(inst.cost_i) else 0
+    k = max(min(n, w + 1), 1)
+    order = strided_classes(k)
+    step = [order.index(v % (w + 1)) for v in range(n)]
+    incident: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for i, j, c in zip(inst.cost_i.tolist(), inst.cost_j.tolist(), inst.cost_c.tolist()):
+        incident[i].append((j, c))
+        incident[j].append((i, c))
+    in_set = np.zeros(n, dtype=bool)
+    scores = np.zeros(n)
+    for v in sorted(range(n), key=lambda v: (step[v], v)):
+        acc, waits = 0.0, False
+        for u, c in incident[v]:
+            assert step[u] != step[v]
+            if step[u] > step[v]:
+                acc += 0.5 * c
+                waits = True
+            elif in_set[u]:
+                acc += c
+        scores[v] = inst.utils[v] - acc
+        in_set[v] = scores[v] > 0.0 or (scores[v] == 0.0 and not waits)
+    return in_set, scores
 
 
 def weighted_graph(rng, n: int, m: int) -> Graph:
@@ -289,21 +329,57 @@ def test_clique_tallies_round_like_the_expanded_pairs(seed, n, eps_idx, aux):
 
 
 @settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(2, 40), eps_idx=st.integers(1, 3))
+def test_oriented_sweep_matches_symmetric_slots(seed, n, eps_idx):
+    """local_round, one slot per term from its later endpoint, against the
+    symmetric-slot reference on instances with parallel and reversed
+    terms. Costs and utility offsets are multiples of 1/8, so every sum is
+    exact in any order and zero scores are exact ties; with at most 40
+    nodes the layout fits phase 1's field at these eps."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(0, 3 * n))
+    ci, cj = rng.integers(0, n, size=(2, m))
+    keep = ci != cj
+    ci, cj = ci[keep], cj[keep]
+    # repeat some terms, as they are or reversed
+    again, flip = rng.random(len(ci)) < 0.3, rng.random(len(ci)) < 0.5
+    ci, cj = (
+        np.concatenate([ci, np.where(flip, cj, ci)[again]]),
+        np.concatenate([cj, np.where(flip, ci, cj)[again]]),
+    )
+    cc = rng.integers(0, 16, size=len(ci)) / 8.0
+    utils = rng.integers(-2, 3, size=n) / 8.0 * (rng.random(n) < 0.5)
+    np.add.at(utils, ci, cc / 2.0)
+    np.add.at(utils, cj, cc / 2.0)
+    inst = RoundingInstance(utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=EPS_CHOICES[eps_idx])
+    res = local_round(inst)
+    in_set, scores = symmetric_local_round(inst)
+    assert res.lost_cost == 0.0 and res.cost_pairs == len(cc)
+    assert np.array_equal(res.scores, scores)
+    assert np.array_equal(res.in_set, in_set)
+    assert res.objective == evaluate_objective(inst, res.in_set) >= res.bound
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000), n=st.integers(1, 60), k=st.integers(1, 40))
 def test_class_sweep_cuts_like_a_class_walk(seed, n, k):
     """class_sweep against a walk over the classes in ascending order that
-    opens a batch at each class with a lower-class head in the open batch."""
+    opens a batch at each class with a lower-class head in the open batch.
+    The slots come in a random order, and class_sweep sorts them by
+    (owner class, owner), keeping their order within an owner."""
     rng = np.random.default_rng(seed)
     g = weighted_graph(rng, n, int(rng.integers(0, 4 * n)))
     colors = rng.integers(0, k, size=n)
-    owners = g.slot_owners()
-    sweep = class_sweep(colors, k, owners, g.nbrs)
+    # the slots in any order, not the CSR graph's owner order
+    shuffle = rng.permutation(len(g.nbrs))
+    owners, heads = g.slot_owners()[shuffle], g.nbrs[shuffle]
+    sweep = class_sweep(colors, k, owners, heads)
     slots = sorted(range(len(owners)), key=lambda s: (colors[owners[s]], owners[s]))
     nodes = sorted(range(n), key=lambda v: colors[v])
     assert sweep.slot_order.tolist() == slots
     assert sweep.node_order.tolist() == nodes
-    assert sweep.lower.tolist() == [bool(colors[g.nbrs[s]] < colors[owners[s]]) for s in slots]
-    cuts = walk_cuts(k, [(colors[owners[s]], colors[g.nbrs[s]]) for s in slots])
+    assert sweep.positions.tolist() == [nodes.index(v) for v in range(n)]
+    cuts = walk_cuts(k, [(colors[owners[s]], colors[heads[s]]) for s in slots])
     rows = []
     for c0, c1 in zip(cuts, cuts[1:]):
         in_batch = [s for s, t in enumerate(slots) if c0 <= colors[owners[t]] < c1]

@@ -1,4 +1,4 @@
-"""Core layer: prefix sums, tables, loss bounds, CSR, IO."""
+"""Core layer: prefix sums, radix order, tables, loss bounds, CSR, IO."""
 
 import math
 
@@ -17,7 +17,7 @@ from dpar.graph import (
 )
 from dpar.losses import LossSchedule, iterative_loss_bound
 from dpar.ntheory import precompute_tables, prime_in_range
-from dpar.sorting import prefix_sum
+from dpar.sorting import prefix_sum, radix_order
 from dpar.workcount import WorkCounter
 
 
@@ -230,3 +230,17 @@ def test_edgelist_roundtrip(tmp_path):
     assert n == 3
     assert edges.tolist() == [[0, 1], [1, 2]]
     assert weights is not None and weights.tolist() == [1.0, 2.5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    size=st.integers(0, 300),
+    bound=st.sampled_from([1, 2, 1000, 1 << 16, (1 << 16) + 1, 1 << 20, 1 << 40]),
+)
+def test_radix_order_is_the_stable_order(seed, size, bound):
+    # one 16-bit pass up to 2^16, then one more per 16 bits of the bound
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, bound, size=size)
+    keys[: size // 3] = keys[0] if size else 0  # runs of equal keys show stability
+    assert np.array_equal(radix_order(keys, bound), np.argsort(keys, kind="stable"))

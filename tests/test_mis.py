@@ -466,15 +466,16 @@ def test_independentish_complete_graph():
     assert res.core.selected.shape == (50,)
 
 
-def test_dense_halving_reports_merged_cost_pairs():
+def test_dense_halving_reports_one_cost_slot_per_term():
     # the watchers' hit buckets reach the rounding as cliques, b members
-    # each; only the aux edges are explicit cost terms, merged into pairs
+    # each; only the aux edges are explicit cost terms, and the layout
+    # sweep takes each as one slot, from its later endpoint
     res = independentish_set(gnm_graph(540, 140_000, seed=1))
     halvings = [r for r in res.core.rounds if "clique_members" in r]
     assert halvings
     for r in halvings:
         assert r["clique_members"] == r["b"] * r["buckets"] > 0
-        assert 0 < r["cost_pairs"] <= r["cost_terms"]
+        assert r["cost_pairs"] == r["cost_terms"] > 0
         # buckets overlap, so some class has a head in an earlier one
         assert r["sweep_steps"] >= 2
 

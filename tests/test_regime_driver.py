@@ -20,11 +20,23 @@ explicit terms only, and a zero score now joins only when none of the
 node's cost partners is still undecided, so selections moved (the mis
 pin's output did not).
 
+Five pins (core_aux, core_tall, hitting_both, hitting_phase1, mis) were
+re-recorded again when local_round began sweeping each explicit term as
+one slot, from its endpoint with the later step, instead of both slots
+of each merged pair, and run_half began folding the bucket potentials
+over one members array (phi_pair and phi_weighted) into one clique group:
+local_round charges one unit per term or live pair instead of two, and
+half_sample and the round reports' clique_members count the folded
+memberships. The core_aux, core_tall and mis selections did not move;
+hitting_both's moved with the folded coefficients' sums, and
+hitting_phase1's with the summation order of its expanded cliques' pair
+costs, which turns scores of about 1e-16 into exact zeros and back.
+
 Only hitting_phase1 colours a cost graph with more classes than its
 phase-1 field holds: each of its watchers has 90 candidates spread over
-12 000 ids, so its first halving expands its cliques into pair terms and
-runs two budgeted kernel rounds that find conflict roots
-(defective_phase1, word_sort). Every other pin's halvings keep their
+12 000 ids, so its second halving (level 11, 9 736 candidates) expands
+its cliques into pair terms and runs two budgeted kernel rounds that find
+conflict roots (defective_phase1, word_sort). Every other pin's halvings keep their
 cliques, and their phase 1 runs no round and charges no recolouring, sort
 or square-root work.
 """
@@ -128,10 +140,10 @@ def run_hitting_both():
 def run_hitting_phase1():
     """60 watchers, each of 90 candidates spread over 12 000 at level 12:
     a watcher's bucket of 45 candidates spans about half the ids, so the
-    first halving's cost graph has more nodes and a larger bandwidth than
-    its phase-1 field holds, so it expands its cliques into pair terms and
-    its defective colouring runs budgeted kernel rounds that find conflict
-    roots (word_sort)."""
+    second halving's cost graph has more nodes and a larger bandwidth than
+    its phase-1 field holds (the first keeps its layout), so it expands its
+    cliques into pair terms and its defective colouring runs budgeted
+    kernel rounds that find conflict roots (word_sort)."""
     rng = np.random.default_rng(37)
     n_watch, deg, n_cand, level = 60, 90, 12_000, 12
     inst = BipartiteInstance(
@@ -191,12 +203,12 @@ RUNS = {
 
 PINS = {
     "hitting_high": ("c373aaed142597f3", {'half_sample': 3080, 'high_regime_round': 3325, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 6160}),
-    "hitting_both": ("12a26215af8dff4e", {'half_sample': 10304, 'high_regime_round': 8443, 'hitting_finalize': 2408, 'local_round': 20608, 'low_regime_round': 2713}),
-    "hitting_phase1": ("c517e891f6f56354", {'defective_phase1': 233024, 'half_sample': 82003, 'high_regime_round': 90528, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 277863, 'recolor_slots': 252496, 'sqrt_tables': 7393, 'word_sort': 4212}),
-    "core_aux": ("1ac6585900ac4be8", {'core_mis_finalize': 3640, 'half_sample': 4792, 'local_round': 11376, 'mis_high_round': 4832, 'mis_high_skip': 13}),
+    "hitting_both": ("9e64a29bec36b7af", {'half_sample': 8602, 'high_regime_round': 8393, 'hitting_finalize': 2408, 'local_round': 17204, 'low_regime_round': 2706}),
+    "hitting_phase1": ("0c4f319a27ada303", {'defective_phase1': 233024, 'half_sample': 82123, 'high_regime_round': 90642, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 219847, 'recolor_slots': 252496, 'sqrt_tables': 7393, 'word_sort': 4212}),
+    "core_aux": ("1ac6585900ac4be8", {'core_mis_finalize': 3640, 'half_sample': 4792, 'local_round': 9584, 'mis_high_round': 4832, 'mis_high_skip': 13}),
     "core_no_aux": ("5d1e9f84d960bfbc", {'core_mis_finalize': 1416, 'half_sample': 2280, 'local_round': 4560, 'mis_high_round': 2608, 'mis_high_skip': 13}),
-    "core_tall": ("f9e850c2477dfb68", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 5567, 'local_round': 12651, 'mis_high_round': 3032, 'mis_low_round': 1383}),
-    "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 681776, 'core_mis_finalize': 234683, 'half_sample': 175351, 'independentish': 341519, 'local_round': 471588, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),
+    "core_tall": ("7613e3c5c670246d", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 5247, 'local_round': 10494, 'mis_high_round': 3032, 'mis_low_round': 1383}),
+    "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 681776, 'core_mis_finalize': 234683, 'half_sample': 175351, 'independentish': 341519, 'local_round': 350702, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),
     "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'match_compact': 15985, 'match_conflicts': 27934, 'match_extract': 13967, 'match_sweep': 21982, 'recolor_slots': 57262, 'word_sort': 229048}),
 }
 
