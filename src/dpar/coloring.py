@@ -89,7 +89,7 @@ import numpy as np
 
 from .graph import Graph
 from .ntheory import NumberTheoryTables, precompute_tables, prime_in_range
-from .sorting import first_of_runs, radix_order, stable_order_u64
+from .sorting import first_of_runs, radix_order
 from .workcount import WorkCounter, charge
 
 MAX_FIELD = 1 << 23  # int64 stays exact for all modular products below this
@@ -279,7 +279,7 @@ def _kernel_round(
             if weights is not None:
                 wblock.append(np.broadcast_to(weights[lo : lo + TILE, None], hit.shape)[hit])
     key = np.concatenate(blocks[0] + blocks[1]) if blocks[0] else np.empty(0, dtype=np.int64)
-    order = stable_order_u64(key, work)
+    order = radix_order(key, n * p, work)
     key_s = key[order]
     uniq_mask = first_of_runs(key_s)
     ukey = key_s[uniq_mask]
@@ -337,7 +337,7 @@ def _clique_round(
         vals = _eval_poly(a_all[live_node], b_all[live_node], c_all[live_node], x, p)
         key = live_end * p + vals
         charge(work, "recolor_slots", len(key))
-        order = stable_order_u64(key, work)
+        order = radix_order(key, n_ends * p, work)
         first = first_of_runs(key[order])
         alone = first.copy()
         alone[:-1] &= first[1:]  # a run of one membership

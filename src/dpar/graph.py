@@ -6,12 +6,11 @@ symmetric.
 
 Graphs are built from pair lists on one path: merged_pairs canonicalizes
 and dedupes the pairs, summing each pair's weights in input order, and
-graph_from_directed_slots sorts the two directed copies into CSR.
-merged_pairs sums the pairs in a dense table of all n * n pair codes when
-there are at least that many pairs, and stably sorts the codes otherwise;
-both ways return the same bytes. sort_edges_to_csr validates an input edge
-list and takes that path; rounding.local_round takes it only for the cost
-graphs on which defective phase 1 runs polynomial rounds.
+graph_from_directed_slots sorts the two directed copies into CSR. Both
+radix-sort their pair codes below n * n (sorting.radix_order).
+sort_edges_to_csr validates an input edge list and takes that path;
+rounding.local_round takes it only for the cost graphs on which defective
+phase 1 runs polynomial rounds.
 compact_subgraph restricts a graph to a node set.
 """
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sorting import first_of_runs, prefix_sum, stable_order_u64
+from .sorting import first_of_runs, prefix_sum, radix_order
 from .workcount import WorkCounter, charge
 
 CSR_MAGIC = b"DPAR1"
@@ -85,32 +84,16 @@ def merged_pairs(
 
     Returns (lo, hi, w): one entry per distinct pair lo < hi, in ascending
     (lo, hi) order, and w the sum of each pair's weights taken in input
-    order (None without weights). Each pair has the code lo * n + hi.
-
-    When 0 < n * n <= len(i), the codes are marked in a dense table of all
-    n * n codes and summed there by bincount, with no sort. The table holds
-    a bool and a float64 per code, so the rule also bounds its memory: at
-    most 9 bytes per input pair, where the sort holds four 8-byte arrays
-    per pair. Otherwise, empty input included, the codes are stably sorted
-    and each run of equal codes is summed. bincount adds each bin's weights
-    in input order, so both ways give the same sums to the bit. Neither way
-    is charged to a WorkCounter. Temporaries are built in place and dropped
-    early, since this merge sets peak memory on dense rounding instances.
+    order (None without weights). Each pair has the code lo * n + hi; the
+    codes are stably radix-sorted and each run of equal codes is summed.
+    The sort is not charged to a WorkCounter. Temporaries are built in
+    place and dropped early, since this merge sets peak memory on dense
+    rounding instances.
     """
     code = np.minimum(i, j)
     code *= n
     code += np.maximum(i, j)
-    if 0 < n * n <= len(code):
-        present = np.zeros(n * n, dtype=bool)
-        present[code] = True
-        uniq = np.flatnonzero(present)
-        del present
-        w = None
-        if weights is not None:
-            # float64 already: only bincount of no entries comes back int64
-            w = np.bincount(code, weights=weights)[uniq]
-        return uniq // n, uniq % n, w
-    order = stable_order_u64(code)
+    order = radix_order(code, n * n)
     code = code[order]
     first = first_of_runs(code)
     uniq = code[first]
@@ -130,7 +113,7 @@ def graph_from_directed_slots(
     """CSR from already-symmetric directed slot lists, sorted by (owner,
     neighbor). Parallel slots are kept; both callers pass the two directed
     copies of merged_pairs' output, so the graphs they build are simple."""
-    order = stable_order_u64(src * n + dst)
+    order = radix_order(src * n + dst, n * n)
     src, dst = src[order], dst[order]
     w = weights[order] if weights is not None else None
     counts = np.bincount(src, minlength=n).astype(np.int64)

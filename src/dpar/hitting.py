@@ -36,13 +36,14 @@ lets it run its own certificates. Sub-problems are index masks of the
 input, which is validated once, at the public entry.
 
 Bucket potentials are cut by one builder, _group_full_buckets: it chunks
-each run of equal keys into full buckets of b and drops the rest, sorting
-first unless the caller has sorted already. The per-left-node potentials
-here and in mis.py, and both passes of mis.edge_buckets, use it; phi_size
-needs no runs, its buckets are the candidate ids 0..(n // b) b - 1 in
-order. QuadPotential.sq_dev gives the per-bucket (count - b/2)^2 from
-which each potential's value and, through node_share, every bad-node
-rule are computed.
+each run of equal keys into full buckets of b and drops the rest. Unless
+the caller has sorted already, it radix-sorts first, under the key
+bounds that the caller knows. The per-left-node potentials here and in
+mis.py, and both passes of mis.edge_buckets, use it; phi_size needs no
+runs, its buckets are the candidate ids 0..(n // b) b - 1 in order.
+QuadPotential.sq_dev gives the per-bucket (count - b/2)^2 from which
+each potential's value and, through node_share, every bad-node rule are
+computed.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 
 from .ntheory import precompute_tables  # noqa: F401  (importable here for tools that trace it)
 from .rounding import CliqueGroup, RoundingInstance, local_round
-from .sorting import first_of_runs
+from .sorting import first_of_runs, radix_lexorder
 from .workcount import WorkCounter, charge
 
 EPS_DENOM_LOW = 128  # low-regime rounding eps = 1/(128(b-1)): three potentials fit under 3.1
@@ -335,15 +336,19 @@ def _group_full_buckets(
     secondary: np.ndarray | None,
     items: np.ndarray,
     b: int,
+    bounds: tuple[int, ...] | None = None,
     first: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Chunk each run of equal (primary, secondary) keys into floor(len/b)
     full buckets of b items; the leftovers of each run are dropped.
 
-    The items are sorted by (primary, secondary, item) first. secondary may
-    be None, for one key. A caller that has already sorted its items passes
-    first, the mask of run starts (sorting.first_of_runs), and gets the
-    chunking alone, with no sort.
+    The items are sorted by (primary, secondary, item) first, by radix
+    sorts (sorting.radix_lexorder) under bounds: the bounds of primary, of
+    secondary and of the items, secondary's left out when it is None, for
+    one key. The library's callers know them; without them each key's
+    largest value sets its bound. A caller that has already sorted its
+    items passes first, the mask of run starts (sorting.first_of_runs),
+    and gets the chunking alone, with no sort.
 
     Returns (members, bucket_primary, bucket_secondary), members
     bucket-major, each bucket exactly b long; bucket_secondary is None
@@ -351,7 +356,9 @@ def _group_full_buckets(
     """
     if first is None:
         keys = (items, primary) if secondary is None else (items, secondary, primary)
-        order = np.lexsort(keys)
+        if bounds is None:
+            bounds = tuple(int(key.max(initial=0)) + 1 for key in keys[::-1])
+        order = radix_lexorder(keys, bounds[::-1])
         primary, items = primary[order], items[order]
         first = first_of_runs(primary)
         if secondary is not None:
@@ -453,7 +460,11 @@ def build_low_potentials(
     global interval potential over the candidate set; each has mean <= 1."""
     lev_e = cand_levels[edge_v]
 
-    members, tag_u, tag_lev = _group_full_buckets(edge_u, lev_e, edge_v, b)
+    # levels bound from the candidates, a pass far shorter than the edges
+    lev_bound = int(cand_levels.max(initial=0)) + 1
+    members, tag_u, tag_lev = _group_full_buckets(
+        edge_u, lev_e, edge_v, b, bounds=(len(imp), lev_bound, n_cand)
+    )
     n_buckets = len(members) // b if b else 0
 
     d_total = len(edge_u)
@@ -770,7 +781,9 @@ class RegimeDriver:
         neighborhood (candidates plus nodes waiting at lower levels) so its
         mean is at most imp/4; certified under half the importance."""
         b = h.b
-        members, tag_u, _ = _group_full_buckets(h.edge_u, None, h.edge_v, b)
+        members, tag_u, _ = _group_full_buckets(
+            h.edge_u, None, h.edge_v, b, bounds=(sub.n_left, len(h.cand))
+        )
         alive = self.u_good[sub.edge_u] & self.v_alive[sub.edge_v]
         deg = np.bincount(sub.edge_u[alive], minlength=sub.n_left).astype(np.float64)
         with np.errstate(divide="ignore"):

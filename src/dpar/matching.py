@@ -12,8 +12,7 @@ The conflicts are colored from the selected edges' endpoint cliques (each
 node's incident edges form one clique), in point steps that touch the 2k
 memberships of the k edges rather than the sum of deg^2 slots of their
 line graph; the colors equal those of the line graph's coloring (see
-coloring.EdgeCliques). _line_graph stays as the reference the tests
-compare against. Each sweep's report gives the color classes its
+coloring.EdgeCliques). Each sweep's report gives the color classes its
 extraction sweeps one after another (conflict_colors) and the point steps
 of its coloring (point_steps).
 """
@@ -40,32 +39,6 @@ class MatchingResult:
     matched_edges: np.ndarray  # (k, 2) node pairs
     iterations: list[dict]
     work: WorkCounter
-
-
-def _line_graph(e_u: np.ndarray, e_v: np.ndarray, n: int) -> Graph:
-    """The line graph of k distinct edges on nodes 0..n-1, in CSR form:
-    edge i conflicts with every other edge at e_u[i] or at e_v[i].
-
-    Two distinct edges of a simple graph share at most one endpoint, so
-    edge i's block is the incidence list of e_u[i], then that of e_v[i],
-    each without i itself; one argsort of the 2k endpoints gives both."""
-    k = len(e_u)
-    ends = np.concatenate([e_u, e_v])  # endpoint slot s belongs to edge s mod k
-    order = np.argsort(ends, kind="stable")  # slots grouped by endpoint
-    rank = np.empty(2 * k, dtype=np.int64)
-    rank[order] = np.arange(2 * k, dtype=np.int64)
-    deg = np.bincount(ends, minlength=n)
-    start = np.cumsum(deg) - deg
-    # per edge, its u-side slot and then its v-side slot, in CSR order
-    slot = np.stack([np.arange(k), np.arange(k, 2 * k)], axis=1).ravel()
-    seg = deg[ends[slot]] - 1
-    src = np.repeat(slot, seg)
-    pos = np.arange(len(src), dtype=np.int64) - np.repeat(np.cumsum(seg) - seg, seg)
-    pos += start[ends[src]]
-    pos += pos >= rank[src]  # skip the slot of the edge itself
-    offsets = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(seg[0::2] + seg[1::2], out=offsets[1:])
-    return Graph(n=k, offsets=offsets, nbrs=order[pos] % k)
 
 
 def _extract_matching(

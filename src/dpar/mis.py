@@ -51,7 +51,7 @@ from .hitting import (
     sub_problem,
 )
 from .rounding import tiled_sum
-from .sorting import first_of_runs
+from .sorting import first_of_runs, radix_lexorder, radix_order
 from .verify import check_maximal_independent, require
 from .workcount import WorkCounter, charge
 
@@ -187,7 +187,7 @@ def edge_buckets(
     owner = np.where(sh & ~dh, src, np.where(dh & ~sh, dst, np.minimum(src, dst)))
     other = src + dst - owner
 
-    order = np.lexsort((other, owner))
+    order = radix_lexorder((other, owner), (n, n))
     o_own = owner[order]
     full, _, _ = _group_full_buckets(o_own, None, order, b, first=first_of_runs(o_own))
     edge_bucket = np.full(m, -1, dtype=np.int64)
@@ -200,7 +200,7 @@ def edge_buckets(
     rank = np.arange(len(rest)) - r_starts[np.cumsum(r_first) - 1]
     # a stable sort by (d, rank) keeps each group in owner order
     key = np.repeat(d, d) * b + rank
-    by_key = np.argsort(key, kind="stable")
+    by_key = radix_order(key, b * b)
     key = key[by_key]
     cross, _, _ = _group_full_buckets(key, None, rest[by_key], b, first=first_of_runs(key))
     edge_bucket[cross] = (len(full) + np.arange(len(cross))) // b
@@ -287,11 +287,14 @@ class LinearEdgePotential:
 
 def _mixed_sum(sub: MisAuxInstance, node_mask: np.ndarray, lev_eff: np.ndarray) -> float:
     """sum of aux edge weight at 2^-(k+k') plus vertex weight at 2^-k over
-    the masked candidates (edges need both endpoints masked)."""
-    both = node_mask[sub.aux_i] & node_mask[sub.aux_j]
-    exps = lev_eff[sub.aux_i] + lev_eff[sub.aux_j]
-    e_term = tiled_sum(np.where(both, sub.aux_w * np.exp2(-exps.astype(np.float64)), 0.0))
-    v_term = tiled_sum(np.where(node_mask, sub.vert_w * np.exp2(-lev_eff.astype(np.float64)), 0.0))
+    the masked candidates (edges need both endpoints masked).
+
+    Each candidate's factor 2^-k, 0 off the mask, is taken once; the
+    product of two factors is the power of two exp2(-(k + k')) exactly, so
+    the sum has the bits of the per-edge formula."""
+    f = np.where(node_mask, np.exp2(-lev_eff.astype(np.float64)), 0.0)
+    e_term = tiled_sum(sub.aux_w * (f[sub.aux_i] * f[sub.aux_j]))
+    v_term = tiled_sum(sub.vert_w * f)
     return float(e_term + v_term)
 
 
@@ -428,7 +431,9 @@ class MisRegimeDriver(RegimeDriver):
         _fold_cross(
             vw, h.local, sub, is_cand, self.v_alive & ~is_cand, lambda s, t: level + lev_cur[t]
         )
-        members, tag_u, _ = _group_full_buckets(h.edge_u, None, h.edge_v, b)
+        members, tag_u, _ = _group_full_buckets(
+            h.edge_u, None, h.edge_v, b, bounds=(sub.n_left, len(h.cand))
+        )
         n_buckets = len(members) // b
         cand_deg = np.bincount(h.edge_u, minlength=sub.n_left).astype(np.float64)
         tot_imp = float(np.sum(sub.imp[cand_deg > 0]))
@@ -625,51 +630,67 @@ def independentish_set(
     owners = g.slot_owners()
     key = deg * np.int64(n) + np.arange(n, dtype=np.int64)
 
-    lg = np.zeros(n, dtype=np.int64)
+    levels = np.zeros(n, dtype=np.int64)
     big = deg > 32
     if big.any():
-        lg[big] = np.ceil(np.log2(deg[big].astype(np.float64))).astype(np.int64) - 5
-    levels = lg
+        levels[big] = np.ceil(np.log2(deg[big].astype(np.float64))).astype(np.int64) - 5
 
-    in_mask = key[g.nbrs] < key[owners]
-    indeg = np.bincount(owners[in_mask], minlength=n).astype(np.int64)
-    well_oriented = 3 * indeg >= deg
-    watchers = well_oriented & (deg >= 33)
+    # keys are distinct and no slot is a self-loop, so a slot that is not
+    # incoming under the (degree, id) orientation is outgoing
+    in_mask = key[g.nbrs] < np.repeat(key, deg)
+    has_slots = deg > 0
+    # the nonempty blocks' starts cut the slots into exactly those blocks
+    starts = g.offsets[:-1][has_slots]
+
+    def per_node(slot_mask):
+        """Per node: how many slots of its block are set in slot_mask."""
+        counts = np.zeros(n, dtype=np.int64)
+        counts[has_slots] = np.add.reduceat(slot_mask, starts, dtype=np.int64)
+        return counts
+
+    watchers = (3 * per_node(in_mask) >= deg) & (deg >= 33)
 
     # greedy in-neighbor prefix until the probability mass reaches 5
-    contrib = np.where(in_mask & watchers[owners], np.exp2(-levels[g.nbrs].astype(np.float64)), 0.0)
-    cs = np.cumsum(contrib)
-    prev = cs - contrib
+    audited = in_mask & np.repeat(watchers, deg)
+    contrib = np.exp2(-levels.astype(np.float64))[g.nbrs]
+    contrib *= audited
+    local_prev = np.cumsum(contrib)
+    local_prev -= contrib
     block_base = np.zeros(n, dtype=np.float64)
-    has_slots = np.diff(g.offsets) > 0
-    block_base[has_slots] = prev[g.offsets[:-1][has_slots]]
-    local_prev = prev - block_base[owners]
-    take = in_mask & watchers[owners] & (local_prev < 5.0)
+    block_base[has_slots] = local_prev[starts]
+    local_prev -= np.repeat(block_base, deg)
+    take = np.flatnonzero(audited & (local_prev < 5.0))
+    del audited, local_prev
+    take_owner = owners[take]
 
-    mass = np.zeros(n, dtype=np.float64)
-    np.add.at(mass, owners[take], contrib[take])
+    mass = np.bincount(take_owner, weights=contrib[take], minlength=n)
+    del contrib
     # per-step mass is at most 2^0 = 1, so the first crossing of 5 lands in
     # [5, 6]; the certificate below holds the prefix rule to mass <= 7
     valid = mass >= 5.0
     dropped = int(np.sum(watchers & ~valid))
     watchers &= valid
-    take &= watchers[owners]
+    kept = valid[take_owner]
+    take, take_owner = take[kept], take_owner[kept]
     if watchers.any() and not np.all(mass[watchers] <= 7.0):
         raise RuntimeError("audited in-neighborhood mass overshot; prefix rule broken")
 
     u_list, u_rank = _renumber(watchers)
-    h_u = u_rank[owners[take]]
+    h_u = u_rank[take_owner]
     h_v = g.nbrs[take]
-
-    weight = np.zeros(n, dtype=np.float64)
-    np.add.at(weight, h_v, deg[owners[take]].astype(np.float64))
+    # integer sums, exact in float64; bincount of no entries is int64
+    weight = np.bincount(h_v, weights=deg[take_owner], minlength=n).astype(np.float64, copy=False)
+    del take, take_owner
 
     uniq = owners < g.nbrs
     e_i, e_j = owners[uniq], g.nbrs[uniq]
-    tail = np.where(key[e_i] < key[e_j], e_i, e_j)
-    aux_w = weight[tail]
+    aux_w = weight[np.where(in_mask[uniq], e_j, e_i)]  # per edge: the weight of its tail
+    del uniq, owners
 
-    inst = MisAuxInstance(
+    # The aux edges are the graph's own edges and every field is built
+    # with its checked dtype, so the instance skips __post_init__'s checks.
+    inst = object.__new__(MisAuxInstance)
+    inst.__dict__.update(
         imp=deg[u_list].astype(np.float64),
         levels=levels,
         edge_u=h_u,
@@ -689,13 +710,11 @@ def independentish_set(
         s_raw[int(np.argmax(key))] = True
         fallback = True
 
-    out_in_s = np.zeros(n, dtype=np.int64)
-    out_sel = s_raw[owners] & s_raw[g.nbrs] & (key[g.nbrs] > key[owners])
-    np.add.at(out_in_s, owners[out_sel], 1)
+    out_in_s = per_node(np.repeat(s_raw, deg) & s_raw[g.nbrs] & ~in_mask)
     s_star = s_raw & (out_in_s <= params.outdeg_cap)
 
     touched = s_star.copy()
-    touched[g.nbrs[s_star[owners]]] = True
+    touched[g.nbrs[np.repeat(s_star, deg)]] = True
     frac = float(np.sum(deg[touched])) / max(g.m, 1)
     charge(work, "independentish", n + len(g.nbrs))
     return IndependentishResult(

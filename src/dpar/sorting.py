@@ -1,20 +1,23 @@
 """Prefix sums and stable integer-key sorts.
 
-Machine-word keys go through numpy's stable argsort, used as
-infrastructure by the CSR builder. numpy radix-sorts only keys of 16 bits
-or less; on int64 keys it runs timsort, which is fast on partly ordered
-input such as the merge codes of bucket pairs. Its work charge, one unit
-per key per 16-bit digit, is a declared cost model of an LSD radix sort,
-not a count of what timsort does. radix_order sorts keys below a known
-bound by 16-bit digits, one radix-sorted pass per digit, so it does not
-slow down on unsorted keys: coloring.class_sweep sorts its nodes by class
-(the strided classes of defective coloring) and its slots by their
-owner's position in that node order, and the rounding sorts its bucket
-memberships by the same positions. first_of_runs marks where the runs of
-equal keys in a sorted array begin.
+radix_order sorts integer keys below a bound that the caller knows by
+16-bit digits, least significant first, one stable numpy argsort per
+digit, which numpy radix-sorts. It costs radix_passes(bound) linear
+passes, however the keys are ordered. radix_lexorder chains one
+radix_order per key, least significant key first, and so returns
+np.lexsort's order. These are the sorts of the CSR builder (graph.py),
+of the recolouring rounds and class sweeps (coloring.py), of the
+rounding's bucket memberships (rounding.py) and of the bucket builders
+(hitting.py, mis.py). A caller whose sort is charged passes a
+WorkCounter, and the sort charges word_sort units of the passes it runs
+times the keys. The colour-class loops of mis.py and matching.py and
+defective phase 2 still argsort their keys, uncharged. first_of_runs
+marks where the runs of equal keys in a sorted array begin.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -42,30 +45,35 @@ def prefix_sum(values, work: WorkCounter | None = None) -> np.ndarray:
     return out
 
 
-def stable_order_u64(keys, work: WorkCounter | None = None) -> np.ndarray:
-    """Stable ordering permutation for machine-word integer keys.
-
-    np.argsort(kind="stable") runs a radix sort on keys of 16 bits or less
-    and timsort on wider ones, so int64 keys are timsorted. The charge,
-    word_sort units of (bits / 16) passes times the key count, models an
-    LSD radix sort with 16-bit digits; it is a declared cost, not a count.
-    """
-    arr = np.asarray(keys)
-    passes = max(1, (int(arr.dtype.itemsize) * 8) // 16)
-    charge(work, "word_sort", passes * arr.size)
-    return np.argsort(arr, kind="stable")
+def radix_passes(bound: int) -> int:
+    """The 16-bit digit passes radix_order makes on keys in [0, bound)."""
+    return max(1, -(-max(int(bound) - 1, 1).bit_length() // 16))
 
 
-def radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
+def radix_order(keys: np.ndarray, bound: int, work: WorkCounter | None = None) -> np.ndarray:
     """Stable ordering permutation of integer keys in [0, bound).
 
     Least significant digit first, one stable argsort of 16-bit digits
     per pass, which numpy radix-sorts: one pass when bound <= 2^16.
+    Charges word_sort units of passes times keys to work.
     """
-    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
-    for shift in range(16, max(bound - 1, 1).bit_length(), 16):
-        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+    passes = radix_passes(bound)
+    charge(work, "word_sort", passes * len(keys))
+    # the casts keep the low 16 bits of each nonnegative key
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, 16 * passes, 16):
+        digit = (keys[order] >> shift).astype(np.uint16)
         order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
+def radix_lexorder(keys: Sequence[np.ndarray], bounds: Sequence[int]) -> np.ndarray:
+    """np.lexsort's order of equal-length integer keys, the last key
+    primary, with keys[i] in [0, bounds[i]): one stable radix_order per
+    key, least significant first."""
+    order = radix_order(keys[0], bounds[0])
+    for key, bound in zip(keys[1:], bounds[1:]):
+        order = order[radix_order(key[order], bound)]
     return order
 
 

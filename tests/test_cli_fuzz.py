@@ -7,7 +7,7 @@ Every run must either exit 0 with every certificate ok or raise a
 ValueError or SystemExit that carries a message; a whole HSET file must
 certify, at levels up to 9, above the level cap K = 4 of the small
 instances, whose low-regime bucket falls below 2. sort_edges_to_csr and
-merged_pairs, on both sides of its dense-table rule, are compared byte for
+merged_pairs, on sparse and on crowded pair lists, are compared byte for
 byte with a plain-Python reference. core_mis_hitting, called directly on
 small core instances with candidates above K, must certify or raise a
 ValueError with a message.
@@ -249,19 +249,19 @@ def assert_same_array(a, values, dtype):
     n=st.integers(1, 12),
     data=st.data(),
     weighted=st.booleans(),
-    dense=st.booleans(),
+    crowded=st.booleans(),
 )
-def test_sort_edges_to_csr_matches_a_plain_python_reference(n, data, weighted, dense):
+def test_sort_edges_to_csr_matches_a_plain_python_reference(n, data, weighted, crowded):
     """sort_edges_to_csr and merged_pairs against the plain-Python merge.
-    With dense, n <= 5 and there are at least n * n edges, so merged_pairs
-    sums in its dense pair table; otherwise it mostly sorts."""
-    if dense:
+    With crowded, n <= 5 and there are at least n * n edges, so most pairs
+    repeat and merged_pairs sums long runs of equal codes."""
+    if crowded:
         n = min(n, 5)
     # an offset in [1, n) from u gives every ordered pair u != v
     pairs = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1))).map(
         lambda e: (e[0], (e[0] + e[1]) % n)
     )
-    min_size = n * n if dense else 0
+    min_size = n * n if crowded else 0
     edges = []
     if n > 1:
         edges = data.draw(st.lists(pairs, min_size=min_size, max_size=max(40, min_size)))

@@ -24,9 +24,10 @@ from dpar.coloring import (
     tables_limit_for,
 )
 from dpar.graph import Graph, sort_edges_to_csr
-from dpar.matching import _line_graph
 from dpar.ntheory import precompute_tables, prime_in_range
+from dpar.sorting import radix_passes
 from dpar.workcount import WorkCounter
+from test_matching import line_graph
 
 
 def is_proper(g: Graph, colors: np.ndarray) -> bool:
@@ -374,7 +375,7 @@ def test_degree_bound_field_runs_one_round():
     base = random_graph(rng, 200, 600)
     owners = base.slot_owners()
     fwd = owners < base.nbrs
-    g = _line_graph(owners[fwd], base.nbrs[fwd], base.n)
+    g = line_graph(owners[fwd], base.nbrs[fwd], base.n)
     delta = int(g.degrees().max())
     assert math.ceil(g.n ** (1.0 / 3.0)) <= 3 * delta
     work = WorkCounter()
@@ -442,10 +443,11 @@ def naive_clique_round(e_u, e_v, colors, p, domain):
 def test_clique_round_matches_the_kernel_round_on_the_line_graph(seed, n, palette_mult):
     """One round in point steps picks, for every node and domain with a free
     point, the point that solving the line graph's conflicts picks; its
-    charges are the memberships tallied at each step, sorted as int64."""
+    charges are the memberships tallied at each step, radix-sorted below
+    n * p."""
     rng = np.random.default_rng(seed)
     e_u, e_v, n = edge_set(rng, "random", n)
-    lg = _line_graph(e_u, e_v, n)
+    lg = line_graph(e_u, e_v, n)
     m, cdeg = lg.n, lg.degrees()
     delta = int(cdeg.max())
     k = m * palette_mult
@@ -464,7 +466,8 @@ def test_clique_round_matches_the_kernel_round_on_the_line_graph(seed, n, palett
     assert np.array_equal(got, want)
     ref, ref_steps, tallied = naive_clique_round(e_u, e_v, colors, p, domain)
     assert np.array_equal(got, ref) and steps == ref_steps
-    assert work.snapshot() == {"recolor_slots": tallied, "word_sort": 4 * tallied}
+    sorted_units = radix_passes(n * p) * tallied
+    assert work.snapshot() == {"recolor_slots": tallied, "word_sort": sorted_units}
 
 
 def test_clique_round_raises_past_the_largest_domain():
@@ -475,7 +478,7 @@ def test_clique_round_raises_past_the_largest_domain():
     tables = precompute_tables(64)
     p = prime_in_range(tables, 3)
     colors = np.array([0, p, 2 * p], dtype=np.int64)
-    ends, lg = np.concatenate([e_u, e_v]), _line_graph(e_u, e_v, 4)
+    ends, lg = np.concatenate([e_u, e_v]), line_graph(e_u, e_v, 4)
     src, dst = lg.slot_owners(), lg.nbrs
     for domain in (np.ones(3, dtype=np.int64), np.array([1, 1, 2])):
         with pytest.raises(RuntimeError, match="no admissible point"):
@@ -500,7 +503,7 @@ def test_clique_colouring_matches_the_line_graph_colouring(seed, shape, size):
     sizes = {"random": 2 + size % 39, "star": size, "complete": 2 + size % 29}
     size = sizes.get(shape, 3 + 50 * size)  # paths and cycles
     e_u, e_v, n = edge_set(np.random.default_rng(seed), shape, size)
-    want = color_delta_squared(_line_graph(e_u, e_v, n))
+    want = color_delta_squared(line_graph(e_u, e_v, n))
     got = color_delta_squared(EdgeCliques(e_u, e_v, n))
     assert got.colors.dtype == want.colors.dtype
     assert got.colors.tobytes() == want.colors.tobytes()
@@ -525,7 +528,7 @@ def test_long_paths_and_cycles_run_two_clique_rounds(monkeypatch, shape):
     assert math.ceil(len(e_u) ** (1.0 / 3.0)) > 3 * 2
     got = color_delta_squared(EdgeCliques(e_u, e_v, n))
     assert len(rounds) == 2 and got.point_steps == sum(rounds)
-    want = color_delta_squared(_line_graph(e_u, e_v, n))
+    want = color_delta_squared(line_graph(e_u, e_v, n))
     assert got.colors.tobytes() == want.colors.tobytes() and got.num_colors == want.num_colors
 
 

@@ -1,6 +1,8 @@
 """Core layer: prefix sums, radix order, tables, loss bounds, CSR, IO."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from dpar.graph import (
 )
 from dpar.losses import LossSchedule, iterative_loss_bound
 from dpar.ntheory import precompute_tables, prime_in_range
-from dpar.sorting import prefix_sum, radix_order
+from dpar.sorting import prefix_sum, radix_lexorder, radix_order, radix_passes
 from dpar.workcount import WorkCounter
 
 
@@ -244,3 +246,53 @@ def test_radix_order_is_the_stable_order(seed, size, bound):
     keys = rng.integers(0, bound, size=size)
     keys[: size // 3] = keys[0] if size else 0  # runs of equal keys show stability
     assert np.array_equal(radix_order(keys, bound), np.argsort(keys, kind="stable"))
+
+
+KEY_BOUNDS = [1, 2, 1000, 1 << 16, (1 << 16) + 1, 1 << 32, (1 << 32) + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    size=st.integers(0, 200),
+    bounds=st.lists(st.sampled_from(KEY_BOUNDS), min_size=1, max_size=3),
+    at_top=st.booleans(),
+)
+def test_radix_lexorder_is_lexsort(seed, size, bounds, at_top):
+    """One stable radix order per key, least significant first, gives
+    np.lexsort's order: empty keys, bound 1, runs of equal keys, and keys
+    at 2^16 and 2^32, the first values that take another 16-bit pass."""
+    rng = np.random.default_rng(seed)
+    keys = []
+    for bound in bounds:
+        key = rng.integers(0, bound, size=size)
+        key[: size // 2] = key[0] if size else 0  # long runs of equal keys
+        if at_top:
+            key[::3] = bound - 1
+        keys.append(key)
+    assert np.array_equal(radix_lexorder(keys, bounds), np.lexsort(keys))
+
+
+def test_radix_order_charges_one_unit_per_key_and_pass():
+    assert [radix_passes(b) for b in (0, 1, 2, 1 << 16)] == [1, 1, 1, 1]
+    assert [radix_passes(b) for b in ((1 << 16) + 1, 1 << 32, (1 << 32) + 1)] == [2, 2, 3]
+    assert radix_passes(1 << 64) == 4
+    work = WorkCounter()
+    radix_order(np.arange(10), (1 << 32) + 1, work)
+    radix_order(np.arange(7), 5, work)
+    assert work.snapshot() == {"word_sort": 3 * 10 + 7}
+
+
+def test_no_lexsort_or_stable_order_u64_in_the_library():
+    """The library's multi-key sorts are sorting.radix_lexorder and its
+    word-key sorts sorting.radix_order: neither np.lexsort nor the removed
+    stable_order_u64 may come back."""
+    src = Path(__file__).resolve().parent.parent / "src" / "dpar"
+    banned = re.compile(r"\blexsort\s*\(|\bstable_order_u64\b")
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert not found, f"comparison sorts back in the library: {found}"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dpar.generate import complete_graph, gnm_graph, star_graph
 from dpar.graph import Graph, sort_edges_to_csr
-from dpar.matching import _extract_matching, _line_graph, maximal_matching
+from dpar.matching import _extract_matching, maximal_matching
 from dpar.verify import check_maximal_matching
 from dpar.workcount import WorkCounter
 
@@ -18,22 +18,49 @@ def path_graph(n):
 # --- conflict (line) graph --------------------------------------------------------
 
 
+def line_graph(e_u: np.ndarray, e_v: np.ndarray, n: int) -> Graph:
+    """The line graph of k distinct edges on nodes 0..n-1, in CSR form, the
+    reference that the endpoint-clique colouring is compared against:
+    edge i conflicts with every other edge at e_u[i] or at e_v[i].
+
+    Two distinct edges of a simple graph share at most one endpoint, so
+    edge i's block is the incidence list of e_u[i], then that of e_v[i],
+    each without i itself; one argsort of the 2k endpoints gives both."""
+    k = len(e_u)
+    ends = np.concatenate([e_u, e_v])  # endpoint slot s belongs to edge s mod k
+    order = np.argsort(ends, kind="stable")  # slots grouped by endpoint
+    rank = np.empty(2 * k, dtype=np.int64)
+    rank[order] = np.arange(2 * k, dtype=np.int64)
+    deg = np.bincount(ends, minlength=n)
+    start = np.cumsum(deg) - deg
+    # per edge, its u-side slot and then its v-side slot, in CSR order
+    slot = np.stack([np.arange(k), np.arange(k, 2 * k)], axis=1).ravel()
+    seg = deg[ends[slot]] - 1
+    src = np.repeat(slot, seg)
+    pos = np.arange(len(src), dtype=np.int64) - np.repeat(np.cumsum(seg) - seg, seg)
+    pos += start[ends[src]]
+    pos += pos >= rank[src]  # skip the slot of the edge itself
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(seg[0::2] + seg[1::2], out=offsets[1:])
+    return Graph(n=k, offsets=offsets, nbrs=order[pos] % k)
+
+
 def _blocks(lg):
     return [sorted(lg.nbrs[lg.offsets[i] : lg.offsets[i + 1]].tolist()) for i in range(lg.n)]
 
 
 def test_line_graph_frozen():
     # edges 0-2 form a star at node 0; edge 3 = (3, 4) meets edge 2 at node 3
-    lg = _line_graph(np.array([0, 0, 0, 3]), np.array([1, 2, 3, 4]), 5)
+    lg = line_graph(np.array([0, 0, 0, 3]), np.array([1, 2, 3, 4]), 5)
     assert _blocks(lg) == [[1, 2], [0, 2], [0, 1, 3], [2]]
     lg.validate()
 
 
 def test_line_graph_without_conflicts():
-    lg = _line_graph(np.array([0, 2, 4]), np.array([1, 3, 5]), 6)
+    lg = line_graph(np.array([0, 2, 4]), np.array([1, 3, 5]), 6)
     assert lg.n == 3 and lg.offsets.tolist() == [0, 0, 0, 0] and len(lg.nbrs) == 0
     empty = np.empty(0, dtype=np.int64)
-    assert _line_graph(empty, empty, 3).offsets.tolist() == [0]
+    assert line_graph(empty, empty, 3).offsets.tolist() == [0]
 
 
 @settings(deadline=None, max_examples=50)
@@ -49,7 +76,7 @@ def test_line_graph_matches_naive_reference(seed, n):
     ref = [
         [j for j in range(k) if j != i and {e_u[i], e_v[i]} & {e_u[j], e_v[j]}] for i in range(k)
     ]
-    lg = _line_graph(e_u, e_v, n)
+    lg = line_graph(e_u, e_v, n)
     assert lg.offsets.tolist() == np.cumsum([0] + [len(r) for r in ref]).tolist()
     assert _blocks(lg) == ref
     lg.validate()
@@ -131,7 +158,7 @@ def test_matching_builds_no_line_graph_and_solves_no_roots(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the matching reached a line-graph kernel")
 
-    monkeypatch.setattr("dpar.matching._line_graph", refuse)
+    monkeypatch.setattr("dpar.coloring._SlotConflicts", refuse)
     monkeypatch.setattr("dpar.coloring._kernel_round", refuse)
     g = gnm_graph(400, 3200, seed=32)
     res = maximal_matching(g)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpar import mis
@@ -21,6 +21,7 @@ from dpar.mis import (
     luby_mis_baseline,
     maximal_independent_set,
 )
+from dpar.rounding import tiled_sum
 from dpar.verify import check_independent, check_maximal_independent
 from dpar.workcount import WorkCounter
 
@@ -497,6 +498,157 @@ def test_independentish_small_degrees_take_everyone():
     res = independentish_set(g)
     assert res.s_raw.all()
     assert not res.watchers.any()
+
+
+def reference_independentish(g, s_raw, outdeg_cap):
+    """independentish_set's instance and output by Python loops over the
+    CSR blocks: (watchers, h_u, h_v, aux_i, aux_j, aux_w, s_star)."""
+    n = g.n
+    block = [g.nbrs[g.offsets[u] : g.offsets[u + 1]].tolist() for u in range(n)]
+    deg = [len(b) for b in block]
+    key = [deg[u] * n + u for u in range(n)]
+    # ceil(log2 d) - 5 above degree 32
+    level = [(d - 1).bit_length() - 5 if d > 32 else 0 for d in deg]
+    watchers, taken = [], []
+    for u in range(n):
+        incoming = [w for w in block[u] if key[w] < key[u]]
+        if deg[u] < 33 or 3 * len(incoming) < deg[u]:
+            continue
+        mass, prefix = 0.0, []
+        for w in incoming:  # the prefix of in-neighbors until the mass reaches 5
+            if mass >= 5.0:
+                break
+            prefix.append(w)
+            mass += 2.0 ** -level[w]
+        if mass >= 5.0:
+            watchers.append(u)
+            taken += [(u, w) for w in prefix]
+    rank = {u: r for r, u in enumerate(watchers)}
+    weight = [0.0] * n
+    for u, w in taken:
+        weight[w] += deg[u]
+    aux = [(u, w) for u in range(n) for w in block[u] if u < w]
+    aux_w = [weight[u if key[u] < key[w] else w] for u, w in aux]
+    s_star = [
+        bool(s_raw[u]) and sum(bool(s_raw[w]) and key[w] > key[u] for w in block[u]) <= outdeg_cap
+        for u in range(n)
+    ]
+    return (
+        watchers, [rank[u] for u, _ in taken], [w for _, w in taken],
+        [u for u, _ in aux], [w for _, w in aux], aux_w, s_star,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 70),
+    density=st.floats(0.0, 1.0),
+    shape=st.sampled_from(["gnm", "clique", "clique+isolated"]),
+)
+@example(seed=1, n=70, density=0.8, shape="gnm")
+@example(seed=2, n=50, density=0.0, shape="clique")
+@example(seed=3, n=70, density=0.7, shape="clique+isolated")
+def test_independentish_instance_matches_a_loop_reference(seed, n, density, shape):
+    """The watchers, watch edges (h_u, h_v), aux edges with their weights
+    and s_star of one sweep equal a Python-loop reference: random graphs
+    of degree up to 69, mostly at most 32, cliques whose equal degrees tie
+    the orientation keys, and cliques beside isolated nodes. The instance
+    the sweep builds also passes MisAuxInstance's full validation."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    if shape == "gnm":
+        pick = rng.random(len(iu)) < density
+    else:  # a clique on the first nodes, the rest isolated or not there
+        size = n if shape == "clique" else int(density * n)
+        pick = ju < size
+    order = rng.permutation(int(pick.sum()))
+    g = sort_edges_to_csr(np.stack([iu[pick], ju[pick]], axis=1)[order], n)
+    built = []
+    real = mis.core_mis_hitting
+
+    def capture(inst, params, work):
+        built.append(inst)
+        return real(inst, params, work=work)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mis, "core_mis_hitting", capture)
+        res = independentish_set(g)
+    inst = built[0]
+    watchers, h_u, h_v, aux_i, aux_j, aux_w, s_star = reference_independentish(
+        g, res.s_raw, ParamSet.desk().outdeg_cap
+    )
+    assert np.flatnonzero(res.watchers).tolist() == watchers
+    assert inst.edge_u.tolist() == h_u and inst.edge_v.tolist() == h_v
+    assert inst.aux_i.tolist() == aux_i and inst.aux_j.tolist() == aux_j
+    assert inst.aux_w.tolist() == aux_w
+    assert res.s_star.tolist() == s_star
+    fields = {f.name: getattr(inst, f.name) for f in dataclasses.fields(MisAuxInstance)}
+    checked = MisAuxInstance(**fields)
+    for name, value in fields.items():
+        again = getattr(checked, name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == again.dtype and value.tobytes() == again.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(0, 60),
+    top_level=st.sampled_from([0, 5, 40, 600, 1100]),
+    tiny=st.booleans(),
+)
+def test_mixed_sum_has_the_bits_of_the_direct_formula(seed, n, top_level, tiny):
+    """_mixed_sum's per-node factors give, bit for bit, the sum of
+    w 2^-(k + k') over the aux edges with both ends masked plus w 2^-k over
+    the masked nodes: zero weights, masked nodes, levels whose powers
+    underflow to 0, and weights near the smallest normal float."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    pick = rng.random(len(iu)) < 0.4
+    m = int(pick.sum())
+    scale = 1e-300 if tiny else 1.0
+    aux_w = rng.random(m) * scale * (rng.random(m) < 0.8)
+    vert_w = rng.random(n) * scale * (rng.random(n) < 0.8)
+    sub = dataclasses.make_dataclass("Sub", ["aux_i", "aux_j", "aux_w", "vert_w"])(
+        iu[pick], ju[pick], aux_w, vert_w
+    )
+    mask = rng.random(n) < 0.7
+    lev = rng.integers(0, top_level + 1, size=n)
+    both = mask[sub.aux_i] & mask[sub.aux_j]
+    exps = (lev[sub.aux_i] + lev[sub.aux_j]).astype(np.float64)
+    e_term = tiled_sum(np.where(both, aux_w * np.exp2(-exps), 0.0))
+    v_term = tiled_sum(np.where(mask, vert_w * np.exp2(-lev.astype(np.float64)), 0.0))
+    want = float(e_term + v_term)
+    got = mis._mixed_sum(sub, mask, lev)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_public_constructor_rejects_bad_aux_edges():
+    ok = dict(
+        imp=np.ones(1),
+        levels=np.zeros(3, dtype=np.int64),
+        edge_u=np.array([0]),
+        edge_v=np.array([2]),
+        aux_i=np.array([0, 1]),
+        aux_j=np.array([1, 2]),
+        aux_w=np.ones(2),
+        vert_w=np.zeros(3),
+        size_param=8,
+    )
+    MisAuxInstance(**ok)
+    bad = {
+        "duplicate aux edge": ([0, 1, 0], [1, 2, 1]),
+        "aux self-loop": ([0, 1], [1, 1]),
+        "aux edge endpoint out of range": ([0, 1], [1, 3]),
+    }
+    for message, (ai, aj) in bad.items():
+        with pytest.raises(ValueError, match=message):
+            MisAuxInstance(**{**ok, "aux_i": ai, "aux_j": aj, "aux_w": np.ones(len(ai))})
+    with pytest.raises(ValueError, match="duplicate aux edge"):  # the same pair reversed
+        MisAuxInstance(**{**ok, "aux_i": [0, 1], "aux_j": [1, 0]})
+    with pytest.raises(ValueError, match="out of range"):
+        MisAuxInstance(**{**ok, "aux_i": [-1, 1]})
 
 
 # --- maximal independent set -------------------------------------------------------

@@ -32,6 +32,11 @@ hitting_both's moved with the folded coefficients' sums, and
 hitting_phase1's with the summation order of its expanded cliques' pair
 costs, which turns scores of about 1e-16 into exact zeros and back.
 
+The matching and hitting_phase1 pins changed in word_sort alone, with
+their digests, when the recolouring rounds began radix-sorting their
+keys below n * p (sorting.radix_order) and charging the 16-bit passes
+they run, one or two on these pins, in place of a flat four per key.
+
 Only hitting_phase1 colours a cost graph with more classes than its
 phase-1 field holds: each of its watchers has 90 candidates spread over
 12 000 ids, so its second halving (level 11, 9 736 candidates) expands
@@ -204,12 +209,12 @@ RUNS = {
 PINS = {
     "hitting_high": ("c373aaed142597f3", {'half_sample': 3080, 'high_regime_round': 3325, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 6160}),
     "hitting_both": ("9e64a29bec36b7af", {'half_sample': 8602, 'high_regime_round': 8393, 'hitting_finalize': 2408, 'local_round': 17204, 'low_regime_round': 2706}),
-    "hitting_phase1": ("0c4f319a27ada303", {'defective_phase1': 233024, 'half_sample': 82123, 'high_regime_round': 90642, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 219847, 'recolor_slots': 252496, 'sqrt_tables': 7393, 'word_sort': 4212}),
+    "hitting_phase1": ("0c4f319a27ada303", {'defective_phase1': 233024, 'half_sample': 82123, 'high_regime_round': 90642, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 219847, 'recolor_slots': 252496, 'sqrt_tables': 7393, 'word_sort': 2106}),
     "core_aux": ("1ac6585900ac4be8", {'core_mis_finalize': 3640, 'half_sample': 4792, 'local_round': 9584, 'mis_high_round': 4832, 'mis_high_skip': 13}),
     "core_no_aux": ("5d1e9f84d960bfbc", {'core_mis_finalize': 1416, 'half_sample': 2280, 'local_round': 4560, 'mis_high_round': 2608, 'mis_high_skip': 13}),
     "core_tall": ("7613e3c5c670246d", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 5247, 'local_round': 10494, 'mis_high_round': 3032, 'mis_low_round': 1383}),
     "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 681776, 'core_mis_finalize': 234683, 'half_sample': 175351, 'independentish': 341519, 'local_round': 350702, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),
-    "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'match_compact': 15985, 'match_conflicts': 27934, 'match_extract': 13967, 'match_sweep': 21982, 'recolor_slots': 57262, 'word_sort': 229048}),
+    "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'match_compact': 15985, 'match_conflicts': 27934, 'match_extract': 13967, 'match_sweep': 21982, 'recolor_slots': 57262, 'word_sort': 114073}),
 }
 
 
