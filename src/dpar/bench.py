@@ -107,6 +107,8 @@ def run_maxcut(g: Graph, eps: float, params: ParamSet) -> dict:
     ok, d = verify.check_cut_bound(g, cut.side, eps)
     rep["oracles"]["cut"] = {"ok": ok, **d}
     rep["certificates"].append(_cert("cut_weight", d["cut_weight"], d["bound"], ok, ">="))
+    rep["num_classes"] = cut.num_classes
+    rep["sweep_steps"] = cut.sweep_steps
     return _finish(rep, work, t0)
 
 

@@ -49,34 +49,30 @@ have no common point, every node takes x = 0 and keeps its color.
 color_delta_squared returns before such a round and defective phase 1
 stops before it. Defective phase 1 starts from the layout: with w the
 largest id distance over the slots (the bandwidth), id mod (w + 1) is
-proper on min(n, w + 1) colors (layout_start). A halving puts each bucket
-clique on nearby ids, so no round runs on its cost graph; on spread ids
-(w near n - 1, as on a generic graph) rounds run, and only then does phase
-1 sieve primes, in O(p), below the O(n + m) of a round on over p nodes.
-Whether a round runs depends on n, w and eps alone, so strided_layout
-gives the classes of a graph it keeps at its layout without the graph's
-slots: the rounding passes the bandwidth of its bucket cliques, which it
-never expands on that path.
+proper on min(n, w + 1) colors (layout_start). On nearby ids no round
+runs; on spread ids (w near n - 1, as on a generic graph) rounds run, and
+only then does phase 1 sieve primes, in O(p), below the O(n + m) of a
+round on over p nodes.
 
 Defective coloring ends with a greedy sweep over the classes of its
 phase-1 coloring, where each node reads only the final colors of its heads
 in classes swept earlier. The classes are swept in a strided order, class
 t * a mod k at step t with a near k / golden ratio and coprime to k;
-strided_phase1 runs phase 1 and gives each node its step. Phase 1 classes
-follow node ids (id mod (w + 1), and mod p after a round, where most nodes
-take x = 0), and cost graphs put their bucket cliques on runs of
-consecutive ids, so consecutive classes share edges; the strided order
-puts classes far apart next to each other. The defect bound holds for any
-order of the classes. class_sweep cuts a sweep into batches of
-consecutive steps none of whose earlier heads lie in the same batch, so
-phase 2 runs one batch of dependency-free classes at a time, with the
-result of the class-by-class order: it sorts the batch's (node, head
-color) pairs and takes each node's smallest admissible color, the search
-the polynomial rounds make over their points. The rounding sweep in
-rounding.py needs classes with no live edge inside, not a small palette,
-so it takes the same batches over the strided phase-1 classes and runs no
-phase 2; its bucket cliques cut those batches through class_sweep's
-clique rows, one link per member to its predecessor in step order.
+strided_steps gives each node its step. Phase 1 classes follow node ids
+(id mod (w + 1), and mod p after a round, where most nodes take x = 0),
+and a graph whose cliques lie on runs of consecutive ids has edges
+between consecutive classes; the strided order puts classes far apart
+next to each other. The defect bound holds for any order of the classes.
+class_sweep cuts a sweep into batches of consecutive steps none of whose
+earlier heads lie in the same batch, so phase 2 runs one batch of
+dependency-free classes at a time, with the result of the class-by-class
+order: it sorts the batch's (node, head color) pairs and takes each
+node's smallest admissible color, the search the polynomial rounds make
+over their points. The rounding sweep in rounding.py needs classes with
+no cost pair inside, not a small palette, so it runs no phase-1 round and
+no phase 2: it takes the same batches over the strided layout classes,
+and its bucket cliques cut those batches through class_sweep's clique
+rows, one link per member to its predecessor in step order.
 """
 
 from __future__ import annotations
@@ -606,25 +602,6 @@ def layout_start(n: int, w: int) -> tuple[np.ndarray, int]:
     return np.arange(n, dtype=np.int64) % (w + 1), max(min(n, w + 1), 1)
 
 
-def _phase1_budget(n: int, eps: float) -> tuple[int, float, int]:
-    """(rounds I, per-round loss eps/(2I), point spread 3 ceil(2I/eps)) of
-    phase 1 on n nodes."""
-    iters = _phase1_iterations(n)
-    eps1 = eps / (2.0 * iters)
-    return iters, eps1, 3 * math.ceil(1.0 / eps1)
-
-
-def _phase1_tables(k: int, eps1: float, spread: int) -> NumberTheoryTables | None:
-    """The tables phase 1's rounds on a k-color start need, or None when it
-    runs no round: the field p >= spread of its first round holds the
-    palette (k <= p), so the round would return its input (see the module
-    docstring). A palette of at most spread colors needs no sieve."""
-    if k <= spread:
-        return None
-    tables = precompute_tables(tables_limit_for(k, 0, math.ceil(1.0 / eps1)))
-    return tables if k > _round_prime(tables, k, spread)[1] else None
-
-
 def _defective_phase1(
     g: Graph, eps: float, owners: np.ndarray, weights: np.ndarray, work: WorkCounter | None
 ) -> tuple[np.ndarray, int, np.ndarray, int]:
@@ -634,17 +611,23 @@ def _defective_phase1(
     Returns (colors in [0, k), k, alive slot mask, rounds run): slots
     turned monochromatic by some round are dead and their weight is lost.
     It stops before a round whose field holds the whole palette (k <= p),
-    which would return its input.
+    which would return its input (see the module docstring), and sieves no
+    primes when the start has at most as many colors as the first round's
+    point spread.
     """
     n = g.n
-    iters, eps1, spread = _phase1_budget(n, eps)
+    # I rounds, each losing at most eps/(2I), with points spread over
+    # 3 ceil(2I/eps)
+    iters = _phase1_iterations(n)
+    eps1 = eps / (2.0 * iters)
+    spread = 3 * math.ceil(1.0 / eps1)
     inv_eps1 = math.floor(1.0 / eps1)
     alive = np.ones(len(g.nbrs), dtype=bool)
     colors, k = layout_start(n, bandwidth(owners, g.nbrs))
-    tables = _phase1_tables(k, eps1, spread)
-    if tables is None:
-        return colors, k, alive, 0
     rounds = 0
+    if k <= spread:  # the first round's field p >= spread holds the palette
+        return colors, k, alive, rounds
+    tables = precompute_tables(tables_limit_for(k, 0, math.ceil(1.0 / eps1)))
     while rounds < iters:
         kprime, p = _round_prime(tables, k, spread)
         if k <= p:
@@ -688,36 +671,10 @@ def _sweep_stride(k: int) -> int:
     return a
 
 
-def _strided_steps(colors: np.ndarray, k: int) -> np.ndarray:
+def strided_steps(colors: np.ndarray, k: int) -> np.ndarray:
     """Each node's step t in the sweep that takes class t * a mod k at step
     t: its class times a^-1 mod k."""
     return colors * pow(_sweep_stride(k), -1, k) % k
-
-
-def strided_phase1(
-    g: Graph, eps: float, owners: np.ndarray, weights: np.ndarray, work: WorkCounter | None
-) -> tuple[np.ndarray, int, np.ndarray, int]:
-    """Phase 1 of defective_coloring with its classes in the strided order.
-
-    Returns (step, k, alive, rounds): each node's step t in the sweep that
-    takes class t * a mod k at step t, which is its class times a^-1 mod
-    k, then the k classes, the alive slot mask and the rounds run, as
-    _defective_phase1 returns them. No alive slot joins two nodes of one
-    step.
-    """
-    colors, k, alive, rounds = _defective_phase1(g, eps, owners, weights, work)
-    return _strided_steps(colors, k), k, alive, rounds
-
-
-def strided_layout(n: int, w: int, eps: float) -> tuple[np.ndarray, int] | None:
-    """(step, k) that strided_phase1 gives every graph on n nodes of
-    bandwidth w, when phase 1 keeps its layout coloring and so needs none
-    of the graph's slots; None when phase 1 would run a round on it."""
-    _, eps1, spread = _phase1_budget(n, eps)
-    colors, k = layout_start(n, w)
-    if _phase1_tables(k, eps1, spread) is not None:
-        return None
-    return _strided_steps(colors, k), k
 
 
 def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) -> Coloring:
@@ -728,7 +685,7 @@ def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) ->
     layout_start) and runs budgeted polynomial rounds, each losing at
     most an eps/(2I) fraction of edge weight to monochromatic edges; it
     stops before a round that could not change a color. Phase 2 sweeps the
-    phase-1 classes in the strided order (see strided_phase1), orients
+    phase-1 classes in the strided order (see strided_steps), orients
     every edge from its later to its earlier class and greedily recolors
     the classes into the final palette, one batch of dependency-free
     classes at a time (see class_sweep), losing at most eps/2: the bound
@@ -742,7 +699,8 @@ def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) ->
     total_w = float(np.sum(weights)) / 2.0
     palette2 = 3 * math.ceil(1.0 / eps)
     owners = g.slot_owners()
-    step, k, alive, rounds = strided_phase1(g, eps, owners, weights, work)
+    colors, k, alive, rounds = _defective_phase1(g, eps, owners, weights, work)
+    step = strided_steps(colors, k)
 
     # edges point from later to earlier steps; a node picks the smallest
     # final color whose weight among its out-heads stays under its budget

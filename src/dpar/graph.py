@@ -8,9 +8,7 @@ Graphs are built from pair lists on one path: merged_pairs canonicalizes
 and dedupes the pairs, summing each pair's weights in input order, and
 graph_from_directed_slots sorts the two directed copies into CSR. Both
 radix-sort their pair codes below n * n (sorting.radix_order).
-sort_edges_to_csr validates an input edge list and takes that path;
-rounding.local_round takes it only for the cost graphs on which defective
-phase 1 runs polynomial rounds.
+sort_edges_to_csr validates an input edge list and takes that path.
 compact_subgraph restricts a graph to a node set.
 """
 
@@ -111,8 +109,9 @@ def graph_from_directed_slots(
     n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None = None
 ) -> Graph:
     """CSR from already-symmetric directed slot lists, sorted by (owner,
-    neighbor). Parallel slots are kept; both callers pass the two directed
-    copies of merged_pairs' output, so the graphs they build are simple."""
+    neighbor). Parallel slots are kept; sort_edges_to_csr passes the two
+    directed copies of merged_pairs' output, so the graphs it builds are
+    simple."""
     order = radix_order(src * n + dst, n * n)
     src, dst = src[order], dst[order]
     w = weights[order] if weights is not None else None

@@ -302,8 +302,7 @@ class QuadPotential(CliqueGroup):
     it is: coef_B * c_B * (c_B - 1) on a set holding c_B members of bucket
     B, so run_half hands it to the rounding as it is, folded with any other
     potential over the same members, and its b(b - 1)/2 pairs per bucket
-    are expanded (pairs) only where defective phase 1 has to run
-    polynomial rounds.
+    are never expanded.
     """
 
     name: str

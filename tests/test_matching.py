@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from dpar.generate import complete_graph, gnm_graph, star_graph
 from dpar.graph import Graph, sort_edges_to_csr
+from dpar.hitting import ParamSet
 from dpar.matching import _extract_matching, maximal_matching
+from dpar.mis import maximal_independent_set
 from dpar.verify import check_maximal_matching
 from dpar.workcount import WorkCounter
 
@@ -191,3 +193,18 @@ def test_extraction_without_conflicts_takes_every_edge():
     chosen, classes, steps = _extract_matching(empty, empty, 3, work)
     assert len(chosen) == 0 and (classes, steps) == (0, 0)
     assert work.total == 0
+
+
+def test_dense_matching_work_stays_near_the_mis():
+    """On gnm(1 000, 100 000) a watcher's incident edges lie far apart in
+    the edge numbering, so the matching's halvings sweep layouts of tens of
+    thousands of classes. Its units per node and edge must stay within 4x
+    of the MIS's on the same graph; they read 26.5 against 7.32, and 952
+    when the halvings coloured an expanded cost graph instead."""
+    g = gnm_graph(1000, 100_000, seed=1)
+    units = {}
+    for name, solve in [("matching", maximal_matching), ("mis", maximal_independent_set)]:
+        work = WorkCounter()
+        solve(g, ParamSet.desk(), work=work)
+        units[name] = work.total / (g.n + g.m)
+    assert units["matching"] <= 4.0 * units["mis"], units

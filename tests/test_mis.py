@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dpar import mis
 from dpar.generate import complete_graph, gnm_graph, star_graph
 from dpar.graph import Graph, sort_edges_to_csr
-from dpar.hitting import ParamSet, QuadPotential
+from dpar.hitting import ParamSet
 from dpar.mis import (
     AUX_FACTOR_LOW,
     LOW_BOUND_BASE,
@@ -24,6 +24,7 @@ from dpar.mis import (
 from dpar.rounding import tiled_sum
 from dpar.verify import check_independent, check_maximal_independent
 from dpar.workcount import WorkCounter
+from test_rounding import forbid_cost_graphs
 
 BIG_N = 1 << 64
 
@@ -482,11 +483,8 @@ def test_dense_halving_reports_one_cost_slot_per_term():
 
 
 def test_dense_halvings_never_expand_their_cliques(monkeypatch):
-    def expand(pot):
-        raise AssertionError(f"{pot.name} expanded into pairs")
-
-    monkeypatch.setattr(QuadPotential, "pairs", expand)
     g = gnm_graph(540, 140_000, seed=1)
+    forbid_cost_graphs(monkeypatch)
     work = WorkCounter()
     res = maximal_independent_set(g, work=work)
     assert work.per_phase["half_sample"] > 0  # some halving ran

@@ -1,8 +1,6 @@
 """Guards for the shared low/high regime driver.
 
-The pinned digests and WorkCounter snapshots must keep matching exactly,
-sqrt_tables included: every defective colouring that runs a phase-1 round
-sieves and builds its own tables, so nothing is shared between rounds.
+The pinned digests and WorkCounter snapshots must keep matching exactly.
 
 The matching pin's digest was recorded when color_delta_squared began
 stopping after the first shrinking round whose prime field is set by the
@@ -20,29 +18,31 @@ explicit terms only, and a zero score now joins only when none of the
 node's cost partners is still undecided, so selections moved (the mis
 pin's output did not).
 
-Five pins (core_aux, core_tall, hitting_both, hitting_phase1, mis) were
-re-recorded again when local_round began sweeping each explicit term as
-one slot, from its endpoint with the later step, instead of both slots
-of each merged pair, and run_half began folding the bucket potentials
-over one members array (phi_pair and phi_weighted) into one clique group:
-local_round charges one unit per term or live pair instead of two, and
-half_sample and the round reports' clique_members count the folded
-memberships. The core_aux, core_tall and mis selections did not move;
-hitting_both's moved with the folded coefficients' sums, and
-hitting_phase1's with the summation order of its expanded cliques' pair
-costs, which turns scores of about 1e-16 into exact zeros and back.
+Five pins (core_aux, core_tall, hitting_both, hitting_spread, then
+named hitting_phase1, and mis) were re-recorded again when local_round
+began sweeping each explicit term as one slot, from its endpoint with the
+later step, instead of both slots of each merged pair, and run_half began
+folding the bucket potentials over one members array (phi_pair and
+phi_weighted) into one clique group: local_round charges one unit per
+term or live pair instead of two, and half_sample and the round reports'
+clique_members count the folded memberships. The core_aux, core_tall and
+mis selections did not move; hitting_both's moved with the folded
+coefficients' sums.
 
-The matching and hitting_phase1 pins changed in word_sort alone, with
-their digests, when the recolouring rounds began radix-sorting their
-keys below n * p (sorting.radix_order) and charging the 16-bit passes
-they run, one or two on these pins, in place of a flat four per key.
+The matching pin changed in word_sort alone, its digest unchanged, when
+the recolouring rounds began radix-sorting their keys below n * p
+(sorting.radix_order) and charging the 16-bit passes they run, one or two
+on this pin, in place of a flat four per key.
 
-Only hitting_phase1 colours a cost graph with more classes than its
-phase-1 field holds: each of its watchers has 90 candidates spread over
-12 000 ids, so its second halving (level 11, 9 736 candidates) expands
-its cliques into pair terms and runs two budgeted kernel rounds that find
-conflict roots (defective_phase1, word_sort). Every other pin's halvings keep their
-cliques, and their phase 1 runs no round and charges no recolouring, sort
+The hitting_spread pin was renamed from hitting_phase1 and re-recorded
+when local_round began sweeping the layout classes id mod (w + 1) of
+every instance. Each of its watchers has 90 candidates spread over
+12 000 ids, so its halvings' layouts have thousands of classes, more
+than defective phase 1's field holds. Its second halving (level 11,
+9 736 candidates) used to expand its cliques into pair terms and run two
+budgeted kernel rounds (defective_phase1, recolor_slots, sqrt_tables,
+word_sort); now it sweeps the layout classes with its cliques kept, as
+every other pin's halvings do, and no halving charges recolouring, sort
 or square-root work.
 """
 
@@ -142,24 +142,25 @@ def run_hitting_both():
     return digest(res.selected, rounds=res.rounds), work
 
 
-def run_hitting_phase1():
+def spread_hitting_instance() -> BipartiteInstance:
     """60 watchers, each of 90 candidates spread over 12 000 at level 12:
-    a watcher's bucket of 45 candidates spans about half the ids, so the
-    second halving's cost graph has more nodes and a larger bandwidth than
-    its phase-1 field holds (the first keeps its layout), so it expands its
-    cliques into pair terms and its defective colouring runs budgeted
-    kernel rounds that find conflict roots (word_sort)."""
+    a watcher's bucket of 45 candidates spans about half the ids, so a
+    halving's layout has thousands of classes, more than defective phase
+    1's field holds."""
     rng = np.random.default_rng(37)
     n_watch, deg, n_cand, level = 60, 90, 12_000, 12
-    inst = BipartiteInstance(
+    return BipartiteInstance(
         imp=rng.random(n_watch) + 0.2,
         levels=np.full(n_cand, level, dtype=np.int64),
         edge_u=np.repeat(np.arange(n_watch), deg),
         edge_v=np.concatenate([rng.choice(n_cand, deg, replace=False) for _ in range(n_watch)]),
         size_param=1 << 17,
     )
+
+
+def run_hitting_spread():
     work = WorkCounter()
-    res = hitting_set(inst, DESK, floor=4, work=work)
+    res = hitting_set(spread_hitting_instance(), DESK, floor=4, work=work)
     return digest(res.selected, rounds=res.rounds), work
 
 
@@ -198,7 +199,7 @@ TALL_SEED = 3  # the second low round keeps an aux edge: the adaptive-eps path
 RUNS = {
     "hitting_high": run_hitting_high,
     "hitting_both": run_hitting_both,
-    "hitting_phase1": run_hitting_phase1,
+    "hitting_spread": run_hitting_spread,
     "core_aux": run_core_aux,
     "core_no_aux": run_core_no_aux,
     "core_tall": run_core_tall,
@@ -209,7 +210,7 @@ RUNS = {
 PINS = {
     "hitting_high": ("c373aaed142597f3", {'half_sample': 3080, 'high_regime_round': 3325, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 6160}),
     "hitting_both": ("9e64a29bec36b7af", {'half_sample': 8602, 'high_regime_round': 8393, 'hitting_finalize': 2408, 'local_round': 17204, 'low_regime_round': 2706}),
-    "hitting_phase1": ("0c4f319a27ada303", {'defective_phase1': 233024, 'half_sample': 82123, 'high_regime_round': 90642, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 219847, 'recolor_slots': 252496, 'sqrt_tables': 7393, 'word_sort': 2106}),
+    "hitting_spread": ("8be79b2f20935793", {'half_sample': 81751, 'high_regime_round': 90348, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 163502}),
     "core_aux": ("1ac6585900ac4be8", {'core_mis_finalize': 3640, 'half_sample': 4792, 'local_round': 9584, 'mis_high_round': 4832, 'mis_high_skip': 13}),
     "core_no_aux": ("5d1e9f84d960bfbc", {'core_mis_finalize': 1416, 'half_sample': 2280, 'local_round': 4560, 'mis_high_round': 2608, 'mis_high_skip': 13}),
     "core_tall": ("7613e3c5c670246d", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 5247, 'local_round': 10494, 'mis_high_round': 3032, 'mis_low_round': 1383}),

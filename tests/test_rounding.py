@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpar.coloring
+import dpar.graph
+import dpar.hitting
 import dpar.rounding
+from dpar.generate import gnm_graph
 from dpar.graph import sort_edges_to_csr
+from dpar.hitting import ParamSet, hitting_set
 from dpar.rounding import (
     CliqueGroup,
     CutResult,
@@ -15,8 +20,9 @@ from dpar.rounding import (
     local_round,
     max_cut_half,
 )
-from dpar.verify import cut_weight
+from dpar.verify import check_cut_bound, check_hitting_window, cut_weight
 from dpar.workcount import WorkCounter
+from test_regime_driver import spread_hitting_instance
 
 
 def make_instance(utils, costs, eps):
@@ -58,7 +64,6 @@ def test_positive_utils_all_join_when_costless():
     res = local_round(inst)
     assert res.in_set.all()
     assert res.objective == 6.0
-    assert res.lost_cost == 0.0
 
 
 def test_negative_utils_stay_out():
@@ -85,28 +90,27 @@ def test_parallel_cost_terms_accumulate():
 
 
 @contextmanager
-def calls_to(name):
-    """Collect (args, result) of every call to dpar.rounding.<name> made
-    inside the block."""
+def calls_to(module, name):
+    """Collect (args, result) of every call to module.<name> made inside
+    the block."""
     calls = []
-    real = getattr(dpar.rounding, name)
+    real = getattr(module, name)
 
     def keep(*args, **kwargs):
         calls.append((args, real(*args, **kwargs)))
         return calls[-1][1]
 
-    setattr(dpar.rounding, name, keep)
+    setattr(module, name, keep)
     try:
         yield calls
     finally:
-        setattr(dpar.rounding, name, real)
+        setattr(module, name, real)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000), eps_idx=st.integers(0, 2))
 def test_split_parallel_terms_round_like_the_merged_instance(seed, eps_idx):
-    # costs are multiples of 1/8 below 8, so halves and every sum are exact;
-    # below 40 nodes phase 1 keeps its layout at these eps
+    # costs are multiples of 1/8 below 8, so halves and every sum are exact
     eps = [0.5, 0.25, 0.1][eps_idx]
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 40))
@@ -126,14 +130,12 @@ def test_split_parallel_terms_round_like_the_merged_instance(seed, eps_idx):
         cost_c=np.concatenate([cc, cc])[order] / 2.0,
         eps=eps,
     )
-    with calls_to("merged_pairs") as merged, calls_to("graph_from_directed_slots") as built:
-        a, b, c = (local_round(inst) for inst in (whole, split, reversed_terms))
-    # the layout path sweeps one slot per term and builds no cost graph
-    assert not merged and not built
+    a, b, c = (local_round(inst) for inst in (whole, split, reversed_terms))
+    # one slot per term: split and reversed terms charge what their sums do
     for other in (b, c):
         assert np.array_equal(a.in_set, other.in_set)
         assert np.array_equal(a.scores, other.scores)
-        assert a.bound == other.bound and other.lost_cost == 0.0
+        assert a.bound == other.bound
     assert a.cost_pairs == c.cost_pairs == len(pairs)
     assert b.cost_pairs == 2 * len(pairs)
 
@@ -159,7 +161,7 @@ def test_property_certificate_holds(seed, eps_idx):
     res = local_round(inst, work=work)
     cost_total = float(np.sum(inst.cost_c))
     assert res.objective >= res.bound
-    assert res.lost_cost <= eps * cost_total + 1e-12 * max(cost_total, 1.0)
+    assert res.bound == pytest.approx(0.5 * float(np.sum(inst.utils)) - (0.25 + eps) * cost_total)
     assert evaluate_objective(inst, res.in_set) == res.objective
     assert work.total > 0
 
@@ -170,9 +172,8 @@ def test_property_certificate_holds(seed, eps_idx):
 )
 def test_banded_costs_round_over_the_layout_classes(seed, eps_idx, band):
     # cliques on runs of at most band + 1 consecutive ids, as a halving lays
-    # out its buckets: the bandwidth w is at most band, and phase 1's field
-    # holds at least 12 colors, so phase 1 runs no round. The sweep takes
-    # the min(n, w + 1) layout classes and writes nothing off.
+    # out its buckets: the bandwidth w is at most band, and the sweep takes
+    # the min(n, w + 1) layout classes
     eps = [1.0, 0.5, 0.25, 0.1, 0.03][eps_idx]
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 80))
@@ -189,15 +190,43 @@ def test_banded_costs_round_over_the_layout_classes(seed, eps_idx, band):
     w = int(np.abs(ci - cj).max()) if len(ci) else 0
     res = local_round(inst)
     assert res.num_classes == min(n, w + 1)
-    assert res.lost_cost == 0.0
     assert res.bound == pytest.approx(0.5 * utils.sum() - (0.25 + eps) * cc.sum())
     assert res.objective == evaluate_objective(inst, res.in_set) >= res.bound
 
 
-def test_spread_cliques_expand_and_run_phase1_rounds(monkeypatch):
-    # buckets whose members spread over 3 000 ids, as the hitting_phase1 pin
-    # lays them out: the 3 000 layout colors exceed phase 1's field (173 at
-    # eps 0.25), so the cliques are expanded and phase 1 runs its rounds
+def layout_classes(inst: RoundingInstance) -> int:
+    """min(n, w + 1), at least 1, for w the largest id distance of an
+    explicit term or within a bucket, by plain loops."""
+    w = max((abs(i - j) for i, j in zip(inst.cost_i.tolist(), inst.cost_j.tolist())), default=0)
+    for group in inst.cliques:
+        for lo in range(0, len(group.members), group.b):
+            row = group.members[lo : lo + group.b].tolist()
+            w = max(w, max(row) - min(row))
+    return max(min(inst.n, w + 1), 1)
+
+
+def forbid_cost_graphs(monkeypatch):
+    """Make defective phase 1 and both graph builders raise, so that a
+    rounding which colours or builds a cost graph fails."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cost graph was built or coloured")
+
+    monkeypatch.setattr(dpar.coloring, "_defective_phase1", refuse)
+    for module, name in [
+        (dpar.graph, "merged_pairs"),
+        (dpar.graph, "graph_from_directed_slots"),
+        (dpar.rounding, "graph_from_directed_slots"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_spread_instances_sweep_their_layout_classes(monkeypatch):
+    """Three instances whose costs spread over thousands of ids, more
+    layout classes than defective phase 1's field holds. Each is rounded
+    over its min(n, w + 1) layout classes, with no cost graph and no
+    clique expanded, and certifies."""
+    # buckets of 12 members spread over 3 000 ids
     rng = np.random.default_rng(11)
     n, b, nb, eps = 3000, 12, 400, 0.25
     members = np.concatenate([rng.choice(n, size=b, replace=False) for _ in range(nb)])
@@ -206,18 +235,32 @@ def test_spread_cliques_expand_and_run_phase1_rounds(monkeypatch):
     np.add.at(utils, members, np.repeat(group.coefs * (b - 1), b))
     e = np.empty(0, dtype=np.int64)
     inst = RoundingInstance(utils, cost_i=e, cost_j=e, cost_c=np.empty(0), eps=eps, cliques=[group])
-    expansions = []
-    real_pairs = CliqueGroup.pairs
-    monkeypatch.setattr(CliqueGroup, "pairs", lambda g: expansions.append(g) or real_pairs(g))
-    with calls_to("strided_phase1") as phase1:
-        res = local_round(inst)
-    assert expansions == [group]
-    ((_, (_step, k, _alive, rounds)),) = phase1
-    assert rounds >= 1 and k == res.num_classes
+    hset = spread_hitting_instance()
+    cut_graph = gnm_graph(2000, 8000, seed=10)
+    forbid_cost_graphs(monkeypatch)
+
+    res = local_round(inst)
+    assert res.num_classes == layout_classes(inst) > 2900
     cost_total = float(np.sum(group.coefs)) * b * (b - 1)
-    assert res.lost_cost <= eps / 2.0 * cost_total
     assert res.bound == pytest.approx(0.5 * utils.sum() - (0.25 + eps) * cost_total)
     assert res.objective == evaluate_objective(inst, res.in_set) >= res.bound
+
+    # the hitting_spread pin: its first two halvings, of 12 000 and 9 736
+    # candidates, sweep 7 329 and 9 636 layout classes
+    with calls_to(dpar.hitting, "local_round") as halvings:
+        hit = hitting_set(hset, ParamSet.desk(), floor=4)
+    classes = [half.num_classes for _, half in halvings]
+    assert classes == [layout_classes(half_inst) for (half_inst,), _ in halvings]
+    assert classes[:2] == [7329, 9636]
+    assert check_hitting_window(
+        hset.imp, hset.levels, hset.edge_u, hset.edge_v, hit.selected, floor=4
+    )[0]
+
+    cut = max_cut_half(cut_graph, eps=0.25)
+    w = int(np.abs(cut_graph.slot_owners() - cut_graph.nbrs).max())
+    assert cut.num_classes == min(cut_graph.n, w + 1) == 1974
+    assert cut.sweep_steps >= 1
+    assert check_cut_bound(cut_graph, cut.side, 0.25)[0]
 
 
 def test_monte_carlo_expectation_reference():
@@ -283,7 +326,7 @@ def test_max_cut_instance_objective_is_the_cut_weight(seed, weighted, eps_idx):
     # some zero weights; others unequal, so a weight-blind degree shows
     w = (rng.random(m) * (rng.random(m) >= 0.2))[keep] if weighted else None
     g = sort_edges_to_csr(np.stack([u, v], axis=1)[keep], n, weights=w)
-    with calls_to("local_round") as calls:
+    with calls_to(dpar.rounding, "local_round") as calls:
         res = max_cut_half(g, eps=eps)
     ((args, _),) = calls
     inst = args[0]
