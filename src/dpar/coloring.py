@@ -202,22 +202,20 @@ def _compact_colors(colors: np.ndarray) -> tuple[np.ndarray, int]:
     return dense.astype(np.int64), len(used)
 
 
-def _round_field(tables: NumberTheoryTables, k: int, kprime: int) -> int:
-    """The prime p >= kprime of a round on k colors, checked to keep its
-    products exact and to hold the palette as polynomials (k <= p^3)."""
-    p = prime_in_range(tables, kprime)
+def _check_field(k: int, p: int) -> None:
+    """Check that a round on k colors over the prime field p keeps its
+    products exact and holds the palette as polynomials (k <= p^3)."""
     if p >= MAX_FIELD:
         raise ValueError("instance too large: prime field exceeds exact-arithmetic range")
     if k > p**3:
         raise RuntimeError("palette does not fit the field; k' selection broken")
-    return p
 
 
 def _kernel_round(
     n: int,
     colors: np.ndarray,
     k: int,
-    kprime: int,
+    p: int,
     tables: NumberTheoryTables,
     src: np.ndarray,
     dst: np.ndarray,
@@ -227,7 +225,8 @@ def _kernel_round(
     symmetric: bool,
     work: WorkCounter | None,
 ) -> np.ndarray:
-    """One recoloring round over conflict slots (src -> dst).
+    """One recoloring round over conflict slots (src -> dst), in the
+    prime field p.
 
     weights/budget None: proper mode, every hit point is inadmissible.
     Otherwise a point is admissible while its hit weight stays below
@@ -237,7 +236,7 @@ def _kernel_round(
     and hits both ends. Otherwise every slot is solved and hits its owner.
     Returns the new colors (compacted later by the caller).
     """
-    p = _round_field(tables, k, kprime)
+    _check_field(k, p)
     sqrt_tab = tables.sqrt_table(p, work)
     inv_tab = tables.inv_table(p)
     a_all, b_all, c_all = _poly_coeffs(colors, p)
@@ -300,12 +299,12 @@ def _clique_round(
     n_ends: int,
     colors: np.ndarray,
     k: int,
-    kprime: int,
-    tables: NumberTheoryTables,
+    p: int,
     domain: np.ndarray,
     work: WorkCounter | None,
 ) -> tuple[np.ndarray, int]:
-    """One proper recoloring round on endpoint cliques, in point steps.
+    """One proper recoloring round on endpoint cliques, in point steps, in
+    the prime field p.
 
     Node i (of m = len(colors)) belongs to the cliques of ends[i] and
     ends[m + i], and ends has values in [0, n_ends). A proper round gives
@@ -318,7 +317,7 @@ def _clique_round(
     its domain, takes x. Returns (new colors, steps taken); raises if a
     node is still undecided at the largest domain.
     """
-    p = _round_field(tables, k, kprime)
+    _check_field(k, p)
     m = len(colors)
     a_all, b_all, c_all = _poly_coeffs(colors, p)
     x_star = np.zeros(m, dtype=np.int64)
@@ -356,11 +355,10 @@ def _clique_round(
     return x_star * p + _eval_poly(a_all, b_all, c_all, x_star, p), steps
 
 
-def _round_prime(tables: NumberTheoryTables, k: int, spread: int) -> tuple[int, int]:
-    """(kprime, p) of a recoloring round on k colors whose point domains
-    reach up to spread."""
-    kprime = max(math.ceil(k ** (1.0 / 3.0)), spread, 3)
-    return kprime, prime_in_range(tables, kprime)
+def _round_prime(tables: NumberTheoryTables, k: int, spread: int) -> int:
+    """The prime p >= max(ceil(k^(1/3)), spread, 3) of a recoloring
+    round on k colors whose point domains reach up to spread."""
+    return prime_in_range(tables, max(math.ceil(k ** (1.0 / 3.0)), spread, 3))
 
 
 def _conflict_slots(g: Graph, orientation: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -402,9 +400,9 @@ class _SlotConflicts:
         self.symmetric = orientation is None
         self.cdeg = np.bincount(self.src, minlength=g.n).astype(np.int64)
 
-    def recolor(self, colors, k, kprime, tables, domain, work) -> np.ndarray:
+    def recolor(self, colors, k, p, tables, domain, work) -> np.ndarray:
         return _kernel_round(
-            self.n, colors, k, kprime, tables, self.src, self.dst, None, domain, None,
+            self.n, colors, k, p, tables, self.src, self.dst, None, domain, None,
             self.symmetric, work,
         )
 
@@ -424,10 +422,8 @@ class _CliqueConflicts:
         self.cdeg = (deg[cl.e_u] + deg[cl.e_v] - 2).astype(np.int64)
         self.point_steps = 0
 
-    def recolor(self, colors, k, kprime, tables, domain, work) -> np.ndarray:
-        new_colors, steps = _clique_round(
-            self.ends, self.n_ends, colors, k, kprime, tables, domain, work
-        )
+    def recolor(self, colors, k, p, tables, domain, work) -> np.ndarray:
+        new_colors, steps = _clique_round(self.ends, self.n_ends, colors, k, p, domain, work)
         self.point_steps += steps
         return new_colors
 
@@ -474,12 +470,12 @@ def color_delta_squared(
     tables = precompute_tables(tables_limit_for(n, delta))
     colors, k = np.arange(n, dtype=np.int64), n
     while True:
-        kprime, p = _round_prime(tables, k, 3 * delta)
+        p = _round_prime(tables, k, 3 * delta)
         if k <= p:
             break
         degree_bound = math.ceil(k ** (1.0 / 3.0)) <= 3 * delta
         domain = np.minimum(np.maximum(3 * cdeg, 1), p)
-        new_colors = conflicts.recolor(colors, k, kprime, tables, domain, work)
+        new_colors = conflicts.recolor(colors, k, p, tables, domain, work)
         new_colors, used = _compact_colors(new_colors)
         if conflicts.monochromatic(new_colors, used):
             raise RuntimeError("recoloring produced a monochromatic conflict edge")
@@ -629,7 +625,7 @@ def _defective_phase1(
         return colors, k, alive, rounds
     tables = precompute_tables(tables_limit_for(k, 0, math.ceil(1.0 / eps1)))
     while rounds < iters:
-        kprime, p = _round_prime(tables, k, spread)
+        p = _round_prime(tables, k, spread)
         if k <= p:
             break
         src, dst, w = owners[alive], g.nbrs[alive], weights[alive]
@@ -640,9 +636,7 @@ def _defective_phase1(
         domain = np.maximum(domain, 1).astype(np.int64)
         # low nodes may lose no weight: budget 0 admits hit weight 0 only
         budget = np.where(low, 0.0, eps1 * incident)
-        new_colors = _kernel_round(
-            n, colors, k, kprime, tables, src, dst, w, domain, budget, True, work
-        )
+        new_colors = _kernel_round(n, colors, k, p, tables, src, dst, w, domain, budget, True, work)
         rounds += 1
         lost = new_colors[src] == new_colors[dst]
         if np.any(lost & low[src] & (w > 0)):

@@ -4,12 +4,14 @@ A graph stores both directed copies of every undirected edge: node u's
 block is nbrs[offsets[u]:offsets[u+1]]. Optional per-slot weights are
 symmetric.
 
-Graphs are built from pair lists on one path: merged_pairs canonicalizes
-and dedupes the pairs, summing each pair's weights in input order, and
-graph_from_directed_slots sorts the two directed copies into CSR. Both
-radix-sort their pair codes below n * n (sorting.radix_order).
-sort_edges_to_csr validates an input edge list and takes that path.
-compact_subgraph restricts a graph to a node set.
+Graphs are built from pair lists on one path: graph_from_directed_slots
+radix-sorts the directed slot codes src * n + dst below n * n
+(sorting.radix_order) into CSR, merging each run of repeated slots into
+one and summing its weights in input order. sort_edges_to_csr validates
+an input edge list and passes it all its lo -> hi copies, then all its
+hi -> lo copies, so both slots of a repeated pair sum its weights in the
+same order. compact_subgraph restricts a graph to a node set.
+has_repeated_pairs checks pair lists that must hold no pair twice.
 """
 
 from __future__ import annotations
@@ -75,50 +77,48 @@ class Graph:
             _check_weights(self.weights)
 
 
-def merged_pairs(
-    i: np.ndarray, j: np.ndarray, n: int, weights: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The distinct undirected pairs among (i[k], j[k]), endpoints in [0, n).
-
-    Returns (lo, hi, w): one entry per distinct pair lo < hi, in ascending
-    (lo, hi) order, and w the sum of each pair's weights taken in input
-    order (None without weights). Each pair has the code lo * n + hi; the
-    codes are stably radix-sorted and each run of equal codes is summed.
-    The sort is not charged to a WorkCounter. Temporaries are built in
-    place and dropped early, since this merge sets peak memory on dense
-    rounding instances.
-    """
-    code = np.minimum(i, j)
-    code *= n
+def has_repeated_pairs(i: np.ndarray, j: np.ndarray, n: int) -> bool:
+    """Whether some undirected pair {i[k], j[k]}, endpoints in [0, n),
+    appears twice. Sorting the codes min * n + max and comparing
+    neighbours is far cheaper than the hash-based np.unique on large int64
+    arrays."""
+    code = np.minimum(i, j) * np.int64(n)
     code += np.maximum(i, j)
-    order = radix_order(code, n * n)
-    code = code[order]
-    first = first_of_runs(code)
-    uniq = code[first]
-    del code
-    w = None
-    if weights is not None:
-        groups = np.cumsum(first)
-        groups -= 1
-        # astype: bincount of no entries comes back int64
-        w = np.bincount(groups, weights=weights[order]).astype(np.float64, copy=False)
-    return uniq // n, uniq % n, w
+    code.sort()
+    return bool(np.any(code[1:] == code[:-1]))
 
 
 def graph_from_directed_slots(
     n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None = None
 ) -> Graph:
     """CSR from already-symmetric directed slot lists, sorted by (owner,
-    neighbor). Parallel slots are kept; sort_edges_to_csr passes the two
-    directed copies of merged_pairs' output, so the graphs it builds are
-    simple."""
-    order = radix_order(src * n + dst, n * n)
-    src, dst = src[order], dst[order]
-    w = weights[order] if weights is not None else None
-    counts = np.bincount(src, minlength=n).astype(np.int64)
+    neighbor). Repeated slots merge into one, whose weight is the sum of
+    theirs taken in input order: the codes src * n + dst are stably
+    radix-sorted and each run of equal codes is summed. The sort is not
+    charged to a WorkCounter. Temporaries are dropped early, since this
+    build sets peak memory on dense inputs."""
+    code = src * n
+    code += dst
+    # sort_edges_to_csr passes temporaries, which this frees before the sort
+    del src, dst
+    order = radix_order(code, n * n)
+    code = code[order]
+    first = first_of_runs(code)
+    w = None
+    if weights is not None:
+        groups = np.cumsum(first)
+        groups -= 1
+        # astype: bincount of no entries comes back int64
+        w = np.bincount(groups, weights=weights[order]).astype(np.float64, copy=False)
+        del groups
+    del order
+    code = code[first]
+    del first
+    counts = np.bincount(code // n, minlength=n).astype(np.int64)
     offsets = np.zeros(n + 1, dtype=np.int64)
     offsets[1:] = np.cumsum(counts)
-    return Graph(n=n, offsets=offsets, nbrs=dst, weights=w)
+    code %= n
+    return Graph(n=n, offsets=offsets, nbrs=code, weights=w)
 
 
 def sort_edges_to_csr(edges, n: int, weights=None) -> Graph:
@@ -142,8 +142,11 @@ def sort_edges_to_csr(edges, n: int, weights=None) -> Graph:
         if w.shape != (len(e),):
             raise ValueError("weights length mismatch")
         _check_weights(w)
-    lo, hi, pair_w = merged_pairs(e[:, 0], e[:, 1], n, w)
-    ww = None if pair_w is None else np.concatenate([pair_w, pair_w])
+    # all lo -> hi copies, then all hi -> lo copies, each in input order:
+    # every run of repeated slots holds one orientation's copies, so both
+    # slots of a pair sum its weights in the same order
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    ww = None if w is None else np.concatenate([w, w])
     return graph_from_directed_slots(n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), ww)
 
 

@@ -378,7 +378,6 @@ class HalfResult:
     phi_total: float
     phi_bound: float
     cost_terms: int  # explicit pair terms the linear potentials emitted
-    cost_pairs: int  # explicit cost slots the rounding swept, one per term on the layout path
     clique_members: int  # bucket memberships the rounding swept, shared buckets folded
     sweep_steps: int  # sequential class-sweep batches of the rounding
 
@@ -426,7 +425,6 @@ def run_half(
         phi_total=total,
         phi_bound=phi_bound,
         cost_terms=len(cc),
-        cost_pairs=res.cost_pairs,
         clique_members=members,
         sweep_steps=res.sweep_steps,
     )
@@ -728,7 +726,6 @@ class RegimeDriver:
             "phi_total": half.phi_total,
             "phi_bound": half.phi_bound,
             "cost_terms": half.cost_terms,
-            "cost_pairs": half.cost_pairs,
             "clique_members": half.clique_members,
             "sweep_steps": half.sweep_steps,
             "bad_left": int(bad.sum()),

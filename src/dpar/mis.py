@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .coloring import color_delta_squared
-from .graph import Graph, compact_subgraph
+from .graph import Graph, compact_subgraph, has_repeated_pairs
 from .hitting import (
     BAD_NODE_EXP,
     EPS_DENOM_HIGH,
@@ -101,13 +101,7 @@ class MisAuxInstance(BipartiteInstance):
                 raise ValueError("aux edge endpoint out of range")
             if np.any(self.aux_i == self.aux_j):
                 raise ValueError("aux self-loop")
-            code = np.sort(
-                np.minimum(self.aux_i, self.aux_j) * np.int64(n_v)
-                + np.maximum(self.aux_i, self.aux_j)
-            )
-            # sorting and comparing neighbors is far cheaper than the
-            # hash-based np.unique on large int64 arrays
-            if np.any(code[1:] == code[:-1]):
+            if has_repeated_pairs(self.aux_i, self.aux_j, n_v):
                 raise ValueError("duplicate aux edge")
         if not np.all(np.isfinite(self.aux_w) & (self.aux_w >= 0)):
             raise ValueError("aux weights must be finite and nonnegative")
@@ -177,8 +171,7 @@ def edge_buckets(
         raise ValueError("edge endpoint out of range")
     if np.any(src == dst):
         raise ValueError("self-loop")
-    code = np.sort(np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst))
-    if np.any(code[1:] == code[:-1]):
+    if has_repeated_pairs(src, dst, n):
         raise ValueError("duplicate edge")
 
     deg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)

@@ -160,7 +160,6 @@ class RoundingResult:
     bound: float  # certified lower bound on the objective
     scores: np.ndarray  # conditional score each node was decided on
     num_classes: int = 0
-    cost_pairs: int = 0  # explicit cost slots swept, one per term
     sweep_steps: int = 0  # batches of the class sweep
 
 
@@ -267,7 +266,6 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
         bound=bound,
         scores=scores,
         num_classes=k,
-        cost_pairs=len(costs),
         sweep_steps=len(sweep.batches),
     )
 

@@ -6,7 +6,8 @@ digit, which numpy radix-sorts. It costs radix_passes(bound) linear
 passes, however the keys are ordered. radix_lexorder chains one
 radix_order per key, least significant key first, and so returns
 np.lexsort's order. These are the sorts of the CSR builder (graph.py),
-of the recolouring rounds and class sweeps (coloring.py), of the
+one per graph, whose runs of equal slot codes merge repeated edges, of
+the recolouring rounds and class sweeps (coloring.py), of the
 rounding's bucket memberships (rounding.py) and of the bucket builders
 (hitting.py, mis.py). A caller whose sort is charged passes a
 WorkCounter, and the sort charges word_sort units of the passes it runs

@@ -6,9 +6,9 @@ of their sections, plus hand-written garbage files and --params files.
 Every run must either exit 0 with every certificate ok or raise a
 ValueError or SystemExit that carries a message; a whole HSET file must
 certify, at levels up to 9, above the level cap K = 4 of the small
-instances, whose low-regime bucket falls below 2. sort_edges_to_csr and
-merged_pairs, on sparse and on crowded pair lists, are compared byte for
-byte with a plain-Python reference. core_mis_hitting, called directly on
+instances, whose low-regime bucket falls below 2. sort_edges_to_csr, on
+sparse and on crowded pair lists, is compared byte for byte with a
+plain-Python reference. core_mis_hitting, called directly on
 small core instances with candidates above K, must certify or raise a
 ValueError with a message.
 """
@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpar.cli import main
-from dpar.graph import merged_pairs, sort_edges_to_csr, write_csr
+from dpar.graph import sort_edges_to_csr, write_csr
 from dpar.hitting import BipartiteInstance, ParamSet, write_hset
 from dpar.mis import MisAuxInstance, core_mis_hitting
 
@@ -252,9 +252,9 @@ def assert_same_array(a, values, dtype):
     crowded=st.booleans(),
 )
 def test_sort_edges_to_csr_matches_a_plain_python_reference(n, data, weighted, crowded):
-    """sort_edges_to_csr and merged_pairs against the plain-Python merge.
-    With crowded, n <= 5 and there are at least n * n edges, so most pairs
-    repeat and merged_pairs sums long runs of equal codes."""
+    """sort_edges_to_csr against the plain-Python merge. With crowded,
+    n <= 5 and there are at least n * n edges, so most pairs repeat and
+    the builder sums long runs of equal slot codes."""
     if crowded:
         n = min(n, 5)
     # an offset in [1, n) from u gives every ordered pair u != v
@@ -273,21 +273,12 @@ def test_sort_edges_to_csr_matches_a_plain_python_reference(n, data, weighted, c
         weights = data.draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
     e = np.array(edges, dtype=np.int64).reshape(-1, 2)
 
-    lo, hi, w = merged_pairs(e[:, 0], e[:, 1], n, None if weights is None else np.array(weights))
-    pair_w = reference_pairs(edges, weights)
-    assert_same_array(lo, [u for u, _ in pair_w], np.int64)
-    assert_same_array(hi, [v for _, v in pair_w], np.int64)
-    if weighted:
-        assert_same_array(w, list(pair_w.values()), np.float64)
-    else:
-        assert w is None
-
     g = sort_edges_to_csr(e, n, weights=weights)
     offsets, nbrs, ws = reference_csr(edges, n, weights)
-    assert g.offsets.tobytes() == np.array(offsets, dtype=np.int64).tobytes()
-    assert g.nbrs.tobytes() == np.array(nbrs, dtype=np.int64).tobytes()
+    assert_same_array(g.offsets, offsets, np.int64)
+    assert_same_array(g.nbrs, nbrs, np.int64)
     if weighted:
-        assert g.weights.tobytes() == np.array(ws, dtype=np.float64).tobytes()
+        assert_same_array(g.weights, ws, np.float64)
     else:
         assert g.weights is None
 

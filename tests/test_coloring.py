@@ -159,7 +159,7 @@ def test_pair_solve_matches_per_slot_rule(seed, n, avg_deg, palette_mult, mode):
     # _kernel_round takes the strict rule as budget 0
     folded = None if budget is None else np.where(strict, 0.0, budget)
     got = _kernel_round(
-        n, colors, k, kprime, tables, src, dst, weights, domain, folded, mode != "oriented", None
+        n, colors, k, p, tables, src, dst, weights, domain, folded, mode != "oriented", None
     )
     want = per_slot_round(n, colors, kprime, tables, src, dst, weights, domain, budget, strict)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -217,7 +217,7 @@ def test_round_on_a_palette_inside_the_field_returns_its_input(seed, n, avg_deg,
     else:
         domain = np.minimum(np.maximum(3 * cdeg, 1), p)
     got = _kernel_round(
-        n, colors, k, kprime, tables, src, dst, weights, domain.astype(np.int64), budget,
+        n, colors, k, p, tables, src, dst, weights, domain.astype(np.int64), budget,
         mode != "oriented", None,
     )
     assert got.tobytes() == colors.tobytes()
@@ -247,7 +247,7 @@ def phase1_every_round(g: Graph, eps: float) -> tuple[np.ndarray, np.ndarray]:
         domain = np.maximum(np.where(low, np.minimum(3 * deg + 1, p), min(spread, p)), 1)
         budget = np.where(low, 0.0, eps1 * np.bincount(src, weights=w, minlength=n))
         new = _kernel_round(
-            n, colors, k, kprime, tables, src, dst, w, domain.astype(np.int64), budget, True, None
+            n, colors, k, p, tables, src, dst, w, domain.astype(np.int64), budget, True, None
         )
         alive[np.flatnonzero(alive)[new[src] == new[dst]]] = False
         colors, k_new = _compact_colors(new)
@@ -458,11 +458,11 @@ def test_clique_round_matches_the_kernel_round_on_the_line_graph(seed, n, palett
     # each neighbour rules out at most 2 points, so 2 * cdeg + 1 leaves one free
     domain = rng.integers(np.minimum(2 * cdeg + 1, p), p + 1)
     want = _kernel_round(
-        m, colors, k, kprime, tables, lg.slot_owners(), lg.nbrs, None, domain, None, True, None
+        m, colors, k, p, tables, lg.slot_owners(), lg.nbrs, None, domain, None, True, None
     )
     work = WorkCounter()
     ends = np.concatenate([e_u, e_v])
-    got, steps = _clique_round(ends, n, colors, k, kprime, tables, domain, work)
+    got, steps = _clique_round(ends, n, colors, k, p, domain, work)
     assert np.array_equal(got, want)
     ref, ref_steps, tallied = naive_clique_round(e_u, e_v, colors, p, domain)
     assert np.array_equal(got, ref) and steps == ref_steps
@@ -482,11 +482,31 @@ def test_clique_round_raises_past_the_largest_domain():
     src, dst = lg.slot_owners(), lg.nbrs
     for domain in (np.ones(3, dtype=np.int64), np.array([1, 1, 2])):
         with pytest.raises(RuntimeError, match="no admissible point"):
-            _clique_round(ends, 4, colors, 3 * p, 3, tables, domain, None)
+            _clique_round(ends, 4, colors, 3 * p, p, domain, None)
         with pytest.raises(RuntimeError, match="no admissible point"):
-            _kernel_round(3, colors, 3 * p, 3, tables, src, dst, None, domain, None, True, None)
-    got, steps = _clique_round(ends, 4, colors, 3 * p, 3, tables, np.full(3, 2), None)
+            _kernel_round(3, colors, 3 * p, p, tables, src, dst, None, domain, None, True, None)
+    got, steps = _clique_round(ends, 4, colors, 3 * p, p, np.full(3, 2), None)
     assert got.tolist() == [p, p + 1, p + 2] and steps == 2
+
+
+def test_both_round_kernels_check_their_field():
+    """A round whose prime p reaches past exact int64 products, or whose
+    palette of k > p^3 colors does not fit degree-2 polynomials over F_p,
+    raises before it recolours, in either kernel."""
+    e_u, e_v = np.zeros(2, dtype=np.int64), np.arange(1, 3)
+    ends, lg = np.concatenate([e_u, e_v]), line_graph(e_u, e_v, 3)
+    src, dst = lg.slot_owners(), lg.nbrs
+    colors, domain = np.array([0, 1], dtype=np.int64), np.full(2, 3, dtype=np.int64)
+    tables = precompute_tables(64)
+    big_prime = dpar.coloring.MAX_FIELD + 9  # 2^23 + 9
+    for k, p, error, message in [
+        (2, big_prime, ValueError, "exceeds exact-arithmetic range"),
+        (28, 3, RuntimeError, "palette does not fit the field"),
+    ]:
+        with pytest.raises(error, match=message):
+            _clique_round(ends, 3, colors, k, p, domain, None)
+        with pytest.raises(error, match=message):
+            _kernel_round(2, colors, k, p, tables, src, dst, None, domain, None, True, None)
 
 
 @settings(max_examples=80, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpar.graph
 from dpar.graph import (
     Graph,
     compact_subgraph,
@@ -150,6 +151,22 @@ def test_csr_dedupes_and_validates():
         sort_edges_to_csr([(0, 0)], 2)
     with pytest.raises(ValueError):
         sort_edges_to_csr([(0, 5)], 2)
+
+
+def test_csr_build_sorts_once(monkeypatch):
+    """One radix sort of the directed slot codes both merges repeated
+    edges and orders the CSR."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return radix_order(*args, **kwargs)
+
+    monkeypatch.setattr(dpar.graph, "radix_order", counted)
+    g = sort_edges_to_csr([(0, 1), (1, 0), (2, 0), (0, 1)], 3, weights=[0.5, 0.25, 1.0, 2.0])
+    assert calls == [8]
+    assert g.m == 2
+    assert g.weights.tolist() == [2.75, 1.0, 2.75, 1.0]
 
 
 def test_csr_roundtrip_random_setequal():

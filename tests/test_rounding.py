@@ -136,8 +136,6 @@ def test_split_parallel_terms_round_like_the_merged_instance(seed, eps_idx):
         assert np.array_equal(a.in_set, other.in_set)
         assert np.array_equal(a.scores, other.scores)
         assert a.bound == other.bound
-    assert a.cost_pairs == c.cost_pairs == len(pairs)
-    assert b.cost_pairs == 2 * len(pairs)
 
 
 def test_validation_errors():
@@ -214,7 +212,6 @@ def forbid_cost_graphs(monkeypatch):
 
     monkeypatch.setattr(dpar.coloring, "_defective_phase1", refuse)
     for module, name in [
-        (dpar.graph, "merged_pairs"),
         (dpar.graph, "graph_from_directed_slots"),
         (dpar.rounding, "graph_from_directed_slots"),
     ]:
