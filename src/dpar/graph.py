@@ -12,6 +12,9 @@ an input edge list and passes it all its lo -> hi copies, then all its
 hi -> lo copies, so both slots of a repeated pair sum its weights in the
 same order. compact_subgraph restricts a graph to a node set.
 has_repeated_pairs checks pair lists that must hold no pair twice.
+Every input is validated once, where it is built: a Graph checks itself,
+as the instances do. What the library derives from validated data, the
+graphs built here included, is built unchecked, through derived().
 """
 
 from __future__ import annotations
@@ -33,12 +36,22 @@ def _check_weights(w: np.ndarray) -> None:
         raise ValueError("edge weights must be finite and nonnegative")
 
 
+def derived(cls, **fields):
+    """cls holding the given fields, its __post_init__ check skipped: for derived data."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass
 class Graph:
     n: int
     offsets: np.ndarray  # int64, length n+1
     nbrs: np.ndarray  # int64, length 2m
     weights: np.ndarray | None = None  # float64 aligned with nbrs
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def m(self) -> int:
@@ -118,7 +131,7 @@ def graph_from_directed_slots(
     offsets = np.zeros(n + 1, dtype=np.int64)
     offsets[1:] = np.cumsum(counts)
     code %= n
-    return Graph(n=n, offsets=offsets, nbrs=code, weights=w)
+    return derived(Graph, n=n, offsets=offsets, nbrs=code, weights=w)
 
 
 def sort_edges_to_csr(edges, n: int, weights=None) -> Graph:
@@ -172,8 +185,7 @@ def compact_subgraph(
     nbrs = old_to_new[g.nbrs[ke]]
     weights = g.weights[ke] if g.weights is not None else None
     charge(work, "compact", len(g.nbrs))
-    out = Graph(n=n2, offsets=offsets, nbrs=nbrs, weights=weights)
-    return out, old_to_new, new_to_old
+    return derived(Graph, n=n2, offsets=offsets, nbrs=nbrs, weights=weights), old_to_new, new_to_old
 
 
 def read_edgelist(path: str) -> tuple[np.ndarray, np.ndarray | None, int]:
@@ -216,7 +228,7 @@ def write_csr(path: str, g: Graph) -> None:
 def read_csr(path: str) -> Graph:
     """Read write_csr's format. A file cut short raises ValueError naming
     the section it ends in (header, offsets, nbrs or weights); so does a
-    graph that fails Graph.validate, bad weights included."""
+    graph that fails Graph's check, bad weights included."""
     with open(path, "rb") as fh:
         if fh.read(5) != CSR_MAGIC:
             raise ValueError("bad magic; not a CSR graph file")
@@ -236,7 +248,5 @@ def read_csr(path: str) -> Graph:
             if size - fh.tell() > 8 * 2 * m:
                 raise ValueError("trailing bytes are not a weights block")
             weights = np.frombuffer(section("weights", 8 * 2 * m), dtype="<f8").astype(np.float64)
-    g = Graph(n=int(n), offsets=offsets, nbrs=nbrs, weights=weights)
-    g.validate()
-    return g
+    return Graph(n=int(n), offsets=offsets, nbrs=nbrs, weights=weights)
 

@@ -32,8 +32,8 @@ the entry split, the low loop (halve to K, freeze the survivors, certify
 the shrinkage) and the high loop (halve from K to the floor, charge a skip
 for an empty round). Each round asks the caller's potential stack for its
 potentials, eps, bound, bad-node rule, report fields and work label, and
-lets it run its own certificates. Sub-problems are index masks of the
-input, which is validated once, at the public entry.
+lets it run its own certificates. An instance checks itself when built,
+so the input is validated once; its sub-problems are built unchecked.
 
 Bucket potentials are cut by one builder, _group_full_buckets: it chunks
 each run of equal keys into full buckets of b and drops the rest. Unless
@@ -48,13 +48,13 @@ computed.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .graph import derived
 from .ntheory import precompute_tables  # noqa: F401  (importable here for tools that trace it)
 from .rounding import CliqueGroup, RoundingInstance, local_round
 from .sorting import first_of_runs, radix_lexorder
@@ -391,7 +391,9 @@ def run_half(
     potential (a CliqueGroup) goes to the rounding as its buckets, and
     potentials over one members array with one b go as one group, their
     coefficients summed; any other potential (the linear edge terms)
-    supplies pairs(), its explicit cost terms.
+    supplies pairs(), its explicit cost terms. A halving with no clique
+    member, no explicit term and no non-zero utility keeps every
+    candidate, as local_round would, and runs no rounding.
     """
     utils = np.zeros(n_cand, dtype=np.float64)
     for pot in potentials:
@@ -410,23 +412,26 @@ def run_half(
     cj = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, dtype=np.int64)
     cc = np.concatenate([p[2] for p in parts]) if parts else np.empty(0, dtype=np.float64)
     members = sum(len(g.members) for g in cliques)
-    charge(work, "half_sample", n_cand + len(ci) + members)
-    inst = RoundingInstance(utils=utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=eps, cliques=cliques)
-    res = local_round(inst, work=work)
-    values = {pot.name: pot.value(res.in_set) for pot in potentials}
+    selected, steps = np.ones(n_cand, dtype=bool), 0
+    if members or len(ci) or utils.any():
+        charge(work, "half_sample", n_cand + len(ci) + members)
+        fields = dict(utils=utils, cost_i=ci, cost_j=cj, cost_c=cc, eps=eps, cliques=cliques)
+        res = local_round(derived(RoundingInstance, **fields), work=work)
+        selected, steps = res.in_set, res.sweep_steps
+    values = {pot.name: pot.value(selected) for pot in potentials}
     total = math.fsum(values.values())
     if total > phi_bound:
         raise RuntimeError(
             f"potential certificate violated: {total} > {phi_bound}"
         )
     return HalfResult(
-        selected=res.in_set,
+        selected=selected,
         phi_values=values,
         phi_total=total,
         phi_bound=phi_bound,
         cost_terms=len(cc),
         clique_members=members,
-        sweep_steps=res.sweep_steps,
+        sweep_steps=steps,
     )
 
 
@@ -521,17 +526,15 @@ def sub_problem(
     and the watch edges of the left nodes in u_mask, with the input ids of
     its right nodes.
 
-    It is cut from a validated instance by index masks, so it is not
-    validated again: copy.copy skips __post_init__.
+    An input is validated once, when built; a sub-problem is cut from it
+    by index masks, so graph.derived builds it unchecked. Other fields keep
+    the input's values (MisRegimeDriver.restrict cuts the aux arrays).
     """
     ids, local = _renumber(v_mask)
     keep_e = v_mask[inst.edge_v] & u_mask[inst.edge_u]
-    sub = copy.copy(inst)
-    sub.imp = inst.imp * u_mask
-    sub.levels = levels[ids]
-    sub.edge_u = inst.edge_u[keep_e]
-    sub.edge_v = local[inst.edge_v[keep_e]]
-    return sub, ids
+    fields = dict(vars(inst), imp=inst.imp * u_mask, levels=levels[ids])
+    fields.update(edge_u=inst.edge_u[keep_e], edge_v=local[inst.edge_v[keep_e]])
+    return derived(type(inst), **fields), ids
 
 
 @dataclass

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import EdgeCliques, color_delta_squared
-from .graph import Graph, sort_edges_to_csr  # noqa: F401  (importable here for tools that trace it)
+from .graph import Graph, derived, sort_edges_to_csr  # noqa: F401  (importable here for tools that trace it)
 from .hitting import BipartiteInstance, ParamSet, _renumber, hitting_set
 from .verify import check_maximal_matching, require
 from .workcount import WorkCounter, charge
@@ -121,7 +121,8 @@ def maximal_matching(
             on = active[side]
             h_u.append(u_rank[side[on]])
             h_v.append(np.flatnonzero(on))
-        inst = BipartiteInstance(
+        inst = derived(
+            BipartiteInstance,
             imp=deg[u_list].astype(np.float64),
             levels=np.full(len(edge_ids), level, dtype=np.int64),
             edge_u=np.concatenate(h_u),

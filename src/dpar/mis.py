@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .coloring import color_delta_squared
-from .graph import Graph, compact_subgraph, has_repeated_pairs
+from .graph import Graph, compact_subgraph, derived, has_repeated_pairs
 from .hitting import (
     BAD_NODE_EXP,
     EPS_DENOM_HIGH,
@@ -236,15 +236,8 @@ class LinearEdgePotential:
         edge_j: np.ndarray,
         edge_w: np.ndarray,
         vert_w: np.ndarray,
-        n_cand: int,
     ) -> "LinearEdgePotential | None":
         """None when there is no weight at all (the potential vanishes)."""
-        edge_i = np.asarray(edge_i, dtype=np.int64)
-        edge_j = np.asarray(edge_j, dtype=np.int64)
-        edge_w = np.asarray(edge_w, dtype=np.float64)
-        vert_w = np.asarray(vert_w, dtype=np.float64)
-        if len(vert_w) != n_cand:
-            raise ValueError("vert_w must have one entry per candidate")
         norm = float(np.sum(edge_w)) + float(np.sum(vert_w))
         if norm <= 0.0:
             return None
@@ -318,7 +311,7 @@ def _add_aux_potential(pots, h, ai, aj, aw, vw, factor, denom) -> tuple[float, f
     keeps the assembled potential within 1 of its mean sum, which makes
     the certified bounds provable rather than empirical.
     """
-    lin = LinearEdgePotential.build("phi_aux", factor / h.gamma, ai, aj, aw, vw, len(h.cand))
+    lin = LinearEdgePotential.build("phi_aux", factor / h.gamma, ai, aj, aw, vw)
     if lin is not None:
         pots.append(lin)
     c_tot = math.fsum(p.total_cost() for p in pots)
@@ -680,10 +673,9 @@ def independentish_set(
     aux_w = weight[np.where(in_mask[uniq], e_j, e_i)]  # per edge: the weight of its tail
     del uniq, owners
 
-    # The aux edges are the graph's own edges and every field is built
-    # with its checked dtype, so the instance skips __post_init__'s checks.
-    inst = object.__new__(MisAuxInstance)
-    inst.__dict__.update(
+    # the aux edges are the validated graph's own edges
+    inst = derived(
+        MisAuxInstance,
         imp=deg[u_list].astype(np.float64),
         levels=levels,
         edge_u=h_u,

@@ -68,7 +68,7 @@ import numpy as np
 
 from .coloring import bandwidth, class_sweep, layout_start, strided_steps
 from .coloring import defective_coloring  # noqa: F401  (importable here for tools that trace it)
-from .graph import Graph
+from .graph import Graph, derived
 from .graph import graph_from_directed_slots  # noqa: F401  (importable here for tools that trace it)
 from .sorting import radix_order
 from .workcount import WorkCounter, charge
@@ -301,12 +301,14 @@ def max_cut_half(
     total = tiled_sum(weights) / 2.0
     bound = (0.5 - eps) * total
     fwd = owners < heads
-    inst = RoundingInstance(
+    inst = derived(
+        RoundingInstance,
         utils=np.bincount(owners, weights=weights, minlength=g.n),
         cost_i=owners[fwd],
         cost_j=heads[fwd],
         cost_c=2.0 * weights[fwd],
         eps=eps / 2.0,
+        cliques=[],
     )
     res = local_round(inst, work=work)
     side = res.in_set

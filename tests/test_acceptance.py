@@ -341,14 +341,14 @@ def test_c06_potential_calibration():
         keep = rng.random(len(ai)) < 0.25
         lin = LinearEdgePotential.build(
             "phi_aux", AUX_FACTOR_LOW / gamma, ai[keep], aj[keep],
-            rng.random(int(keep.sum())), rng.random(60) * 0.5, 60,
+            rng.random(int(keep.sum())), rng.random(60) * 0.5,
         )
         audit(*_mc_linear(lin, 60, rng), AUX_FACTOR_LOW / gamma)
 
         gamma_h = DESK.gamma_high_for(5)
         lin_h = LinearEdgePotential.build(
             "phi_aux", AUX_FACTOR_HIGH / gamma_h, ai[keep], aj[keep],
-            rng.random(int(keep.sum())), rng.random(60) * 0.5, 60,
+            rng.random(int(keep.sum())), rng.random(60) * 0.5,
         )
         audit(*_mc_linear(lin_h, 60, rng), AUX_FACTOR_HIGH / gamma_h)
 

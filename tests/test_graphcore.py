@@ -153,6 +153,19 @@ def test_csr_dedupes_and_validates():
         sort_edges_to_csr([(0, 5)], 2)
 
 
+@pytest.mark.parametrize(
+    "n, offsets, nbrs, message",
+    [
+        (3, [0, 1, 1, 1], [1], "not symmetric"),
+        (2, [0, 1, 2], [1, 5], "out of range"),
+        (2, [0, 2, 4], [0, 1, 0, 1], "self-loop"),
+    ],
+)
+def test_graph_built_by_hand_checks_itself(n, offsets, nbrs, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n=n, offsets=np.array(offsets, dtype=np.int64), nbrs=np.array(nbrs, dtype=np.int64))
+
+
 def test_csr_build_sorts_once(monkeypatch):
     """One radix sort of the directed slot codes both merges repeated
     edges and orders the CSR."""

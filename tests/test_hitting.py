@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpar.hitting
 from dpar.hitting import (
     HIT_UPPER_C,
     LOW_POTENTIAL_BOUND,
@@ -223,6 +224,27 @@ def test_run_half_keeps_potential_under_bound():
     res = run_half(40, [pot], eps=1.0 / (4 * 9), phi_bound=10.0)
     assert res.phi_total <= 10.0
     assert res.phi_values["t"] == pytest.approx(pot.value(res.selected))
+
+
+def test_halving_with_no_full_bucket_keeps_every_candidate(monkeypatch):
+    """2 watchers of 30 candidates at level 5 fill no high bucket of 45: the
+    halving has nothing to round and keeps every candidate untouched."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("local_round ran on a halving with nothing to round")
+
+    monkeypatch.setattr(dpar.hitting, "local_round", forbidden)
+    inst = BipartiteInstance(
+        imp=np.ones(2), levels=np.full(60, 5), edge_u=np.repeat([0, 1], 30),
+        edge_v=np.arange(60), size_param=1 << 16,
+    )
+    work = WorkCounter()
+    res = hitting_set(inst, DESK, work=work)
+    assert res.selected.all()
+    (rnd,) = res.rounds
+    assert rnd["buckets"] == 0 and rnd["sweep_steps"] == 0
+    assert rnd["selected"] == rnd["candidates"] == 60
+    assert "local_round" not in work.snapshot() and "half_sample" not in work.snapshot()
 
 
 # --- low regime ---------------------------------------------------------------

@@ -264,7 +264,7 @@ def test_linear_potential_mean_is_factor():
     keep = rng.random(len(i)) < 0.3
     w = rng.random(keep.sum()) + 0.1
     vw = rng.random(n)
-    lin = LinearEdgePotential.build("phi_aux", 7.5, i[keep], j[keep], w, vw, n)
+    lin = LinearEdgePotential.build("phi_aux", 7.5, i[keep], j[keep], w, vw)
     assert lin.expectation() == pytest.approx(7.5)
     vals = [lin.value(rng.random(n) < 0.5) for _ in range(4000)]
     se = np.std(vals) / np.sqrt(len(vals))
@@ -273,7 +273,7 @@ def test_linear_potential_mean_is_factor():
 
 def test_linear_potential_vanishes_without_weight():
     e = np.empty(0, dtype=np.int64)
-    assert LinearEdgePotential.build("x", 1.0, e, e, np.empty(0), np.zeros(5), 5) is None
+    assert LinearEdgePotential.build("x", 1.0, e, e, np.empty(0), np.zeros(5)) is None
 
 
 # --- low regime ----------------------------------------------------------------

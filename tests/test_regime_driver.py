@@ -1,55 +1,28 @@
 """Guards for the shared low/high regime driver.
 
-The pinned digests and WorkCounter snapshots must keep matching exactly.
+Each pin runs one public entry on a fixed instance and must keep its
+output digest and its WorkCounter snapshot exactly. The digests of the
+hitting and core pins also cover their round reports.
 
-The matching pin's digest was recorded when color_delta_squared began
-stopping after the first shrinking round whose prime field is set by the
-degree. Its snapshot was re-recorded, with the digest unchanged, when the
-conflict colourings began running on the selected edges' endpoint
-cliques instead of their line graph: match_conflicts counts the 2k
-endpoint memberships, recolor_slots the memberships tallied at each point
-step, word_sort those steps' sorts, and no round builds a square-root
-table. The other seven pins were re-recorded when the rounding began taking each
-bucket potential as a group of cliques, swept by per-bucket tallies,
-instead of as its b(b - 1)/2 pair terms per bucket: half_sample and
-local_round charge bucket memberships plus explicit terms, the round
-reports gained clique_members, their cost_terms and cost_pairs count
-explicit terms only, and a zero score now joins only when none of the
-node's cost partners is still undecided, so selections moved (the mis
-pin's output did not).
+- hitting_high: hitting_set with every candidate at level 6 <= K, so
+  only the high regime runs.
+- hitting_both: hitting_set with half the candidates above K, so both
+  regimes run.
+- hitting_spread: hitting_set whose watchers' candidates spread over
+  12 000 ids, so a halving's layout has thousands of classes.
+- core_aux, core_no_aux: core_mis_hitting at level 5, with and without
+  aux edges.
+- core_tall: core_mis_hitting with a layer of candidates at level 21; its
+  second low round keeps an aux edge (the adaptive-eps path).
+- mis: maximal_independent_set on gnm(600, 170 000).
+- matching: maximal_matching on gnm(2000, 16 000).
 
-Five pins (core_aux, core_tall, hitting_both, hitting_spread, then
-named hitting_phase1, and mis) were re-recorded again when local_round
-began sweeping each explicit term as one slot, from its endpoint with the
-later step, instead of both slots of each merged pair, and run_half began
-folding the bucket potentials over one members array (phi_pair and
-phi_weighted) into one clique group: local_round charges one unit per
-term or live pair instead of two, and half_sample and the round reports'
-clique_members count the folded memberships. The core_aux, core_tall and
-mis selections did not move; hitting_both's moved with the folded
-coefficients' sums.
-
-The matching pin changed in word_sort alone, its digest unchanged, when
-the recolouring rounds began radix-sorting their keys below n * p
-(sorting.radix_order) and charging the 16-bit passes they run, one or two
-on this pin, in place of a flat four per key.
-
-The hitting_spread pin was renamed from hitting_phase1 and re-recorded
-when local_round began sweeping the layout classes id mod (w + 1) of
-every instance. Each of its watchers has 90 candidates spread over
-12 000 ids, so its halvings' layouts have thousands of classes, more
-than defective phase 1's field holds. Its second halving (level 11,
-9 736 candidates) used to expand its cliques into pair terms and run two
-budgeted kernel rounds (defective_phase1, recolor_slots, sqrt_tables,
-word_sort); now it sweeps the layout classes with its cliques kept, as
-every other pin's halvings do, and no halving charges recolouring, sort
-or square-root work.
-
-The six pins whose digests cover round reports (core_aux, core_no_aux,
-core_tall, hitting_both, hitting_high, hitting_spread) were re-recorded
-when the reports dropped their cost_pairs key, which always equalled
-cost_terms: each new digest is the old run's digest with cost_pairs
-taken out of every round report, and no selection or snapshot moved.
+core_tall, hitting_both and hitting_spread were last re-recorded when
+halvings with no clique member, no explicit term and no non-zero utility
+stopped rounding (hitting.run_half): each snapshot fell by exactly those
+rounds' half_sample and local_round units, and each digest moved only
+through those rounds' sweep_steps, now 0. CHANGES.md holds the earlier
+re-recordings.
 """
 
 import dataclasses
@@ -61,10 +34,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpar.hitting
+import dpar.matching
+import dpar.rounding
 from dpar.generate import gnm_graph
+from dpar.graph import Graph
 from dpar.hitting import BipartiteInstance, ParamSet, RegimeDriver, hitting_set
 from dpar.matching import maximal_matching
 from dpar.mis import MisAuxInstance, MisRegimeDriver, core_mis_hitting, maximal_independent_set
+from dpar.rounding import RoundingInstance, max_cut_half
 from dpar.workcount import WorkCounter
 
 BIG_N = 1 << 64
@@ -215,11 +193,11 @@ RUNS = {
 
 PINS = {
     "hitting_high": ("4e24300ac92cca9c", {'half_sample': 3080, 'high_regime_round': 3325, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 6160}),
-    "hitting_both": ("057b8c744c6e0dd7", {'half_sample': 8602, 'high_regime_round': 8393, 'hitting_finalize': 2408, 'local_round': 17204, 'low_regime_round': 2706}),
-    "hitting_spread": ("88387c5d2c0b24ec", {'half_sample': 81751, 'high_regime_round': 90348, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 163502}),
+    "hitting_both": ("6290aa2ee7abf0bd", {'half_sample': 7272, 'high_regime_round': 8393, 'hitting_finalize': 2408, 'local_round': 14544, 'low_regime_round': 2706}),
+    "hitting_spread": ("4635eb0f7eeee4ad", {'half_sample': 29791, 'high_regime_round': 90348, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 59582}),
     "core_aux": ("cfb03f502b70f2ae", {'core_mis_finalize': 3640, 'half_sample': 4792, 'local_round': 9584, 'mis_high_round': 4832, 'mis_high_skip': 13}),
     "core_no_aux": ("e097b9bfb8f1996f", {'core_mis_finalize': 1416, 'half_sample': 2280, 'local_round': 4560, 'mis_high_round': 2608, 'mis_high_skip': 13}),
-    "core_tall": ("15d85a512a15123e", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 5247, 'local_round': 10494, 'mis_high_round': 3032, 'mis_low_round': 1383}),
+    "core_tall": ("fee7fc49a9342854", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 4909, 'local_round': 9818, 'mis_high_round': 3032, 'mis_low_round': 1383}),
     "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 681776, 'core_mis_finalize': 234683, 'half_sample': 175351, 'independentish': 341519, 'local_round': 350702, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),
     "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'match_compact': 15985, 'match_conflicts': 27934, 'match_extract': 13967, 'match_sweep': 21982, 'recolor_slots': 57262, 'word_sort': 114073}),
 }
@@ -278,3 +256,84 @@ def test_split_sub_problems_pass_full_validation(seed, n_u, n_v):
         )
         dataclasses.replace(hit_sub)
         assert np.array_equal(hit_ids, ids)
+
+
+# (builder of the public object, call on it)
+PUBLIC_ENTRIES = {
+    "maximal_matching": (lambda: gnm_graph(300, 6000, seed=3), lambda g: maximal_matching(g, DESK)),
+    "maximal_independent_set": (
+        lambda: gnm_graph(600, 170_000, seed=35), lambda g: maximal_independent_set(g, DESK)
+    ),
+    "hitting_set": (
+        lambda: hitting_instance(32, 8, 1200, 300, np.where(np.arange(1200) < 600, 20, 7), BIG_N),
+        lambda inst: hitting_set(inst, DESK),
+    ),
+    "core_mis_hitting": (
+        lambda: core_instance(TALL_SEED, tall_level=21), lambda inst: core_mis_hitting(inst, DESK)
+    ),
+    "max_cut_half": (lambda: gnm_graph(500, 2000, seed=41), lambda g: max_cut_half(g, 0.25)),
+}
+
+CHECKS = [
+    (Graph, "validate"),
+    (BipartiteInstance, "__post_init__"),
+    (MisAuxInstance, "__post_init__"),
+    (RoundingInstance, "__post_init__"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_ENTRIES))
+def test_no_check_runs_after_the_public_object_is_built(name, monkeypatch):
+    """An input is validated once, when it is built; nothing the entry
+    derives from it runs a check again."""
+    build, call = PUBLIC_ENTRIES[name]
+    obj = build()
+    calls = []
+
+    def counted(label, check):
+        def wrapper(self):
+            calls.append(label)
+            return check(self)
+
+        return wrapper
+
+    for cls, attr in CHECKS:
+        monkeypatch.setattr(cls, attr, counted(f"{cls.__name__}.{attr}", getattr(cls, attr)))
+    call(obj)
+    assert calls == []
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 300),
+    deg=st.integers(2, 60),
+    tall=st.booleans(),
+    aux=st.booleans(),
+)
+def test_derived_rounding_and_matching_instances_pass_full_validation(seed, n, deg, tall, aux):
+    """run_half and max_cut_half build their rounding instances, and the
+    matching its per-sweep hitting instances, unchecked; the full checks
+    (dataclasses.replace runs them) must accept every one of them."""
+    rounded, swept = [], []
+
+    def record(into, fn):
+        def wrapper(inst, *args, **kwargs):
+            into.append(inst)
+            return fn(inst, *args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpar.hitting, "local_round", record(rounded, dpar.hitting.local_round))
+        mp.setattr(dpar.rounding, "local_round", record(rounded, dpar.rounding.local_round))
+        mp.setattr(dpar.matching, "hitting_set", record(swept, dpar.matching.hitting_set))
+        g = gnm_graph(n, min(n * deg // 2, n * (n - 1) // 2), seed=seed)
+        maximal_matching(g, DESK)
+        max_cut_half(g, 0.25)
+        core_mis_hitting(core_instance(seed, tall_level=21 if tall else None, aux=aux), DESK)
+    assert swept and len(rounded) > 1
+    for inst in swept:
+        assert type(dataclasses.replace(inst)) is BipartiteInstance
+    for inst in rounded:
+        dataclasses.replace(inst)
