@@ -10,7 +10,9 @@ radix-sorts the directed slot codes src * n + dst below n * n
 one and summing its weights in input order. sort_edges_to_csr validates
 an input edge list and passes it all its lo -> hi copies, then all its
 hi -> lo copies, so both slots of a repeated pair sum its weights in the
-same order. compact_subgraph restricts a graph to a node set.
+same order. compact_subgraph restricts a graph to a node set; it reads
+only the kept nodes' slot ranges and charges their volume plus the kept
+node count, so a compaction that keeps little costs little.
 has_repeated_pairs checks pair lists that must hold no pair twice.
 Every input is validated once, where it is built: a Graph checks itself,
 as the instances do. What the library derives from validated data, the
@@ -168,23 +170,43 @@ def compact_subgraph(
 ) -> tuple[Graph, np.ndarray, np.ndarray]:
     """Restrict to the kept nodes and the edges between them, renumbered
     densely. keep_node is a length-n mask. Returns (graph, old_to_new,
-    new_to_old)."""
+    new_to_old).
+
+    Only the kept nodes' slot ranges offsets[v]:offsets[v+1] are gathered,
+    back to back in slot order, and filtered by whether their head is
+    kept. compact is charged their volume plus the kept node count,
+    whatever the input's size."""
     kn = np.asarray(keep_node, dtype=bool)
     if kn.shape != (g.n,):
         raise ValueError("mask length mismatch")
-    owners = g.slot_owners()
-    ke = kn[owners] & kn[g.nbrs]
-    old_to_new = np.full(g.n, -1, dtype=np.int64)
     new_to_old = np.flatnonzero(kn).astype(np.int64)
-    old_to_new[new_to_old] = np.arange(len(new_to_old), dtype=np.int64)
     n2 = len(new_to_old)
-    counts = np.bincount(owners[ke], minlength=g.n).astype(np.int64)[new_to_old]
+    old_to_new = np.full(g.n, -1, dtype=np.int64)
+    old_to_new[new_to_old] = np.arange(n2, dtype=np.int64)
+    # the kept owners' slot ranges, back to back in slot order
+    starts = g.offsets[new_to_old]
+    vol = g.offsets[new_to_old + 1] - starts
+    ends = np.cumsum(vol)
+    volume = int(ends[-1]) if n2 else 0
+    slots = np.repeat(starts - (ends - vol), vol)
+    slots += np.arange(volume, dtype=np.int64)
+    heads = g.nbrs[slots]
+    ke = kn[heads]
+    kept = np.flatnonzero(ke)
+    counts = np.searchsorted(kept, ends) - np.searchsorted(kept, ends - vol)
+    del kept
+    # each slot array is cut to the kept slots before the next one is made:
+    # keeping a whole graph holds three at once, as a full scan does
+    heads = heads[ke]
+    slots = slots[ke] if g.weights is not None else None
+    nbrs = old_to_new[heads]
+    del heads
+    weights = g.weights[slots] if slots is not None else None
+    del slots
     offsets = np.zeros(n2 + 1, dtype=np.int64)
     if n2:
         offsets[1:] = prefix_sum(counts, work)
-    nbrs = old_to_new[g.nbrs[ke]]
-    weights = g.weights[ke] if g.weights is not None else None
-    charge(work, "compact", len(g.nbrs))
+    charge(work, "compact", volume + n2)
     return derived(Graph, n=n2, offsets=offsets, nbrs=nbrs, weights=weights), old_to_new, new_to_old
 
 

@@ -521,10 +521,11 @@ def _renumber(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sub_problem(
     inst: BipartiteInstance, v_mask: np.ndarray, u_mask: np.ndarray, levels: np.ndarray
-) -> tuple[BipartiteInstance, np.ndarray]:
+) -> tuple[BipartiteInstance, np.ndarray, np.ndarray]:
     """The sub-problem on the right nodes in v_mask (at the given levels)
     and the watch edges of the left nodes in u_mask, with the input ids of
-    its right nodes.
+    its right nodes and the map from input id to sub-problem id (-1 off
+    v_mask).
 
     An input is validated once, when built; a sub-problem is cut from it
     by index masks, so graph.derived builds it unchecked. Other fields keep
@@ -534,7 +535,7 @@ def sub_problem(
     keep_e = v_mask[inst.edge_v] & u_mask[inst.edge_u]
     fields = dict(vars(inst), imp=inst.imp * u_mask, levels=levels[ids])
     fields.update(edge_u=inst.edge_u[keep_e], edge_v=local[inst.edge_v[keep_e]])
-    return derived(type(inst), **fields), ids
+    return derived(type(inst), **fields), ids, local
 
 
 @dataclass
@@ -748,7 +749,8 @@ class RegimeDriver:
 
     def restrict(self, inst, regime: str, v_mask, u_mask, levels):
         """The regime's sub-problem of the input (see sub_problem())."""
-        return sub_problem(inst, v_mask, u_mask, levels)
+        sub, ids, _ = sub_problem(inst, v_mask, u_mask, levels)
+        return sub, ids
 
     def start(self, sub, regime: str) -> None:
         """Called before a regime's first round."""

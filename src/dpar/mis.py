@@ -295,9 +295,13 @@ def _fold_cross(out, local, inst, src, dst, exponent: Callable) -> None:
             np.add.at(out, local[s_c], weight)
 
 
-def _candidate_aux(sub, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _candidate_aux(sub, h) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice]:
     """The aux edges of sub between candidates of the halving h, as
-    candidate-id pairs, and their mask."""
+    candidate-id pairs, and their index into sub's aux arrays. When every
+    node of sub is a candidate, candidate ids are sub's ids: the pairs are
+    sub's own arrays and the index a full slice, so nothing is copied."""
+    if len(h.cand) == len(h.local):
+        return sub.aux_i, sub.aux_j, slice(None)
     is_cand = h.local >= 0
     keep_a = is_cand[sub.aux_i] & is_cand[sub.aux_j]
     return h.local[sub.aux_i[keep_a]], h.local[sub.aux_j[keep_a]], keep_a
@@ -350,8 +354,7 @@ class MisRegimeDriver(RegimeDriver):
             raise RuntimeError(
                 "watcher probability mass exceeds the entry cap after the low regime"
             )
-        sub, ids = sub_problem(inst, v_mask, u_mask, levels)
-        _, local = _renumber(v_mask)
+        sub, ids, local = sub_problem(inst, v_mask, u_mask, levels)
         keep_a = v_mask[inst.aux_i] & v_mask[inst.aux_j]
         sub.aux_i = local[inst.aux_i[keep_a]]
         sub.aux_j = local[inst.aux_j[keep_a]]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpar.graph
+from dpar.generate import gnm_graph
 from dpar.graph import (
     Graph,
     compact_subgraph,
@@ -208,6 +209,84 @@ def test_compact_subgraph_roundtrip_and_errors():
     assert slots == [(0, 1), (1, 0), (1, 2), (2, 1)]
     with pytest.raises(ValueError, match="mask length"):
         compact_subgraph(g, keep_node[:3])
+
+
+def _full_scan_compact(g, kn):
+    """compact_subgraph as it was when it read every slot of its input:
+    the reference the output-sensitive version must match bit for bit."""
+    owners = g.slot_owners()
+    ke = kn[owners] & kn[g.nbrs]
+    old_to_new = np.full(g.n, -1, dtype=np.int64)
+    new_to_old = np.flatnonzero(kn).astype(np.int64)
+    old_to_new[new_to_old] = np.arange(len(new_to_old), dtype=np.int64)
+    n2 = len(new_to_old)
+    counts = np.bincount(owners[ke], minlength=g.n).astype(np.int64)[new_to_old]
+    offsets = np.zeros(n2 + 1, dtype=np.int64)
+    if n2:
+        offsets[1:] = prefix_sum(counts)
+    nbrs = old_to_new[g.nbrs[ke]]
+    weights = g.weights[ke] if g.weights is not None else None
+    return Graph(n=n2, offsets=offsets, nbrs=nbrs, weights=weights), old_to_new, new_to_old
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    n=st.integers(1, 40),
+    density=st.floats(0.0, 1.0),
+    keep=st.sampled_from(["none", "all", "random", "isolated"]),
+    weighted=st.booleans(),
+)
+def test_compact_subgraph_matches_the_full_scan(seed, n, density, keep, weighted):
+    rng = np.random.default_rng(seed)
+    pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+    pairs = pairs[rng.random(len(pairs)) < density]
+    w = rng.random(len(pairs)) if weighted else None
+    g = sort_edges_to_csr(pairs, n, weights=w)
+    if keep == "none":
+        kn = np.zeros(n, dtype=bool)
+    elif keep == "all":
+        kn = np.ones(n, dtype=bool)
+    else:
+        kn = rng.random(n) < 0.5
+        # every kept node isolated in the subgraph: some of the graph's
+        # isolated nodes, and the nodes that are only ever an edge's lower end
+        if keep == "isolated":
+            kn &= g.degrees() == 0
+            kn[pairs[:, 0]] = True
+            kn[pairs[:, 1]] = False
+    sub, old2new, new2old = compact_subgraph(g, kn)
+    ref, ref_old2new, ref_new2old = _full_scan_compact(g, kn)
+    for got, want in [
+        (sub.offsets, ref.offsets),
+        (sub.nbrs, ref.nbrs),
+        (old2new, ref_old2new),
+        (new2old, ref_new2old),
+    ]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert sub.n == ref.n
+    if weighted:
+        assert sub.weights.dtype == np.float64
+        assert sub.weights.tobytes() == ref.weights.tobytes()
+    else:
+        assert sub.weights is None
+
+
+def test_compact_subgraph_charges_only_what_it_keeps():
+    """Keeping one node of a dense graph charges its slots and itself, not
+    the 40 000 slots of the input; keeping none charges nothing."""
+    g = gnm_graph(300, 20_000, seed=4)
+    deg = g.degrees()
+    v = int(np.argmax(deg))
+    one = np.zeros(g.n, dtype=bool)
+    one[v] = True
+    work = WorkCounter()
+    sub, _, new2old = compact_subgraph(g, one, work)
+    assert (sub.n, sub.m, new2old.tolist()) == (1, 0, [v])
+    assert work.per_phase["compact"] <= deg[v] + 1
+    work = WorkCounter()
+    sub, _, _ = compact_subgraph(g, np.zeros(g.n, dtype=bool), work)
+    assert sub.n == 0 and work.per_phase.get("compact", 0) == 0
 
 
 def test_weighted_dedupe_sums():

@@ -195,16 +195,19 @@ def test_extraction_without_conflicts_takes_every_edge():
     assert work.total == 0
 
 
-def test_dense_matching_work_stays_near_the_mis():
+def test_dense_matching_and_mis_work_stay_within_their_bounds():
     """On gnm(1 000, 100 000) a watcher's incident edges lie far apart in
     the edge numbering, so the matching's halvings sweep layouts of tens of
-    thousands of classes. Its units per node and edge must stay within 4x
-    of the MIS's on the same graph; they read 26.5 against 7.32, and 952
-    when the halvings coloured an expanded cost graph instead."""
+    thousands of classes. The matching reads 26.5 units per node and edge
+    (952 when the halvings coloured an expanded cost graph instead) and is
+    held to 29.3, four times the 7.32 the MIS read while its compactions
+    charged every input slot. The MIS, whose compactions now charge only
+    the kept nodes' slots, reads 3.63 and is held to 4.0."""
     g = gnm_graph(1000, 100_000, seed=1)
     units = {}
     for name, solve in [("matching", maximal_matching), ("mis", maximal_independent_set)]:
         work = WorkCounter()
         solve(g, ParamSet.desk(), work=work)
         units[name] = work.total / (g.n + g.m)
-    assert units["matching"] <= 4.0 * units["mis"], units
+    assert units["matching"] <= 29.3, units
+    assert units["mis"] <= 4.0, units
