@@ -163,11 +163,14 @@ def run_matching(g: Graph, params: ParamSet) -> dict:
     return _finish(rep, work, t0)
 
 
-def run_mis(g: Graph, params: ParamSet) -> dict:
-    rep = _report_shell("mis", g, params)
+def _mis_report(algorithm: str, g: Graph, params: ParamSet, solve, **fields) -> dict:
+    """The report of an MIS run: solve(work) returns its MisResult, and
+    fields go in right after the report shell's keys."""
+    rep = _report_shell(algorithm, g, params)
+    rep.update(fields)
     work = WorkCounter()
     t0 = time.perf_counter()
-    res = maximal_independent_set(g, params, work=work)
+    res = solve(work)
     ok, d = verify.check_maximal_independent(g, res.in_set)
     rep["oracles"]["maximal_independent"] = {"ok": ok, **d}
     rep["certificates"].append(_cert("conflict_edges", d["conflict_edges"], 0, d["conflict_edges"] == 0, "<="))
@@ -175,21 +178,14 @@ def run_mis(g: Graph, params: ParamSet) -> dict:
     rep["iterations"] = res.iterations
     rep["set_size"] = int(res.in_set.sum())
     return _finish(rep, work, t0)
+
+
+def run_mis(g: Graph, params: ParamSet) -> dict:
+    return _mis_report("mis", g, params, lambda work: maximal_independent_set(g, params, work=work))
 
 
 def run_luby(g: Graph, params: ParamSet, seed: int = 0) -> dict:
-    rep = _report_shell("luby", g, params)
-    rep["seed"] = seed
-    work = WorkCounter()
-    t0 = time.perf_counter()
-    res = luby_mis_baseline(g, seed, work=work)
-    ok, d = verify.check_maximal_independent(g, res.in_set)
-    rep["oracles"]["maximal_independent"] = {"ok": ok, **d}
-    rep["certificates"].append(_cert("conflict_edges", d["conflict_edges"], 0, d["conflict_edges"] == 0, "<="))
-    rep["certificates"].append(_cert("uncovered_nodes", d["uncovered_nodes"], 0, d["uncovered_nodes"] == 0, "<="))
-    rep["iterations"] = res.iterations
-    rep["set_size"] = int(res.in_set.sum())
-    return _finish(rep, work, t0)
+    return _mis_report("luby", g, params, lambda work: luby_mis_baseline(g, seed, work=work), seed=seed)
 
 
 def scaling_series(

@@ -73,6 +73,9 @@ no cost pair inside, not a small palette, so it runs no phase-1 round and
 no phase 2: it takes the same batches over the strided layout classes,
 and its bucket cliques cut those batches through class_sweep's clique
 rows, one link per member to its predecessor in step order.
+
+greedy_classes, the sweep that ends the MIS and the matching, takes the
+classes of a proper coloring in ascending order, each in one step.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, slot_ranges
 from .ntheory import NumberTheoryTables, precompute_tables, prime_in_range
 from .sorting import first_of_runs, radix_order
 from .workcount import WorkCounter, charge
@@ -487,6 +490,53 @@ def color_delta_squared(
     return Coloring(colors=colors, num_colors=k, point_steps=conflicts.point_steps)
 
 
+def class_order(colors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes sorted by class, stably, by an uncharged radix sort, and
+    the class bounds: class c's members are order[bounds[c]:bounds[c + 1]]."""
+    bounds = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(colors, minlength=k), out=bounds[1:])
+    return radix_order(colors, k), bounds
+
+
+def greedy_classes(
+    g: Graph | EdgeCliques, colors: np.ndarray, num_colors: int, work: WorkCounter | None = None
+) -> np.ndarray:
+    """The greedy maximal independent subset of the items of g (the nodes
+    of a graph, the edges of an EdgeCliques) under a proper coloring of
+    their conflicts, as a bool mask: the classes in ascending order, each
+    in one parallel step. A taken item marks its claim entries, and an
+    item is free while none of its check entries is marked: a node checks
+    its own mark and claims its neighbours; an edge checks and claims its
+    two endpoints. Charges class_union one unit per item and per graph
+    slot; an EdgeCliques' caller charges its endpoint memberships.
+    """
+    order, bounds = class_order(colors, num_colors)
+    if isinstance(g, EdgeCliques):
+        checks = (g.e_u[order], g.e_v[order])
+        claims, count = np.stack(checks, axis=1).ravel(), np.full(len(order), 2)
+        charge(work, "class_union", len(order))
+    else:
+        checks = (order,)
+        slots, _, count = slot_ranges(g, order)  # the claims in class order, by one gather
+        claims = g.nbrs[slots]
+        charge(work, "class_union", len(claims) + len(order))
+    claim_item = np.repeat(np.arange(len(order)), count)  # positions in class order
+    b, cb = bounds.tolist(), np.concatenate([[0], np.cumsum(count)])[bounds].tolist()
+    marked = np.zeros(g.n, dtype=bool)
+    took = np.zeros(len(order), dtype=bool)  # per item, in class order
+    # few numpy calls per class: on hundreds of small classes their
+    # overhead, not their length, sets the time
+    for lo, hi, clo, chi in zip(b, b[1:], cb, cb[1:]):
+        hit = marked[checks[0][lo:hi]]
+        for check in checks[1:]:
+            hit |= marked[check[lo:hi]]
+        np.logical_not(hit, out=took[lo:hi])
+        marked[claims[clo:chi][took[claim_item[clo:chi]]]] = True
+    taken = np.empty_like(took)
+    taken[order] = took
+    return taken
+
+
 @dataclass
 class ClassSweep:
     """A sweep over the classes 0..k-1 of a node coloring, cut into batches.
@@ -538,12 +588,10 @@ def class_sweep(
     head_class[head_class >= key] = -1  # now the class of each lower-class head, else -1
     slot_bounds = np.zeros(num_classes + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=num_classes), out=slot_bounds[1:])
-    node_order = radix_order(colors, num_classes)
+    node_order, node_bounds = class_order(colors, num_classes)
     positions = np.empty(n, dtype=np.int64)
     positions[node_order] = np.arange(n, dtype=np.int64)
     slot_order = radix_order(positions[owners], n)
-    node_bounds = np.zeros(num_classes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(colors, minlength=num_classes), out=node_bounds[1:])
     # per class, the highest class among its lower-class heads (-1 if none)
     top = np.full(num_classes, -1, dtype=np.int64)
     filled = np.flatnonzero(slot_bounds[:-1] < slot_bounds[1:])

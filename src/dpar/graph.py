@@ -165,6 +165,17 @@ def sort_edges_to_csr(edges, n: int, weights=None) -> Graph:
     return graph_from_directed_slots(n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), ww)
 
 
+def slot_ranges(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The given nodes' slot ranges, back to back in their order; each
+    range's end in that concatenation; each node's degree."""
+    starts = g.offsets[nodes]
+    vol = g.offsets[nodes + 1] - starts
+    ends = np.cumsum(vol)
+    slots = np.repeat(starts - (ends - vol), vol)
+    slots += np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+    return slots, ends, vol
+
+
 def compact_subgraph(
     g: Graph, keep_node, work: WorkCounter | None = None
 ) -> tuple[Graph, np.ndarray, np.ndarray]:
@@ -184,12 +195,8 @@ def compact_subgraph(
     old_to_new = np.full(g.n, -1, dtype=np.int64)
     old_to_new[new_to_old] = np.arange(n2, dtype=np.int64)
     # the kept owners' slot ranges, back to back in slot order
-    starts = g.offsets[new_to_old]
-    vol = g.offsets[new_to_old + 1] - starts
-    ends = np.cumsum(vol)
-    volume = int(ends[-1]) if n2 else 0
-    slots = np.repeat(starts - (ends - vol), vol)
-    slots += np.arange(volume, dtype=np.int64)
+    slots, ends, vol = slot_ranges(g, new_to_old)
+    charge(work, "compact", len(slots) + n2)
     heads = g.nbrs[slots]
     ke = kn[heads]
     kept = np.flatnonzero(ke)
@@ -206,7 +213,6 @@ def compact_subgraph(
     offsets = np.zeros(n2 + 1, dtype=np.int64)
     if n2:
         offsets[1:] = prefix_sum(counts, work)
-    charge(work, "compact", volume + n2)
     return derived(Graph, n=n2, offsets=offsets, nbrs=nbrs, weights=weights), old_to_new, new_to_old
 
 

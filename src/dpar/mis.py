@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coloring import color_delta_squared
+from .coloring import color_delta_squared, greedy_classes
 from .graph import Graph, compact_subgraph, derived, has_repeated_pairs
 from .hitting import (
     BAD_NODE_EXP,
@@ -727,33 +727,6 @@ class MisResult:
     work: WorkCounter
 
 
-def _greedy_class_union(sub: Graph, colors: np.ndarray, num_colors: int,
-                        work: WorkCounter | None) -> np.ndarray:
-    """Maximal independent subset: sweep color classes in ascending order,
-    adding every member not blocked by an earlier choice."""
-    owners = sub.slot_owners()
-    slot_class = colors[owners]
-    order = np.argsort(slot_class, kind="stable")
-    s_owner, s_head = owners[order], sub.nbrs[order]
-    class_bounds = np.searchsorted(slot_class[order], np.arange(num_colors + 1))
-    node_order = np.argsort(colors, kind="stable")
-    node_bounds = np.searchsorted(colors[node_order], np.arange(num_colors + 1))
-
-    chosen = np.zeros(sub.n, dtype=bool)
-    blocked = np.zeros(sub.n, dtype=bool)
-    for c in range(num_colors):
-        members = node_order[node_bounds[c] : node_bounds[c + 1]]
-        if len(members) == 0:
-            continue
-        take = members[~blocked[members]]
-        chosen[take] = True
-        lo, hi = int(class_bounds[c]), int(class_bounds[c + 1])
-        ow, hd = s_owner[lo:hi], s_head[lo:hi]
-        blocked[hd[chosen[ow]]] = True
-        charge(work, "class_union", (hi - lo) + len(members))
-    return chosen
-
-
 def _peel(g: Graph, pick: Callable, work: WorkCounter) -> MisResult:
     """The sweep loop that maximal_independent_set and luby_mis_baseline
     share.
@@ -802,8 +775,9 @@ def maximal_independent_set(
 
     Per sweep: collect isolated nodes, run one independent-ish selection,
     properly color the selected subgraph along the (degree, id) orientation,
-    sweep the classes into a maximal independent subset, keep it, and drop
-    it with its neighborhood. The result is asserted maximal independent.
+    sweep the classes into a maximal independent subset (the matching's
+    sweep, coloring.greedy_classes), keep it, and drop it with its
+    neighborhood. The result is asserted maximal independent.
     """
     if threads != 1:
         raise ValueError("dpar runs sequentially; threads must be 1")
@@ -817,7 +791,7 @@ def maximal_independent_set(
         out_slots = sub_key[sub.nbrs] > sub_key[sub.slot_owners()]
         col = color_delta_squared(sub, orientation=out_slots, work=work)
         chosen = np.zeros(cur.n, dtype=bool)
-        chosen[sub_ids[_greedy_class_union(sub, col.colors, col.num_colors, work)]] = True
+        chosen[sub_ids[greedy_classes(sub, col.colors, col.num_colors, work)]] = True
         if not chosen.any():
             raise RuntimeError("sweep made no progress")
         return chosen, lambda removed: {

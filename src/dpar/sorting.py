@@ -11,9 +11,8 @@ the recolouring rounds and class sweeps (coloring.py), of the
 rounding's bucket memberships (rounding.py) and of the bucket builders
 (hitting.py, mis.py). A caller whose sort is charged passes a
 WorkCounter, and the sort charges word_sort units of the passes it runs
-times the keys. The colour-class loops of mis.py and matching.py and
-defective phase 2 still argsort their keys, uncharged. first_of_runs
-marks where the runs of equal keys in a sorted array begin.
+times the keys. Defective phase 2 still argsorts its keys, uncharged.
+first_of_runs marks where the runs of equal keys in a sorted array begin.
 """
 
 from __future__ import annotations

@@ -20,12 +20,14 @@ from dpar.coloring import (
     bandwidth,
     color_delta_squared,
     defective_coloring,
+    greedy_classes,
     layout_start,
     tables_limit_for,
 )
 from dpar.graph import Graph, sort_edges_to_csr
 from dpar.ntheory import precompute_tables, prime_in_range
 from dpar.sorting import radix_passes
+from dpar.verify import check_maximal_independent, check_maximal_matching
 from dpar.workcount import WorkCounter
 from test_matching import line_graph
 
@@ -571,6 +573,72 @@ def test_endpoint_cliques_take_no_orientation():
     cl = EdgeCliques(np.array([0]), np.array([1]), 2)
     with pytest.raises(ValueError, match="orientation"):
         color_delta_squared(cl, orientation=np.ones(2, dtype=bool))
+
+
+# --- greedy class sweep ----------------------------------------------------
+
+def greedy_reference(partners, colors):
+    """Items in (class, id) order, each taken when none of its conflict
+    partners (partners[i]) was taken: the sweep by a plain Python loop."""
+    taken = [False] * len(colors)
+    for i in sorted(range(len(colors)), key=lambda i: (int(colors[i]), i)):
+        taken[i] = not any(taken[j] for j in partners[i])
+    return taken
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 200),
+    avg_deg=st.integers(0, 8),
+    oriented=st.booleans(),
+)
+def test_greedy_classes_on_a_graph_match_the_python_sweep(seed, n, avg_deg, oriented):
+    """On a graph coloured by color_delta_squared, with or without an
+    orientation, the class sweep takes what the one-at-a-time sweep takes,
+    a maximal independent set, and charges every node and slot once."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, n * avg_deg // 2)
+    key = rng.permutation(n)
+    out = key[g.nbrs] > key[g.slot_owners()] if oriented else None
+    col = color_delta_squared(g, orientation=out)
+    work = WorkCounter()
+    taken = greedy_classes(g, col.colors, col.num_colors, work)
+    partners = [g.nbrs[g.offsets[v] : g.offsets[v + 1]].tolist() for v in range(n)]
+    assert taken.tolist() == greedy_reference(partners, col.colors)
+    assert check_maximal_independent(g, taken)[0]
+    assert work.snapshot() == {"class_union": g.n + len(g.nbrs)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["random", "star", "complete", "path", "cycle"]),
+    size=st.integers(1, 60),
+)
+def test_greedy_classes_on_endpoint_cliques_match_the_python_sweep(seed, shape, size):
+    """On simple edge sets coloured from their endpoint cliques, the class
+    sweep takes what the one-at-a-time sweep takes and what the graph form
+    takes on the line graph: a maximal matching of the given edges. It
+    charges one unit per edge."""
+    sizes = {"random": 2 + size % 25, "complete": 2 + size % 20, "path": 2 + 5 * size}
+    e_u, e_v, n = edge_set(np.random.default_rng(seed), shape, sizes.get(shape, size + 2))
+    cliques = EdgeCliques(e_u, e_v, n)
+    col = color_delta_squared(cliques)
+    work = WorkCounter()
+    taken = greedy_classes(cliques, col.colors, col.num_colors, work)
+    incident = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(zip(e_u.tolist(), e_v.tolist())):
+        incident[u].append(i)
+        incident[v].append(i)
+    partners = [incident[u] + incident[v] for u, v in zip(e_u.tolist(), e_v.tolist())]
+    assert taken.tolist() == greedy_reference(partners, col.colors)
+    assert np.array_equal(taken, greedy_classes(line_graph(e_u, e_v, n), col.colors, col.num_colors))
+    match_with = np.full(n, -1, dtype=np.int64)
+    match_with[e_u[taken]] = e_v[taken]
+    match_with[e_v[taken]] = e_u[taken]
+    assert check_maximal_matching(sort_edges_to_csr(np.stack([e_u, e_v], axis=1), n), match_with)[0]
+    assert work.snapshot() == {"class_union": len(e_u)}
 
 
 # --- defective coloring ----------------------------------------------------

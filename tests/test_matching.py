@@ -146,8 +146,8 @@ def test_matching_reports_stages():
 def test_output_certificate_raises_with_the_oracle_details(monkeypatch):
     # taking every selected edge of a star matches all leaves to the center
     monkeypatch.setattr(
-        "dpar.matching._extract_matching",
-        lambda e_u, e_v, n, work: (np.ones(len(e_u), dtype=bool), 1, 0),
+        "dpar.matching.greedy_classes",
+        lambda cliques, colors, k, work: np.ones(len(cliques.e_u), dtype=bool),
     )
     with pytest.raises(RuntimeError, match="not a maximal matching.*'symmetric': False"):
         maximal_matching(star_graph(4))

@@ -714,7 +714,7 @@ def test_luby_baseline_maximal_and_seeded():
 def test_output_certificate_raises_with_the_oracle_details(monkeypatch):
     # choosing every selected node of a clique breaks independence
     monkeypatch.setattr(
-        "dpar.mis._greedy_class_union", lambda sub, colors, k, work: np.ones(sub.n, dtype=bool)
+        "dpar.mis.greedy_classes", lambda sub, colors, k, work: np.ones(sub.n, dtype=bool)
     )
     with pytest.raises(RuntimeError, match="not a maximal independent set.*'conflict_edges': 10"):
         maximal_independent_set(complete_graph(5))
