@@ -76,6 +76,7 @@ def run_color(g: Graph, params: ParamSet) -> dict:
     rep["oracles"]["proper"] = {"ok": ok, **d}
     rep["certificates"].append(_cert("monochromatic_edges", d["monochromatic_edges"], 0, ok, "<="))
     rep["palette"] = d["palette"]
+    rep["point_steps"] = col.point_steps
     rep["colors"] = col.colors.tolist() if g.n <= 4096 else None
     return _finish(rep, work, t0)
 

@@ -3,45 +3,45 @@
 Colors are identified with degree-2 polynomials over a prime field F_p: a
 color q < p^3 has coefficients (a, b, c) = base-p digits of q and the node
 evaluates f_q at a point x, adopting the pair (x, f_q(x)) as its new color.
-Two conflicting nodes can only collide at roots of their polynomial
-difference, so each neighbor rules out at most 2 of the >= 3*deg candidate
-points and a free point always exists. Iterating shrinks any k-coloring to
-a palette polynomial in the relevant degree bound.
+Two conflicting nodes, of distinct colors, collide at x exactly when
+their values there agree, at a root of their polynomial difference, so
+each neighbor rules out at most 2 of the >= 3*deg candidate points and a
+free point always exists.
+Iterating shrinks any k-coloring to a palette polynomial in the relevant
+degree bound.
 
-Two modes share the kernel: proper recoloring (a point is admissible only
-if no conflicting neighbor hits it) and weight-budgeted recoloring for
-defective coloring (a point is admissible when the weight of neighbors
-hitting it stays below a per-node budget; such edges may go monochromatic
-and are "lost").
+A round (_point_round) walks the points x = 0, 1, ... in steps. At each
+step every undecided node compares its value at x with those of its
+conflicts, and takes x when its clash rule admits it and x lies below its
+point domain: the smallest admissible point. A step reads only the
+undecided nodes and the live entries of the conflicts, those that can
+still decide an undecided node; most nodes take one of the first few
+points, and the steps stop at the largest domain. Each conflict form
+supplies its clash rule and drops the entries that no longer count:
 
-A round solves each conflict once. The slots u -> v and v -> u solve the
-same quadratic up to sign, so they share its roots, with r1 and r2
-swapped; where conflicts are symmetric, the kernel solves each pair from
-its slot u < v and hits both ends, and with an orientation it solves
-each out-slot for its owner. The hits reach the sort in the order that
-solving every slot would give, so weighted scores are summed in that
-order and the colors do not depend on which way a pair was solved. The
-inverses in the root formula are gathers from a per-prime table (see
-ntheory). color_delta_squared is the one proper-mode loop: its conflict
-slots and degrees are fixed for the call, so it finds them once, and
-only the field and the point domains change from round to round. It
-stops after the first shrinking round whose field is set by the degree
-rather than by the palette, since a further round could not improve its
-O(delta^2) bound.
+- the slots of a graph (_SlotRule), both directions of every conflict or
+  the out-slots of an orientation. A node clashes at x when the weight of
+  its slots whose head agrees with it there, summed in slot order, is not
+  admissible: (score < budget) | (score <= 0) fails. Proper recoloring has
+  no weights and budget 0, so any agreement clashes; the budgeted rounds
+  of defective coloring admit a point while the agreeing weight stays
+  below a per-node budget, and those edges go monochromatic and are
+  "lost". A slot is live while its owner is undecided.
+- the endpoint cliques of k edges (EdgeCliques: edge i lies in the cliques
+  of its two endpoints), which is how the matching colours its selected
+  edges, with no line graph (_CliqueRule). A step tallies f(x) per
+  (clique, value), and an edge clashes when its value is shared in either
+  of its cliques. A membership is live while its clique holds an undecided
+  edge, so a step touches at most the 2k memberships, not the line graph's
+  sum of deg^2 slots, and the colors are those of a round on the line
+  graph.
 
-color_delta_squared also takes the conflicts of k edges as their endpoint
-cliques (EdgeCliques: edge i lies in the cliques of its two endpoints),
-which is how the matching colours its selected edges. Its proper rounds
-then solve nothing and build no line graph. Two polynomials of distinct
-colors collide at x exactly when their values there agree, so a round
-walks the points x = 0, 1, ... in steps (_clique_round): a step tallies
-f(x) per (clique, value) over the members of every clique that still
-holds an undecided node, and each undecided node whose value is alone in
-both its cliques, with x below its domain, takes x. That is the smallest
-point no neighbour hits, the point a round on the line graph takes, so
-the colors are the same. A step touches at most the 2k memberships, not
-the line graph's sum of deg^2 slots; most nodes take one of the first
-few points, and the steps stop at the largest domain.
+color_delta_squared is the one proper-mode loop: its conflicts and
+degrees are fixed for the call, so it finds them once, and only the field
+and the point domains change from round to round. It stops after the
+first shrinking round whose field is set by the degree rather than by the
+palette, since a further round could not improve its O(delta^2) bound,
+and records the point steps its rounds took.
 
 No round runs on a palette that the field already holds (k <= p): every
 color is then a constant polynomial, so two nodes of different colors
@@ -83,6 +83,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,7 +93,6 @@ from .sorting import first_of_runs, radix_order
 from .workcount import WorkCounter, charge
 
 MAX_FIELD = 1 << 23  # int64 stays exact for all modular products below this
-TILE = 1 << 14  # conflict slots per slice of a recoloring round's root search
 
 
 @dataclass
@@ -102,7 +102,7 @@ class Coloring:
     mono_weight: float = 0.0
     phase1_rounds: int = 0  # defective_coloring: polynomial rounds phase 1 ran
     steps: int = 0  # defective_coloring: phase-2 batches, run one after another
-    point_steps: int = 0  # color_delta_squared on EdgeCliques: point steps its rounds took
+    point_steps: int = 0  # color_delta_squared: point steps its rounds took
 
 
 def _poly_coeffs(q: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,48 +115,14 @@ def _poly_coeffs(q: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _eval_poly(a, b, c, x, p: int) -> np.ndarray:
-    return ((a * x % p) * x + b * x + c) % p
-
-
-def _conflict_roots(
-    dq_a: np.ndarray,
-    dq_b: np.ndarray,
-    dq_c: np.ndarray,
-    p: int,
-    sqrt_tab: np.ndarray,
-    inv_tab: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of a x^2 + b x + c over F_p (p odd). Returns (r1, ok1, r2, ok2).
-
-    Negating the polynomial keeps its roots and swaps r1 and r2 (a double
-    or linear root stays r1, with ok2 False).
-    """
-    a, b, c = dq_a % p, dq_b % p, dq_c % p
-    n = len(a)
-    r1 = np.zeros(n, dtype=np.int64)
-    r2 = np.zeros(n, dtype=np.int64)
-    ok1 = np.zeros(n, dtype=bool)
-    ok2 = np.zeros(n, dtype=bool)
-    lin = (a == 0) & (b != 0)
-    if lin.any():
-        inv_b = inv_tab[b[lin]]
-        r1[lin] = (p - c[lin]) * inv_b % p
-        ok1[lin] = True
-    quad = a != 0
-    if quad.any():
-        disc = (b[quad] * b[quad] - 4 * a[quad] * c[quad]) % p
-        s = sqrt_tab[disc]
-        has = s >= 0
-        inv_2a = inv_tab[2 * a[quad] % p]
-        root_a = (p - b[quad] + s) % p * inv_2a % p
-        root_b = (p - b[quad] + (p - s) % p) % p * inv_2a % p
-        idx = np.flatnonzero(quad)
-        r1[idx] = np.where(has, root_a, 0)
-        ok1[idx] = has
-        r2[idx] = np.where(has, root_b, 0)
-        ok2[idx] = has & (root_b != root_a)
-    # a == 0 and b == 0: constant nonzero difference, no roots
-    return r1, ok1, r2, ok2
+    """a x^2 + b x + c mod p, for a, b, c and x below p: the sum stays below
+    3 p^2, exact in int64, so one reduction does. A round evaluates this
+    on every live entry of every step."""
+    v = a * (x * x % p)
+    v += b * x
+    v += c
+    v %= p
+    return v
 
 
 def _smallest_admissible(
@@ -214,148 +180,42 @@ def _check_field(k: int, p: int) -> None:
         raise RuntimeError("palette does not fit the field; k' selection broken")
 
 
-def _kernel_round(
-    n: int,
-    colors: np.ndarray,
-    k: int,
-    p: int,
-    tables: NumberTheoryTables,
-    src: np.ndarray,
-    dst: np.ndarray,
-    weights: np.ndarray | None,
-    domain: np.ndarray,
-    budget: np.ndarray | None,
-    symmetric: bool,
-    work: WorkCounter | None,
-) -> np.ndarray:
-    """One recoloring round over conflict slots (src -> dst), in the
-    prime field p.
-
-    weights/budget None: proper mode, every hit point is inadmissible.
-    Otherwise a point is admissible while its hit weight stays below
-    budget[v] or is 0; a node with budget 0 requires hit weight 0.
-    symmetric: the slots hold both directions of every conflict, with
-    symmetric weights; each pair is solved once, from its slot src < dst,
-    and hits both ends. Otherwise every slot is solved and hits its owner.
-    Returns the new colors (compacted later by the caller).
-    """
-    _check_field(k, p)
-    sqrt_tab = tables.sqrt_table(p, work)
-    inv_tab = tables.inv_table(p)
-    a_all, b_all, c_all = _poly_coeffs(colors, p)
-    charge(work, "recolor_slots", len(src) + n)
-    if symmetric:
-        fwd = src < dst
-        src, dst = src[fwd], dst[fwd]
-        if weights is not None:
-            weights = weights[fwd]
-
-    # Hits go out in two blocks, the r1 hits of every pair and then the r2
-    # hits, with the two ends of a pair side by side. On slots sorted by
-    # neighbour, each node's hits then reach the stable sort in its slot
-    # order, as if each slot had been solved on its own, so the weighted
-    # scores are summed in that order. One slice of TILE pairs at a time
-    # keeps the temporaries small.
-    blocks: tuple[list, list] = ([], [])
-    wblocks: tuple[list, list] = ([], [])
-    for lo in range(0, len(src), TILE):
-        s, d = src[lo : lo + TILE], dst[lo : lo + TILE]
-        r1, ok1, r2, ok2 = _conflict_roots(
-            a_all[d] - a_all[s], b_all[d] - b_all[s], c_all[d] - c_all[s], p, sqrt_tab, inv_tab
-        )
-        dom_s = domain[s]
-        sides = [[(s, r1, ok1 & (r1 < dom_s))], [(s, r2, ok2 & (r2 < dom_s))]]
-        if symmetric:
-            # the slot d -> s solves the negated polynomial: r1 and r2 swap
-            rev1 = np.where(ok2, r2, r1)
-            dom_d = domain[d]
-            sides[0].append((d, rev1, ok1 & (rev1 < dom_d)))
-            sides[1].append((d, r1, ok2 & (r1 < dom_d)))
-        for block, wblock, side in zip(blocks, wblocks, sides):
-            hit = np.stack([m for _, _, m in side], axis=1)
-            block.append(np.stack([v * p + r for v, r, _ in side], axis=1)[hit])
-            if weights is not None:
-                wblock.append(np.broadcast_to(weights[lo : lo + TILE, None], hit.shape)[hit])
-    key = np.concatenate(blocks[0] + blocks[1]) if blocks[0] else np.empty(0, dtype=np.int64)
-    order = radix_order(key, n * p, work)
-    key_s = key[order]
-    uniq_mask = first_of_runs(key_s)
-    ukey = key_s[uniq_mask]
-    uv, ur = ukey // p, ukey % p
-    if weights is None:
-        adm = np.zeros(len(ukey), dtype=bool)
-    else:
-        ws = np.concatenate(wblocks[0] + wblocks[1]) if wblocks[0] else np.empty(0)
-        groups = np.cumsum(uniq_mask) - 1
-        score = np.bincount(groups, weights=ws[order], minlength=len(ukey))
-        # zero hit weight is always harmless, whatever the budget
-        adm = (score < budget[uv]) | (score <= 0.0)
-    x_star = np.zeros(n, dtype=np.int64)
-    gids, best = _smallest_admissible(uv, ur, adm, domain)
-    x_star[gids] = best
-    new_colors = x_star * p + _eval_poly(a_all, b_all, c_all, x_star, p)
-    return new_colors
+def _values(coeffs: tuple[np.ndarray, np.ndarray, np.ndarray], nodes, x: int, p: int) -> np.ndarray:
+    """The values at x of the given nodes' polynomials."""
+    a, b, c = coeffs
+    return _eval_poly(a[nodes], b[nodes], c[nodes], x, p)
 
 
-def _clique_round(
-    ends: np.ndarray,
-    n_ends: int,
-    colors: np.ndarray,
-    k: int,
-    p: int,
-    domain: np.ndarray,
-    work: WorkCounter | None,
+def _point_round(
+    rule, colors: np.ndarray, k: int, p: int, domain: np.ndarray, work: WorkCounter | None
 ) -> tuple[np.ndarray, int]:
-    """One proper recoloring round on endpoint cliques, in point steps, in
-    the prime field p.
+    """One recoloring round of the nodes of rule (a _SlotRule or a
+    _CliqueRule) on k colors, in the prime field p, in point steps.
 
-    Node i (of m = len(colors)) belongs to the cliques of ends[i] and
-    ends[m + i], and ends has values in [0, n_ends). A proper round gives
-    each node the smallest x in its domain at which its polynomial value
-    differs from that of every neighbour, the point _kernel_round finds by
-    solving each conflict for its roots. On a union of cliques the test is
-    a tally: step x = 0, 1, ... counts f(x) per (clique, value) over the
-    members of every clique that still holds an undecided node, and each
-    undecided node whose value is alone in both its cliques, with x below
-    its domain, takes x. Returns (new colors, steps taken); raises if a
-    node is still undecided at the largest domain.
+    Step x = 0, 1, ... asks the rule which undecided nodes clash at x,
+    and each other undecided node with x below its domain takes x; then
+    the rule drops the entries that no undecided node needs. Returns (new
+    colors, steps taken); raises if a node is still undecided at the
+    largest domain.
     """
     _check_field(k, p)
-    m = len(colors)
-    a_all, b_all, c_all = _poly_coeffs(colors, p)
-    x_star = np.zeros(m, dtype=np.int64)
-    pending = np.arange(m, dtype=np.int64)
-    # the live memberships: their clique and node
-    live_end, live_node = ends, np.arange(2 * m, dtype=np.int64) % m
-    clash = np.zeros(m, dtype=bool)
-    open_end = np.zeros(n_ends, dtype=bool)
+    n = len(colors)
+    coeffs = _poly_coeffs(colors, p)
+    x_star = np.zeros(n, dtype=np.int64)
+    pending = np.arange(n, dtype=np.int64)
+    live = rule.entries
     steps = 0
-    for x in range(int(domain.max()) if m else 0):
+    for x in range(int(domain.max()) if n else 0):
         steps += 1
-        vals = _eval_poly(a_all[live_node], b_all[live_node], c_all[live_node], x, p)
-        key = live_end * p + vals
-        charge(work, "recolor_slots", len(key))
-        order = radix_order(key, n_ends * p, work)
-        first = first_of_runs(key[order])
-        alone = first.copy()
-        alone[:-1] &= first[1:]  # a run of one membership
-        shared = live_node[order[~alone]]
-        clash[shared] = True
-        free = ~clash[pending] & (x < domain[pending])
-        clash[shared] = False
+        free = ~rule.clash(live, pending, coeffs, x, p, work) & (x < domain[pending])
         x_star[pending[free]] = x
         pending = pending[~free]
         if len(pending) == 0:
             break
-        # keep the members of the cliques that still hold an undecided node
-        touched = np.concatenate([ends[pending], ends[m + pending]])
-        open_end[touched] = True
-        keep = open_end[live_end]
-        open_end[touched] = False
-        live_end, live_node = live_end[keep], live_node[keep]
+        live = rule.drop(live, pending)
     if len(pending):
         raise RuntimeError("no admissible point for some node; invariant broken")
-    return x_star * p + _eval_poly(a_all, b_all, c_all, x_star, p), steps
+    return x_star * p + _eval_poly(*coeffs, x_star, p), steps
 
 
 def _round_prime(tables: NumberTheoryTables, k: int, spread: int) -> int:
@@ -369,6 +229,10 @@ def _conflict_slots(g: Graph, orientation: np.ndarray | None) -> tuple[np.ndarra
     if orientation is None:
         return owners, g.nbrs
     keep = np.asarray(orientation, dtype=bool)
+    if keep.shape != g.nbrs.shape:
+        raise ValueError(
+            f"orientation has shape {keep.shape}; it needs one entry per slot, {len(g.nbrs)}"
+        )
     return owners[keep], g.nbrs[keep]
 
 
@@ -391,31 +255,56 @@ class EdgeCliques:
     n: int
 
 
-class _SlotConflicts:
-    """The conflict slots of a graph, out-slots only under an orientation;
-    its rounds solve every conflict for its roots (_kernel_round)."""
+class _SlotRule:
+    """The clash rule of the conflict slots src -> dst of a graph on n
+    nodes: a node clashes at x when the weight of its live slots whose
+    head's value at x equals its own, summed in slot order, is not
+    admissible, (score < budget) | (score <= 0); zero weight is always
+    harmless. weights None counts each slot as 1, and budget None is 0,
+    so in proper mode any agreement clashes. A slot is live while its
+    owner is undecided."""
 
-    point_steps = 0
+    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray, weights=None, budget=None) -> None:
+        self.n = n
+        self.entries = (src, dst, weights)
+        self.budget = budget
+        # scratch, reset after each use: each undecided node's position,
+        # and a mark on the undecided nodes
+        self._at = np.zeros(n, dtype=np.int64)
+        self._open = np.zeros(n, dtype=bool)
 
-    def __init__(self, g: Graph, orientation: np.ndarray | None) -> None:
-        self.n = g.n
-        self.src, self.dst = _conflict_slots(g, orientation)
-        self.symmetric = orientation is None
-        self.cdeg = np.bincount(self.src, minlength=g.n).astype(np.int64)
+    @cached_property
+    def cdeg(self) -> np.ndarray:
+        return np.bincount(self.entries[0], minlength=self.n).astype(np.int64)
 
-    def recolor(self, colors, k, p, tables, domain, work) -> np.ndarray:
-        return _kernel_round(
-            self.n, colors, k, p, tables, self.src, self.dst, None, domain, None,
-            self.symmetric, work,
-        )
+    def clash(self, live, pending, coeffs, x, p, work) -> np.ndarray:
+        src, dst, w = live
+        charge(work, "recolor_slots", len(src) + len(pending))
+        self._at[pending] = np.arange(len(pending))
+        owner = self._at[src]
+        hit = _values(coeffs, pending, x, p)[owner] == _values(coeffs, dst, x, p)
+        score = np.bincount(owner[hit], None if w is None else w[hit], minlength=len(pending))
+        budget = 0.0 if self.budget is None else self.budget[pending]
+        return ~((score < budget) | (score <= 0))
+
+    def drop(self, live, pending):
+        src, dst, w = live
+        self._open[pending] = True
+        keep = self._open[src]
+        self._open[pending] = False
+        return src[keep], dst[keep], None if w is None else w[keep]
 
     def monochromatic(self, colors: np.ndarray, k: int) -> bool:
-        return bool(np.any(colors[self.src] == colors[self.dst]))
+        src, dst, _ = self.entries
+        return bool(np.any(colors[src] == colors[dst]))
 
 
-class _CliqueConflicts:
-    """The endpoint cliques of an EdgeCliques; its rounds tally values at
-    point steps (_clique_round) and count the steps they take."""
+class _CliqueRule:
+    """The clash rule of the endpoint cliques of an EdgeCliques: node i (of
+    m edges) lies in the cliques of ends[i] and ends[m + i], and clashes
+    at x when its value there is shared in either clique, by a tally of
+    (clique, value) over the live memberships, radix-sorted. A membership
+    is live while its clique holds an undecided node."""
 
     def __init__(self, cl: EdgeCliques) -> None:
         self.n = len(cl.e_u)
@@ -423,12 +312,33 @@ class _CliqueConflicts:
         self.ends = np.concatenate([cl.e_u, cl.e_v]).astype(np.int64)
         deg = np.bincount(self.ends, minlength=cl.n)
         self.cdeg = (deg[cl.e_u] + deg[cl.e_v] - 2).astype(np.int64)
-        self.point_steps = 0
+        self.entries = self.ends, np.tile(np.arange(self.n, dtype=np.int64), 2)  # clique, node
+        # scratch, reset after each use: marks on nodes and on cliques
+        self._clash = np.zeros(self.n, dtype=bool)
+        self._open = np.zeros(cl.n, dtype=bool)
 
-    def recolor(self, colors, k, p, tables, domain, work) -> np.ndarray:
-        new_colors, steps = _clique_round(self.ends, self.n_ends, colors, k, p, domain, work)
-        self.point_steps += steps
-        return new_colors
+    def clash(self, live, pending, coeffs, x, p, work) -> np.ndarray:
+        live_end, live_node = live
+        key = _values(coeffs, live_node, x, p)
+        key += live_end * p
+        charge(work, "recolor_slots", len(key))
+        order = radix_order(key, self.n_ends * p, work)
+        first = first_of_runs(key[order])
+        alone = first.copy()
+        alone[:-1] &= first[1:]  # a run of one membership
+        shared = live_node[order[~alone]]
+        self._clash[shared] = True
+        clash = self._clash[pending]
+        self._clash[shared] = False
+        return clash
+
+    def drop(self, live, pending):
+        live_end, live_node = live
+        touched = np.concatenate([self.ends[pending], self.ends[self.n + pending]])
+        self._open[touched] = True
+        keep = self._open[live_end]
+        self._open[touched] = False
+        return live_end[keep], live_node[keep]
 
     def monochromatic(self, colors: np.ndarray, k: int) -> bool:
         """Whether some clique holds one of the k colors twice."""
@@ -446,9 +356,9 @@ def color_delta_squared(
     """Proper coloring with a palette polynomial in the max conflict degree.
 
     g is a conflict graph, or the endpoint cliques of a set of edges (see
-    EdgeCliques), whose rounds run in point steps (_clique_round) and reach
-    the colors that rounds on its line graph reach, with no line graph and
-    no root solves; the result records those steps.
+    EdgeCliques), which reach the colors of the same rounds on their line
+    graph with no line graph. The result records the point steps of its
+    rounds (see _point_round).
 
     Starts from node ids and runs proper recoloring rounds, keeping a round
     only if it shrinks the palette and returning at the first round that
@@ -465,29 +375,31 @@ def color_delta_squared(
     if isinstance(g, EdgeCliques):
         if orientation is not None:
             raise ValueError("endpoint cliques take no orientation")
-        conflicts: _SlotConflicts | _CliqueConflicts = _CliqueConflicts(g)
+        rule: _SlotRule | _CliqueRule = _CliqueRule(g)
     else:
-        conflicts = _SlotConflicts(g, orientation)
-    n, cdeg = conflicts.n, conflicts.cdeg
+        rule = _SlotRule(g.n, *_conflict_slots(g, orientation))
+    n, cdeg = rule.n, rule.cdeg
     delta = int(cdeg.max()) if n else 0
     tables = precompute_tables(tables_limit_for(n, delta))
     colors, k = np.arange(n, dtype=np.int64), n
+    point_steps = 0
     while True:
         p = _round_prime(tables, k, 3 * delta)
         if k <= p:
             break
         degree_bound = math.ceil(k ** (1.0 / 3.0)) <= 3 * delta
         domain = np.minimum(np.maximum(3 * cdeg, 1), p)
-        new_colors = conflicts.recolor(colors, k, p, tables, domain, work)
+        new_colors, steps = _point_round(rule, colors, k, p, domain, work)
+        point_steps += steps
         new_colors, used = _compact_colors(new_colors)
-        if conflicts.monochromatic(new_colors, used):
+        if rule.monochromatic(new_colors, used):
             raise RuntimeError("recoloring produced a monochromatic conflict edge")
         if used >= k:
             break
         colors, k = new_colors, used
         if degree_bound:
             break
-    return Coloring(colors=colors, num_colors=k, point_steps=conflicts.point_steps)
+    return Coloring(colors=colors, num_colors=k, point_steps=point_steps)
 
 
 def class_order(colors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -684,7 +596,7 @@ def _defective_phase1(
         domain = np.maximum(domain, 1).astype(np.int64)
         # low nodes may lose no weight: budget 0 admits hit weight 0 only
         budget = np.where(low, 0.0, eps1 * incident)
-        new_colors = _kernel_round(n, colors, k, p, tables, src, dst, w, domain, budget, True, work)
+        new_colors, _ = _point_round(_SlotRule(n, src, dst, w, budget), colors, k, p, domain, work)
         rounds += 1
         lost = new_colors[src] == new_colors[dst]
         if np.any(lost & low[src] & (w > 0)):
@@ -766,7 +678,7 @@ def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) ->
         # set; a stable sort by (node, color) sums each color's weight in
         # slot order
         key = okey[lo:hi] + final[odst[lo:hi]]
-        korder = key.argsort(kind="stable")
+        korder = radix_order(key, n * palette2, work)
         key_s = key[korder]
         first = first_of_runs(key_s)
         wsum = np.bincount(first.cumsum() - 1, weights=ow[lo:hi][korder])

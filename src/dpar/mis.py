@@ -802,6 +802,7 @@ def maximal_independent_set(
             "removed_degree_fraction": float(np.sum(deg[removed])) / max(cur.m, 1),
             "star_degree_fraction": ind.removed_degree_fraction,
             "palette": int(col.num_colors),
+            "point_steps": col.point_steps,
             "fallback": ind.fallback,
             "dropped_watchers": ind.dropped_watchers,
         }

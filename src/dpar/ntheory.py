@@ -13,6 +13,11 @@ in O(log p) array operations:
   pw[i]^-1 = pw[(p - 1 - i) mod (p - 1)] (entry 0 is 0 and means nothing).
 
 So a field costs p units of work once, and an inverse is a gather.
+
+The recoloring rounds (coloring.py) take only primes from here: they walk
+the points of the field and compare values, and solve no roots. Only the
+benchmark's tracer (benchmark/tracing.py) and the tables' own tests reach
+sqrt_table and inv_table.
 """
 
 from __future__ import annotations

@@ -168,6 +168,15 @@ def test_report_schema(algorithm):
     json.dumps(rep, default=str)  # report must be serializable
 
 
+def test_colour_reports_give_their_point_steps():
+    """The color report and each MIS sweep report give the point steps of
+    their colouring, as the matching's sweep reports do."""
+    g = gnm_graph(200, 900, seed=6)
+    assert run_color(g, ParamSet.desk())["point_steps"] >= 1
+    its = run_mis(g, ParamSet.desk())["iterations"]
+    assert its and all(it["point_steps"] >= 1 for it in its if it["palette"] > 1)
+
+
 def test_scaling_series_shape():
     rows = scaling_series([7, 8], deg_factor=4)
     assert [r["n"] for r in rows] == [128, 256]

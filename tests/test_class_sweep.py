@@ -25,6 +25,7 @@ from dpar.coloring import _defective_phase1, class_sweep, defective_coloring
 from dpar.graph import Graph, sort_edges_to_csr
 import dpar.rounding
 from dpar.rounding import CliqueGroup, RoundingInstance, evaluate_objective, local_round
+from dpar.sorting import radix_passes
 from dpar.workcount import WorkCounter, charge
 from test_coloring import random_graph
 
@@ -93,6 +94,8 @@ def reference_defective(g: Graph, eps: float) -> tuple[np.ndarray, float, int, i
                 if hit.get(x, 0.0) <= 0.0 or (not strict and hit[x] < budget)
             )
         charge(work, "defective_phase2", sum(len(out_slots[v]) for v in members) + len(members))
+    # the batched sweep radix-sorts each out-slot once, by (owner, head color)
+    charge(work, "word_sort", radix_passes(g.n * palette2) * sum(map(len, out_slots)))
     same = final[g.slot_owners()] == final[g.nbrs]
     owners = g.slot_owners().tolist()
     live = [(step[colors[v]], step[colors[h]]) for v, h, a in zip(owners, g.nbrs.tolist(), alive) if a]

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 import dpar.coloring
 from dpar.coloring import (
     EdgeCliques,
-    _clique_round,
+    _CliqueRule,
     _compact_colors,
-    _conflict_roots,
     _defective_phase1,
-    _kernel_round,
     _phase1_iterations,
+    _point_round,
     _poly_coeffs,
+    _SlotRule,
     _smallest_admissible,
     bandwidth,
     color_delta_squared,
@@ -24,6 +24,7 @@ from dpar.coloring import (
     layout_start,
     tables_limit_for,
 )
+from dpar.generate import gnm_graph
 from dpar.graph import Graph, sort_edges_to_csr
 from dpar.ntheory import precompute_tables, prime_in_range
 from dpar.sorting import radix_passes
@@ -70,50 +71,61 @@ def test_smallest_admissible_prefers_present_admissible():
     assert gids.tolist() == [0] and best.tolist() == [0]
 
 
+def test_smallest_admissible_raises_on_a_full_domain():
+    """A group whose whole domain is taken by inadmissible items has no
+    answer, as defective phase 2 would have none."""
+    groups, items = np.zeros(2, dtype=np.int64), np.arange(2, dtype=np.int64)
+    with pytest.raises(RuntimeError, match="no admissible point"):
+        _smallest_admissible(groups, items, np.zeros(2, dtype=bool), np.full(1, 2, dtype=np.int64))
+
+
 # --- single recoloring round ---------------------------------------------
 
 def test_single_edge_round_uses_field_of_three():
     g = sort_edges_to_csr(np.array([[0, 1]]), 2)
     tables = precompute_tables(16)
     assert prime_in_range(tables, 3) == 3
-    src, dst = g.slot_owners(), g.nbrs
     domain = np.full(2, 3, dtype=np.int64)
-    new_colors = _kernel_round(
-        2, np.array([0, 1], dtype=np.int64), 2, 3, tables, src, dst, None, domain, None, True,
-        None,
-    )
+    rule = _SlotRule(2, g.slot_owners(), g.nbrs)
+    new_colors, steps = _point_round(rule, np.array([0, 1], dtype=np.int64), 2, 3, domain, None)
     colors, used = _compact_colors(new_colors)
-    assert used <= 9
+    assert used <= 9 and steps >= 1
     assert is_proper(g, colors)
 
 
-def per_slot_round(n, colors, kprime, tables, src, dst, weights, domain, budget, strict):
-    """The per-slot rule that _kernel_round's pair solve must reproduce:
-    every slot is solved on its own and hits its owner, all r1 hits go
-    before all r2 hits, and the hits are stably sorted by (node, point)."""
-    p = prime_in_range(tables, kprime)
-    a, b, c = _poly_coeffs(colors, p)
-    r1, ok1, r2, ok2 = _conflict_roots(
-        a[dst] - a[src], b[dst] - b[src], c[dst] - c[src],
-        p, tables.sqrt_table(p), tables.inv_table(p),
-    )
-    vv = np.concatenate([src, src])
-    rr = np.concatenate([r1, r2])
-    hit = np.concatenate([ok1, ok2]) & (rr < domain[vv])
-    key = vv[hit] * p + rr[hit]
-    order = np.argsort(key, kind="stable")
-    ukey, groups = np.unique(key[order], return_inverse=True)
-    uv, ur = ukey // p, ukey % p
-    adm = np.zeros(len(ukey), dtype=bool)
-    if weights is not None:
-        ws = np.concatenate([weights, weights])[hit][order]
-        score = np.bincount(groups, weights=ws, minlength=len(ukey))
-        adm = (score < budget[uv]) | (score <= 0.0)
-        adm[strict[uv]] = score[strict[uv]] <= 0.0
-    x = np.zeros(n, dtype=np.int64)
-    gids, best = _smallest_admissible(uv, ur, adm, domain)
-    x[gids] = best
-    return x * p + (a * x % p * x + b * x + c) % p
+def point_scan_round(n, colors, p, src, dst, weights, domain, budget):
+    """The slot rule by plain Python: each node walks x = 0, 1, ... below
+    its domain and takes the first x at which the weight of its slots
+    whose head's value equals its own, summed in slot order, is 0 or below
+    its budget (each slot weighs 1 without weights; no budget admits 0
+    only). Returns (new colors, steps, units): a round takes one step per
+    point up to the largest taken, and a step reads the slots of the nodes
+    still undecided and those nodes."""
+    a, b, c = (d.tolist() for d in _poly_coeffs(colors, p))
+
+    def f(v, x):
+        return (a[v] * x * x + b[v] * x + c[v]) % p
+
+    slots = [[] for _ in range(n)]
+    for i, s in enumerate(src.tolist()):
+        slots[s].append(i)
+    heads = dst.tolist()
+    x_star = []
+    for v in range(n):
+        for x in range(int(domain[v])):
+            score = 0
+            for i in slots[v]:
+                if f(heads[i], x) == f(v, x):
+                    score += 1 if weights is None else weights[i]
+            if score <= 0 or (budget is not None and score < budget[v]):
+                x_star.append(x)
+                break
+        else:
+            raise AssertionError("no admissible point")
+    steps = max(x_star, default=-1) + 1
+    units = sum(1 + len(slots[v]) for v in range(n) for x in range(steps) if x <= x_star[v])
+    new = [x * p + f(v, x) for v, x in enumerate(x_star)]
+    return np.array(new, dtype=np.int64), steps, units
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,11 +136,12 @@ def per_slot_round(n, colors, kprime, tables, src, dst, weights, domain, budget,
     palette_mult=st.integers(1, 60),
     mode=st.sampled_from(["symmetric", "oriented", "weighted"]),
 )
-def test_pair_solve_matches_per_slot_rule(seed, n, avg_deg, palette_mult, mode):
-    """Solving each conflict pair once and hitting both ends gives the same
-    colours, byte for byte, as solving every slot: proper rounds over both
-    directions of every edge or over a random subset of the slots, and
-    weighted phase-1 rounds of defective_coloring."""
+def test_slot_rule_matches_the_per_node_point_scan(seed, n, avg_deg, palette_mult, mode):
+    """A round of point steps under the slot rule gives the colours of a
+    per-node point scan, byte for byte, and charges each step's undecided
+    nodes and their slots: proper rounds over both directions of every
+    edge or over a random subset of the slots, and weighted phase-1 rounds
+    of defective_coloring."""
     rng = np.random.default_rng(seed)
     ends = rng.integers(0, n, size=(max(1, int(avg_deg * n / 2)), 2))
     ends = ends[ends[:, 0] != ends[:, 1]]
@@ -138,7 +151,7 @@ def test_pair_solve_matches_per_slot_rule(seed, n, avg_deg, palette_mult, mode):
     k = n * palette_mult
     colors = rng.choice(k, size=n, replace=False).astype(np.int64)
     src, dst = g.slot_owners(), g.nbrs
-    weights = budget = strict = None
+    weights = budget = None
     if mode == "oriented":
         keep = rng.random(len(src)) < 0.5
         src, dst = src[keep], dst[keep]
@@ -148,23 +161,21 @@ def test_pair_solve_matches_per_slot_rule(seed, n, avg_deg, palette_mult, mode):
         weights = g.weights
         kprime = max(math.ceil(k ** (1.0 / 3.0)), 3 * math.ceil(1.0 / eps1), 3)
         strict = cdeg <= math.floor(1.0 / eps1)
-        budget = eps1 * np.bincount(src, weights=weights, minlength=n)
+        # strict nodes have budget 0: only zero hit weight will do
+        budget = np.where(strict, 0.0, eps1 * np.bincount(src, weights=weights, minlength=n))
     else:
         kprime = max(math.ceil(k ** (1.0 / 3.0)), 3 * int(cdeg.max()), 3)
-    tables = precompute_tables(2 * kprime + 2)
-    p = prime_in_range(tables, kprime)
+    p = prime_in_range(precompute_tables(2 * kprime + 2), kprime)
     if mode == "weighted":
         domain = np.where(strict, np.minimum(3 * cdeg + 1, p), min(3 * math.ceil(1.0 / eps1), p))
     else:
         domain = np.minimum(np.maximum(3 * cdeg, 1), p)
     domain = domain.astype(np.int64)
-    # _kernel_round takes the strict rule as budget 0
-    folded = None if budget is None else np.where(strict, 0.0, budget)
-    got = _kernel_round(
-        n, colors, k, p, tables, src, dst, weights, domain, folded, mode != "oriented", None
-    )
-    want = per_slot_round(n, colors, kprime, tables, src, dst, weights, domain, budget, strict)
+    work = WorkCounter()
+    got, steps = _point_round(_SlotRule(n, src, dst, weights, budget), colors, k, p, domain, work)
+    want, want_steps, units = point_scan_round(n, colors, p, src, dst, weights, domain, budget)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert steps == want_steps and work.snapshot() == {"recolor_slots": units}
 
 
 def greedy_colors(g: Graph, order: np.ndarray) -> np.ndarray:
@@ -218,11 +229,9 @@ def test_round_on_a_palette_inside_the_field_returns_its_input(seed, n, avg_deg,
         domain = np.where(strict, np.minimum(3 * cdeg + 1, p), min(12, p))
     else:
         domain = np.minimum(np.maximum(3 * cdeg, 1), p)
-    got = _kernel_round(
-        n, colors, k, p, tables, src, dst, weights, domain.astype(np.int64), budget,
-        mode != "oriented", None,
-    )
-    assert got.tobytes() == colors.tobytes()
+    rule = _SlotRule(n, src, dst, weights, budget)
+    got, steps = _point_round(rule, colors, k, p, domain.astype(np.int64), None)
+    assert got.tobytes() == colors.tobytes() and steps == (1 if n else 0)
 
 
 def phase1_every_round(g: Graph, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -248,9 +257,8 @@ def phase1_every_round(g: Graph, eps: float) -> tuple[np.ndarray, np.ndarray]:
         low = deg <= math.floor(1.0 / eps1)
         domain = np.maximum(np.where(low, np.minimum(3 * deg + 1, p), min(spread, p)), 1)
         budget = np.where(low, 0.0, eps1 * np.bincount(src, weights=w, minlength=n))
-        new = _kernel_round(
-            n, colors, k, p, tables, src, dst, w, domain.astype(np.int64), budget, True, None
-        )
+        rule = _SlotRule(n, src, dst, w, budget)
+        new, _ = _point_round(rule, colors, k, p, domain.astype(np.int64), None)
         alive[np.flatnonzero(alive)[new[src] == new[dst]]] = False
         colors, k_new = _compact_colors(new)
         shrank, k = k_new < k, k_new
@@ -369,7 +377,7 @@ def test_random_graph_palette_bound():
     assert work.total > 0
 
 
-def test_degree_bound_field_runs_one_round():
+def test_degree_bound_field_runs_one_round(monkeypatch):
     """A line graph with ceil(n^(1/3)) <= 3*Delta has its field set by the
     degree from the first round on, so color_delta_squared stops after the
     first round that shrinks the palette."""
@@ -380,9 +388,17 @@ def test_degree_bound_field_runs_one_round():
     g = line_graph(owners[fwd], base.nbrs[fwd], base.n)
     delta = int(g.degrees().max())
     assert math.ceil(g.n ** (1.0 / 3.0)) <= 3 * delta
-    work = WorkCounter()
-    col = color_delta_squared(g, work=work)
-    assert work.snapshot()["recolor_slots"] == len(g.nbrs) + g.n  # one round
+    rounds = []
+    real = dpar.coloring._point_round
+
+    def counted(*args):
+        out = real(*args)
+        rounds.append(out[1])
+        return out
+
+    monkeypatch.setattr(dpar.coloring, "_point_round", counted)
+    col = color_delta_squared(g)
+    assert len(rounds) == 1 and col.point_steps == rounds[0] >= 1
     assert is_proper(g, col.colors)
     assert col.num_colors < g.n
     p = prime_in_range(precompute_tables(tables_limit_for(g.n, delta)), 3 * delta)
@@ -442,11 +458,11 @@ def naive_clique_round(e_u, e_v, colors, p, domain):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), palette_mult=st.integers(1, 60))
-def test_clique_round_matches_the_kernel_round_on_the_line_graph(seed, n, palette_mult):
-    """One round in point steps picks, for every node and domain with a free
-    point, the point that solving the line graph's conflicts picks; its
-    charges are the memberships tallied at each step, radix-sorted below
-    n * p."""
+def test_clique_rule_matches_the_slot_rule_on_the_line_graph(seed, n, palette_mult):
+    """A round under the clique rule picks, for every node and domain with a
+    free point, the point that the slot rule picks on the line graph, in
+    as many steps; its charges are the memberships tallied at each step,
+    radix-sorted below n * p."""
     rng = np.random.default_rng(seed)
     e_u, e_v, n = edge_set(rng, "random", n)
     lg = line_graph(e_u, e_v, n)
@@ -459,56 +475,50 @@ def test_clique_round_matches_the_kernel_round_on_the_line_graph(seed, n, palett
     p = prime_in_range(tables, kprime)
     # each neighbour rules out at most 2 points, so 2 * cdeg + 1 leaves one free
     domain = rng.integers(np.minimum(2 * cdeg + 1, p), p + 1)
-    want = _kernel_round(
-        m, colors, k, p, tables, lg.slot_owners(), lg.nbrs, None, domain, None, True, None
-    )
+    want, want_steps = _point_round(_SlotRule(m, lg.slot_owners(), lg.nbrs), colors, k, p, domain, None)
     work = WorkCounter()
-    ends = np.concatenate([e_u, e_v])
-    got, steps = _clique_round(ends, n, colors, k, p, domain, work)
-    assert np.array_equal(got, want)
+    got, steps = _point_round(_CliqueRule(EdgeCliques(e_u, e_v, n)), colors, k, p, domain, work)
+    assert np.array_equal(got, want) and steps == want_steps
     ref, ref_steps, tallied = naive_clique_round(e_u, e_v, colors, p, domain)
     assert np.array_equal(got, ref) and steps == ref_steps
     sorted_units = radix_passes(n * p) * tallied
     assert work.snapshot() == {"recolor_slots": tallied, "word_sort": sorted_units}
 
 
+def both_rules(e_u, e_v, n):
+    """The clique rule of the edges (e_u, e_v) and the slot rule of their line graph."""
+    lg = line_graph(e_u, e_v, n)
+    return _CliqueRule(EdgeCliques(e_u, e_v, n)), _SlotRule(lg.n, lg.slot_owners(), lg.nbrs)
+
+
 def test_clique_round_raises_past_the_largest_domain():
     """Three edges at node 0 with colors 0, p, 2p have the value 0 at x = 0
     and distinct values at x = 1; with domain 1 no edge has a free point, so
-    both round kernels raise instead of reaching past the domain."""
+    a round under either rule raises instead of reaching past the domain."""
     e_u, e_v = np.zeros(3, dtype=np.int64), np.arange(1, 4)
-    tables = precompute_tables(64)
-    p = prime_in_range(tables, 3)
+    p = prime_in_range(precompute_tables(64), 3)
     colors = np.array([0, p, 2 * p], dtype=np.int64)
-    ends, lg = np.concatenate([e_u, e_v]), line_graph(e_u, e_v, 4)
-    src, dst = lg.slot_owners(), lg.nbrs
-    for domain in (np.ones(3, dtype=np.int64), np.array([1, 1, 2])):
-        with pytest.raises(RuntimeError, match="no admissible point"):
-            _clique_round(ends, 4, colors, 3 * p, p, domain, None)
-        with pytest.raises(RuntimeError, match="no admissible point"):
-            _kernel_round(3, colors, 3 * p, p, tables, src, dst, None, domain, None, True, None)
-    got, steps = _clique_round(ends, 4, colors, 3 * p, p, np.full(3, 2), None)
-    assert got.tolist() == [p, p + 1, p + 2] and steps == 2
+    for rule in both_rules(e_u, e_v, 4):
+        for domain in (np.ones(3, dtype=np.int64), np.array([1, 1, 2])):
+            with pytest.raises(RuntimeError, match="no admissible point"):
+                _point_round(rule, colors, 3 * p, p, domain, None)
+        got, steps = _point_round(rule, colors, 3 * p, p, np.full(3, 2), None)
+        assert got.tolist() == [p, p + 1, p + 2] and steps == 2
 
 
 def test_both_round_kernels_check_their_field():
     """A round whose prime p reaches past exact int64 products, or whose
     palette of k > p^3 colors does not fit degree-2 polynomials over F_p,
-    raises before it recolours, in either kernel."""
-    e_u, e_v = np.zeros(2, dtype=np.int64), np.arange(1, 3)
-    ends, lg = np.concatenate([e_u, e_v]), line_graph(e_u, e_v, 3)
-    src, dst = lg.slot_owners(), lg.nbrs
+    raises before it recolours, under either rule."""
     colors, domain = np.array([0, 1], dtype=np.int64), np.full(2, 3, dtype=np.int64)
-    tables = precompute_tables(64)
     big_prime = dpar.coloring.MAX_FIELD + 9  # 2^23 + 9
-    for k, p, error, message in [
-        (2, big_prime, ValueError, "exceeds exact-arithmetic range"),
-        (28, 3, RuntimeError, "palette does not fit the field"),
-    ]:
-        with pytest.raises(error, match=message):
-            _clique_round(ends, 3, colors, k, p, domain, None)
-        with pytest.raises(error, match=message):
-            _kernel_round(2, colors, k, p, tables, src, dst, None, domain, None, True, None)
+    for rule in both_rules(np.zeros(2, dtype=np.int64), np.arange(1, 3), 3):
+        for k, p, error, message in [
+            (2, big_prime, ValueError, "exceeds exact-arithmetic range"),
+            (28, 3, RuntimeError, "palette does not fit the field"),
+        ]:
+            with pytest.raises(error, match=message):
+                _point_round(rule, colors, k, p, domain, None)
 
 
 @settings(max_examples=80, deadline=None)
@@ -539,14 +549,14 @@ def test_long_paths_and_cycles_run_two_clique_rounds(monkeypatch, shape):
     colors still equal those of the line graph."""
     e_u, e_v, n = edge_set(np.random.default_rng(5), shape, 20_000)
     rounds = []
-    real = dpar.coloring._clique_round
+    real = dpar.coloring._point_round
 
     def counted(*args):
         new, steps = real(*args)
         rounds.append(steps)
         return new, steps
 
-    monkeypatch.setattr(dpar.coloring, "_clique_round", counted)
+    monkeypatch.setattr(dpar.coloring, "_point_round", counted)
     assert math.ceil(len(e_u) ** (1.0 / 3.0)) > 3 * 2
     got = color_delta_squared(EdgeCliques(e_u, e_v, n))
     assert len(rounds) == 2 and got.point_steps == sum(rounds)
@@ -557,14 +567,14 @@ def test_long_paths_and_cycles_run_two_clique_rounds(monkeypatch, shape):
 def test_clique_colouring_rejects_a_repeated_colour_at_an_endpoint(monkeypatch):
     """A round that gives edges 0 = (0, 1) and 1 = (1, 2) of a path one
     color is caught by the per-round check on every clique."""
-    real = dpar.coloring._clique_round
+    real = dpar.coloring._point_round
 
     def corrupted(*args):
         new, steps = real(*args)
         new[1] = new[0]
         return new, steps
 
-    monkeypatch.setattr(dpar.coloring, "_clique_round", corrupted)
+    monkeypatch.setattr(dpar.coloring, "_point_round", corrupted)
     with pytest.raises(RuntimeError, match="monochromatic"):
         color_delta_squared(EdgeCliques(np.arange(500), np.arange(1, 501), 501))
 
@@ -573,6 +583,16 @@ def test_endpoint_cliques_take_no_orientation():
     cl = EdgeCliques(np.array([0]), np.array([1]), 2)
     with pytest.raises(ValueError, match="orientation"):
         color_delta_squared(cl, orientation=np.ones(2, dtype=bool))
+
+
+@pytest.mark.parametrize("length", [0, 3, 399, 401])
+def test_orientation_needs_one_entry_per_slot(length):
+    """An orientation of another length than the graph's slots is rejected
+    by name, not with an IndexError from the mask."""
+    g = gnm_graph(100, 200, seed=3)
+    assert len(g.nbrs) == 400
+    with pytest.raises(ValueError, match="orientation"):
+        color_delta_squared(g, orientation=np.ones(length, dtype=bool))
 
 
 # --- greedy class sweep ----------------------------------------------------

@@ -160,8 +160,7 @@ def test_matching_builds_no_line_graph_and_solves_no_roots(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the matching reached a line-graph kernel")
 
-    monkeypatch.setattr("dpar.coloring._SlotConflicts", refuse)
-    monkeypatch.setattr("dpar.coloring._kernel_round", refuse)
+    monkeypatch.setattr("dpar.coloring._SlotRule", refuse)
     g = gnm_graph(400, 3200, seed=32)
     res = maximal_matching(g)
     assert check_maximal_matching(g, res.match_with)[0]
