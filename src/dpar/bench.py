@@ -95,6 +95,7 @@ def run_defective(g: Graph, eps: float, params: ParamSet) -> dict:
     )
     rep["certificates"].append(_cert("palette", d["palette"], cap, d["palette"] <= cap, "<="))
     rep["phase1_rounds"] = col.phase1_rounds
+    rep["point_steps"] = col.point_steps
     rep["steps"] = col.steps
     return _finish(rep, work, t0)
 

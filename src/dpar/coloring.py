@@ -102,7 +102,7 @@ class Coloring:
     mono_weight: float = 0.0
     phase1_rounds: int = 0  # defective_coloring: polynomial rounds phase 1 ran
     steps: int = 0  # defective_coloring: phase-2 batches, run one after another
-    point_steps: int = 0  # color_delta_squared: point steps its rounds took
+    point_steps: int = 0  # color_delta_squared, defective phase 1: their rounds' point steps
 
 
 def _poly_coeffs(q: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -560,12 +560,13 @@ def layout_start(n: int, w: int) -> tuple[np.ndarray, int]:
 
 def _defective_phase1(
     g: Graph, eps: float, owners: np.ndarray, weights: np.ndarray, work: WorkCounter | None
-) -> tuple[np.ndarray, int, np.ndarray, int]:
+) -> tuple[np.ndarray, int, np.ndarray, int, int]:
     """Budgeted polynomial rounds of defective_coloring (owners: the slot
     owners of g), started from layout_start.
 
-    Returns (colors in [0, k), k, alive slot mask, rounds run): slots
-    turned monochromatic by some round are dead and their weight is lost.
+    Returns (colors in [0, k), k, alive slot mask, rounds run, point steps
+    they took): slots turned monochromatic by some round are dead and
+    their weight is lost.
     It stops before a round whose field holds the whole palette (k <= p),
     which would return its input (see the module docstring), and sieves no
     primes when the start has at most as many colors as the first round's
@@ -580,9 +581,9 @@ def _defective_phase1(
     inv_eps1 = math.floor(1.0 / eps1)
     alive = np.ones(len(g.nbrs), dtype=bool)
     colors, k = layout_start(n, bandwidth(owners, g.nbrs))
-    rounds = 0
+    rounds = point_steps = 0
     if k <= spread:  # the first round's field p >= spread holds the palette
-        return colors, k, alive, rounds
+        return colors, k, alive, rounds, point_steps
     tables = precompute_tables(tables_limit_for(k, 0, math.ceil(1.0 / eps1)))
     while rounds < iters:
         p = _round_prime(tables, k, spread)
@@ -596,8 +597,9 @@ def _defective_phase1(
         domain = np.maximum(domain, 1).astype(np.int64)
         # low nodes may lose no weight: budget 0 admits hit weight 0 only
         budget = np.where(low, 0.0, eps1 * incident)
-        new_colors, _ = _point_round(_SlotRule(n, src, dst, w, budget), colors, k, p, domain, work)
+        new_colors, steps = _point_round(_SlotRule(n, src, dst, w, budget), colors, k, p, domain, work)
         rounds += 1
+        point_steps += steps
         lost = new_colors[src] == new_colors[dst]
         if np.any(lost & low[src] & (w > 0)):
             raise RuntimeError("low-degree node lost edge weight in phase 1")
@@ -609,7 +611,7 @@ def _defective_phase1(
         k = k_new  # even a round that did not shrink has recolored every node
         if not shrank:
             break
-    return colors, k, alive, rounds
+    return colors, k, alive, rounds, point_steps
 
 
 def _sweep_stride(k: int) -> int:
@@ -644,7 +646,8 @@ def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) ->
     the classes into the final palette, one batch of dependency-free
     classes at a time (see class_sweep), losing at most eps/2: the bound
     needs only an acyclic orientation. The result records the phase-1
-    rounds run and the phase-2 batches (steps).
+    rounds run, the point steps they took and the phase-2 batches
+    (steps).
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -653,7 +656,7 @@ def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) ->
     total_w = float(np.sum(weights)) / 2.0
     palette2 = 3 * math.ceil(1.0 / eps)
     owners = g.slot_owners()
-    colors, k, alive, rounds = _defective_phase1(g, eps, owners, weights, work)
+    colors, k, alive, rounds, point_steps = _defective_phase1(g, eps, owners, weights, work)
     step = strided_steps(colors, k)
 
     # edges point from later to earlier steps; a node picks the smallest
@@ -691,5 +694,5 @@ def defective_coloring(g: Graph, eps: float, work: WorkCounter | None = None) ->
         raise RuntimeError("defective coloring exceeded its monochromatic budget")
     return Coloring(
         colors=final, num_colors=palette2, mono_weight=mono, phase1_rounds=rounds,
-        steps=len(sweep.batches),
+        steps=len(sweep.batches), point_steps=point_steps,
     )

@@ -35,10 +35,17 @@ slots, whose costs add. A node's conditional score is its utility minus
 the cost of each slot it owns whose head, decided, joined, minus half the
 cost of each slot it heads, whose owner is still undecided (one sum per
 node, fixed before the sweep), minus, per bucket, 2 coef_B (joined_B +
-(undecided_B - 1)/2), from the bucket's tallies of decided members in S
-and of undecided members, the node itself among them. No two members of
-a batch share a bucket, so each batch reads and then updates the tallies
-of its buckets with plain gathers and adds. A node joins S when its score
+(undecided_B - 1)/2), with joined_B its decided members in S and
+undecided_B its undecided ones, the node itself among them. Each bucket
+keeps that sum as one tally, a half-integer and so exact, which starts
+at (b - 1)/2 and moves by +1/2 per member that joins and by -1/2 per
+member that stays out. No two members of a batch share a bucket, so
+each batch reads and then updates the tallies of its buckets with plain
+gathers and adds. The sweep keeps every per-node array by position in
+its node order, with slot heads and bucket members stored as positions
+and each slot's owner and each member as an offset within its batch, so
+a batch reads and writes one contiguous slice of them; the choices are
+mapped back to node ids once, at the end. A node joins S when its score
 is positive and stays out when it is negative, which never lowers the
 tracked expectation. A zero score ties the two choices, and the node
 joins only if none of its cost partners is decided after it, so that the
@@ -174,11 +181,20 @@ def evaluate_objective(inst: RoundingInstance, in_set: np.ndarray) -> float:
 
 
 def _clique_span(group: CliqueGroup) -> int:
-    """The largest max - min over the members of a bucket, 0 without one."""
+    """The largest max - min over the members of a bucket, 0 without one.
+
+    It reduces one member column at a time: a reduction along each row
+    of b members costs a call per row."""
     if group.n_buckets == 0:
         return 0
     rows = group.members.reshape(-1, group.b)
-    return int((rows.max(axis=1) - rows.min(axis=1)).max())
+    top = rows[:, 0].copy()
+    bottom = top.copy()
+    for col in range(1, group.b):
+        np.maximum(top, rows[:, col], out=top)
+        np.minimum(bottom, rows[:, col], out=bottom)
+    top -= bottom
+    return int(top.max())
 
 
 def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> RoundingResult:
@@ -190,7 +206,8 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
         np.concatenate([inst.cost_c] + [g.coefs * float(g.b * (g.b - 1)) for g in groups])
     )
     bound = 0.5 * util_total - (0.25 + inst.eps) * cost_total
-    charge(work, "local_round", n + len(inst.cost_c) + sum(len(g.members) for g in groups))
+    # the set-up and the sweep each touch every node, term and membership once
+    charge(work, "local_round", 2 * (n + len(inst.cost_c) + sum(len(g.members) for g in groups)))
 
     ci, cj = inst.cost_i, inst.cost_j
     w = max([bandwidth(ci, cj)] + [_clique_span(g) for g in groups])
@@ -201,18 +218,23 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     from_i = step[ci] > step[cj]
     owners, heads, costs = np.where(from_i, ci, cj), np.where(from_i, cj, ci), inst.cost_c
 
+    # all state is kept by position in the sweep's node order, so a batch
+    # reads and writes one slice [m0:m1] of it
     sweep = class_sweep(step, k, owners, heads, [g.members.reshape(-1, g.b) for g in groups])
-    pos = sweep.positions
+    pos, batches = sweep.positions, sweep.batches
     head_pos = pos[heads]
     # per node position: half the cost of its partners decided after it,
     # which stay undecided while it is decided
     half_later = np.bincount(head_pos, weights=0.5 * costs, minlength=n)
+    s_head, s_cost = head_pos[sweep.slot_order], costs[sweep.slot_order]
+    # each slot's owner, as an offset in its batch
     s_member = pos[owners[sweep.slot_order]]
-    s_head, s_cost = heads[sweep.slot_order], costs[sweep.slot_order]
+    s_member -= np.repeat(batches[:, 2], batches[:, 1] - batches[:, 0])
 
     # one entry per bucket membership, in the sweep's node order and cut at
-    # its batches; per bucket, 2 coef_B and the tallies of its members
-    # decided and joined and of those still undecided
+    # its batches; per bucket, 2 coef_B and the tally joined_B +
+    # (undecided_B - 1)/2 of its members decided and joined and of those
+    # still undecided, a half-integer and so held exactly
     none = [np.empty(0, dtype=np.int64)]
     b_size = np.concatenate(none + [np.full(g.n_buckets, g.b) for g in groups])
     b_coef = np.concatenate([np.empty(0)] + [2.0 * g.coefs for g in groups])
@@ -221,41 +243,40 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     m_order = radix_order(m_pos, n)
     m_pos, m_bucket = m_pos[m_order], m_bucket[m_order]
     m_coef = b_coef[m_bucket]
-    m_cuts = np.searchsorted(m_pos, sweep.batches[:, 2:])
-    joined = np.zeros(len(b_size))
-    waiting = b_size.astype(np.float64)
+    m_cuts = np.searchsorted(m_pos, batches[:, 2:])
+    tally = 0.5 * (b_size - 1.0)
 
-    # per node position, whether it settles a zero score: no cost partner
-    # of it, the owner of a slot it heads or a later member of one of its
-    # buckets, is decided after it
-    later = np.bincount(head_pos, minlength=n)
+    # per node position, its cost partners decided after it: the owners of
+    # the slots it heads and the later members of its buckets. A node joins
+    # when its score exceeds its floor: 0, or the largest float below 0
+    # when no partner is decided after it, so that a zero score joins too
+    floor = np.bincount(head_pos, minlength=n)
     last = np.full(len(b_size), -1, dtype=np.int64)
     np.maximum.at(last, m_bucket, m_pos)
-    later += np.bincount(m_pos[m_pos < last[m_bucket]], minlength=n)
-    settled = later == 0
+    floor += np.bincount(m_pos[m_pos < last[m_bucket]], minlength=n)
+    floor = np.where(floor == 0, -np.finfo(np.float64).smallest_subnormal, 0.0)
+    # each membership's node, as an offset in its batch
+    m_pos -= np.repeat(batches[:, 2], m_cuts[:, 1] - m_cuts[:, 0])
 
-    in_set = np.zeros(n, dtype=bool)
-    scores = np.zeros(n, dtype=np.float64)
-    for (lo, hi, m0, m1), (a, z) in zip(sweep.batches.tolist(), m_cuts.tolist()):
-        members = sweep.node_order[m0:m1]
-        # every head lies in an earlier class: decided, its full cost
-        # charged if it joined
-        charged = s_cost[lo:hi] * in_set[s_head[lo:hi]]
-        acc = half_later[m0:m1] + np.bincount(
-            s_member[lo:hi] - m0, weights=charged, minlength=m1 - m0
-        )
+    # each batch turns its slice of the utilities into its scores
+    score_pos = inst.utils[sweep.node_order]
+    in_pos = np.zeros(n, dtype=bool)
+    for (lo, hi, m0, m1), (a, z) in zip(batches.tolist(), m_cuts.tolist()):
+        acc = half_later[m0:m1]
+        if lo < hi:
+            # every head lies in an earlier class: decided, its full cost
+            # charged if it joined
+            charged = s_cost[lo:hi] * in_pos[s_head[lo:hi]]
+            acc = acc + np.bincount(s_member[lo:hi], weights=charged, minlength=m1 - m0)
         if a < z:
-            bk, mp = m_bucket[a:z], m_pos[a:z] - m0
-            tally = m_coef[a:z] * (joined[bk] + 0.5 * (waiting[bk] - 1.0))
-            acc = acc + np.bincount(mp, weights=tally, minlength=m1 - m0)
-        sc = inst.utils[members] - acc
-        join = (sc > 0.0) | ((sc == 0.0) & settled[m0:m1])
-        scores[members] = sc
-        in_set[members] = join
+            bk, mp = m_bucket[a:z], m_pos[a:z]
+            t = tally[bk]
+            acc = acc + np.bincount(mp, weights=m_coef[a:z] * t, minlength=m1 - m0)
+        sc = np.subtract(score_pos[m0:m1], acc, out=score_pos[m0:m1])
+        join = np.greater(sc, floor[m0:m1], out=in_pos[m0:m1])
         if a < z:
-            joined[bk] += join[mp]
-            waiting[bk] -= 1.0
-        charge(work, "local_round", (hi - lo) + (m1 - m0) + (z - a))
+            tally[bk] = t + (join[mp] - 0.5)
+    in_set, scores = in_pos[pos], score_pos[pos]
 
     objective = evaluate_objective(inst, in_set)
     if objective < bound:
@@ -266,7 +287,7 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
         bound=bound,
         scores=scores,
         num_classes=k,
-        sweep_steps=len(sweep.batches),
+        sweep_steps=len(batches),
     )
 
 

@@ -267,7 +267,7 @@ def test_cli_defective_and_maxcut(tmp_path):
 def test_cli_defective_reports_phase1_rounds_and_steps(tmp_path):
     # a gnm graph spreads its ids (bandwidth near n - 1), and 2 000 nodes
     # exceed the phase-1 field at eps 0.25 (p < 400), so phase 1 runs at
-    # least one round
+    # least one round, in point steps
     path = edgelist_file(tmp_path, gnm_graph(2000, 8000, seed=10))
     rep = tmp_path / "out.json"
     assert main(["defective", "--input", path, "--eps", "0.25", "--report", str(rep)]) == 0
@@ -275,6 +275,7 @@ def test_cli_defective_reports_phase1_rounds_and_steps(tmp_path):
     edges, weights, n = read_edgelist(path)
     col = defective_coloring(sort_edges_to_csr(edges, n, weights=weights), 0.25)
     assert data["phase1_rounds"] == col.phase1_rounds >= 1
+    assert data["point_steps"] == col.point_steps >= col.phase1_rounds
     assert data["steps"] == col.steps >= 1
 
 

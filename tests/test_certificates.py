@@ -1,9 +1,10 @@
-"""The guarantee certificates can fire.
+"""The guarantee certificates and checks can fire.
 
-Each row corrupts the selection that one certificate judges, through a
-monkeypatch on the call that hands it over, and the certificate must
-raise its message. No check is loosened: the corrupted runs go through
-the library's own code up to the check.
+Each row corrupts what one check judges, the selection a certificate
+judges or the coloring the class sweep gets, through a monkeypatch on
+the call that hands it over, and the check must raise its message. No
+check is loosened: the corrupted runs go through the library's own code
+up to the check.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import dpar.hitting
 import dpar.rounding
 from dpar.generate import complete_graph
 from dpar.hitting import BipartiteInstance, hitting_set
-from dpar.rounding import RoundingInstance, local_round, max_cut_half
+from dpar.rounding import CliqueGroup, RoundingInstance, local_round, max_cut_half
 
 
 def corrupt_rounding(monkeypatch, module, select):
@@ -64,10 +65,25 @@ def cut_certificate(monkeypatch):
     max_cut_half(complete_graph(5), 0.25)
 
 
+def clique_class_check(monkeypatch):
+    """A layout that puts every node in class 0 puts the three members
+    of a bucket clique in one class, which the class sweep refuses."""
+    monkeypatch.setattr(
+        dpar.rounding, "layout_start", lambda n, w: (np.zeros(n, dtype=np.int64), 1)
+    )
+    group = CliqueGroup(members=np.array([2, 0, 1]), coefs=np.array([1.0]), b=3)
+    inst = RoundingInstance(
+        utils=np.full(4, 2.0), cost_i=np.array([0]), cost_j=np.array([3]), cost_c=np.array([1.0]),
+        eps=0.1, cliques=[group],
+    )
+    local_round(inst)
+
+
 CERTIFICATES = [
     (rounding_certificate, "rounding certificate violated"),
     (potential_certificate, "potential certificate violated"),
     (cut_certificate, "cut certificate violated"),
+    (clique_class_check, "two members of a clique share a class"),
 ]
 ROWS = [run.__name__ for run, _ in CERTIFICATES]
 

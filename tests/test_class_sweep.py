@@ -68,7 +68,7 @@ def reference_defective(g: Graph, eps: float) -> tuple[np.ndarray, float, int, i
     head's class comes earlier in that order."""
     work = WorkCounter()
     weights = g.weights if g.weights is not None else np.ones(len(g.nbrs))
-    colors, k, alive, _rounds = _defective_phase1(g, eps, g.slot_owners(), weights, work)
+    colors, k, alive, _rounds, _steps = _defective_phase1(g, eps, g.slot_owners(), weights, work)
     palette2 = 3 * math.ceil(1.0 / eps)
     order = strided_classes(k)
     assert sorted(order) == sorted(set(colors.tolist())) == list(range(k))
@@ -400,7 +400,7 @@ def _phase2_rows(g: Graph, eps: float, final: np.ndarray) -> tuple[bool, bool]:
     lies past its owner's row) for phase 2 of defective_coloring, where the
     row of node v is the colors 0..min(outdeg(v), palette2 - 1): its d
     out-heads leave one of the colors 0..d free, so its answer lies there."""
-    colors, k, alive, _rounds = _defective_phase1(g, eps, g.slot_owners(), g.weights, None)
+    colors, k, alive, _rounds, _steps = _defective_phase1(g, eps, g.slot_owners(), g.weights, None)
     step = np.argsort(strided_classes(k))[colors]
     owners = g.slot_owners()
     out = alive & (step[owners] > step[g.nbrs])
@@ -469,7 +469,7 @@ def test_phase2_recolors_classes_of_a_growing_phase1_round(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 60))
     g = random_graph(rng, n, int(rng.integers(1, 3 * n)), weighted=True)
-    colors, _k, _alive, _rounds = _defective_phase1(g, 1.0, g.slot_owners(), g.weights, None)
+    colors, _k, _alive, _rounds, _steps = _defective_phase1(g, 1.0, g.slot_owners(), g.weights, None)
     assert int(colors.max()) == 32
     expected, mono, units, steps = reference_defective(g, 1.0)
     work = WorkCounter()

@@ -282,12 +282,13 @@ def test_phase1_skip_keeps_colors_and_alive_slots(seed, n, avg_deg, eps):
     ends = rng.integers(0, n, size=(int(avg_deg * n / 2), 2))
     ends = ends[ends[:, 0] != ends[:, 1]]
     g = sort_edges_to_csr(ends, n, weights=rng.random(len(ends)))
-    colors, k, alive, rounds = _defective_phase1(g, eps, g.slot_owners(), g.weights, None)
+    colors, k, alive, rounds, steps = _defective_phase1(g, eps, g.slot_owners(), g.weights, None)
     want_colors, want_alive = phase1_every_round(g, eps)
     assert colors.tobytes() == want_colors.tobytes()
     assert np.array_equal(alive, want_alive)
     assert k == (int(colors.max()) + 1 if n else 1)
     assert 0 <= rounds <= _phase1_iterations(n)
+    assert steps >= rounds  # each round takes at least one point step
 
 
 def bucket_clique_graph(rng, n: int, size: int, buckets: int, keep: float, permute: bool) -> Graph:

@@ -16,6 +16,7 @@ from dpar.rounding import (
     CliqueGroup,
     CutResult,
     RoundingInstance,
+    _clique_span,
     evaluate_objective,
     local_round,
     max_cut_half,
@@ -216,6 +217,34 @@ def forbid_cost_graphs(monkeypatch):
         (dpar.rounding, "graph_from_directed_slots"),
     ]:
         monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("b", [1, 2, 45])
+def test_clique_span_is_the_largest_row_spread(b):
+    rng = np.random.default_rng(b)
+    nb = 300
+    members = np.concatenate([rng.choice(5000, size=b, replace=False) for _ in range(nb)])
+    rows = members.reshape(-1, b)
+    group = CliqueGroup(members, np.ones(nb), b)
+    assert _clique_span(group) == int((rows.max(axis=1) - rows.min(axis=1)).max())
+    assert _clique_span(CliqueGroup(np.empty(0, dtype=np.int64), np.empty(0), b)) == 0
+
+
+def test_local_round_charges_each_input_entry_twice():
+    """The set-up and the sweep each charge every node, explicit term and
+    bucket membership once."""
+    rng = np.random.default_rng(5)
+    n, b, nb = 200, 4, 30
+    members = np.concatenate([rng.choice(n, size=b, replace=False) for _ in range(nb)])
+    group = CliqueGroup(members, rng.random(nb), b)
+    inst = random_instance(rng, n=n)
+    inst = RoundingInstance(
+        inst.utils, inst.cost_i, inst.cost_j, inst.cost_c, eps=0.25, cliques=[group]
+    )
+    assert len(inst.cost_c) > 0
+    work = WorkCounter()
+    local_round(inst, work=work)
+    assert work.snapshot() == {"local_round": 2 * (n + len(inst.cost_c) + b * nb)}
 
 
 def test_spread_instances_sweep_their_layout_classes(monkeypatch):
