@@ -500,6 +500,7 @@ def class_sweep(
     head_class[head_class >= key] = -1  # now the class of each lower-class head, else -1
     slot_bounds = np.zeros(num_classes + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=num_classes), out=slot_bounds[1:])
+    del key  # one array per slot fewer through the sort below
     node_order, node_bounds = class_order(colors, num_classes)
     positions = np.empty(n, dtype=np.int64)
     positions[node_order] = np.arange(n, dtype=np.int64)
@@ -509,6 +510,7 @@ def class_sweep(
     filled = np.flatnonzero(slot_bounds[:-1] < slot_bounds[1:])
     if len(filled):
         top[filled] = np.maximum.reduceat(head_class[slot_order], slot_bounds[filled])
+    del head_class
     for rows in cliques:
         chain = np.sort(colors[rows], axis=1)
         if np.any(chain[:, 1:] == chain[:, :-1]):

@@ -394,6 +394,12 @@ def run_half(
     supplies pairs(), its explicit cost terms. A halving with no clique
     member, no explicit term and no non-zero utility keeps every
     candidate, as local_round would, and runs no rounding.
+
+    The rounding instance shares its arrays with the potentials: the
+    clique groups' members and coefficients (a folded group's are its
+    summed coefficients) and, when one potential supplies pairs, as the
+    linear aux potential does, its three arrays as they are; only several
+    suppliers are concatenated. local_round writes into none of them.
     """
     utils = np.zeros(n_cand, dtype=np.float64)
     for pot in potentials:
@@ -408,9 +414,10 @@ def run_half(
             folded[key] = pot
     cliques = list(folded.values())
     parts = [pot.pairs() for pot in potentials if not isinstance(pot, CliqueGroup)]
-    ci = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, dtype=np.int64)
-    cj = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, dtype=np.int64)
-    cc = np.concatenate([p[2] for p in parts]) if parts else np.empty(0, dtype=np.float64)
+    if len(parts) != 1:  # none, or several joined into one
+        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+        parts = [tuple(np.concatenate(col) for col in zip(empty, *parts))]
+    ci, cj, cc = parts[0]
     members = sum(len(g.members) for g in cliques)
     selected, steps = np.ones(n_cand, dtype=bool), 0
     if members or len(ci) or utils.any():
@@ -519,6 +526,16 @@ def _renumber(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, local
 
 
+def _cut_edges(edge_u, edge_v, keep: np.ndarray, local: np.ndarray, n_kept: int):
+    """The watch edges where keep is set, their right ends renumbered by
+    local, which keeps n_kept right nodes. When both keep everything, the
+    edges and ids are unchanged, so the input arrays are returned, shared
+    rather than copied."""
+    if n_kept == len(local) and keep.all():
+        return edge_u, edge_v
+    return edge_u[keep], local[edge_v[keep]]
+
+
 def sub_problem(
     inst: BipartiteInstance, v_mask: np.ndarray, u_mask: np.ndarray, levels: np.ndarray
 ) -> tuple[BipartiteInstance, np.ndarray, np.ndarray]:
@@ -530,11 +547,15 @@ def sub_problem(
     An input is validated once, when built; a sub-problem is cut from it
     by index masks, so graph.derived builds it unchecked. Other fields keep
     the input's values (MisRegimeDriver.restrict cuts the aux arrays).
+    When the masks keep every right node and every watch edge, the watch
+    edges are the input's own arrays, shared rather than copied
+    (_cut_edges; a halving over every candidate shares them in turn).
     """
     ids, local = _renumber(v_mask)
     keep_e = v_mask[inst.edge_v] & u_mask[inst.edge_u]
+    edge_u, edge_v = _cut_edges(inst.edge_u, inst.edge_v, keep_e, local, len(ids))
     fields = dict(vars(inst), imp=inst.imp * u_mask, levels=levels[ids])
-    fields.update(edge_u=inst.edge_u[keep_e], edge_v=local[inst.edge_v[keep_e]])
+    fields.update(edge_u=edge_u, edge_v=edge_v)
     return derived(type(inst), **fields), ids, local
 
 
@@ -700,6 +721,7 @@ class RegimeDriver:
     def _prepare(self, sub, regime, i, level, gamma, b, pool) -> Halving:
         cand, local = _renumber(pool)
         keep_e = self.u_good[sub.edge_u] & pool[sub.edge_v]
+        edge_u, edge_v = _cut_edges(sub.edge_u, sub.edge_v, keep_e, local, len(cand))
         # a low-regime node has been halved i times; the high pool sits at level
         levels = sub.levels[cand] - i if regime == "low" else np.full(len(cand), level)
         return Halving(
@@ -711,8 +733,8 @@ class RegimeDriver:
             cand=cand,
             local=local,
             levels=levels,
-            edge_u=sub.edge_u[keep_e],
-            edge_v=local[sub.edge_v[keep_e]],
+            edge_u=edge_u,
+            edge_v=edge_v,
         )
 
     def _halve(self, sub, h: Halving, plan: RoundPlan) -> tuple[np.ndarray, dict]:

@@ -349,16 +349,23 @@ class MisRegimeDriver(RegimeDriver):
     def restrict(self, inst, regime, v_mask, u_mask, levels):
         """Aux edges inside v_mask stay; in the low regime, aux edges into
         the rest of the input fold into vertex weights at the far end's
-        level. Entry into the high regime checks the watcher mass cap."""
+        level. Entry into the high regime checks the watcher mass cap.
+
+        A v_mask that keeps every right node keeps every aux edge under
+        the same ids, so aux_i, aux_j and aux_w are the input's arrays,
+        shared rather than copied (and the watch edges too, when u_mask
+        keeps every left node that has one; see sub_problem). Only
+        vert_w, which the low regime folds into, is always a copy."""
         if regime == "high" and np.any(inst.watch_mass(v_mask, levels) > ENTRY_MASS_CAP + 1e-9):
             raise RuntimeError(
                 "watcher probability mass exceeds the entry cap after the low regime"
             )
         sub, ids, local = sub_problem(inst, v_mask, u_mask, levels)
-        keep_a = v_mask[inst.aux_i] & v_mask[inst.aux_j]
-        sub.aux_i = local[inst.aux_i[keep_a]]
-        sub.aux_j = local[inst.aux_j[keep_a]]
-        sub.aux_w = inst.aux_w[keep_a]
+        if len(ids) < inst.n_right:
+            keep_a = v_mask[inst.aux_i] & v_mask[inst.aux_j]
+            sub.aux_i = local[inst.aux_i[keep_a]]
+            sub.aux_j = local[inst.aux_j[keep_a]]
+            sub.aux_w = inst.aux_w[keep_a]
         sub.vert_w = inst.vert_w[ids]
         if regime == "low":
             _fold_cross(sub.vert_w, local, inst, v_mask, ~v_mask, lambda s, t: inst.levels[t])
@@ -732,11 +739,13 @@ def _peel(g: Graph, pick: Callable, work: WorkCounter) -> MisResult:
     share.
 
     Each sweep puts the isolated nodes into the set and drops them. Then
-    pick(cur, deg, owners) returns an independent set of the rest and a
-    function from the removed mask (the set plus its neighbors) to the
-    sweep's report fields. The set joins the output and is dropped with
-    its neighbors; a sweep that picks nothing drops nothing. The result is
-    asserted maximal independent.
+    pick(cur, deg) returns an independent set of the rest and a function
+    from the removed mask (the set plus its neighbors) to the sweep's
+    report fields. The set joins the output and is dropped with its
+    neighbors, marked through the set's slots, np.repeat(chosen, deg), so
+    the loop holds no slot owners of its own while pick runs; a pick that
+    reads them (the Luby round) builds them itself. A sweep that picks
+    nothing drops nothing. The result is asserted maximal independent.
     """
     in_set = np.zeros(g.n, dtype=bool)
     iterations: list[dict] = []
@@ -752,10 +761,9 @@ def _peel(g: Graph, pick: Callable, work: WorkCounter) -> MisResult:
             cur, _, sub_ids = compact_subgraph(cur, ~isolated, work)
             to_orig = to_orig[sub_ids]
             deg = cur.degrees()
-        owners = cur.slot_owners()
-        chosen, fields = pick(cur, deg, owners)
+        chosen, fields = pick(cur, deg)
         removed = chosen.copy()
-        removed[cur.nbrs[chosen[owners]]] = True
+        removed[cur.nbrs[np.repeat(chosen, deg)]] = True
         iterations.append({"nodes": int(cur.n), "edges": int(cur.m), **fields(removed)})
         if chosen.any():
             in_set[to_orig[chosen]] = True
@@ -784,7 +792,7 @@ def maximal_independent_set(
     params = params or ParamSet.desk()
     work = work if work is not None else WorkCounter()
 
-    def sweep(cur, deg, owners):
+    def sweep(cur, deg):
         ind = independentish_set(cur, params, work=work)
         sub, _, sub_ids = compact_subgraph(cur, ind.s_star, work)
         sub_key = ind.keys[sub_ids]
@@ -820,7 +828,8 @@ def luby_mis_baseline(g: Graph, seed: int, work: WorkCounter | None = None) -> M
     work = work if work is not None else WorkCounter()
     rng = np.random.default_rng(seed)
 
-    def luby_round(cur, deg, owners):
+    def luby_round(cur, deg):
+        owners = cur.slot_owners()
         marked = rng.random(cur.n) < 1.0 / (10.0 * deg)
         key = deg * np.int64(cur.n) + np.arange(cur.n, dtype=np.int64)
         out_marked = marked[owners] & marked[cur.nbrs] & (key[cur.nbrs] > key[owners])

@@ -104,11 +104,15 @@ class CliqueGroup:
         return len(self.coefs)
 
     def counts(self, in_set: np.ndarray) -> np.ndarray:
-        """Per bucket: |S cap B|."""
+        """Per bucket: |S cap B|.
+
+        One integer row sum over the (buckets, b) membership flags, by
+        einsum, whose loop handles short rows at a cost per element;
+        np.add.reduceat over b-member segments pays a call per bucket."""
         if self.n_buckets == 0:
             return np.zeros(0, dtype=np.int64)
-        picked = in_set[self.members].astype(np.int64)
-        return np.add.reduceat(picked, np.arange(0, len(self.members), self.b))
+        rows = in_set[self.members].reshape(-1, self.b).astype(np.int64)
+        return np.einsum("ij->i", rows)
 
 
 @dataclass
@@ -198,7 +202,16 @@ def _clique_span(group: CliqueGroup) -> int:
 
 
 def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> RoundingResult:
-    """Pick S with F(S) >= util_total/2 - (1/4 + eps) * cost_total."""
+    """Pick S with F(S) >= util_total/2 - (1/4 + eps) * cost_total.
+
+    The instance's arrays are read, never written or copied, so a caller
+    may hand over arrays it shares with others (run_half hands over the
+    linear aux potential's). The sweep runs in _sweep, so its state is
+    released before the objective is evaluated; inside it, the per-term
+    set-up arrays (the slots' owners and heads, the heads' positions and
+    the sweep's slot order) are each released once their sweep-ordered
+    copies exist, before the batch loop.
+    """
     n = inst.n
     groups = inst.cliques
     util_total = tiled_sum(inst.utils)
@@ -209,27 +222,55 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     # the set-up and the sweep each touch every node, term and membership once
     charge(work, "local_round", 2 * (n + len(inst.cost_c) + sum(len(g.members) for g in groups)))
 
-    ci, cj = inst.cost_i, inst.cost_j
+    in_set, scores, k, steps = _sweep(inst)
+    objective = evaluate_objective(inst, in_set)
+    if objective < bound:
+        raise RuntimeError("rounding certificate violated")
+    return RoundingResult(
+        in_set=in_set,
+        objective=objective,
+        bound=bound,
+        scores=scores,
+        num_classes=k,
+        sweep_steps=steps,
+    )
+
+
+def _sweep(inst: RoundingInstance) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """local_round's class sweep: (in_set, scores, classes, batches)."""
+    n, groups = inst.n, inst.cliques
+    ci, cj, costs = inst.cost_i, inst.cost_j, inst.cost_c
     w = max([bandwidth(ci, cj)] + [_clique_span(g) for g in groups])
     colors, k = layout_start(n, w)
     step = strided_steps(colors, k)
     # one slot per term, from its endpoint with the later step to the
-    # earlier one; the layout classes are proper, so the steps differ
+    # earlier one; the layout classes are proper, so the steps differ.
+    # Each array of one entry per term that only sets up the sweep (the
+    # owners, the heads, their positions, the slot order) is released as
+    # soon as the arrays it feeds exist
     from_i = step[ci] > step[cj]
-    owners, heads, costs = np.where(from_i, ci, cj), np.where(from_i, cj, ci), inst.cost_c
-
-    # all state is kept by position in the sweep's node order, so a batch
-    # reads and writes one slice [m0:m1] of it
+    owners, heads = np.where(from_i, ci, cj), np.where(from_i, cj, ci)
+    del from_i
     sweep = class_sweep(step, k, owners, heads, [g.members.reshape(-1, g.b) for g in groups])
-    pos, batches = sweep.positions, sweep.batches
+    order, pos, batches = sweep.slot_order, sweep.positions, sweep.batches
     head_pos = pos[heads]
-    # per node position: half the cost of its partners decided after it,
-    # which stay undecided while it is decided
+    del heads
+    # all state is kept by position in the sweep's node order, so a batch
+    # reads and writes one slice [m0:m1] of it. Per node position: half
+    # the cost of its partners decided after it, which stay undecided
+    # while it is decided, and their number
     half_later = np.bincount(head_pos, weights=0.5 * costs, minlength=n)
-    s_head, s_cost = head_pos[sweep.slot_order], costs[sweep.slot_order]
+    later = np.bincount(head_pos, minlength=n)
+    s_head = head_pos[order]
+    del head_pos
+    s_member = owners[order]
+    del owners
     # each slot's owner, as an offset in its batch
-    s_member = pos[owners[sweep.slot_order]]
+    s_member = pos[s_member]
     s_member -= np.repeat(batches[:, 2], batches[:, 1] - batches[:, 0])
+    s_cost = costs[order]
+    node_order = sweep.node_order
+    del sweep, order
 
     # one entry per bucket membership, in the sweep's node order and cut at
     # its batches; per bucket, 2 coef_B and the tally joined_B +
@@ -242,6 +283,7 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     m_bucket = np.repeat(np.arange(len(b_size)), b_size)
     m_order = radix_order(m_pos, n)
     m_pos, m_bucket = m_pos[m_order], m_bucket[m_order]
+    del m_order
     m_coef = b_coef[m_bucket]
     m_cuts = np.searchsorted(m_pos, batches[:, 2:])
     tally = 0.5 * (b_size - 1.0)
@@ -250,16 +292,15 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     # the slots it heads and the later members of its buckets. A node joins
     # when its score exceeds its floor: 0, or the largest float below 0
     # when no partner is decided after it, so that a zero score joins too
-    floor = np.bincount(head_pos, minlength=n)
     last = np.full(len(b_size), -1, dtype=np.int64)
     np.maximum.at(last, m_bucket, m_pos)
-    floor += np.bincount(m_pos[m_pos < last[m_bucket]], minlength=n)
-    floor = np.where(floor == 0, -np.finfo(np.float64).smallest_subnormal, 0.0)
+    later += np.bincount(m_pos[m_pos < last[m_bucket]], minlength=n)
+    floor = np.where(later == 0, -np.finfo(np.float64).smallest_subnormal, 0.0)
     # each membership's node, as an offset in its batch
     m_pos -= np.repeat(batches[:, 2], m_cuts[:, 1] - m_cuts[:, 0])
 
     # each batch turns its slice of the utilities into its scores
-    score_pos = inst.utils[sweep.node_order]
+    score_pos = inst.utils[node_order]
     in_pos = np.zeros(n, dtype=bool)
     for (lo, hi, m0, m1), (a, z) in zip(batches.tolist(), m_cuts.tolist()):
         acc = half_later[m0:m1]
@@ -276,19 +317,7 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
         join = np.greater(sc, floor[m0:m1], out=in_pos[m0:m1])
         if a < z:
             tally[bk] = t + (join[mp] - 0.5)
-    in_set, scores = in_pos[pos], score_pos[pos]
-
-    objective = evaluate_objective(inst, in_set)
-    if objective < bound:
-        raise RuntimeError("rounding certificate violated")
-    return RoundingResult(
-        in_set=in_set,
-        objective=objective,
-        bound=bound,
-        scores=scores,
-        num_classes=k,
-        sweep_steps=len(batches),
-    )
+    return in_pos[pos], score_pos[pos], k, len(batches)
 
 
 @dataclass

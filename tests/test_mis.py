@@ -1,14 +1,16 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dpar.hitting
 from dpar import mis
 from dpar.generate import complete_graph, gnm_graph, star_graph
 from dpar.graph import Graph, sort_edges_to_csr
-from dpar.hitting import ParamSet
+from dpar.hitting import ParamSet, QuadPotential, run_half
 from dpar.mis import (
     AUX_FACTOR_LOW,
     LOW_BOUND_BASE,
@@ -27,6 +29,7 @@ from dpar.workcount import WorkCounter
 from test_rounding import forbid_cost_graphs
 
 BIG_N = 1 << 64
+DESK = ParamSet.desk()
 
 
 def driver(p=None):
@@ -276,6 +279,37 @@ def test_linear_potential_vanishes_without_weight():
     assert LinearEdgePotential.build("x", 1.0, e, e, np.empty(0), np.zeros(5)) is None
 
 
+def test_run_half_hands_the_linear_pairs_to_the_rounding_as_they_are(monkeypatch):
+    # the linear potential is the one supplier of explicit terms, so its
+    # pairs reach the rounding uncopied, next to a clique group
+    rng = np.random.default_rng(4)
+    n = 120
+    i, j = np.triu_indices(n, k=1)
+    keep = rng.random(len(i)) < 0.2
+    lin = LinearEdgePotential.build(
+        "phi_aux", 1.0, i[keep], j[keep], rng.random(keep.sum()) + 0.1, np.zeros(n)
+    )
+    quad = QuadPotential(np.arange(n), np.full(n // 40, 0.1), 40, "phi_hits")
+    supplied, handed = [], []
+    real_pairs, real_round = lin.pairs, dpar.hitting.local_round
+
+    def pairs():
+        supplied.append(real_pairs())
+        return supplied[-1]
+
+    def local_round(inst, work=None):
+        handed.append(inst)
+        return real_round(inst, work=work)
+
+    monkeypatch.setattr(lin, "pairs", pairs)
+    monkeypatch.setattr(dpar.hitting, "local_round", local_round)
+    run_half(n, [quad, lin], eps=0.01, phi_bound=1e9)
+    ((ci, cj, cc),), (inst,) = supplied, handed
+    assert len(ci) > 0
+    for given, got in ((ci, inst.cost_i), (cj, inst.cost_j), (cc, inst.cost_c)):
+        assert np.shares_memory(given, got)
+
+
 # --- low regime ----------------------------------------------------------------
 
 
@@ -296,6 +330,30 @@ def low_instance(rng, n_u=30, n_v=400, deg=40, lev_lo=19, lev_hi=21):
         vert_w=np.zeros(n_v),
         size_param=BIG_N,
     )
+
+
+@pytest.mark.parametrize("regime", ["low", "high"])
+def test_full_mask_restrict_shares_the_aux_and_watch_arrays(regime):
+    # a restriction that keeps every candidate and every watcher passes
+    # the edge arrays on as they are; a partial one cuts them
+    inst = low_instance(np.random.default_rng(6))
+    k_cap = DESK.level_cap(inst.size_param)
+    levels = inst.levels if regime == "low" else np.minimum(inst.levels, k_cap)
+    names = ("aux_i", "aux_j", "aux_w", "edge_u", "edge_v")
+    full_v, full_u = np.ones(inst.n_right, dtype=bool), np.ones(inst.n_left, dtype=bool)
+    sub, ids = driver().restrict(inst, regime, full_v, full_u, levels)
+    assert np.array_equal(ids, np.arange(inst.n_right))
+    for name in names:
+        assert np.shares_memory(getattr(sub, name), getattr(inst, name)), name
+    part = full_v.copy()
+    part[::3] = False
+    sub, ids = driver().restrict(inst, regime, part, full_u, levels)
+    for name in names:
+        assert not np.shares_memory(getattr(sub, name), getattr(inst, name)), name
+    kept = part[inst.aux_i] & part[inst.aux_j]
+    assert np.array_equal(ids[sub.aux_i], inst.aux_i[kept])
+    assert np.array_equal(ids[sub.aux_j], inst.aux_j[kept])
+    assert np.array_equal(sub.aux_w, inst.aux_w[kept])
 
 
 def test_low_half_certificate_and_report():
@@ -690,6 +748,19 @@ def test_mis_random_graphs_oracle(seed):
     res = maximal_independent_set(g)
     ok, rep = check_maximal_independent(g, res.in_set)
     assert ok, rep
+
+
+def test_dense_mis_peak_memory_stays_under_nine_slot_arrays():
+    # average degree 571 > 512: the core halves its candidates, and each
+    # sweep holds one copy of each of its edge-sized arrays at a time
+    g = gnm_graph(700, 200_000, seed=10)
+    tracemalloc.start()
+    try:
+        maximal_independent_set(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * g.nbrs.nbytes
 
 
 def test_mis_charges_work():

@@ -342,3 +342,42 @@ def test_derived_rounding_and_matching_instances_pass_full_validation(seed, n, d
         assert type(dataclasses.replace(inst)) is BipartiteInstance
     for inst in rounded:
         dataclasses.replace(inst)
+
+
+def _digests(obj) -> dict[str, str]:
+    """Per array field of an instance or graph: a hash of its bytes."""
+    return {
+        name: hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+        for name, value in vars(obj).items()
+        if isinstance(value, np.ndarray)
+    }
+
+
+# the pins' fixtures, and a gnm graph of average degree 571 > 512, where
+# the MIS core halves its candidates
+UNWRITTEN = {
+    "mis_dense": (lambda: gnm_graph(700, 200_000, seed=10), maximal_independent_set),
+    "core_aux": (lambda: core_instance(33), core_mis_hitting),
+    "core_tall": (lambda: core_instance(TALL_SEED, tall_level=21), core_mis_hitting),
+    "hitting_high": (
+        lambda: hitting_instance(31, 6, 900, 200, np.full(900, 6), 1 << 16),
+        hitting_set,
+    ),
+    "hitting_both": (
+        lambda: hitting_instance(32, 8, 1200, 300, np.where(np.arange(1200) < 600, 20, 7), BIG_N),
+        hitting_set,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITTEN))
+def test_no_call_writes_into_its_input_arrays(case):
+    """The driver passes input arrays down uncopied where a mask keeps
+    them whole (restrict, sub_problem, run_half), so no callee may write
+    into one: every input array must hash the same after the call."""
+    build, call = UNWRITTEN[case]
+    inst = build()
+    before = _digests(inst)
+    assert len(before) >= 2
+    call(inst, DESK)
+    assert _digests(inst) == before

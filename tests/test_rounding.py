@@ -220,6 +220,19 @@ def forbid_cost_graphs(monkeypatch):
 
 
 @pytest.mark.parametrize("b", [1, 2, 45])
+def test_clique_counts_are_integer_row_sums(b):
+    rng = np.random.default_rng(b)
+    nb = 300
+    members = np.concatenate([rng.choice(5000, size=b, replace=False) for _ in range(nb)])
+    in_set = rng.random(5000) < 0.5
+    counts = CliqueGroup(members, np.ones(nb), b).counts(in_set)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [int(in_set[row].sum()) for row in members.reshape(-1, b)]
+    empty = CliqueGroup(np.empty(0, dtype=np.int64), np.empty(0), b).counts(in_set)
+    assert empty.dtype == np.int64 and len(empty) == 0
+
+
+@pytest.mark.parametrize("b", [1, 2, 45])
 def test_clique_span_is_the_largest_row_spread(b):
     rng = np.random.default_rng(b)
     nb = 300
