@@ -77,6 +77,8 @@ def run_color(g: Graph, params: ParamSet) -> dict:
     rep["certificates"].append(_cert("monochromatic_edges", d["monochromatic_edges"], 0, ok, "<="))
     rep["palette"] = d["palette"]
     rep["point_steps"] = col.point_steps
+    rep["rounds"] = col.rounds
+    rep["discarded_rounds"] = col.discarded_rounds
     rep["colors"] = col.colors.tolist() if g.n <= 4096 else None
     return _finish(rep, work, t0)
 

@@ -12,10 +12,14 @@ degree bound.
 
 A round (_point_round) walks the points x = 0, 1, ... in steps. At each
 step every undecided node compares its value at x with those of its
-conflicts, and takes x when its clash rule admits it and x lies below its
-point domain: the smallest admissible point. A step reads only the
-undecided nodes and the live entries of the conflicts, those that can
-still decide an undecided node; most nodes take one of the first few
+undecided conflicts, and takes x when its clash rule admits it and x lies
+below its point domain: the smallest admissible point. A conflict that
+decided at an earlier step x' holds the color (x', f(x')), whose first
+coordinate differs, so it can never collide with a node that takes x;
+only pairs undecided at x can. Each undecided conflict still rules out at
+most 2 points, so the domains of 3*deg points keep a free one. A step
+reads only the undecided nodes and the live entries of the conflicts,
+those between undecided nodes; most nodes take one of the first few
 points, and the steps stop at the largest domain. Each conflict form
 supplies its clash rule and drops the entries that no longer count:
 
@@ -26,22 +30,26 @@ supplies its clash rule and drops the entries that no longer count:
   no weights and budget 0, so any agreement clashes; the budgeted rounds
   of defective coloring admit a point while the agreeing weight stays
   below a per-node budget, and those edges go monochromatic and are
-  "lost". A slot is live while its owner is undecided.
+  "lost". A slot is live while its owner and its head are both
+  undecided. The budget still bounds the loss: a slot goes monochromatic
+  only when both its ends take the same x, so it was live at that step
+  and counted in its owner's score.
 - the endpoint cliques of k edges (EdgeCliques: edge i lies in the cliques
   of its two endpoints), which is how the matching colours its selected
   edges, with no line graph (_CliqueRule). A step tallies f(x) per
-  (clique, value), and an edge clashes when its value is shared in either
-  of its cliques. A membership is live while its clique holds an undecided
-  edge, so a step touches at most the 2k memberships, not the line graph's
-  sum of deg^2 slots, and the colors are those of a round on the line
-  graph.
+  (clique, value) over the undecided edges, and an edge clashes when its
+  value is shared in either of its cliques. A membership is live while its
+  own edge is undecided, so a step touches the 2 memberships of each
+  undecided edge, not the line graph's sum of deg^2 slots, and the colors
+  are those of a round on the line graph.
 
 color_delta_squared is the one proper-mode loop: its conflicts and
 degrees are fixed for the call, so it finds them once, and only the field
 and the point domains change from round to round. It stops after the
 first shrinking round whose field is set by the degree rather than by the
 palette, since a further round could not improve its O(delta^2) bound,
-and records the point steps its rounds took.
+and records the rounds it ran, the round it threw away when one did not
+shrink the palette, and the point steps its rounds took.
 
 No round runs on a palette that the field already holds (k <= p): every
 color is then a constant polynomial, so two nodes of different colors
@@ -103,6 +111,8 @@ class Coloring:
     phase1_rounds: int = 0  # defective_coloring: polynomial rounds phase 1 ran
     steps: int = 0  # defective_coloring: phase-2 batches, run one after another
     point_steps: int = 0  # color_delta_squared, defective phase 1: their rounds' point steps
+    rounds: int = 0  # color_delta_squared: recoloring rounds run, kept or not
+    discarded_rounds: int = 0  # color_delta_squared: rounds run whose palette did not shrink
 
 
 def _poly_coeffs(q: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,11 +202,12 @@ def _point_round(
     """One recoloring round of the nodes of rule (a _SlotRule or a
     _CliqueRule) on k colors, in the prime field p, in point steps.
 
-    Step x = 0, 1, ... asks the rule which undecided nodes clash at x,
-    and each other undecided node with x below its domain takes x; then
-    the rule drops the entries that no undecided node needs. Returns (new
-    colors, steps taken); raises if a node is still undecided at the
-    largest domain.
+    Step x = 0, 1, ... asks the rule which undecided nodes clash at x
+    with another undecided node, and each other undecided node with x
+    below its domain takes x; then the rule drops the entries of the nodes
+    that took x, since a node that decided earlier cannot collide at a
+    later point. Returns (new colors, steps taken); raises if a node is
+    still undecided at the largest domain.
     """
     _check_field(k, p)
     n = len(colors)
@@ -262,14 +273,14 @@ class _SlotRule:
     admissible, (score < budget) | (score <= 0); zero weight is always
     harmless. weights None counts each slot as 1, and budget None is 0,
     so in proper mode any agreement clashes. A slot is live while its
-    owner is undecided."""
+    owner and its head are both undecided."""
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray, weights=None, budget=None) -> None:
         self.n = n
         self.entries = (src, dst, weights)
         self.budget = budget
-        # scratch, reset after each use: each undecided node's position,
-        # and a mark on the undecided nodes
+        # scratch: each undecided node's position, rewritten at each step,
+        # and a mark on the undecided nodes, reset after each use
         self._at = np.zeros(n, dtype=np.int64)
         self._open = np.zeros(n, dtype=bool)
 
@@ -282,7 +293,8 @@ class _SlotRule:
         charge(work, "recolor_slots", len(src) + len(pending))
         self._at[pending] = np.arange(len(pending))
         owner = self._at[src]
-        hit = _values(coeffs, pending, x, p)[owner] == _values(coeffs, dst, x, p)
+        values = _values(coeffs, pending, x, p)  # live heads are undecided too
+        hit = values[owner] == values[self._at[dst]]
         score = np.bincount(owner[hit], None if w is None else w[hit], minlength=len(pending))
         budget = 0.0 if self.budget is None else self.budget[pending]
         return ~((score < budget) | (score <= 0))
@@ -290,7 +302,7 @@ class _SlotRule:
     def drop(self, live, pending):
         src, dst, w = live
         self._open[pending] = True
-        keep = self._open[src]
+        keep = self._open[src] & self._open[dst]
         self._open[pending] = False
         return src[keep], dst[keep], None if w is None else w[keep]
 
@@ -304,7 +316,9 @@ class _CliqueRule:
     m edges) lies in the cliques of ends[i] and ends[m + i], and clashes
     at x when its value there is shared in either clique, by a tally of
     (clique, value) over the live memberships, radix-sorted. A membership
-    is live while its clique holds an undecided node."""
+    is live while its own node is undecided, so the live entries are the
+    cliques of the undecided nodes' memberships, those of their ends[i]
+    and then those of their ends[m + i]."""
 
     def __init__(self, cl: EdgeCliques) -> None:
         self.n = len(cl.e_u)
@@ -312,33 +326,22 @@ class _CliqueRule:
         self.ends = np.concatenate([cl.e_u, cl.e_v]).astype(np.int64)
         deg = np.bincount(self.ends, minlength=cl.n)
         self.cdeg = (deg[cl.e_u] + deg[cl.e_v] - 2).astype(np.int64)
-        self.entries = self.ends, np.tile(np.arange(self.n, dtype=np.int64), 2)  # clique, node
-        # scratch, reset after each use: marks on nodes and on cliques
-        self._clash = np.zeros(self.n, dtype=bool)
-        self._open = np.zeros(cl.n, dtype=bool)
+        self.entries = self.ends
 
     def clash(self, live, pending, coeffs, x, p, work) -> np.ndarray:
-        live_end, live_node = live
-        key = _values(coeffs, live_node, x, p)
-        key += live_end * p
+        key = np.tile(_values(coeffs, pending, x, p), 2)
+        key += live * p
         charge(work, "recolor_slots", len(key))
         order = radix_order(key, self.n_ends * p, work)
         first = first_of_runs(key[order])
         alone = first.copy()
         alone[:-1] &= first[1:]  # a run of one membership
-        shared = live_node[order[~alone]]
-        self._clash[shared] = True
-        clash = self._clash[pending]
-        self._clash[shared] = False
+        clash = np.zeros(len(pending), dtype=bool)
+        clash[order[~alone] % len(pending)] = True  # membership j is pending[j mod count]'s
         return clash
 
     def drop(self, live, pending):
-        live_end, live_node = live
-        touched = np.concatenate([self.ends[pending], self.ends[self.n + pending]])
-        self._open[touched] = True
-        keep = self._open[live_end]
-        self._open[touched] = False
-        return live_end[keep], live_node[keep]
+        return self.ends[np.concatenate([pending, self.n + pending])]
 
     def monochromatic(self, colors: np.ndarray, k: int) -> bool:
         """Whether some clique holds one of the k colors twice."""
@@ -357,8 +360,9 @@ def color_delta_squared(
 
     g is a conflict graph, or the endpoint cliques of a set of edges (see
     EdgeCliques), which reach the colors of the same rounds on their line
-    graph with no line graph. The result records the point steps of its
-    rounds (see _point_round).
+    graph with no line graph. The result records the rounds run, the
+    rounds thrown away and the point steps of its rounds (see
+    _point_round).
 
     Starts from node ids and runs proper recoloring rounds, keeping a round
     only if it shrinks the palette and returning at the first round that
@@ -382,7 +386,7 @@ def color_delta_squared(
     delta = int(cdeg.max()) if n else 0
     tables = precompute_tables(tables_limit_for(n, delta))
     colors, k = np.arange(n, dtype=np.int64), n
-    point_steps = 0
+    point_steps = rounds = discarded = 0
     while True:
         p = _round_prime(tables, k, 3 * delta)
         if k <= p:
@@ -390,16 +394,21 @@ def color_delta_squared(
         degree_bound = math.ceil(k ** (1.0 / 3.0)) <= 3 * delta
         domain = np.minimum(np.maximum(3 * cdeg, 1), p)
         new_colors, steps = _point_round(rule, colors, k, p, domain, work)
+        rounds += 1
         point_steps += steps
         new_colors, used = _compact_colors(new_colors)
         if rule.monochromatic(new_colors, used):
             raise RuntimeError("recoloring produced a monochromatic conflict edge")
         if used >= k:
+            discarded += 1
             break
         colors, k = new_colors, used
         if degree_bound:
             break
-    return Coloring(colors=colors, num_colors=k, point_steps=point_steps)
+    return Coloring(
+        colors=colors, num_colors=k, point_steps=point_steps, rounds=rounds,
+        discarded_rounds=discarded,
+    )
 
 
 def class_order(colors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,12 +10,15 @@ conflicts turns that set into a matching. Matched nodes leave, dropping
 the stage, and the sweeps keep only the live edges until none is left.
 
 The conflicts are colored from the selected edges' endpoint cliques (each
-node's incident edges form one clique), in point steps that touch the 2k
-memberships of the k edges rather than the sum of deg^2 slots of their
-line graph; the colors equal those of the line graph's coloring (see
+node's incident edges form one clique), in point steps that touch the 2
+memberships of each edge still undecided, at most 2k for k edges, rather
+than the sum of deg^2 slots of their line graph; an edge that decided at
+an earlier point cannot collide with one that decides later, so it drops
+out. The colors equal those of the line graph's coloring (see
 coloring.EdgeCliques). Each sweep's report gives the color classes its
-extraction sweeps one after another (conflict_colors) and the point steps
-of its coloring (point_steps).
+extraction sweeps one after another (conflict_colors), the point steps of
+its coloring (point_steps), and the coloring rounds it ran (rounds) and
+threw away because they did not shrink the palette (discarded_rounds).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import EdgeCliques, color_delta_squared, greedy_classes
+from .coloring import Coloring, EdgeCliques, color_delta_squared, greedy_classes
 from .graph import Graph, derived, sort_edges_to_csr  # noqa: F401  (importable here for tools that trace it)
 from .hitting import BipartiteInstance, ParamSet, _renumber, hitting_set
 from .verify import check_maximal_matching, require
@@ -44,24 +47,24 @@ class MatchingResult:
 
 def _extract_matching(
     e_u: np.ndarray, e_v: np.ndarray, n: int, work: WorkCounter | None
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, Coloring]:
     """Maximal (greedy) sub-matching of the given edge set, as a bool mask,
-    with the color classes it sweeps and the point steps of its coloring.
+    with the coloring whose classes it sweeps.
 
     Colors the conflicts (edges sharing an endpoint) from their endpoint
     cliques, with no line graph (see coloring.EdgeCliques), and sweeps the
     color classes with coloring.greedy_classes, one parallel step per
-    class. Edges that share no endpoint are all taken in one step, with
-    no coloring."""
+    class. Edges that share no endpoint are all taken in one step, as one
+    class, with no coloring round."""
     k = len(e_u)
     if k == 0:
-        return np.zeros(0, dtype=bool), 0, 0
+        return np.zeros(0, dtype=bool), Coloring(np.zeros(0, dtype=np.int64), 0)
     if (np.bincount(e_u, minlength=n) + np.bincount(e_v, minlength=n)).max() <= 1:
-        return np.ones(k, dtype=bool), 1, 0
+        return np.ones(k, dtype=bool), Coloring(np.zeros(k, dtype=np.int64), 1)
     charge(work, "match_conflicts", 2 * k)
     cliques = EdgeCliques(e_u, e_v, n)
     col = color_delta_squared(cliques, work=work)
-    return greedy_classes(cliques, col.colors, col.num_colors, work), col.num_colors, col.point_steps
+    return greedy_classes(cliques, col.colors, col.num_colors, work), col
 
 
 def maximal_matching(
@@ -110,7 +113,7 @@ def maximal_matching(
         if len(cand_edges) == 0:
             # certified selection came back empty; advance by one edge
             cand_edges = edge_ids[:1]
-        taken, classes, steps = _extract_matching(e_u[cand_edges], e_v[cand_edges], g.n, work)
+        taken, col = _extract_matching(e_u[cand_edges], e_v[cand_edges], g.n, work)
         mu, mv = e_u[cand_edges[taken]], e_v[cand_edges[taken]]
         match_with[mu] = mv
         match_with[mv] = mu
@@ -126,8 +129,10 @@ def maximal_matching(
                 "incident_edges": int(len(edge_ids)),
                 "selected_edges": int(len(cand_edges)),
                 "matched": int(len(mu)),
-                "conflict_colors": classes,
-                "point_steps": steps,
+                "conflict_colors": col.num_colors,
+                "point_steps": col.point_steps,
+                "rounds": col.rounds,
+                "discarded_rounds": col.discarded_rounds,
                 "live_edges": int(len(e_u)),
                 "hit_constant": sel.hit_constant,
                 "good_importance_fraction": sel.good_importance_fraction,

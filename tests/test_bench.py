@@ -17,7 +17,7 @@ from dpar.bench import (
     scaling_series,
 )
 from dpar.cli import _load_params, main
-from dpar.coloring import defective_coloring
+from dpar.coloring import color_delta_squared, defective_coloring
 from dpar.generate import (
     complete_graph,
     generate_graph,
@@ -277,6 +277,22 @@ def test_cli_defective_reports_phase1_rounds_and_steps(tmp_path):
     assert data["phase1_rounds"] == col.phase1_rounds >= 1
     assert data["point_steps"] == col.point_steps >= col.phase1_rounds
     assert data["steps"] == col.steps >= 1
+
+
+def test_cli_color_and_matching_report_rounds_run_and_discarded(tmp_path):
+    # five disjoint edges on spread ids: the first round shrinks 43 colors
+    # to 5, and the second keeps 5, so color_delta_squared throws it away
+    path = edgelist_file(tmp_path, gnm_graph(50, 5, seed=0))
+    edges, _, n = read_edgelist(path)
+    col = color_delta_squared(sort_edges_to_csr(edges, n))
+    assert (col.rounds, col.discarded_rounds, col.num_colors) == (2, 1, 5)
+    rep = tmp_path / "color.json"
+    assert main(["color", "--input", path, "--report", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert (data["rounds"], data["discarded_rounds"], data["palette"]) == (2, 1, 5)
+    its = run_matching(gnm_graph(400, 3200, seed=32), ParamSet.desk())["iterations"]
+    assert all(0 <= it["discarded_rounds"] <= 1 and it["discarded_rounds"] <= it["rounds"] for it in its)
+    assert any(it["rounds"] >= 1 and it["point_steps"] >= it["rounds"] for it in its)
 
 
 def test_cli_rejects_unknown_param_override(tmp_path):

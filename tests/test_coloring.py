@@ -93,55 +93,11 @@ def test_single_edge_round_uses_field_of_three():
     assert is_proper(g, colors)
 
 
-def point_scan_round(n, colors, p, src, dst, weights, domain, budget):
-    """The slot rule by plain Python: each node walks x = 0, 1, ... below
-    its domain and takes the first x at which the weight of its slots
-    whose head's value equals its own, summed in slot order, is 0 or below
-    its budget (each slot weighs 1 without weights; no budget admits 0
-    only). Returns (new colors, steps, units): a round takes one step per
-    point up to the largest taken, and a step reads the slots of the nodes
-    still undecided and those nodes."""
-    a, b, c = (d.tolist() for d in _poly_coeffs(colors, p))
-
-    def f(v, x):
-        return (a[v] * x * x + b[v] * x + c[v]) % p
-
-    slots = [[] for _ in range(n)]
-    for i, s in enumerate(src.tolist()):
-        slots[s].append(i)
-    heads = dst.tolist()
-    x_star = []
-    for v in range(n):
-        for x in range(int(domain[v])):
-            score = 0
-            for i in slots[v]:
-                if f(heads[i], x) == f(v, x):
-                    score += 1 if weights is None else weights[i]
-            if score <= 0 or (budget is not None and score < budget[v]):
-                x_star.append(x)
-                break
-        else:
-            raise AssertionError("no admissible point")
-    steps = max(x_star, default=-1) + 1
-    units = sum(1 + len(slots[v]) for v in range(n) for x in range(steps) if x <= x_star[v])
-    new = [x * p + f(v, x) for v, x in enumerate(x_star)]
-    return np.array(new, dtype=np.int64), steps, units
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 300),
-    avg_deg=st.floats(0.5, 12.0),
-    palette_mult=st.integers(1, 60),
-    mode=st.sampled_from(["symmetric", "oriented", "weighted"]),
-)
-def test_slot_rule_matches_the_per_node_point_scan(seed, n, avg_deg, palette_mult, mode):
-    """A round of point steps under the slot rule gives the colours of a
-    per-node point scan, byte for byte, and charges each step's undecided
-    nodes and their slots: proper rounds over both directions of every
-    edge or over a random subset of the slots, and weighted phase-1 rounds
-    of defective_coloring."""
+def slot_round_inputs(seed, n, avg_deg, palette_mult, mode):
+    """A slot round as color_delta_squared ("symmetric", or "oriented" on
+    a random half of the slots) or defective phase 1 ("weighted") would run
+    it on a random graph of distinct colors: (colors, k, p, src, dst,
+    weights, domain, budget)."""
     rng = np.random.default_rng(seed)
     ends = rng.integers(0, n, size=(max(1, int(avg_deg * n / 2)), 2))
     ends = ends[ends[:, 0] != ends[:, 1]]
@@ -170,7 +126,67 @@ def test_slot_rule_matches_the_per_node_point_scan(seed, n, avg_deg, palette_mul
         domain = np.where(strict, np.minimum(3 * cdeg + 1, p), min(3 * math.ceil(1.0 / eps1), p))
     else:
         domain = np.minimum(np.maximum(3 * cdeg, 1), p)
-    domain = domain.astype(np.int64)
+    return colors, k, p, src, dst, weights, domain.astype(np.int64), budget
+
+
+def point_scan_round(n, colors, p, src, dst, weights, domain, budget):
+    """The slot rule by plain Python, step by step: at step x every node
+    still undecided, with x below its domain, sums the weight of its slots
+    whose head is also undecided and has its value at x, in slot order,
+    and takes x when that sum is 0 or below its budget (each slot weighs 1
+    without weights; no budget admits 0 only). A head that decided at an
+    earlier step holds another first coordinate, so it is not compared.
+    Returns (new colors, steps, units): a step reads the undecided nodes
+    and the slots whose two ends are both undecided."""
+    a, b, c = (d.tolist() for d in _poly_coeffs(colors, p))
+
+    def f(v, x):
+        return (a[v] * x * x + b[v] * x + c[v]) % p
+
+    slots = [[] for _ in range(n)]
+    for i, s in enumerate(src.tolist()):
+        slots[s].append(i)
+    heads = dst.tolist()
+    x_star = [-1] * n
+    x = units = 0
+    while -1 in x_star:
+        if x >= int(domain.max()):
+            raise AssertionError("no admissible point")
+        pending = [v for v in range(n) if x_star[v] < 0]
+        units += len(pending) + sum(x_star[heads[i]] < 0 for v in pending for i in slots[v])
+        took = []  # the nodes of one step decide together
+        for v in pending:
+            score = 0
+            for i in slots[v]:
+                if x_star[heads[i]] < 0 and f(heads[i], x) == f(v, x):
+                    score += 1 if weights is None else weights[i]
+            if x < domain[v] and (score <= 0 or (budget is not None and score < budget[v])):
+                took.append(v)
+        for v in took:
+            x_star[v] = x
+        x += 1
+    new = [x * p + f(v, x) for v, x in enumerate(x_star)]
+    return np.array(new, dtype=np.int64), x, units
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    avg_deg=st.floats(0.5, 12.0),
+    palette_mult=st.integers(1, 60),
+    mode=st.sampled_from(["symmetric", "oriented", "weighted"]),
+)
+def test_slot_rule_matches_the_per_node_point_scan(seed, n, avg_deg, palette_mult, mode):
+    """A round of point steps under the slot rule gives the colours of a
+    step-by-step point scan that compares only pairs undecided at x, byte
+    for byte, and charges each step's undecided nodes and the slots
+    between them: proper rounds over both directions of every edge or over
+    a random subset of the slots, and weighted phase-1 rounds of
+    defective_coloring."""
+    colors, k, p, src, dst, weights, domain, budget = slot_round_inputs(
+        seed, n, avg_deg, palette_mult, mode
+    )
     work = WorkCounter()
     got, steps = _point_round(_SlotRule(n, src, dst, weights, budget), colors, k, p, domain, work)
     want, want_steps, units = point_scan_round(n, colors, p, src, dst, weights, domain, budget)
@@ -435,7 +451,12 @@ def edge_set(rng, shape, size):
 
 
 def naive_clique_round(e_u, e_v, colors, p, domain):
-    """Point steps by Python loops: (new colors, steps, memberships tallied)."""
+    """Point steps by Python loops: (new colors, steps, memberships
+    tallied). Step x tallies (endpoint, value at x) over the memberships
+    of the edges still undecided, and each of them whose value is alone
+    at both its endpoints, with x below its domain, takes x. An edge that
+    decided at an earlier step holds another first coordinate, so its
+    memberships are not tallied."""
     a, b, c = (d.tolist() for d in _poly_coeffs(colors, p))
     m = len(colors)
     x_star = [-1] * m
@@ -443,10 +464,8 @@ def naive_clique_round(e_u, e_v, colors, p, domain):
     while -1 in x_star:
         assert x < domain.max()
         pending = [i for i in range(m) if x_star[i] < 0]
-        open_ends = {int(e[i]) for i in pending for e in (e_u, e_v)}
-        vals = [(a[i] * x * x + b[i] * x + c[i]) % p for i in range(m)]
-        members = [(int(e[i]), vals[i]) for i in range(m) for e in (e_u, e_v)]
-        tally = Counter(mem for mem in members if mem[0] in open_ends)
+        vals = {i: (a[i] * x * x + b[i] * x + c[i]) % p for i in pending}
+        tally = Counter((int(e[i]), vals[i]) for i in pending for e in (e_u, e_v))
         tallied += sum(tally.values())
         for i in pending:
             alone = tally[(int(e_u[i]), vals[i])] == tally[(int(e_v[i]), vals[i])] == 1
@@ -458,22 +477,36 @@ def naive_clique_round(e_u, e_v, colors, p, domain):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), palette_mult=st.integers(1, 60))
-def test_clique_rule_matches_the_slot_rule_on_the_line_graph(seed, n, palette_mult):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    palette_mult=st.integers(1, 60),
+    crowded=st.booleans(),
+)
+def test_clique_rule_matches_the_slot_rule_on_the_line_graph(seed, n, palette_mult, crowded):
     """A round under the clique rule picks, for every node and domain with a
     free point, the point that the slot rule picks on the line graph, in
     as many steps; its charges are the memberships tallied at each step,
-    radix-sorted below n * p."""
+    radix-sorted below n * p. Crowded colors are mostly multiples of p,
+    whose polynomials are all 0 at x = 0, so most nodes clash there and
+    the later steps run with most, but not all, nodes undecided."""
     rng = np.random.default_rng(seed)
     e_u, e_v, n = edge_set(rng, "random", n)
     lg = line_graph(e_u, e_v, n)
     m, cdeg = lg.n, lg.degrees()
     delta = int(cdeg.max())
-    k = m * palette_mult
-    colors = rng.choice(k, size=m, replace=False).astype(np.int64)  # proper: all distinct
-    tables = precompute_tables(tables_limit_for(k, delta))
-    kprime = max(math.ceil(k ** (1.0 / 3.0)), 3 * delta, 3)
-    p = prime_in_range(tables, kprime)
+    if crowded:  # k = p * m * palette_mult <= p^3 colors, 70 % of them multiples of p
+        kprime = max(math.isqrt(m * palette_mult) + 1, 3 * delta, 3)
+        p = prime_in_range(precompute_tables(2 * kprime + 2), kprime)
+        k = p * m * palette_mult
+        colors = p * rng.choice(m * palette_mult, size=m, replace=False).astype(np.int64)
+        colors += np.where(rng.random(m) < 0.7, 0, rng.integers(1, p, size=m))
+    else:
+        k = m * palette_mult
+        colors = rng.choice(k, size=m, replace=False).astype(np.int64)  # proper: all distinct
+        tables = precompute_tables(tables_limit_for(k, delta))
+        kprime = max(math.ceil(k ** (1.0 / 3.0)), 3 * delta, 3)
+        p = prime_in_range(tables, kprime)
     # each neighbour rules out at most 2 points, so 2 * cdeg + 1 leaves one free
     domain = rng.integers(np.minimum(2 * cdeg + 1, p), p + 1)
     want, want_steps = _point_round(_SlotRule(m, lg.slot_owners(), lg.nbrs), colors, k, p, domain, None)
@@ -520,6 +553,61 @@ def test_both_round_kernels_check_their_field():
         ]:
             with pytest.raises(error, match=message):
                 _point_round(rule, colors, k, p, domain, None)
+
+
+def test_a_decided_neighbour_does_not_block_a_later_point():
+    """Line-graph nodes 0 - 1 - 2 (the edges of the path 0-1-2-3) with the
+    polynomials 1, x and 0 over F_3. At x = 0 node 0 is alone and takes 0;
+    nodes 1 and 2 agree and wait. At x = 1 node 1 agrees with node 0, but
+    node 0 holds the first coordinate 0, so node 1 takes 1, as node 2
+    does, and the round is proper in two steps. A rule that still compared
+    node 1 with node 0 would move it on to x = 2. Under both rules."""
+    p = 3
+    colors = np.array([1, p, 0], dtype=np.int64)  # base-p digits (b, c): (0, 1), (1, 0), (0, 0)
+    for rule in both_rules(np.arange(3), np.arange(1, 4), 4):
+        new, steps = _point_round(rule, colors, 4, p, np.full(3, p, dtype=np.int64), None)
+        assert new.tolist() == [0 * p + 1, 1 * p + 1, 1 * p + 0] and steps == 2
+        assert not rule.monochromatic(*_compact_colors(new))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    avg_deg=st.floats(0.5, 12.0),
+    palette_mult=st.integers(1, 60),
+    mode=st.sampled_from(["symmetric", "oriented", "weighted", "cliques"]),
+)
+def test_rounds_that_skip_decided_pairs_stay_sound(seed, n, avg_deg, palette_mult, mode):
+    """A round compares only pairs undecided at x, and still each node
+    takes a point x <= 2 * cdeg, since each undecided neighbour rules out
+    at most 2 points. In the proper modes and on endpoint cliques no
+    conflict comes out monochromatic. In weighted mode each node's
+    monochromatic slots weigh 0 or less than its budget: a slot goes
+    monochromatic only when both its ends take the same x, so both were
+    undecided there and the slot counted in the owner's score."""
+    if mode == "cliques":
+        rng = np.random.default_rng(seed)
+        e_u, e_v, ends = edge_set(rng, "random", 2 + n % 29)
+        rule = _CliqueRule(EdgeCliques(e_u, e_v, ends))
+        k = rule.n * palette_mult
+        colors = rng.choice(k, size=rule.n, replace=False).astype(np.int64)
+        kprime = max(math.ceil(k ** (1.0 / 3.0)), 3 * int(rule.cdeg.max()), 3)
+        p = prime_in_range(precompute_tables(2 * kprime + 2), kprime)
+        domain = np.minimum(np.maximum(3 * rule.cdeg, 1), p)
+    else:
+        colors, k, p, src, dst, weights, domain, budget = slot_round_inputs(
+            seed, n, avg_deg, palette_mult, mode
+        )
+        rule = _SlotRule(n, src, dst, weights, budget)
+    new, _ = _point_round(rule, colors, k, p, domain, None)
+    assert np.all(new // p <= 2 * rule.cdeg)
+    if mode != "weighted":
+        assert not rule.monochromatic(*_compact_colors(new))
+        return
+    lost = new[src] == new[dst]
+    lost_w = np.bincount(src[lost], weights=weights[lost], minlength=n)
+    assert np.all((lost_w <= 0) | (lost_w < budget))
 
 
 @settings(max_examples=80, deadline=None)

@@ -174,23 +174,24 @@ def test_extraction_charges_endpoint_memberships():
     work = WorkCounter()
     k = 40
     star = np.zeros(k, dtype=np.int64), np.arange(1, k + 1)
-    chosen, classes, steps = _extract_matching(*star, k + 1, work)
+    chosen, col = _extract_matching(*star, k + 1, work)
     assert chosen.sum() == 1
     assert work.snapshot()["match_conflicts"] == 2 * k
-    assert classes == k and steps == 0  # k colors fit the first field: no round runs
+    # k colors fit the first field: no round runs
+    assert (col.num_colors, col.point_steps, col.rounds) == (k, 0, 0)
     e_u, e_v = np.arange(300), np.arange(1, 301)  # a path: rounds run
-    chosen, classes, steps = _extract_matching(e_u, e_v, 301, work)
-    assert 1 < classes < 300 and steps >= 1
+    chosen, col = _extract_matching(e_u, e_v, 301, work)
+    assert 1 < col.num_colors < 300 and col.point_steps >= col.rounds >= 1
     assert not np.any(chosen[1:] & chosen[:-1])
 
 
 def test_extraction_without_conflicts_takes_every_edge():
     work = WorkCounter()
-    chosen, classes, steps = _extract_matching(np.array([0, 2, 4]), np.array([1, 3, 5]), 6, work)
-    assert chosen.tolist() == [True, True, True] and (classes, steps) == (1, 0)
+    chosen, col = _extract_matching(np.array([0, 2, 4]), np.array([1, 3, 5]), 6, work)
+    assert chosen.tolist() == [True, True, True] and (col.num_colors, col.point_steps) == (1, 0)
     empty = np.empty(0, dtype=np.int64)
-    chosen, classes, steps = _extract_matching(empty, empty, 3, work)
-    assert len(chosen) == 0 and (classes, steps) == (0, 0)
+    chosen, col = _extract_matching(empty, empty, 3, work)
+    assert len(chosen) == 0 and (col.num_colors, col.point_steps) == (0, 0)
     assert work.total == 0
 
 
@@ -210,3 +211,17 @@ def test_dense_matching_and_mis_work_stay_within_their_bounds():
         units[name] = work.total / (g.n + g.m)
     assert units["matching"] <= 29.3, units
     assert units["mis"] <= 4.0, units
+
+
+def test_sparse_matching_work_and_colouring_steps_stay_within_their_bounds():
+    """On gnm(2 000, 16 000) the matching colours the conflicts of each
+    sweep's selected edges, whose colourings' point steps set the depth
+    of its sweeps. A step compares only edges that are both undecided, so
+    the matching reads 10.78 units per node and edge and its colourings
+    take 7 point steps in all. It is held to 12 and 10; a step that still
+    compared decided edges read 15.16 and took 26."""
+    g = gnm_graph(2000, 16_000, seed=36)
+    work = WorkCounter()
+    res = maximal_matching(g, ParamSet.desk(), work=work)
+    assert work.total / (g.n + g.m) <= 12.0, work.snapshot()
+    assert sum(it["point_steps"] for it in res.iterations) <= 10, res.iterations

@@ -24,9 +24,10 @@ rounds' half_sample and local_round units, and each digest moved only
 through those rounds' sweep_steps, now 0. mis was last re-recorded when
 compact_subgraph began to read and charge only the kept nodes' slots:
 only its compact units moved (681 776 -> 22 960), its digest did not.
-matching was last re-recorded when the MIS and the matching began to
-share one greedy class sweep (coloring.greedy_classes): only the label of
-its extraction units moved (match_extract 13 967 -> class_union 13 967),
+matching was last re-recorded when the point-step rounds began to
+compare only pairs whose two ends are both undecided (coloring._SlotRule
+and _CliqueRule drop the entries of decided nodes): only its colouring
+units moved (recolor_slots 57 262 -> 31 008, word_sort 114 073 -> 61 580),
 its digest did not. CHANGES.md holds the earlier re-recordings.
 """
 
@@ -204,7 +205,7 @@ PINS = {
     "core_no_aux": ("e097b9bfb8f1996f", {'core_mis_finalize': 1416, 'half_sample': 2280, 'local_round': 4560, 'mis_high_round': 2608, 'mis_high_skip': 13}),
     "core_tall": ("fee7fc49a9342854", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 4909, 'local_round': 9818, 'mis_high_round': 3032, 'mis_low_round': 1383}),
     "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 22960, 'core_mis_finalize': 234683, 'half_sample': 175351, 'independentish': 341519, 'local_round': 350702, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),
-    "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'class_union': 13967, 'match_compact': 15985, 'match_conflicts': 27934, 'match_sweep': 21982, 'recolor_slots': 57262, 'word_sort': 114073}),
+    "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'class_union': 13967, 'match_compact': 15985, 'match_conflicts': 27934, 'match_sweep': 21982, 'recolor_slots': 31008, 'word_sort': 61580}),
 }
 
 
