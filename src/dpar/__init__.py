@@ -9,7 +9,6 @@ maximal independent set), with work accounting and verification oracles.
 from .coloring import Coloring, color_delta_squared, defective_coloring
 from .generate import (
     complete_graph,
-    generate_graph,
     gnm_graph,
     grid_graph,
     powerlaw_graph,
@@ -38,7 +37,6 @@ from .mis import (
 )
 from .ntheory import NumberTheoryTables, precompute_tables, prime_in_range
 from .rounding import CliqueGroup, CutResult, RoundingInstance, local_round, max_cut_half
-from .sorting import prefix_sum
 from .workcount import WorkCounter
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "core_mis_hitting",
     "defective_coloring",
     "edge_buckets",
-    "generate_graph",
     "gnm_graph",
     "grid_graph",
     "hitting_set",
@@ -76,7 +73,6 @@ __all__ = [
     "maximal_matching",
     "powerlaw_graph",
     "precompute_tables",
-    "prefix_sum",
     "prime_in_range",
     "read_csr",
     "read_edgelist",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import verify
 from .coloring import color_delta_squared, defective_coloring
-from .generate import generate_graph
+from .generate import gnm_graph
 from .graph import Graph
 from .hitting import BipartiteInstance, ParamSet, hitting_set
 from .matching import maximal_matching
@@ -31,11 +31,15 @@ from .workcount import WorkCounter
 REPORT_VERSION = "v2"
 
 
-def _report_shell(algorithm: str, g: Graph, params: ParamSet) -> dict:
+def _graph_input(g: Graph) -> dict:
+    return {"nodes": int(g.n), "edges": int(g.m), "weighted": g.weights is not None}
+
+
+def _report_shell(algorithm: str, inputs: dict, params: ParamSet) -> dict:
     return {
         "version": REPORT_VERSION,
         "algorithm": algorithm,
-        "input": {"nodes": int(g.n), "edges": int(g.m), "weighted": g.weights is not None},
+        "input": inputs,
         "params": dataclasses.asdict(params),
         "certificates": [],
         "oracles": {},
@@ -68,7 +72,7 @@ def _finish(report: dict, work: WorkCounter, t0: float) -> dict:
 
 
 def run_color(g: Graph, params: ParamSet) -> dict:
-    rep = _report_shell("color", g, params)
+    rep = _report_shell("color", _graph_input(g), params)
     work = WorkCounter()
     t0 = time.perf_counter()
     col = color_delta_squared(g, work=work)
@@ -84,7 +88,7 @@ def run_color(g: Graph, params: ParamSet) -> dict:
 
 
 def run_defective(g: Graph, eps: float, params: ParamSet) -> dict:
-    rep = _report_shell("defective", g, params)
+    rep = _report_shell("defective", _graph_input(g), params)
     rep["eps"] = eps
     work = WorkCounter()
     t0 = time.perf_counter()
@@ -103,7 +107,7 @@ def run_defective(g: Graph, eps: float, params: ParamSet) -> dict:
 
 
 def run_maxcut(g: Graph, eps: float, params: ParamSet) -> dict:
-    rep = _report_shell("maxcut", g, params)
+    rep = _report_shell("maxcut", _graph_input(g), params)
     rep["eps"] = eps
     work = WorkCounter()
     t0 = time.perf_counter()
@@ -117,18 +121,8 @@ def run_maxcut(g: Graph, eps: float, params: ParamSet) -> dict:
 
 
 def run_hitting(inst: BipartiteInstance, params: ParamSet, window_share: float) -> dict:
-    rep = {
-        "version": REPORT_VERSION,
-        "algorithm": "hitting-set",
-        "input": {
-            "left": int(inst.n_left),
-            "right": int(inst.n_right),
-            "edges": int(len(inst.edge_u)),
-        },
-        "params": dataclasses.asdict(params),
-        "certificates": [],
-        "oracles": {},
-    }
+    inputs = {"left": int(inst.n_left), "right": int(inst.n_right), "edges": len(inst.edge_u)}
+    rep = _report_shell("hitting-set", inputs, params)
     work = WorkCounter()
     t0 = time.perf_counter()
     res = hitting_set(inst, params, work=work)
@@ -155,7 +149,7 @@ def run_hitting(inst: BipartiteInstance, params: ParamSet, window_share: float) 
 
 
 def run_matching(g: Graph, params: ParamSet) -> dict:
-    rep = _report_shell("matching", g, params)
+    rep = _report_shell("matching", _graph_input(g), params)
     work = WorkCounter()
     t0 = time.perf_counter()
     res = maximal_matching(g, params, work=work)
@@ -170,7 +164,7 @@ def run_matching(g: Graph, params: ParamSet) -> dict:
 def _mis_report(algorithm: str, g: Graph, params: ParamSet, solve, **fields) -> dict:
     """The report of an MIS run: solve(work) returns its MisResult, and
     fields go in right after the report shell's keys."""
-    rep = _report_shell(algorithm, g, params)
+    rep = _report_shell(algorithm, _graph_input(g), params)
     rep.update(fields)
     work = WorkCounter()
     t0 = time.perf_counter()
@@ -202,7 +196,7 @@ def scaling_series(
     rows = []
     for e in exponents:
         n = 1 << e
-        g = generate_graph("gnm", n=n, m=deg_factor * n, seed=1 + e)
+        g = gnm_graph(n, deg_factor * n, seed=1 + e)
         det = run_mis(g, params)
         lub = run_luby(g, params, seed=2 + e)
         rows.append(

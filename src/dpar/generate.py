@@ -1,7 +1,8 @@
-"""Seeded graph generators for benchmarks and tests.
+"""Seeded graph generators for the scaling series and the tests.
 
 All generators are deterministic for a fixed seed and return simple
-graphs in the shared CSR form.
+graphs in the shared CSR form. Callers call the generator they want by
+name: bench.scaling_series calls gnm_graph.
 """
 
 from __future__ import annotations
@@ -105,19 +106,3 @@ def attach_random_weights(g: Graph, seed: int = 0, lo: float = 0.5, hi: float = 
     w = rng.uniform(lo, hi, size=len(edges))
     return sort_edges_to_csr(edges, g.n, weights=w)
 
-
-def generate_graph(kind: str, n: int = 0, m: int = 0, seed: int = 0, **kw) -> Graph:
-    """Dispatcher used by the CLI and benchmark configs."""
-    if kind == "gnm":
-        return gnm_graph(n, m, seed)
-    if kind == "grid":
-        rows = kw.get("rows") or int(np.sqrt(max(n, 1)))
-        cols = kw.get("cols") or max(rows, 1)
-        return grid_graph(rows, cols)
-    if kind == "star":
-        return star_graph(n)
-    if kind == "complete":
-        return complete_graph(n)
-    if kind == "powerlaw":
-        return powerlaw_graph(n, m, seed, exponent=kw.get("exponent", 2.5))
-    raise ValueError(f"unknown graph kind: {kind}")

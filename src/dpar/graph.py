@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sorting import first_of_runs, prefix_sum, radix_order
+from .sorting import first_of_runs, radix_order
 from .workcount import WorkCounter, charge
 
 CSR_MAGIC = b"DPAR1"
@@ -212,7 +212,8 @@ def compact_subgraph(
     del slots
     offsets = np.zeros(n2 + 1, dtype=np.int64)
     if n2:
-        offsets[1:] = prefix_sum(counts, work)
+        np.cumsum(counts, out=offsets[1:])
+        charge(work, "prefix_sum", n2)
     return derived(Graph, n=n2, offsets=offsets, nbrs=nbrs, weights=weights), old_to_new, new_to_old
 
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from .graph import derived
 from .ntheory import precompute_tables  # noqa: F401  (importable here for tools that trace it)
-from .rounding import CliqueGroup, RoundingInstance, local_round
+from .rounding import CliqueGroup, RoundingInstance, local_round, tiled_sum
 from .sorting import first_of_runs, radix_lexorder
 from .workcount import WorkCounter, charge
 
@@ -312,7 +312,7 @@ class QuadPotential(CliqueGroup):
         return (self.counts(in_set).astype(np.float64) - self.b / 2.0) ** 2
 
     def value(self, in_set: np.ndarray) -> float:
-        return float(np.dot(self.coefs, self.sq_dev(in_set)))
+        return tiled_sum(self.coefs * self.sq_dev(in_set))
 
     def expectation(self) -> float:
         """Exact mean under independent fair coin membership."""

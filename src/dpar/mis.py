@@ -517,12 +517,8 @@ class CoreMisResult:
     selected: np.ndarray  # bool per candidate
     u_good: np.ndarray  # bool per watcher: certified hit window
     hits: np.ndarray  # selected watched nodes per watcher
-    hit_cap: float  # measured max hits over good watchers
     good_importance_fraction: float
-    zero_hit_good: int  # good watchers stripped for ending with zero hits
     aux_selected_weight: float
-    aux_base_weight: float  # sum over aux edges of w * 2^-(k+k'), levels clamped at K
-    aux_ratio: float
     rounds: list[dict]
     work: WorkCounter
 
@@ -561,30 +557,19 @@ def core_mis_hitting(
 
     hits = np.zeros(inst.n_left, dtype=np.int64)
     np.add.at(hits, inst.edge_u, selected[inst.edge_v].astype(np.int64))
-    zero_hit_good = int(np.sum(u_good & (hits == 0))) if inst.n_left else 0
     u_good &= hits > 0
-    hit_cap = float(hits[u_good].max()) if u_good.any() else 0.0
     tot_imp = float(np.sum(inst.imp))
     good_frac = float(np.sum(inst.imp[u_good])) / tot_imp if tot_imp > 0 else 1.0
 
-    lev_k = np.minimum(inst.levels, k_cap)
     both = selected[inst.aux_i] & selected[inst.aux_j]
     aux_sel = float(np.sum(inst.aux_w[both]))
-    base = float(
-        np.sum(inst.aux_w * np.exp2(-(lev_k[inst.aux_i] + lev_k[inst.aux_j]).astype(np.float64)))
-    )
-    aux_ratio = aux_sel / base if base > 0 else 0.0
     charge(work, "core_mis_finalize", inst.n_left + len(inst.edge_u) + len(inst.aux_i))
     return CoreMisResult(
         selected=selected,
         u_good=u_good,
         hits=hits,
-        hit_cap=hit_cap,
         good_importance_fraction=good_frac,
-        zero_hit_good=zero_hit_good,
         aux_selected_weight=aux_sel,
-        aux_base_weight=base,
-        aux_ratio=aux_ratio,
         rounds=rounds,
         work=work,
     )

@@ -1,23 +1,18 @@
-"""Primes, and square-root and inverse tables over small prime fields.
+"""Primes, and square-root tables over small prime fields.
 
-The sieve is computed once up front; the per-prime tables are built on
-first use and cached, since only a handful of primes are ever touched
-while the sieve limit can be large. Both tables of a prime come from one
-power table of a primitive root g, pw[i] = g^i mod p, built by doubling
-in O(log p) array operations:
-
-- the square-root table maps each quadratic residue r to its smallest
-  square root mod p and marks non-residues -1: the roots of pw[2j] are
-  pw[j] and p - pw[j];
-- the inverse table maps each x != 0 to x^-1 mod p, since
-  pw[i]^-1 = pw[(p - 1 - i) mod (p - 1)] (entry 0 is 0 and means nothing).
-
-So a field costs p units of work once, and an inverse is a gather.
+The sieve is computed once up front; the per-prime square-root tables
+are built on first use and cached, since only a handful of primes are
+ever touched while the sieve limit can be large. A prime's table comes
+from one power table of a primitive root g, pw[i] = g^i mod p, built by
+doubling in O(log p) array operations: it maps each quadratic residue r
+to its smallest square root mod p and marks non-residues -1, since the
+roots of pw[2j] are pw[j] and p - pw[j]. So a field costs p units of
+work once.
 
 The recoloring rounds (coloring.py) take only primes from here: they walk
 the points of the field and compare values, and solve no roots. Only the
-benchmark's tracer (benchmark/tracing.py) and the tables' own tests reach
-sqrt_table and inv_table.
+benchmark's tracer (benchmark/tracing.py) and the table's own tests reach
+sqrt_table.
 """
 
 from __future__ import annotations
@@ -66,32 +61,22 @@ class NumberTheoryTables:
     is_prime: np.ndarray
     primes: np.ndarray
     sqrt_tables: dict[int, np.ndarray] = field(default_factory=dict)
-    inv_tables: dict[int, np.ndarray] = field(default_factory=dict)
 
     def sqrt_table(self, p: int, work: WorkCounter | None = None) -> np.ndarray:
-        """Smallest square root mod p per residue, -1 for non-residues.
-        The first call for p builds both of its tables."""
+        """Smallest square root mod p per residue, -1 for non-residues,
+        built on the first call for p."""
         t = self.sqrt_tables.get(p)
         if t is None:
             if p > self.limit or p < 2 or not self.is_prime[p]:
                 raise KeyError(f"{p} is not a prime within limit {self.limit}")
             pw = _powers(_primitive_root(p), p)
-            inv = np.zeros(p, dtype=np.int64)
-            inv[pw] = np.roll(pw[::-1], 1)  # pw[i]^-1 = pw[(p - 1 - i) mod (p - 1)]
             half = pw[: p // 2]  # a root of each nonzero residue pw[2j]
             t = np.full(p, -1, dtype=np.int64)
             t[0] = 0
             t[pw[::2]] = np.minimum(half, p - half)
             self.sqrt_tables[p] = t
-            self.inv_tables[p] = inv
             charge(work, "sqrt_tables", p)
         return t
-
-    def inv_table(self, p: int, work: WorkCounter | None = None) -> np.ndarray:
-        """x^-1 mod p per x in [1, p); built with the square-root table."""
-        if p not in self.inv_tables:
-            self.sqrt_table(p, work)
-        return self.inv_tables[p]
 
 
 def precompute_tables(limit: int, work: WorkCounter | None = None) -> NumberTheoryTables:

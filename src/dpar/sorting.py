@@ -1,4 +1,4 @@
-"""Prefix sums and stable integer-key sorts.
+"""Stable integer-key sorts.
 
 radix_order sorts integer keys below a bound that the caller knows by
 16-bit digits, least significant first, one stable numpy argsort per
@@ -22,27 +22,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from .workcount import WorkCounter, charge
-
-
-def prefix_sum(values, work: WorkCounter | None = None) -> np.ndarray:
-    """Inclusive prefix sum of an integer array, int64 accumulator.
-
-    Raises OverflowError if the true total does not fit the accumulator.
-    """
-    arr = np.asarray(values)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise TypeError("prefix_sum expects integers")
-    arr = arr.astype(np.int64, copy=False)
-    charge(work, "prefix_sum", arr.size)
-    out = np.cumsum(arr, dtype=np.int64)
-    if arr.size:
-        # int64 cumsum wraps silently; rebuild the total with Python ints
-        true_total = 0
-        for lo in range(0, arr.size, 1 << 20):
-            true_total += int(np.sum(arr[lo : lo + (1 << 20)], dtype=object))
-        if true_total != int(out[-1]):
-            raise OverflowError("prefix_sum accumulator overflow; instance too large")
-    return out
 
 
 def radix_passes(bound: int) -> int:

@@ -20,7 +20,6 @@ from dpar.cli import _load_params, main
 from dpar.coloring import color_delta_squared, defective_coloring
 from dpar.generate import (
     complete_graph,
-    generate_graph,
     gnm_graph,
     grid_graph,
     powerlaw_graph,
@@ -65,9 +64,6 @@ def test_fixed_families():
     assert grid_graph(3, 4).m == 17
     g = powerlaw_graph(200, 800, seed=2)
     assert g.m == 800
-    assert generate_graph("grid", rows=2, cols=2).n == 4
-    with pytest.raises(ValueError):
-        generate_graph("nosuch", n=3)
 
 
 # --- oracles reject corrupted outputs ----------------------------------------------

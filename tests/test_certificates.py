@@ -1,10 +1,10 @@
 """The guarantee certificates and checks can fire.
 
 Each row corrupts what one check judges, the selection a certificate
-judges or the coloring the class sweep gets, through a monkeypatch on
-the call that hands it over, and the check must raise its message. No
-check is loosened: the corrupted runs go through the library's own code
-up to the check.
+judges, the coloring the class sweep gets, the edges a sweep takes or
+the buckets a builder cuts, through a monkeypatch on the call that hands
+it over, and the check must raise its message. No check is loosened: the
+corrupted runs go through the library's own code up to the check.
 """
 
 import dataclasses
@@ -13,9 +13,13 @@ import numpy as np
 import pytest
 
 import dpar.hitting
+import dpar.matching
+import dpar.mis
 import dpar.rounding
 from dpar.generate import complete_graph
 from dpar.hitting import BipartiteInstance, hitting_set
+from dpar.matching import maximal_matching
+from dpar.mis import edge_buckets, maximal_independent_set
 from dpar.rounding import CliqueGroup, RoundingInstance, local_round, max_cut_half
 
 
@@ -79,11 +83,47 @@ def clique_class_check(monkeypatch):
     local_round(inst)
 
 
+def matching_sweep_progress(monkeypatch):
+    """A sweep whose extraction takes none of K5's selected edges matches
+    nothing."""
+    real = dpar.matching._extract_matching
+
+    def take_nothing(e_u, e_v, n, work):
+        taken, col = real(e_u, e_v, n, work)
+        return np.zeros_like(taken), col
+
+    monkeypatch.setattr(dpar.matching, "_extract_matching", take_nothing)
+    maximal_matching(complete_graph(5))
+
+
+def mis_sweep_progress(monkeypatch):
+    """A class sweep that keeps no node leaves the MIS sweep with nothing
+    chosen."""
+    real = dpar.mis.greedy_classes
+    monkeypatch.setattr(dpar.mis, "greedy_classes", lambda *args: np.zeros_like(real(*args)))
+    maximal_independent_set(complete_graph(5))
+
+
+def edge_bucket_leftover(monkeypatch):
+    """A bucket builder that cuts no bucket leaves all 10 edges of K5 over,
+    at least b^3 = 8 for b = 2."""
+    monkeypatch.setattr(
+        dpar.mis,
+        "_group_full_buckets",
+        lambda *args, **kw: (np.zeros(0, dtype=np.int64), None, None),
+    )
+    i, j = np.triu_indices(5, k=1)
+    edge_buckets(5, i, j, 2)
+
+
 CERTIFICATES = [
     (rounding_certificate, "rounding certificate violated"),
     (potential_certificate, "potential certificate violated"),
     (cut_certificate, "cut certificate violated"),
     (clique_class_check, "two members of a clique share a class"),
+    (matching_sweep_progress, "matching sweep matched nothing"),
+    (mis_sweep_progress, "sweep made no progress"),
+    (edge_bucket_leftover, "edge bucketing leftover exceeded b\\^3"),
 ]
 ROWS = [run.__name__ for run, _ in CERTIFICATES]
 

@@ -1,4 +1,4 @@
-"""Core layer: prefix sums, radix order, tables, loss bounds, CSR, IO."""
+"""Core layer: radix order, tables, loss bounds, CSR, IO."""
 
 import math
 import re
@@ -21,34 +21,8 @@ from dpar.graph import (
 )
 from dpar.losses import LossSchedule, iterative_loss_bound
 from dpar.ntheory import precompute_tables, prime_in_range
-from dpar.sorting import prefix_sum, radix_lexorder, radix_order, radix_passes
+from dpar.sorting import radix_lexorder, radix_order, radix_passes
 from dpar.workcount import WorkCounter
-
-
-def test_prefix_sum_frozen():
-    assert prefix_sum([1, 0, 1]).tolist() == [1, 1, 2]
-
-
-def test_prefix_sum_empty_and_types():
-    assert prefix_sum([]).tolist() == []
-    with pytest.raises(TypeError):
-        prefix_sum([0.5, 1.0])
-
-
-def test_prefix_sum_overflow_signals():
-    big = np.array([np.iinfo(np.int64).max // 2] * 3, dtype=np.int64)
-    with pytest.raises(OverflowError):
-        prefix_sum(big)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=1000), max_size=200))
-def test_prefix_sum_matches_fold(xs):
-    out = prefix_sum(np.array(xs, dtype=np.int64)).tolist()
-    acc, ref = 0, []
-    for x in xs:
-        acc += x
-        ref.append(acc)
-    assert out == ref
 
 
 def test_sieve_frozen_values():
@@ -79,26 +53,22 @@ def test_sqrt_table_property(x):
 
 
 def test_field_tables_match_brute_force():
-    """Every prime below 2 000 and a few near 10^5 and 10^6: the inverse
-    table inverts every x != 0, the square-root table holds the smallest
-    root of each residue (-1 for non-residues), and building both charges
-    sqrt_tables exactly p units, once per prime."""
+    """Every prime below 2 000 and a few near 10^5 and 10^6: the square-root
+    table holds the smallest root of each residue (-1 for non-residues),
+    and building it charges sqrt_tables exactly p units, once per prime."""
     t = precompute_tables(1_000_040)
     primes = [int(p) for p in t.primes if p < 2000 or 99_980 < p < 100_020 or 999_970 < p]
     work = WorkCounter()
     for p in primes:
         before = work.snapshot().get("sqrt_tables", 0)
-        sqrt, inv = t.sqrt_table(p, work), t.inv_table(p, work)
+        sqrt = t.sqrt_table(p, work)
         assert work.snapshot()["sqrt_tables"] == before + p
-        x = np.arange(1, p, dtype=np.int64)
-        assert np.all(x * inv[1:] % p == 1)
         z = np.arange(p, dtype=np.int64)
         brute = np.full(p, p, dtype=np.int64)
         np.minimum.at(brute, z * z % p, z)
         brute[brute == p] = -1
         assert sqrt.dtype == brute.dtype and sqrt.tobytes() == brute.tobytes()
         t.sqrt_table(p, work)
-        t.inv_table(p, work)
     assert work.snapshot() == {"sqrt_tables": sum(primes)}
 
 
@@ -223,7 +193,7 @@ def _full_scan_compact(g, kn):
     counts = np.bincount(owners[ke], minlength=g.n).astype(np.int64)[new_to_old]
     offsets = np.zeros(n2 + 1, dtype=np.int64)
     if n2:
-        offsets[1:] = prefix_sum(counts)
+        np.cumsum(counts, out=offsets[1:])
     nbrs = old_to_new[g.nbrs[ke]]
     weights = g.weights[ke] if g.weights is not None else None
     return Graph(n=n2, offsets=offsets, nbrs=nbrs, weights=weights), old_to_new, new_to_old
@@ -392,16 +362,31 @@ def test_radix_order_charges_one_unit_per_key_and_pass():
     assert work.snapshot() == {"word_sort": 3 * 10 + 7}
 
 
+# Patterns that may not appear in src/dpar, each with the reason it is banned.
+LIBRARY_BANS = [
+    (
+        r"\blexsort\s*\(|\bstable_order_u64\b",
+        "the multi-key sorts are sorting.radix_lexorder and the word-key sorts "
+        "sorting.radix_order, not np.lexsort or the removed stable_order_u64",
+    ),
+    (
+        r"\bnp\.(dot|vdot|inner|matmul|tensordot)\b|\.dot\(",
+        "a BLAS product sums in an order set by the BLAS thread count, so the "
+        "float sums of reports would change their last bits with it; "
+        "rounding.tiled_sum sums in a fixed order",
+    ),
+]
+
+
 def test_no_lexsort_or_stable_order_u64_in_the_library():
-    """The library's multi-key sorts are sorting.radix_lexorder and its
-    word-key sorts sorting.radix_order: neither np.lexsort nor the removed
-    stable_order_u64 may come back."""
+    """No line of src/dpar matches a pattern of LIBRARY_BANS."""
     src = Path(__file__).resolve().parent.parent / "src" / "dpar"
-    banned = re.compile(r"\blexsort\s*\(|\bstable_order_u64\b")
-    found = [
-        f"{path.name}:{number}"
+    lines = [
+        (f"{path.name}:{number}", line)
         for path in sorted(src.glob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if banned.search(line)
     ]
-    assert not found, f"comparison sorts back in the library: {found}"
+    for pattern, reason in LIBRARY_BANS:
+        banned = re.compile(pattern)
+        found = [where for where, line in lines if banned.search(line)]
+        assert not found, f"{found}: banned since {reason}"

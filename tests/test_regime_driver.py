@@ -56,8 +56,9 @@ DESK = ParamSet.desk()
 
 
 def _rounded(x):
-    """Report values with floats cut to 10 significant digits, so that the
-    last bits of a BLAS dot product do not decide the digest."""
+    """Report values with floats cut to 10 significant digits, so that a
+    pin records the values of a report and not the last bits of its float
+    sums, which a change of summation order may move."""
     if isinstance(x, float):
         return float(f"{x:.10g}")
     if isinstance(x, dict):
