@@ -56,7 +56,7 @@ import numpy as np
 
 from .graph import derived
 from .ntheory import precompute_tables  # noqa: F401  (importable here for tools that trace it)
-from .rounding import CliqueGroup, RoundingInstance, local_round, tiled_sum
+from .rounding import CliqueGroup, RoundingInstance, local_round
 from .sorting import first_of_runs, radix_lexorder
 from .workcount import WorkCounter, charge
 
@@ -216,9 +216,9 @@ class BipartiteInstance:
         if v_mask is not None:
             keep = v_mask[ev]
             eu, ev = eu[keep], ev[keep]
-        out = np.zeros(self.n_left, dtype=np.float64)
-        np.add.at(out, eu, np.exp2(-levels[ev].astype(np.float64)))
-        return out
+        w = np.exp2(-levels[ev].astype(np.float64))
+        out = np.bincount(eu, weights=w, minlength=self.n_left)
+        return out.astype(np.float64, copy=False)  # ints when no edge is kept
 
 
 HSET_MAGIC = "HSET1"
@@ -312,7 +312,7 @@ class QuadPotential(CliqueGroup):
         return (self.counts(in_set).astype(np.float64) - self.b / 2.0) ** 2
 
     def value(self, in_set: np.ndarray) -> float:
-        return tiled_sum(self.coefs * self.sq_dev(in_set))
+        return float(np.sum(self.coefs * self.sq_dev(in_set)))
 
     def expectation(self) -> float:
         """Exact mean under independent fair coin membership."""
@@ -323,11 +323,9 @@ class QuadPotential(CliqueGroup):
         return float(np.sum(self.coefs)) * self.b * (self.b - 1)
 
     def utils(self, n_cand: int) -> np.ndarray:
-        out = np.zeros(n_cand, dtype=np.float64)
-        if self.n_buckets:
-            per_member = np.repeat(self.coefs * (self.b - 1), self.b)
-            np.add.at(out, self.members, per_member)
-        return out
+        per_member = np.repeat(self.coefs * (self.b - 1), self.b)
+        out = np.bincount(self.members, weights=per_member, minlength=n_cand)
+        return out.astype(np.float64, copy=False)  # ints when there is no bucket
 
 
 def _group_full_buckets(
@@ -481,8 +479,8 @@ def build_low_potentials(
     coef1 = np.full(n_buckets, 4.0 / d_total if d_total else 0.0)
     pots.append(QuadPotential(members=members, coefs=coef1, b=b, name="phi_pair"))
 
-    den = np.zeros(len(imp), dtype=np.float64)
-    np.add.at(den, edge_u, np.exp2(-lev_e.astype(np.float64)))
+    den = np.bincount(edge_u, weights=np.exp2(-lev_e.astype(np.float64)), minlength=len(imp))
+    den = den.astype(np.float64, copy=False)  # ints when there is no edge
     tot_imp = float(np.sum(imp[den > 0]))
     if tot_imp > 0:
         coef2 = 4.0 * imp[tag_u] * np.exp2(-tag_lev.astype(np.float64)) / (tot_imp * den[tag_u])
@@ -860,8 +858,7 @@ def hitting_set(
     floor = params.high_floor_hitting if floor is None else floor
     selected, _, rounds = RegimeDriver(params, floor, work).run(inst)
 
-    hits = np.zeros(inst.n_left, dtype=np.int64)
-    np.add.at(hits, inst.edge_u, selected[inst.edge_v].astype(np.int64))
+    hits = np.bincount(inst.edge_u[selected[inst.edge_v]], minlength=inst.n_left)
     expected = inst.expected_hits()
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = hits / (expected + 1.0)

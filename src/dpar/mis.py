@@ -50,7 +50,6 @@ from .hitting import (
     run_half,  # noqa: F401  (still importable from here, for tools that trace halvings)
     sub_problem,
 )
-from .rounding import tiled_sum
 from .sorting import first_of_runs, radix_lexorder, radix_order
 from .verify import check_maximal_independent, require
 from .workcount import WorkCounter, charge
@@ -107,9 +106,6 @@ class MisAuxInstance(BipartiteInstance):
             raise ValueError("aux weights must be finite and nonnegative")
         if not np.all(np.isfinite(self.vert_w) & (self.vert_w >= 0)):
             raise ValueError("vertex weights must be finite and nonnegative")
-
-    # per watcher: sum of 2^-level over the watched candidates
-    watch_mass = BipartiteInstance.expected_hits
 
 
 # --- edge bucketing -------------------------------------------------------------
@@ -218,13 +214,18 @@ class LinearEdgePotential:
     the mean is exactly factor. Utilities are negative (selecting a node
     costs vertex weight) and selected pairs cost edge weight, so the
     rounding drives the realized value toward the mean from above.
+
+    build keeps the edges of positive weight and, of each, only its
+    rounding cost factor * 4 w / W, computed once: pairs() hands these
+    costs to the rounding as they are, and value() and total_cost() sum
+    them, so no copy of the edge weights is held.
     """
 
     name: str
     factor: float
     edge_i: np.ndarray
     edge_j: np.ndarray
-    edge_w: np.ndarray
+    cost: np.ndarray  # per kept edge: factor * 4 w / W
     vert_w: np.ndarray
     norm: float
 
@@ -247,7 +248,7 @@ class LinearEdgePotential:
             factor=factor,
             edge_i=edge_i[keep],
             edge_j=edge_j[keep],
-            edge_w=edge_w[keep],
+            cost=(factor * 4.0 / norm) * edge_w[keep],
             vert_w=vert_w,
             norm=norm,
         )
@@ -256,19 +257,18 @@ class LinearEdgePotential:
         return -(self.factor * 2.0 / self.norm) * self.vert_w
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.edge_i, self.edge_j, (self.factor * 4.0 / self.norm) * self.edge_w
+        return self.edge_i, self.edge_j, self.cost
 
     def value(self, in_set: np.ndarray) -> float:
         both = in_set[self.edge_i] & in_set[self.edge_j]
-        e_part = float(np.sum(self.edge_w[both]))
         v_part = float(np.sum(self.vert_w[in_set]))
-        return self.factor * (4.0 * e_part + 2.0 * v_part) / self.norm
+        return float(np.sum(self.cost[both])) + self.factor * 2.0 * v_part / self.norm
 
     def expectation(self) -> float:
         return self.factor
 
     def total_cost(self) -> float:
-        return self.factor * 4.0 * float(np.sum(self.edge_w)) / self.norm
+        return float(np.sum(self.cost))
 
 
 def _mixed_sum(sub: MisAuxInstance, node_mask: np.ndarray, lev_eff: np.ndarray) -> float:
@@ -279,9 +279,9 @@ def _mixed_sum(sub: MisAuxInstance, node_mask: np.ndarray, lev_eff: np.ndarray) 
     product of two factors is the power of two exp2(-(k + k')) exactly, so
     the sum has the bits of the per-edge formula."""
     f = np.where(node_mask, np.exp2(-lev_eff.astype(np.float64)), 0.0)
-    e_term = tiled_sum(sub.aux_w * (f[sub.aux_i] * f[sub.aux_j]))
-    v_term = tiled_sum(sub.vert_w * f)
-    return float(e_term + v_term)
+    e_term = float(np.sum(sub.aux_w * (f[sub.aux_i] * f[sub.aux_j])))
+    v_term = float(np.sum(sub.vert_w * f))
+    return e_term + v_term
 
 
 def _fold_cross(out, local, inst, src, dst, exponent: Callable) -> None:
@@ -334,13 +334,16 @@ class MisRegimeDriver(RegimeDriver):
     and the linear aux potential, certified under 5 + 100/gamma. High
     rounds use one hit potential per watcher, normalized by its candidate
     neighbors, plus the linear aux potential, under 3 + 10/gamma. Both take
-    the adaptive eps. Per round, the aux mixed sum may grow by at most a
+    the adaptive eps, and both build the linear potential's terms by one
+    rule (_aux_terms). Per round, the aux mixed sum may grow by at most a
     factor 1 + gamma within a total drift budget of 2; at the end the
     frozen aux weight is certified against twice the starting mixed sum
     and the selected aux weight against 2^(2 floor) times the drift times
-    it. Watcher mass is capped at ENTRY_MASS_CAP into the high regime and
-    at ROUND_MASS_CAP after each high round, whose report gives the largest
-    good-watcher mass as max_watch_mass.
+    it. The driver keeps that selected weight as aux_selected_weight,
+    which core_mis_hitting reports. Watcher mass is capped at
+    ENTRY_MASS_CAP into the high regime and at ROUND_MASS_CAP after each
+    high round, whose report gives the largest good-watcher mass as
+    max_watch_mass.
     """
 
     tags = {"low": "mis_low", "high": "mis_high"}
@@ -356,7 +359,7 @@ class MisRegimeDriver(RegimeDriver):
         shared rather than copied (and the watch edges too, when u_mask
         keeps every left node that has one; see sub_problem). Only
         vert_w, which the low regime folds into, is always a copy."""
-        if regime == "high" and np.any(inst.watch_mass(v_mask, levels) > ENTRY_MASS_CAP + 1e-9):
+        if regime == "high" and np.any(inst.expected_hits(v_mask, levels) > ENTRY_MASS_CAP + 1e-9):
             raise RuntimeError(
                 "watcher probability mass exceeds the entry cap after the low regime"
             )
@@ -377,22 +380,38 @@ class MisRegimeDriver(RegimeDriver):
         self.mixed_start = self.mixed = _mixed_sum(sub, self.v_alive, lev)
         self.drift = 1.0  # product of (1 + gamma) over the rounds run
 
+    def _aux_terms(self, sub, h):
+        """The round's aux terms over its candidates: (vw, ai, aj, aw).
+
+        Candidates sit at h.levels. A node that stays put, frozen by the
+        low regime or, in the high regime, alive and waiting below the
+        level (_begin clears v_frozen there), sits at its level capped at
+        h.level. vw is each candidate's own vertex weight plus its aux
+        edges to such nodes, and aw the aux edges ai-aj between
+        candidates, each weight at 2^-(sum of its ends' levels). A
+        candidate's factor 2^-level is taken once: a product of two is the
+        power of two of the levels' sum exactly."""
+        is_cand = h.local >= 0
+        stay = (self.v_alive & ~is_cand) | self.v_frozen
+        lev_stay = np.minimum(sub.levels, h.level)
+        f = np.exp2(-h.levels.astype(np.float64))
+        vw = sub.vert_w[h.cand] * f
+        _fold_cross(
+            vw, h.local, sub, is_cand, stay, lambda s, t: h.levels[h.local[s]] + lev_stay[t]
+        )
+        ai, aj, keep_a = _candidate_aux(sub, h)
+        return vw, ai, aj, sub.aux_w[keep_a] * (f[ai] * f[aj])
+
     def plan_low(self, sub, h):
         if self.drift * (1.0 + h.gamma) > 2.0:
             raise RuntimeError("aux drift budget exhausted; too many low rounds")
-        b, lev, n_cand = h.b, h.levels, len(h.cand)
-        # per candidate: own vertex weight plus edges into the frozen set
-        vw = sub.vert_w[h.cand] * np.exp2(-lev.astype(np.float64))
-        _fold_cross(
-            vw, h.local, sub, self.v_alive, self.v_frozen, lambda s, t: lev[h.local[s]] + h.level
-        )
-        lp = build_low_potentials(sub.imp, lev, h.edge_u, h.edge_v, b, n_cand)
+        b, n_cand = h.b, len(h.cand)
+        vw, ai, aj, aw = self._aux_terms(sub, h)
+        lp = build_low_potentials(sub.imp, h.levels, h.edge_u, h.edge_v, b, n_cand)
         pots = list(lp.pots)
-        ai, aj, keep_a = _candidate_aux(sub, h)
         eb = edge_buckets(n_cand, ai, aj, b, work=self.work)
         if eb.n_buckets:
             pots.append(eb.potential())
-        aw = sub.aux_w[keep_a] * np.exp2(-(lev[ai] + lev[aj]).astype(np.float64))
         eps, c_tot = _add_aux_potential(pots, h, ai, aj, aw, vw, AUX_FACTOR_LOW, EPS_DENOM_LOW)
 
         def judge(half):
@@ -418,15 +437,8 @@ class MisRegimeDriver(RegimeDriver):
         return RoundPlan(pots, eps, LOW_BOUND_BASE + AUX_FACTOR_LOW / h.gamma, judge, len(ai))
 
     def plan_high(self, sub, h):
-        b, level = h.b, h.level
-        is_cand = h.local >= 0
-        # per candidate: own vertex weight plus edges into alive nodes that
-        # wait below the level, at their own level
-        vw = sub.vert_w[h.cand] * 2.0 ** (-float(level))
-        lev_cur = np.minimum(sub.levels, level)
-        _fold_cross(
-            vw, h.local, sub, is_cand, self.v_alive & ~is_cand, lambda s, t: level + lev_cur[t]
-        )
+        b = h.b
+        vw, ai, aj, aw = self._aux_terms(sub, h)
         members, tag_u, _ = _group_full_buckets(
             h.edge_u, None, h.edge_v, b, bounds=(sub.n_left, len(h.cand))
         )
@@ -441,8 +453,6 @@ class MisRegimeDriver(RegimeDriver):
                 )
             pots.append(QuadPotential(members=members, coefs=coef, b=b, name="phi_hits"))
         hit_pot = pots[0] if pots else None
-        ai, aj, keep_a = _candidate_aux(sub, h)
-        aw = sub.aux_w[keep_a] * 2.0 ** (-2.0 * level)
         eps, c_tot = _add_aux_potential(pots, h, ai, aj, aw, vw, AUX_FACTOR_HIGH, EPS_DENOM_HIGH)
 
         def judge(half):
@@ -466,7 +476,7 @@ class MisRegimeDriver(RegimeDriver):
             lev = np.maximum(sub.levels - (h.round + 1), h.level)
         else:
             mask, lev = self.v_alive, np.minimum(sub.levels, h.level - 1)
-            good_mass = sub.watch_mass(self.v_alive, lev)[self.u_good]
+            good_mass = sub.expected_hits(self.v_alive, lev)[self.u_good]
             report["max_watch_mass"] = float(good_mass.max()) if len(good_mass) else 0.0
             if report["max_watch_mass"] > ROUND_MASS_CAP + 1e-9:
                 raise RuntimeError("watcher probability mass exceeded the per-round cap")
@@ -487,7 +497,8 @@ class MisRegimeDriver(RegimeDriver):
             return
         both = survivors[sub.aux_i] & survivors[sub.aux_j]
         cap = 2.0 ** (2.0 * self.floor) * self.drift * start
-        if float(np.sum(sub.aux_w[both])) > cap + 1e-9 * max(cap, 1.0):
+        self.aux_selected_weight = float(np.sum(sub.aux_w[both]))
+        if self.aux_selected_weight > cap + 1e-9 * max(cap, 1.0):
             raise RuntimeError("selected aux weight exceeds its certified cap")
 
 
@@ -508,7 +519,7 @@ def _reject_unhalved_entry(inst: MisAuxInstance, params: ParamSet, k_cap: int) -
     above = inst.levels > k_cap
     if np.any(above[inst.aux_i] | above[inst.aux_j]):
         raise ValueError(f"{why}, and an aux edge touches one of them")
-    if np.any(inst.watch_mass(None, np.minimum(inst.levels, k_cap)) > ENTRY_MASS_CAP + 1e-9):
+    if np.any(inst.expected_hits(None, np.minimum(inst.levels, k_cap)) > ENTRY_MASS_CAP + 1e-9):
         raise ValueError(f"{why}, and a watcher's mass could exceed {ENTRY_MASS_CAP} there")
 
 
@@ -548,28 +559,24 @@ def core_mis_hitting(
     if np.any(inst.vert_w != 0):
         raise ValueError("core instance must not carry vertex weights")
     if inst.n_left:
-        mass = inst.watch_mass()
+        mass = inst.expected_hits()
         if np.any((mass < 5.0 - 1e-9) | (mass > 10.0 + 1e-9)):
             raise ValueError("watcher probability mass outside [5, 10]")
     _reject_unhalved_entry(inst, params, k_cap)
     driver = MisRegimeDriver(params, params.high_floor_mis, work)
     selected, u_good, rounds = driver.run(inst)
 
-    hits = np.zeros(inst.n_left, dtype=np.int64)
-    np.add.at(hits, inst.edge_u, selected[inst.edge_v].astype(np.int64))
+    hits = np.bincount(inst.edge_u[selected[inst.edge_v]], minlength=inst.n_left)
     u_good &= hits > 0
     tot_imp = float(np.sum(inst.imp))
     good_frac = float(np.sum(inst.imp[u_good])) / tot_imp if tot_imp > 0 else 1.0
-
-    both = selected[inst.aux_i] & selected[inst.aux_j]
-    aux_sel = float(np.sum(inst.aux_w[both]))
     charge(work, "core_mis_finalize", inst.n_left + len(inst.edge_u) + len(inst.aux_i))
     return CoreMisResult(
         selected=selected,
         u_good=u_good,
         hits=hits,
         good_importance_fraction=good_frac,
-        aux_selected_weight=aux_sel,
+        aux_selected_weight=driver.aux_selected_weight,
         rounds=rounds,
         work=work,
     )

@@ -68,7 +68,6 @@ certified against that.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,16 +78,6 @@ from .graph import Graph, derived
 from .graph import graph_from_directed_slots  # noqa: F401  (importable here for tools that trace it)
 from .sorting import radix_order
 from .workcount import WorkCounter, charge
-
-SUM_TILE = 1 << 14  # tiled_sum's tile; it fixes the rounding of every sum below
-
-
-def tiled_sum(values: np.ndarray) -> float:
-    """Sum of float values in a fixed order: np.sum over each tile of
-    SUM_TILE values, the partial sums added exactly by math.fsum."""
-    arr = np.asarray(values, dtype=np.float64)
-    return math.fsum(float(np.sum(arr[lo : lo + SUM_TILE])) for lo in range(0, len(arr), SUM_TILE))
-
 
 @dataclass
 class CliqueGroup:
@@ -175,13 +164,13 @@ class RoundingResult:
 
 
 def evaluate_objective(inst: RoundingInstance, in_set: np.ndarray) -> float:
-    util_part = tiled_sum(np.where(in_set, inst.utils, 0.0))
+    util_part = float(np.sum(np.where(in_set, inst.utils, 0.0)))
     both = in_set[inst.cost_i] & in_set[inst.cost_j]
     parts = [np.where(both, inst.cost_c, 0.0)]
     for group in inst.cliques:
         c = group.counts(in_set).astype(np.float64)
         parts.append(group.coefs * c * (c - 1.0))
-    return util_part - tiled_sum(np.concatenate(parts))
+    return util_part - float(np.sum(np.concatenate(parts)))
 
 
 def _clique_span(group: CliqueGroup) -> int:
@@ -214,9 +203,9 @@ def local_round(inst: RoundingInstance, work: WorkCounter | None = None) -> Roun
     """
     n = inst.n
     groups = inst.cliques
-    util_total = tiled_sum(inst.utils)
-    cost_total = tiled_sum(
-        np.concatenate([inst.cost_c] + [g.coefs * float(g.b * (g.b - 1)) for g in groups])
+    util_total = float(np.sum(inst.utils))
+    cost_total = float(
+        np.sum(np.concatenate([inst.cost_c] + [g.coefs * float(g.b * (g.b - 1)) for g in groups]))
     )
     bound = 0.5 * util_total - (0.25 + inst.eps) * cost_total
     # the set-up and the sweep each touch every node, term and membership once
@@ -348,7 +337,7 @@ def max_cut_half(
     weights = g.weights if g.weights is not None else np.ones(len(g.nbrs), dtype=np.float64)
     owners = g.slot_owners()
     heads = g.nbrs
-    total = tiled_sum(weights) / 2.0
+    total = float(np.sum(weights)) / 2.0
     bound = (0.5 - eps) * total
     fwd = owners < heads
     inst = derived(
@@ -362,7 +351,7 @@ def max_cut_half(
     )
     res = local_round(inst, work=work)
     side = res.in_set
-    cut = tiled_sum(np.where(side[owners] != side[heads], weights, 0.0)) / 2.0
+    cut = float(np.sum(np.where(side[owners] != side[heads], weights, 0.0))) / 2.0
     if cut < bound:
         raise RuntimeError("cut certificate violated")
     return CutResult(

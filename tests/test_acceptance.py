@@ -289,9 +289,9 @@ def _mc_quad(pot: QuadPotential, n: int, rng, samples: int = 10_000):
 
 def _mc_linear(lin: LinearEdgePotential, n: int, rng, samples: int = 10_000):
     picks = rng.random((samples, n)) < 0.5
-    e_part = (picks[:, lin.edge_i] & picks[:, lin.edge_j]).astype(np.float64) @ lin.edge_w
+    e_part = (picks[:, lin.edge_i] & picks[:, lin.edge_j]).astype(np.float64) @ lin.cost
     v_part = picks.astype(np.float64) @ lin.vert_w
-    vals = lin.factor * (4.0 * e_part + 2.0 * v_part) / lin.norm
+    vals = e_part + lin.factor * 2.0 * v_part / lin.norm
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 

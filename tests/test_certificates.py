@@ -1,10 +1,11 @@
 """The guarantee certificates and checks can fire.
 
 Each row corrupts what one check judges, the selection a certificate
-judges, the coloring the class sweep gets, the edges a sweep takes or
-the buckets a builder cuts, through a monkeypatch on the call that hands
-it over, and the check must raise its message. No check is loosened: the
-corrupted runs go through the library's own code up to the check.
+judges, the coloring the class sweep gets, the edges a sweep takes, the
+buckets a builder cuts or the mixed sum a cap scales, through a
+monkeypatch on the call that hands it over, and the check must raise its
+message. No check is loosened: the corrupted runs go through the
+library's own code up to the check.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import dpar.rounding
 from dpar.generate import complete_graph
 from dpar.hitting import BipartiteInstance, hitting_set
 from dpar.matching import maximal_matching
-from dpar.mis import edge_buckets, maximal_independent_set
+from dpar.mis import MisAuxInstance, core_mis_hitting, edge_buckets, maximal_independent_set
 from dpar.rounding import CliqueGroup, RoundingInstance, local_round, max_cut_half
 
 
@@ -116,6 +117,53 @@ def edge_bucket_leftover(monkeypatch):
     edge_buckets(5, i, j, 2)
 
 
+def zero_mixed_start(monkeypatch):
+    """Make the MIS core's regimes start from a mixed sum of 0, the value
+    its drift and its selected-weight caps scale."""
+    real = dpar.mis.MisRegimeDriver.start
+
+    def start(self, sub, regime):
+        real(self, sub, regime)
+        self.mixed_start = self.mixed = 0.0
+
+    monkeypatch.setattr(dpar.mis.MisRegimeDriver, "start", start)
+
+
+def core_near_pairs(level):
+    """200 candidates at one level, joined by an aux edge of weight 1 when
+    their ids differ by at most 10; two watchers of 6 * 2^level of them
+    each, so both have mass 6."""
+    n, deg = 200, 6 * 2**level
+    i, j = np.triu_indices(n, k=1)
+    near = j - i <= 10
+    return MisAuxInstance(
+        imp=np.ones(2),
+        levels=np.full(n, level),
+        edge_u=np.repeat([0, 1], deg),
+        edge_v=np.concatenate([np.arange(deg), np.arange(n - deg, n)]),
+        aux_i=i[near],
+        aux_j=j[near],
+        aux_w=np.ones(int(near.sum())),
+        vert_w=np.zeros(n),
+        size_param=n,
+    )
+
+
+def aux_selected_cap(monkeypatch):
+    """Candidates at the floor level skip every high round and all stay
+    selected, with their 1 945 aux edges; from a mixed sum of 0 the cap
+    on that weight is 0."""
+    zero_mixed_start(monkeypatch)
+    core_mis_hitting(core_near_pairs(dpar.hitting.ParamSet.desk().high_floor_mis))
+
+
+def aux_mixed_drift(monkeypatch):
+    """One high round halves candidates one level above the floor and
+    keeps some aux edge; from a mixed sum of 0 no aux weight may stay."""
+    zero_mixed_start(monkeypatch)
+    core_mis_hitting(core_near_pairs(dpar.hitting.ParamSet.desk().high_floor_mis + 1))
+
+
 CERTIFICATES = [
     (rounding_certificate, "rounding certificate violated"),
     (potential_certificate, "potential certificate violated"),
@@ -124,6 +172,8 @@ CERTIFICATES = [
     (matching_sweep_progress, "matching sweep matched nothing"),
     (mis_sweep_progress, "sweep made no progress"),
     (edge_bucket_leftover, "edge bucketing leftover exceeded b\\^3"),
+    (aux_selected_cap, "selected aux weight exceeds its certified cap"),
+    (aux_mixed_drift, "aux mixed-sum drift certificate violated"),
 ]
 ROWS = [run.__name__ for run, _ in CERTIFICATES]
 

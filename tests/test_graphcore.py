@@ -372,8 +372,9 @@ LIBRARY_BANS = [
     (
         r"\bnp\.(dot|vdot|inner|matmul|tensordot)\b|\.dot\(",
         "a BLAS product sums in an order set by the BLAS thread count, so the "
-        "float sums of reports would change their last bits with it; "
-        "rounding.tiled_sum sums in a fixed order",
+        "float sums of reports would change their last bits with it; the "
+        "library totals floats with np.sum and tallies with np.bincount, "
+        "which call no BLAS",
     ),
 ]
 

@@ -15,11 +15,13 @@ from dpar.hitting import (
     QuadPotential,
     RegimeDriver,
     _group_full_buckets,
+    build_low_potentials,
     hitting_set,
     read_hset,
     run_half,
     write_hset,
 )
+from dpar.mis import MisAuxInstance, core_mis_hitting
 from dpar.workcount import WorkCounter
 
 BIG_N = 1 << 64  # size parameter that opens the low regime at desk scale
@@ -333,6 +335,18 @@ def test_hitting_set_zero_level_always_selected():
     assert res.hits.tolist() == [1, 1]
 
 
+def add_at(n, index, values):
+    """The reference tally: values added into zeros by np.add.at, in index
+    order."""
+    out = np.zeros(n, dtype=values.dtype)
+    np.add.at(out, index, values)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000), lev=st.integers(0, 9))
 def test_property_pipeline_small(seed, lev):
@@ -342,8 +356,69 @@ def test_property_pipeline_small(seed, lev):
     deg = int(rng.integers(1, min(n_v, 30)))
     inst = crafted_instance(rng, n_u, n_v, deg, rng.integers(0, lev + 1, size=n_v), size_param=1 << 16)
     res = hitting_set(inst, ParamSet.desk())
-    # the selection is a subset and hit counts match it
-    hits = np.zeros(n_u, dtype=np.int64)
-    np.add.at(hits, inst.edge_u, res.selected[inst.edge_v].astype(np.int64))
-    assert np.array_equal(hits, res.hits)
+    # the selection is a subset and hit counts match it, bit for bit
+    assert_same_bits(res.hits, add_at(n_u, inst.edge_u, res.selected[inst.edge_v].astype(np.int64)))
     assert np.all(res.hits <= res.hit_constant * res.expected + res.hit_constant + 1e-9)
+
+
+# --- tallies: np.bincount adds as np.add.at does ---------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), b=st.integers(2, 6))
+def test_bincount_tallies_have_the_bits_of_add_at(seed, b):
+    """expected_hits, QuadPotential.utils and build_low_potentials' den
+    tally by np.bincount, bit for bit as np.add.at would: with and without
+    a right mask and levels, over shuffled edges, and for a potential with
+    no bucket. Levels are 0-2 or 52-54, so that a watcher's sum of powers
+    of two rounds and its bits depend on the order of its terms."""
+    rng = np.random.default_rng(seed)
+    n_u, n_v = int(rng.integers(1, 8)), int(rng.integers(1, 80))
+
+    def draw_levels():
+        return rng.integers(0, 3, size=n_v) + 52 * (rng.random(n_v) < 0.7)
+
+    inst = crafted_instance(rng, n_u, n_v, int(rng.integers(0, n_v + 1)), draw_levels())
+    order = rng.permutation(len(inst.edge_u))
+    inst = replace(inst, edge_u=inst.edge_u[order], edge_v=inst.edge_v[order])
+    eu, ev = inst.edge_u, inst.edge_v
+    v_mask = rng.random(n_v) < 0.6
+    levels = draw_levels()
+    for mask, lev in ((None, None), (v_mask, None), (None, levels), (v_mask, levels)):
+        keep = np.ones(len(eu), dtype=bool) if mask is None else mask[ev]
+        use = inst.levels if lev is None else lev
+        want = add_at(n_u, eu[keep], np.exp2(-use[ev[keep]].astype(np.float64)))
+        assert_same_bits(inst.expected_hits(mask, lev), want)
+
+    for n_buckets in (0, int(rng.integers(1, 20))):
+        members = rng.integers(0, n_v, size=n_buckets * b)
+        pot = QuadPotential(members=members, coefs=rng.random(n_buckets), b=b, name="q")
+        want = add_at(n_v, members, np.repeat(pot.coefs * (b - 1), b))
+        assert_same_bits(pot.utils(n_v), want)
+
+    lp = build_low_potentials(inst.imp, inst.levels, eu, ev, b, n_v)
+    assert_same_bits(lp.den, add_at(n_u, eu, np.exp2(-inst.levels[ev].astype(np.float64))))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_core_hits_have_the_bits_of_add_at(seed):
+    """core_mis_hitting's hits count each watcher's selected candidates by
+    np.bincount: int64, bit for bit the np.add.at tally, over shuffled
+    watch edges (test_property_pipeline_small checks hitting_set's). Three
+    watchers of 192 of 250 candidates at level 5 (mass 6) and 500 aux
+    edges: the core halves them once."""
+    rng = np.random.default_rng(seed)
+    n_v = 250
+    eu = np.repeat(np.arange(3), 192)
+    ev = np.concatenate([rng.choice(n_v, 192, replace=False) for _ in range(3)])
+    order = rng.permutation(len(eu))
+    iu, ju = np.triu_indices(n_v, k=1)
+    pick = rng.choice(len(iu), 500, replace=False)
+    core = MisAuxInstance(
+        imp=np.ones(3), levels=np.full(n_v, 5), edge_u=eu[order], edge_v=ev[order],
+        aux_i=iu[pick], aux_j=ju[pick], aux_w=rng.random(500), vert_w=np.zeros(n_v),
+        size_param=n_v,
+    )
+    res = core_mis_hitting(core)
+    want = add_at(core.n_left, core.edge_u, res.selected[core.edge_v].astype(np.int64))
+    assert_same_bits(res.hits, want)
