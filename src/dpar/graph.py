@@ -4,15 +4,19 @@ A graph stores both directed copies of every undirected edge: node u's
 block is nbrs[offsets[u]:offsets[u+1]]. Optional per-slot weights are
 symmetric.
 
-Graphs are built from pair lists on one path: graph_from_directed_slots
-radix-sorts the directed slot codes src * n + dst below n * n
-(sorting.radix_order) into CSR, merging each run of repeated slots into
-one and summing its weights in input order. sort_edges_to_csr validates
-an input edge list and passes it all its lo -> hi copies, then all its
-hi -> lo copies, so both slots of a repeated pair sum its weights in the
-same order. compact_subgraph restricts a graph to a node set; it reads
-only the kept nodes' slot ranges and charges their volume plus the kept
-node count, so a compaction that keeps little costs little.
+Graphs are built from pair lists on one path: the directed slot codes
+src * n + dst are sorted into CSR, and each run of repeated slots merges
+into one. Unweighted codes are sorted in place (ndarray.sort): equal
+codes are the same slot, so no order among them needs keeping. Weighted
+codes keep the stable radix order (sorting.radix_order), so that each
+run sums its weights in input order. sort_edges_to_csr validates an
+input edge list. Unweighted, it writes each pair's two codes straight
+into one array; weighted, it passes graph_from_directed_slots all its
+lo -> hi copies, then all its hi -> lo copies, so both slots of a
+repeated pair sum its weights in the same order. compact_subgraph
+restricts a graph to a node set; it reads only the kept nodes' slot
+ranges and charges their volume plus the kept node count, so a
+compaction that keeps little costs little.
 has_repeated_pairs checks pair lists that must hold no pair twice.
 Every input is validated once, where it is built: a Graph checks itself,
 as the instances do. What the library derives from validated data, the
@@ -108,30 +112,40 @@ def graph_from_directed_slots(
 ) -> Graph:
     """CSR from already-symmetric directed slot lists, sorted by (owner,
     neighbor). Repeated slots merge into one, whose weight is the sum of
-    theirs taken in input order: the codes src * n + dst are stably
-    radix-sorted and each run of equal codes is summed. The sort is not
-    charged to a WorkCounter. Temporaries are dropped early, since this
-    build sets peak memory on dense inputs."""
+    theirs taken in input order. Without weights the codes src * n + dst
+    are sorted in place; with them they keep the stable radix order
+    (_graph_from_slot_codes)."""
     code = src * n
     code += dst
     # sort_edges_to_csr passes temporaries, which this frees before the sort
     del src, dst
-    order = radix_order(code, n * n)
-    code = code[order]
-    first = first_of_runs(code)
+    return _graph_from_slot_codes(n, code, weights)
+
+
+def _graph_from_slot_codes(n: int, code: np.ndarray, weights: np.ndarray | None) -> Graph:
+    """CSR from the directed slot codes owner * n + neighbor, which it
+    takes over. Without weights the codes are sorted in place; with them
+    they are stably radix-sorted, and each run of equal codes sums its
+    weights in input order. The sort is not charged to a WorkCounter.
+    Temporaries are dropped early, since this build sets peak memory on
+    dense inputs."""
     w = None
-    if weights is not None:
+    if weights is None:
+        code.sort()
+        code = code[first_of_runs(code)]
+    else:
+        order = radix_order(code, n * n)
+        code = code[order]
+        first = first_of_runs(code)
         groups = np.cumsum(first)
         groups -= 1
         # astype: bincount of no entries comes back int64
         w = np.bincount(groups, weights=weights[order]).astype(np.float64, copy=False)
-        del groups
-    del order
-    code = code[first]
-    del first
-    counts = np.bincount(code // n, minlength=n).astype(np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(counts)
+        del groups, order
+        code = code[first]
+        del first
+    # node u's slots are the codes in [u * n, (u + 1) * n)
+    offsets = np.searchsorted(code, np.arange(n + 1, dtype=np.int64) * n)
     code %= n
     return derived(Graph, n=n, offsets=offsets, nbrs=code, weights=w)
 
@@ -151,17 +165,21 @@ def sort_edges_to_csr(edges, n: int, weights=None) -> Graph:
             raise ValueError("edge endpoint out of range")
         if np.any(e[:, 0] == e[:, 1]):
             raise ValueError("self-loop in edge list")
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (len(e),):
-            raise ValueError("weights length mismatch")
-        _check_weights(w)
+    if weights is None:
+        # the codes u * n + v, then the codes v * n + u
+        code = np.empty((2, len(e)), dtype=np.int64)
+        np.multiply(e.T, n, out=code)
+        code += e.T[::-1]
+        return _graph_from_slot_codes(n, code.reshape(-1), None)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (len(e),):
+        raise ValueError("weights length mismatch")
+    _check_weights(w)
     # all lo -> hi copies, then all hi -> lo copies, each in input order:
     # every run of repeated slots holds one orientation's copies, so both
     # slots of a pair sum its weights in the same order
     lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
-    ww = None if w is None else np.concatenate([w, w])
+    ww = np.concatenate([w, w])
     return graph_from_directed_slots(n, np.concatenate([lo, hi]), np.concatenate([hi, lo]), ww)
 
 

@@ -570,7 +570,7 @@ def core_mis_hitting(
     u_good &= hits > 0
     tot_imp = float(np.sum(inst.imp))
     good_frac = float(np.sum(inst.imp[u_good])) / tot_imp if tot_imp > 0 else 1.0
-    charge(work, "core_mis_finalize", inst.n_left + len(inst.edge_u) + len(inst.aux_i))
+    charge(work, "core_mis_finalize", inst.n_left + len(inst.edge_u))
     return CoreMisResult(
         selected=selected,
         u_good=u_good,

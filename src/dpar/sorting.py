@@ -5,13 +5,15 @@ radix_order sorts integer keys below a bound that the caller knows by
 digit, which numpy radix-sorts. It costs radix_passes(bound) linear
 passes, however the keys are ordered. radix_lexorder chains one
 radix_order per key, least significant key first, and so returns
-np.lexsort's order. These are the sorts of the CSR builder (graph.py),
-one per graph, whose runs of equal slot codes merge repeated edges, of
-the endpoint-clique recolouring rounds, the class sweeps and defective
-phase 2 (coloring.py), of the rounding's bucket memberships
-(rounding.py) and of the bucket builders (hitting.py, mis.py). A caller
-whose sort is charged passes a WorkCounter, and the sort charges
-word_sort units of the passes it runs times the keys.
+np.lexsort's order. These are the sorts of the weighted CSR build
+(graph.py), one per graph, whose runs of equal slot codes sum repeated
+edges' weights in input order (an unweighted build needs no stable
+order and sorts its codes in place), of the endpoint-clique recolouring
+rounds, the class sweeps and defective phase 2 (coloring.py), of the
+rounding's bucket memberships (rounding.py) and of the bucket builders
+(hitting.py, mis.py). A caller whose sort is charged passes a
+WorkCounter, and the sort charges word_sort units of the passes it runs
+times the keys.
 first_of_runs marks where the runs of equal keys in a sorted array begin.
 """
 

@@ -250,13 +250,17 @@ def assert_same_array(a, values, dtype):
     data=st.data(),
     weighted=st.booleans(),
     crowded=st.booleans(),
+    top=st.booleans(),
 )
-def test_sort_edges_to_csr_matches_a_plain_python_reference(n, data, weighted, crowded):
+def test_sort_edges_to_csr_matches_a_plain_python_reference(n, data, weighted, crowded, top):
     """sort_edges_to_csr against the plain-Python merge. With crowded,
     n <= 5 and there are at least n * n edges, so most pairs repeat and
-    the builder sums long runs of equal slot codes."""
+    the builder sums long runs of equal slot codes. With top, the edges
+    lie on the top ids of a graph of n + 70 000 nodes, whose slot codes
+    exceed 2^32."""
     if crowded:
         n = min(n, 5)
+    shift = 70_000 if top else 0
     # an offset in [1, n) from u gives every ordered pair u != v
     pairs = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1))).map(
         lambda e: (e[0], (e[0] + e[1]) % n)
@@ -271,10 +275,11 @@ def test_sort_edges_to_csr_matches_a_plain_python_reference(n, data, weighted, c
     weights = None
     if weighted:
         weights = data.draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    edges = [(u + shift, v + shift) for u, v in edges]
     e = np.array(edges, dtype=np.int64).reshape(-1, 2)
 
-    g = sort_edges_to_csr(e, n, weights=weights)
-    offsets, nbrs, ws = reference_csr(edges, n, weights)
+    g = sort_edges_to_csr(e, n + shift, weights=weights)
+    offsets, nbrs, ws = reference_csr(edges, n + shift, weights)
     assert_same_array(g.offsets, offsets, np.int64)
     assert_same_array(g.nbrs, nbrs, np.int64)
     if weighted:

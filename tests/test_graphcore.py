@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,36 @@ def test_csr_build_sorts_once(monkeypatch):
     assert calls == [8]
     assert g.m == 2
     assert g.weights.tolist() == [2.75, 1.0, 2.75, 1.0]
+
+
+def test_unweighted_csr_build_sorts_in_place(monkeypatch):
+    """Equal unweighted slot codes are the same slot, so the codes are
+    sorted in place and no stable radix order is made."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unweighted build made a radix order")
+
+    monkeypatch.setattr(dpar.graph, "radix_order", refuse)
+    g = sort_edges_to_csr([(0, 1), (1, 0), (2, 0), (0, 1)], 3)
+    assert g.offsets.tolist() == [0, 2, 3, 4]
+    assert g.nbrs.tolist() == [1, 2, 0, 0]
+    assert g.weights is None
+
+
+def test_unweighted_csr_build_peaks_under_three_and_a_half_slot_arrays():
+    # one slot-sized array is 2m int64 entries, as many as the (m, 2) input holds
+    rng = np.random.default_rng(5)
+    n = 2_000
+    e = rng.integers(0, n, size=(150_000, 2))
+    e = e[e[:, 0] != e[:, 1]]
+    tracemalloc.start()
+    try:
+        g = sort_edges_to_csr(e, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(e) >= 100_000 and g.m > 0
+    assert peak <= 3.5 * e.nbytes
 
 
 def test_csr_roundtrip_random_setequal():

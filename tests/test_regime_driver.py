@@ -17,18 +17,21 @@ hitting and core pins also cover their round reports.
 - mis: maximal_independent_set on gnm(600, 170 000).
 - matching: maximal_matching on gnm(2000, 16 000).
 
-core_tall, hitting_both and hitting_spread were last re-recorded when
-halvings with no clique member, no explicit term and no non-zero utility
-stopped rounding (hitting.run_half): each snapshot fell by exactly those
-rounds' half_sample and local_round units, and each digest moved only
-through those rounds' sweep_steps, now 0. mis was last re-recorded when
-compact_subgraph began to read and charge only the kept nodes' slots:
-only its compact units moved (681 776 -> 22 960), its digest did not.
-matching was last re-recorded when the point-step rounds began to
-compare only pairs whose two ends are both undecided (coloring._SlotRule
-and _CliqueRule drop the entries of decided nodes): only its colouring
-units moved (recolor_slots 57 262 -> 31 008, word_sort 114 073 -> 61 580),
-its digest did not. CHANGES.md holds the earlier re-recordings.
+core_aux, core_tall and mis were last re-recorded when core_mis_hitting
+stopped charging core_mis_finalize a unit per aux edge for a pass over
+the aux edges that it no longer makes: only their core_mis_finalize
+units moved (core_aux 3 640 -> 1 848, core_tall 4 495 -> 1 816, mis
+234 683 -> 64 239), their digests did not. hitting_both and
+hitting_spread were last re-recorded when halvings with no clique
+member, no explicit term and no non-zero utility stopped rounding
+(hitting.run_half): each snapshot fell by exactly those rounds'
+half_sample and local_round units, and each digest moved only through
+those rounds' sweep_steps, now 0. matching was last re-recorded when the
+point-step rounds began to compare only pairs whose two ends are both
+undecided (coloring._SlotRule and _CliqueRule drop the entries of
+decided nodes): only its colouring units moved (recolor_slots
+57 262 -> 31 008, word_sort 114 073 -> 61 580), its digest did not.
+CHANGES.md holds the earlier re-recordings.
 """
 
 import dataclasses
@@ -202,10 +205,10 @@ PINS = {
     "hitting_high": ("4e24300ac92cca9c", {'half_sample': 3080, 'high_regime_round': 3325, 'high_regime_skip': 6, 'hitting_finalize': 1206, 'local_round': 6160}),
     "hitting_both": ("6290aa2ee7abf0bd", {'half_sample': 7272, 'high_regime_round': 8393, 'hitting_finalize': 2408, 'local_round': 14544, 'low_regime_round': 2706}),
     "hitting_spread": ("4635eb0f7eeee4ad", {'half_sample': 29791, 'high_regime_round': 90348, 'high_regime_skip': 1, 'hitting_finalize': 5460, 'local_round': 59582}),
-    "core_aux": ("cfb03f502b70f2ae", {'core_mis_finalize': 3640, 'half_sample': 4792, 'local_round': 9584, 'mis_high_round': 4832, 'mis_high_skip': 13}),
+    "core_aux": ("cfb03f502b70f2ae", {'core_mis_finalize': 1848, 'half_sample': 4792, 'local_round': 9584, 'mis_high_round': 4832, 'mis_high_skip': 13}),
     "core_no_aux": ("e097b9bfb8f1996f", {'core_mis_finalize': 1416, 'half_sample': 2280, 'local_round': 4560, 'mis_high_round': 2608, 'mis_high_skip': 13}),
-    "core_tall": ("fee7fc49a9342854", {'core_mis_finalize': 4495, 'edge_buckets': 1003, 'half_sample': 4909, 'local_round': 9818, 'mis_high_round': 3032, 'mis_low_round': 1383}),
-    "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 22960, 'core_mis_finalize': 234683, 'half_sample': 175351, 'independentish': 341519, 'local_round': 350702, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),
+    "core_tall": ("fee7fc49a9342854", {'core_mis_finalize': 1816, 'edge_buckets': 1003, 'half_sample': 4909, 'local_round': 9818, 'mis_high_round': 3032, 'mis_low_round': 1383}),
+    "mis": ("d2067e6934a6fc2c", {'class_union': 160, 'compact': 22960, 'core_mis_finalize': 64239, 'half_sample': 175351, 'independentish': 341519, 'local_round': 350702, 'mis_high_round': 234440, 'mis_high_skip': 8, 'prefix_sum': 49}),
     "matching": ("4ac0fa1269c8bf52", {'high_regime_skip': 40, 'hitting_finalize': 21610, 'class_union': 13967, 'match_compact': 15985, 'match_conflicts': 27934, 'match_sweep': 21982, 'recolor_slots': 31008, 'word_sort': 61580}),
 }
 
